@@ -28,11 +28,13 @@ import numpy as np
 
 from .equivalence import (
     Alignment,
+    BandStack,
     aligned_args,
     aligned_table,
+    band_matches,
     check_epsilon,
     commutative_blocks,
-    eps_equiv_factors,
+    eps_equiv_factors,  # noqa: F401  perfbench/run.py counts calls through this name
     identity_alignment,
 )
 from .errors import InvariantError
@@ -90,26 +92,31 @@ def initial_rv_colours(fg: FactorGraph, evidence: Evidence = Evidence()) -> dict
 def initial_factor_colours_exact(
     factors: Sequence[Factor],
 ) -> tuple[dict[str, int], dict[str, Alignment]]:
-    """Seed colours by exact table equality up to argument permutation.
+    """Seed colours by bit-identical tables up to argument permutation.
 
-    This is the classic colour-passing initialisation; the returned
-    alignments view each member in the frame of its class representative
-    (the first factor seen with that table).
+    This is the classic colour-passing initialisation, the eps = 0 case
+    of the band test. A factor takes the colour of the lowest-numbered
+    representative (the first factor seen with its table) that some
+    permutation matches, with the first such permutation in
+    lexicographic order as its alignment into the representative's
+    frame; a factor matching none becomes a new representative.
+    Representatives of one shape are stacked and tested in one call.
     """
     colours: dict[str, int] = {}
     alignments: dict[str, Alignment] = {}
-    reps: list[Factor] = []
+    stacks: dict[tuple[int, ...], BandStack] = {}
+    n_reps = 0
     for f in factors:
-        for ci, rep in enumerate(reps):
-            perm = eps_equiv_factors(rep, f, 0.0)
-            if perm is not None:
-                colours[f.name] = ci
-                alignments[f.name] = perm
-                break
+        found = band_matches(f.table, stacks.values(), 0.0)
+        if found:
+            colour = min(found)
+            colours[f.name] = colour
+            alignments[f.name] = found[colour]
         else:
-            colours[f.name] = len(reps)
+            stacks.setdefault(f.table.shape, BandStack(f.table.shape)).append(n_reps, f.table)
+            colours[f.name] = n_reps
             alignments[f.name] = identity_alignment(f.arity)
-            reps.append(f)
+            n_reps += 1
     return colours, alignments
 
 
@@ -260,7 +267,7 @@ class CrvSpec:
     histograms: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Parfactor:
     name: str
     args: tuple[str, ...]
@@ -277,7 +284,7 @@ class Parfactor:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RvClass:
     representative: RandomVariable
     members: tuple[str, ...]

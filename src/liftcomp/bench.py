@@ -17,7 +17,6 @@ import csv
 import io
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,6 +263,9 @@ def run_grid(
 ) -> list[ExperimentRecord]:
     tasks = [(cfg, n_queries, skip_exact) for cfg in configs]
     if jobs is not None and jobs > 1:
+        # imported here: the process pool machinery costs ~2 MB of memory
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_worker, tasks))
     return [_worker(t) for t in tasks]

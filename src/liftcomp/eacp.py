@@ -78,7 +78,8 @@ def _phase3_update(
                     f"grouping admitted a non-equivalent member"
                 )
             worst = max(worst, float(np.max(np.abs(original - updated) / original)))
-            new_tables[member.factor] = updated
+            if updated is not original:  # unchanged factors keep their Factor object
+                new_tables[member.factor] = updated
         deviations[gi] = worst
     return replace_tables(fg, new_tables), deviations
 

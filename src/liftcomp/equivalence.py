@@ -4,9 +4,10 @@ Two positive potentials a, b are eps-equivalent when each lies in the
 other's multiplicative band: a in [b(1-eps), b(1+eps)] and
 b in [a(1-eps), a(1+eps)]. Both directions are checked literally; for
 eps < 1 the conjunction is the same as max(a,b)/min(a,b) <= 1+eps, which
-is what makes the mean-update deviation bounds work. Boundary
-comparisons carry a 1e-12 relative slack so rounded decimal inputs do
-not flip on the edge. The relation is symmetric and reflexive but NOT
+is what makes the mean-update deviation bounds work. For eps > 0 the
+boundary comparisons carry a 1e-12 relative slack so rounded decimal
+inputs do not flip on the edge; at eps = 0 there is no slack and the
+test is bit equality. The relation is symmetric and reflexive but NOT
 transitive, and no code here may assume otherwise.
 
 Two factors are eps-equivalent when some permutation of argument
@@ -19,12 +20,20 @@ An alignment `perm` is a tuple with the meaning of Def-style
 permutations: position j of the right-hand factor receives the left
 factor's coordinate perm[j]. `aligned_table(t, perm)` therefore views
 the right factor's table in the left factor's frame.
+
+BandStack and band_matches test one table against many sets of tables
+at once: a stack row holds the entrywise minimum and maximum of one set,
+and eps_band_mask decides from those two tables alone, exactly as
+eps_equiv_arrays against every member would (the grouping module
+docstring gives the argument).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
+from typing import Iterable
 
 import numpy as np
 
@@ -35,6 +44,7 @@ __all__ = [
     "REL_SLACK",
     "ARITY_CAP",
     "Alignment",
+    "BandStack",
     "CommutativeSpec",
     "check_epsilon",
     "identity_alignment",
@@ -45,6 +55,8 @@ __all__ = [
     "eps_equiv_potentials",
     "eps_equiv_arrays",
     "eps_equiv_factors",
+    "eps_band_mask",
+    "band_matches",
     "err",
     "commutative_blocks",
 ]
@@ -63,8 +75,15 @@ def check_epsilon(eps: float) -> float:
     return eps
 
 
+# alignments are cached so that the ones stored in groupings are shared
+@lru_cache(maxsize=64)
 def identity_alignment(arity: int) -> Alignment:
     return tuple(range(arity))
+
+
+@lru_cache(maxsize=ARITY_CAP + 1)
+def _permutations(arity: int) -> tuple[Alignment, ...]:
+    return tuple(permutations(range(arity)))
 
 
 def invert_alignment(perm: Alignment) -> Alignment:
@@ -75,9 +94,15 @@ def invert_alignment(perm: Alignment) -> Alignment:
 
 
 def aligned_table(table: np.ndarray, perm: Alignment) -> np.ndarray:
-    """View `table` in the left frame: result[i_0..] = table[i_perm[0], ...]."""
+    """View `table` in the left frame: result[i_0..] = table[i_perm[0], ...].
+
+    The identity alignment returns `table` itself, not a new view object
+    (compression results keep one table per factor).
+    """
     if len(perm) != table.ndim or sorted(perm) != list(range(table.ndim)):
         raise InvariantError(f"invalid alignment {perm} for arity {table.ndim}")
+    if perm == identity_alignment(table.ndim):
+        return table
     return np.transpose(table, invert_alignment(perm))
 
 
@@ -85,13 +110,28 @@ def unaligned_table(table: np.ndarray, perm: Alignment) -> np.ndarray:
     """Inverse of aligned_table: push a left-frame table back to the member frame."""
     if len(perm) != table.ndim or sorted(perm) != list(range(table.ndim)):
         raise InvariantError(f"invalid alignment {perm} for arity {table.ndim}")
+    if perm == identity_alignment(table.ndim):
+        return table
     return np.transpose(table, perm)
 
 
 def aligned_args(args: tuple[str, ...], perm: Alignment) -> tuple[str, ...]:
     """Member argument names reordered into the left (representative) frame."""
+    if perm == identity_alignment(len(args)):
+        return args
     inv = invert_alignment(perm)
     return tuple(args[inv[j]] for j in range(len(args)))
+
+
+def _slack(eps: float) -> float:
+    # no slack at eps = 0, so the zero-tolerance test is bit equality
+    return REL_SLACK if eps > 0.0 else 0.0
+
+
+def _band(eps: float) -> tuple[float, float]:
+    """Upper and lower ratio caps (c1, c2) of the entrywise band test."""
+    slack = _slack(eps)
+    return (1.0 + eps) * (1.0 + slack), (1.0 - eps) * (1.0 - slack)
 
 
 def eps_equiv_potentials(a: float, b: float, eps: float) -> bool:
@@ -99,11 +139,12 @@ def eps_equiv_potentials(a: float, b: float, eps: float) -> bool:
     eps = check_epsilon(eps)
     if a <= 0.0 or b <= 0.0:
         raise InvariantError("potentials must be strictly positive")
+    slack = _slack(eps)
     return bool(
-        a <= b * (1.0 + eps) * (1.0 + REL_SLACK)
-        and a >= b * (1.0 - eps) * (1.0 - REL_SLACK)
-        and b <= a * (1.0 + eps) * (1.0 + REL_SLACK)
-        and b >= a * (1.0 - eps) * (1.0 - REL_SLACK)
+        a <= b * (1.0 + eps) * (1.0 + slack)
+        and a >= b * (1.0 - eps) * (1.0 - slack)
+        and b <= a * (1.0 + eps) * (1.0 + slack)
+        and b >= a * (1.0 - eps) * (1.0 - slack)
     )
 
 
@@ -112,12 +153,56 @@ def eps_equiv_arrays(x: np.ndarray, y: np.ndarray, eps: float) -> bool:
     eps = check_epsilon(eps)
     if x.shape != y.shape:
         raise InvariantError(f"shape mismatch {x.shape} vs {y.shape}")
+    c1, c2 = _band(eps)
     hi = np.maximum(x, y)
     lo = np.minimum(x, y)
-    return bool(
-        np.all(hi <= lo * ((1.0 + eps) * (1.0 + REL_SLACK)))
-        and np.all(lo >= hi * ((1.0 - eps) * (1.0 - REL_SLACK)))
-    )
+    return bool(np.all(hi <= lo * c1) and np.all(lo >= hi * c2))
+
+
+def eps_band_mask(lo: np.ndarray, hi: np.ndarray, table: np.ndarray, eps: float) -> np.ndarray:
+    """Per row of the (lo, hi) stack: is `table` eps-equivalent to every table it spans?
+
+    lo and hi have shape (rows,) + table.shape and hold the entrywise
+    minimum and maximum of each row's tables. A candidate a passes
+    against a row exactly when a <= lo*c1, hi <= a*c1, lo >= a*c2 and
+    a >= hi*c2, with c1, c2 the caps eps_equiv_arrays uses.
+    """
+    c1, c2 = _band(eps)
+    ok = (table <= lo * c1) & (hi <= table * c1) & (lo >= table * c2) & (table >= hi * c2)
+    return ok.reshape(len(ok), -1).all(axis=1)
+
+
+class BandStack:
+    """Envelopes of one table shape, one row per key, tested in one call.
+
+    Each row starts as a single table (append) and may be widened by more
+    tables of the same shape (widen); match() runs eps_band_mask against
+    all rows.
+    """
+
+    def __init__(self, shape: tuple[int, ...]) -> None:
+        self.shape = shape
+        self.keys: list[int] = []
+        self._lo = np.empty((4,) + shape)
+        self._hi = np.empty((4,) + shape)
+
+    def append(self, key: int, table: np.ndarray) -> int:
+        row = len(self.keys)
+        if row == len(self._lo):
+            self._lo = np.concatenate([self._lo, np.empty_like(self._lo)])
+            self._hi = np.concatenate([self._hi, np.empty_like(self._hi)])
+        self._lo[row] = table
+        self._hi[row] = table
+        self.keys.append(key)
+        return row
+
+    def widen(self, row: int, table: np.ndarray) -> None:
+        np.minimum(self._lo[row], table, out=self._lo[row])
+        np.maximum(self._hi[row], table, out=self._hi[row])
+
+    def match(self, table: np.ndarray, eps: float) -> np.ndarray:
+        n = len(self.keys)
+        return eps_band_mask(self._lo[:n], self._hi[:n], table, eps)
 
 
 def _range_compatible(shape1: tuple[int, ...], shape2: tuple[int, ...], perm: Alignment) -> bool:
@@ -146,6 +231,36 @@ def eps_equiv_factors(f1: Factor, f2: Factor, eps: float) -> Alignment | None:
         if eps_equiv_arrays(f1.table, aligned_table(f2.table, perm), eps):
             return perm
     return None
+
+
+def band_matches(
+    table: np.ndarray, stacks: Iterable[BandStack], eps: float
+) -> dict[int, Alignment]:
+    """Key -> first lexicographic alignment putting `table` inside that key's envelope.
+
+    Only stacks of the table's arity are searched, each with every
+    range-compatible permutation in lexicographic order. Arity above
+    ARITY_CAP is refused as soon as one such stack exists.
+    """
+    eps = check_epsilon(eps)
+    arity = table.ndim
+    found: dict[int, Alignment] = {}
+    for stack in stacks:
+        if len(stack.shape) != arity:
+            continue
+        if arity > ARITY_CAP:
+            raise ArityCapError(f"arity {arity} exceeds permutation search cap {ARITY_CAP}")
+        unmatched = np.ones(len(stack.keys), dtype=bool)
+        for perm in _permutations(arity):
+            if not _range_compatible(stack.shape, table.shape, perm):
+                continue
+            hit = stack.match(aligned_table(table, perm), eps) & unmatched
+            for row in np.flatnonzero(hit):
+                found[stack.keys[row]] = perm
+            unmatched &= ~hit
+            if not unmatched.any():
+                break
+    return found
 
 
 def err(f1: Factor, f2: Factor, align: Alignment) -> float:

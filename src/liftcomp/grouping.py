@@ -4,10 +4,25 @@ phase1_group walks the factors in input order. The first factor opens a
 group; each later factor collects every existing group it is
 eps-equivalent to under a single alignment that must hold against EVERY
 member (checked on tables composed into the group frame, i.e. the frame
-of the group's first member). Among the candidates it joins the one
-minimizing the summed squared deviation, ties broken by lowest group
-index; with no candidate it opens a new group. The result is order
-dependent by design; callers must feed factors in model order.
+of the group's first member; per group, the first such alignment in
+lexicographic order). Among the candidates it joins the one minimizing
+the summed squared deviation, ties broken by lowest group index; with
+one candidate it joins that one, and with none it opens a new group.
+The result is order dependent by design; callers must feed factors in
+model order.
+
+Groups are not compared member by member. Each group keeps the
+entrywise minimum Mn and maximum Mx of its member tables, and groups of
+equal frame shape are stacked, so one numpy call per permutation tests
+a factor against all of them (equivalence.BandStack). The test is
+exact. With c1 = (1+eps)(1+slack) and c2 = (1-eps)(1-slack), a factor
+table a passes max(a,m) <= min(a,m)*c1 and min(a,m) >= max(a,m)*c2 for
+every member m exactly when
+
+    a <= Mn*c1,   Mx <= a*c1,   Mn >= a*c2,   a >= Mx*c2,
+
+because rounded multiplication by a positive constant is monotone: the
+extreme member decides each of the four one-sided comparisons.
 
 mean_factor is the update step: the entrywise arithmetic mean of the
 aligned tables. A group of bit-identical tables is returned unchanged
@@ -18,18 +33,18 @@ identity groups must stay bit-exact).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import permutations
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ArityCapError, InvariantError
+from .errors import InvariantError
 from .equivalence import (
-    ARITY_CAP,
     Alignment,
+    BandStack,
     aligned_table,
+    band_matches,
     check_epsilon,
-    eps_equiv_arrays,
+    eps_equiv_arrays,  # noqa: F401  perfbench/run.py counts calls through this name
     identity_alignment,
 )
 from .model import Factor
@@ -37,7 +52,7 @@ from .model import Factor
 __all__ = ["GroupMember", "Grouping", "phase1_group", "mean_factor", "mean_of_tables"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupMember:
     """Factor name plus the alignment viewing its table in the group frame."""
 
@@ -65,62 +80,78 @@ class Grouping:
         return tuple(len(g) for g in self.groups)
 
 
-def _group_alignment(
-    candidate: Factor,
-    rep_shape: tuple[int, ...],
-    member_tables: list[np.ndarray],
-    eps: float,
-) -> tuple[Alignment, float] | None:
-    """First lexicographic permutation aligning `candidate` to every member.
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
-    Returns (alignment, summed squared deviation) or None. member_tables
-    are already in the group frame, so composition with stored alignments
-    reduces to direct entrywise comparison.
+
+class _Group:
+    """A phase-1 group being built: members and their tables in the group frame."""
+
+    def __init__(self, member: GroupMember, table: np.ndarray, row: int) -> None:
+        self.members = [member]
+        self.tables = [table]                     # as aligned, views kept
+        self.row = row                            # envelope row in its BandStack
+        self._stacked = np.empty((4,) + table.shape)
+        self._stacked[0] = table
+
+    def add(self, member: GroupMember, table: np.ndarray) -> None:
+        n = len(self.tables)
+        if n == len(self._stacked):
+            self._stacked = np.concatenate([self._stacked, np.empty_like(self._stacked)])
+        self._stacked[n] = table
+        self.members.append(member)
+        self.tables.append(table)
+
+    def deviation(self, aligned: np.ndarray) -> float:
+        """Summed squared deviation, member by member in each view's own memory order."""
+        total = 0.0
+        for mt in self.tables:
+            diff = mt - aligned
+            total += float(np.sum(diff * diff))
+        return total
+
+    def deviation_estimate(self, aligned: np.ndarray) -> tuple[float, int]:
+        """The same sum in one call, in another order; also the number of terms."""
+        diff = self._stacked[: len(self.tables)] - aligned
+        return float(np.sum(diff * diff)), diff.size
+
+
+def _closest(groups: list[_Group], found: dict[int, Alignment], table: np.ndarray) -> int:
+    """Candidate group of least summed squared deviation, lowest index on ties.
+
+    The one-call estimates decide whenever one of them is below all others
+    by more than their rounding error: a float sum of N non-negative terms
+    is within a relative N*u of the exact sum in any order, so a margin of
+    8*N*u cannot flip the comparison. Estimates closer than that, exact
+    ties included, are settled by the member-by-member sum.
     """
-    if candidate.arity != len(rep_shape):
-        return None
-    if candidate.arity > ARITY_CAP:
-        raise ArityCapError(
-            f"arity {candidate.arity} exceeds permutation search cap {ARITY_CAP}"
-        )
-    shape2 = candidate.table.shape
-    for perm in permutations(range(candidate.arity)):
-        if any(shape2[j] != rep_shape[perm[j]] for j in range(len(perm))):
-            continue
-        aligned = aligned_table(candidate.table, perm)
-        if all(eps_equiv_arrays(mt, aligned, eps) for mt in member_tables):
-            total = 0.0
-            for mt in member_tables:
-                diff = mt - aligned
-                total += float(np.sum(diff * diff))
-            return perm, total
-    return None
+    candidates = sorted(found)
+    aligned = {c: aligned_table(table, found[c]) for c in candidates}
+    estimates = {c: groups[c].deviation_estimate(aligned[c]) for c in candidates}
+    terms = max(n for _, n in estimates.values())
+    cutoff = min(e for e, _ in estimates.values()) * (1.0 + 8 * terms * _UNIT_ROUNDOFF)
+    close = [c for c in candidates if estimates[c][0] <= cutoff]
+    if len(close) == 1:
+        return close[0]
+    return min(close, key=lambda c: groups[c].deviation(aligned[c]))
 
 
 def phase1_group(factors: Sequence[Factor], eps: float) -> Grouping:
     """Partition factors into greedy groups of pairwise eps-equivalent members."""
     eps = check_epsilon(eps)
-    groups: list[list[GroupMember]] = []
-    frames: list[tuple[int, ...]] = []          # group-frame table shape
-    aligned: list[list[np.ndarray]] = []        # member tables in the group frame
+    groups: list[_Group] = []
+    stacks: dict[tuple[int, ...], BandStack] = {}   # group envelopes per frame shape
     for f in factors:
-        best: tuple[float, int, Alignment] | None = None
-        for gi, shape in enumerate(frames):
-            found = _group_alignment(f, shape, aligned[gi], eps)
-            if found is None:
-                continue
-            perm, total = found
-            if best is None or total < best[0]:
-                best = (total, gi, perm)
-        if best is None:
-            groups.append([GroupMember(f.name, identity_alignment(f.arity))])
-            frames.append(f.table.shape)
-            aligned.append([f.table])
-        else:
-            _, gi, perm = best
-            groups[gi].append(GroupMember(f.name, perm))
-            aligned[gi].append(aligned_table(f.table, perm))
-    return Grouping(tuple(tuple(g) for g in groups))
+        found = band_matches(f.table, stacks.values(), eps)
+        if not found:
+            stack = stacks.setdefault(f.table.shape, BandStack(f.table.shape))
+            row = stack.append(len(groups), f.table)
+            groups.append(_Group(GroupMember(f.name, identity_alignment(f.arity)), f.table, row))
+            continue
+        gi = next(iter(found)) if len(found) == 1 else _closest(groups, found, f.table)
+        table = aligned_table(f.table, found[gi])
+        groups[gi].add(GroupMember(f.name, found[gi]), table)
+        stacks[table.shape].widen(groups[gi].row, table)
+    return Grouping(tuple(tuple(g.members) for g in groups))
 
 
 def mean_of_tables(tables: Sequence[np.ndarray]) -> np.ndarray:

@@ -19,6 +19,7 @@ threads; every operation in this module is a pure function.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import warnings
@@ -348,4 +349,15 @@ def replace_tables(fg: FactorGraph, tables: Mapping[str, np.ndarray]) -> FactorG
         replace(f, table=tables[f.name]) if f.name in tables else f
         for f in fg.factors
     )
-    return FactorGraph(fg.rvs, factors)
+    for old, new in zip(fg.factors, factors):
+        if new.table.shape != old.table.shape:
+            raise InvariantError(
+                f"factor {old.name!r}: table shape {new.table.shape} does not match "
+                f"{old.table.shape}"
+            )
+    # same RVs and arguments: the copy shares fg's RV indexes, which keeps
+    # every compression result from holding its own
+    out = copy.copy(fg)
+    object.__setattr__(out, "factors", factors)
+    object.__setattr__(out, "_factor_index", {f.name: f for f in factors})
+    return out

@@ -7,7 +7,10 @@ import pytest
 
 from liftcomp import (
     Evidence,
+    Factor,
+    FactorGraph,
     InvariantError,
+    RandomVariable,
     eps_equiv_potentials,
     fg_equal,
     pfg_equal,
@@ -21,6 +24,15 @@ from conftest import random_model, sales_model
 
 def group_names(grouping):
     return [[m.factor for m in g] for g in grouping.groups]
+
+
+def near_twin_star() -> FactorGraph:
+    """Hub with two leaves whose tables differ by a relative 1e-13."""
+    t = np.array([[0.3, 0.7], [0.6, 0.2]])
+    rvs = tuple(RandomVariable(n, ("t", "f")) for n in ("H", "A", "B"))
+    return FactorGraph(
+        rvs, (Factor("a", ("H", "A"), t), Factor("b", ("H", "B"), t * (1.0 + 1e-13)))
+    )
 
 
 class TestRunEacp:
@@ -65,6 +77,14 @@ class TestRunEacp:
             fg = random_model(rng)
             res = run_eacp(fg, 0.0)
             assert fg_equal(fg, res.m_prime)
+
+    def test_eps_zero_keeps_near_twins_apart(self):
+        fg = near_twin_star()
+        res = run_eacp(fg, 0.0)
+        assert group_names(res.grouping) == [["a"], ["b"]]
+        assert fg_equal(fg, res.m_prime)
+        for name in ("a", "b"):
+            assert res.m_prime.factor(name).table.tobytes() == fg.factor(name).table.tobytes()
 
     def test_idempotent_on_worked_example(self, sales):
         once = run_eacp(sales, 0.1)
@@ -112,6 +132,11 @@ class TestRunAcp:
         fg = liftcomp.FactorGraph(sales.rvs + (salc,), sales.factors + (twin,))
         res = run_acp(fg)
         assert ["phi1", "twin"] in group_names(res.grouping)
+
+    def test_near_twins_are_not_exact_twins(self):
+        res = run_acp(near_twin_star())
+        assert group_names(res.grouping) == [["a"], ["b"]]
+        assert len(res.pfg.parfactors) == 2
 
 
 class TestBaselineAgreement:

@@ -22,7 +22,12 @@ from liftcomp import (
     err,
     unaligned_table,
 )
-from liftcomp.equivalence import check_epsilon, identity_alignment, invert_alignment
+from liftcomp.equivalence import (
+    check_epsilon,
+    eps_equiv_arrays,
+    identity_alignment,
+    invert_alignment,
+)
 
 positive = st.floats(1e-3, 1e3)
 small_eps = st.floats(0.0, 0.5, exclude_max=True)
@@ -48,6 +53,10 @@ class TestPotentials:
     def test_eps_zero_is_equality(self):
         assert eps_equiv_potentials(0.7, 0.7, 0.0)
         assert not eps_equiv_potentials(0.7, np.nextafter(0.7, 1.0) + 1e-12, 0.0)
+        assert not eps_equiv_potentials(0.7, np.nextafter(0.7, 1.0), 0.0)
+        assert not eps_equiv_potentials(np.nextafter(0.7, 0.0), 0.7, 0.0)
+        assert eps_equiv_arrays(np.array([0.7, 0.2]), np.array([0.7, 0.2]), 0.0)
+        assert not eps_equiv_arrays(np.array([0.7, 0.2]), np.array([np.nextafter(0.7, 1.0), 0.2]), 0.0)
 
     def test_not_transitive(self):
         assert eps_equiv_potentials(1.0, 1.1, 0.1)

@@ -209,6 +209,16 @@ class TestReplaceTables:
         with pytest.raises(InvariantError):
             replace_tables(sales, {"nope": np.ones((2, 2))})
 
+    def test_shape_change_rejected(self, sales):
+        with pytest.raises(InvariantError):
+            replace_tables(sales, {"phi1": np.ones((2, 3))})
+
+    def test_indexes_follow_new_tables(self, sales):
+        new = replace_tables(sales, {"phi1": np.full((2, 2), 0.5)})
+        assert new.factor("phi1") is new.factors[0]
+        assert sales.factor("phi1").table[0, 0] == 0.75
+        assert new.rv("Rev") is sales.rv("Rev")
+
 
 class TestFgEqual:
     def test_reflexive(self, sales):
