@@ -39,7 +39,6 @@ from .bounds import (
     bound_general,
     bound_set,
     bound_tight,
-    corollary_envelopes,
     distance_exact,
     odds_envelope,
     prob_envelope,
@@ -54,7 +53,6 @@ from .equivalence import (
     commutative_blocks,
     eps_equiv_factors,
     eps_equiv_potentials,
-    err,
     unaligned_table,
 )
 from .errors import (
@@ -65,7 +63,7 @@ from .errors import (
     ModelFormatError,
     UnsupportedTopologyError,
 )
-from .grouping import Grouping, GroupMember, mean_factor, mean_of_tables, phase1_group
+from .grouping import Grouping, GroupMember, mean_of_tables, phase1_group
 from .inference import (
     Query,
     QueryResult,
@@ -81,11 +79,8 @@ from .model import (
     Factor,
     FactorGraph,
     RandomVariable,
-    eval_joint,
     fg_equal,
-    joint_probability,
     joint_table,
-    partition_function,
     replace_tables,
     resolve_cap,
 )
@@ -100,10 +95,7 @@ __all__ = [
     "Factor",
     "FactorGraph",
     "Evidence",
-    "eval_joint",
     "joint_table",
-    "partition_function",
-    "joint_probability",
     "fg_equal",
     "replace_tables",
     "resolve_cap",
@@ -120,7 +112,6 @@ __all__ = [
     "ARITY_CAP",
     "eps_equiv_potentials",
     "eps_equiv_factors",
-    "err",
     "aligned_table",
     "unaligned_table",
     "aligned_args",
@@ -130,7 +121,6 @@ __all__ = [
     "Grouping",
     "phase1_group",
     "mean_of_tables",
-    "mean_factor",
     # colour passing / parfactors
     "ColourPassResult",
     "colour_pass",
@@ -155,7 +145,6 @@ __all__ = [
     "distance_exact",
     "odds_envelope",
     "prob_envelope",
-    "corollary_envelopes",
     "worst_case_fg",
     # inference
     "Query",

@@ -8,9 +8,8 @@ colour, with position 0 standing in for any argument slot that belongs
 to a commutative block of the factor's class representative. Colours
 are renumbered densely in first-seen order every round, and the loop
 stops when neither partition changes. Initial factor colours are
-injected by the caller, which is how the eps-grouping phase steers the
-refinement; initial_factor_colours_exact provides the classic
-exact-equality seeding.
+injected by the caller: run_eacp seeds with the phase-1 eps-groups,
+run_acp with initial_factor_colours_exact (bit-identical tables).
 
 construct_pfg turns the final grouping into a parfactor graph: one
 representative factor per group with an instance count, RV classes, and
@@ -22,6 +21,8 @@ into a flat factor graph for round-trip checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -296,19 +297,16 @@ class ParfactorGraph:
     parfactors: tuple[Parfactor, ...]
 
 
-def _histogram_cells(size: int, n: int) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
-    """Histogram cells in first-occurrence order of the row-major assignments."""
-    order: list[tuple[int, ...]] = []
+@lru_cache(maxsize=64)
+def _histogram_index(size: int, n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """Cells in first-occurrence order, and the cell of each row-major assignment."""
     index: dict[tuple[int, ...], int] = {}
-    for idx in np.ndindex(*([size] * n)):
-        counts = [0] * size
-        for v in idx:
-            counts[v] += 1
-        cell = tuple(counts)
-        if cell not in index:
-            index[cell] = len(order)
-            order.append(cell)
-    return tuple(order), index
+    cell_of = np.empty(size**n, dtype=np.intp)
+    for i, assignment in enumerate(product(range(size), repeat=n)):
+        cell = tuple(assignment.count(v) for v in range(size))
+        cell_of[i] = index.setdefault(cell, len(index))
+    cell_of.flags.writeable = False
+    return tuple(index), cell_of
 
 
 def _compact_table(table: np.ndarray, positions: tuple[int, ...]) -> tuple[np.ndarray, CrvSpec]:
@@ -317,15 +315,13 @@ def _compact_table(table: np.ndarray, positions: tuple[int, ...]) -> tuple[np.nd
     keep = [i for i in range(table.ndim) if i not in positions]
     moved = np.moveaxis(table, positions, list(range(len(keep), table.ndim)))
     flat = moved.reshape([table.shape[i] for i in keep] + [size**n])
-    cells, cell_index = _histogram_cells(size, n)
-    columns: list[list[int]] = [[] for _ in cells]
-    for col, idx in enumerate(np.ndindex(*([size] * n))):
-        counts = [0] * size
-        for v in idx:
-            counts[v] += 1
-        columns[cell_index[tuple(counts)]].append(col)
-    # arithmetic mean of the original potentials per histogram cell
-    out = np.stack([flat[..., cols].mean(axis=-1) for cols in columns], axis=-1)
+    cells, cell_of = _histogram_index(size, n)
+    # arithmetic mean of the original potentials per histogram cell; a cell of
+    # one value keeps it (a float mean of k equal values need not equal it)
+    cols = [flat[..., np.flatnonzero(cell_of == i)] for i in range(len(cells))]
+    out = np.stack(
+        [np.where((c == c[..., :1]).all(axis=-1), c[..., 0], c.mean(axis=-1)) for c in cols], -1
+    )
     return out, CrvSpec(tuple(positions), cells)
 
 
@@ -442,17 +438,11 @@ def expand_crv(pf: Parfactor) -> np.ndarray:
         return pf.table
     positions = pf.crv.positions
     n = len(positions)
-    cell_index = {cell: i for i, cell in enumerate(pf.crv.histograms)}
     size = len(pf.crv.histograms[0])
-    keep_shape = pf.table.shape[:-1]
-    full_moved = np.empty(keep_shape + (size,) * n, dtype=np.float64)
-    for idx in np.ndindex(*([size] * n)):
-        counts = [0] * size
-        for v in idx:
-            counts[v] += 1
-        full_moved[(...,) + idx] = pf.table[..., cell_index[tuple(counts)]]
-    ndim = len(keep_shape) + n
-    return np.moveaxis(full_moved, list(range(len(keep_shape), ndim)), positions)
+    _, cell_of = _histogram_index(size, n)
+    keep = pf.table.ndim - 1
+    full_moved = pf.table[..., cell_of].reshape(pf.table.shape[:-1] + (size,) * n)
+    return np.moveaxis(full_moved, list(range(keep, keep + n)), positions)
 
 
 def ground(pfg: ParfactorGraph) -> FactorGraph:

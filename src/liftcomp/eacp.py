@@ -1,18 +1,26 @@
-"""End-to-end compression pipelines.
+"""End-to-end compression: one pipeline tail with two seedings.
 
-run_eacp chains the three phases: greedy eps-grouping of factors, colour
-passing seeded with the group indices (evidence enters only here, as
-initial RV colours), then the entrywise mean update applied per
-POST-refinement group, so factors that the graph structure split apart
-are averaged only within their final group. The updated ground model
+run_eacp seeds colour passing with the greedy eps-groups of phase 1;
+run_acp, the exact-equality baseline, seeds it with bit-identical
+tables up to argument permutation. Both then run the same tail: colour
+passing (evidence enters only here, as initial RV colours), the
+entrywise mean update per POST-refinement group, so factors that the
+graph structure split apart are averaged only within their final group,
+counting detection and the parfactor graph. The updated ground model
 keeps the input's structure, argument order included; only tables
-change, and every updated entry is asserted eps-equivalent to its
+change, and every updated entry is checked eps-equivalent to its
 original.
 
-run_acp is the exact-equality baseline: colours seeded by bit-identical
-tables (up to argument permutation), no table updates. At eps = 0 both
-pipelines produce identical groupings, parfactor graphs, and tables,
-which is what the regression tests pin.
+ACP keeps its own seeding loop, initial_factor_colours_exact, although
+phase1_group(factors, 0.0) finds the same groups: phase 1 also keeps
+per-group stacks and envelopes that exact seeding never uses, and as
+ACP's seeding it was measured 13-16% slower.
+
+A group whose aligned tables are bit-identical keeps them, and m_prime
+is fg itself when no entry changes. That always holds at eps = 0, where
+phase 1 groups only bit-identical tables, and for run_acp. At eps = 0
+both pipelines produce identical groupings, parfactor graphs and
+models, which is what the regression tests pin.
 """
 
 from __future__ import annotations
@@ -21,14 +29,14 @@ import numpy as np
 from dataclasses import dataclass
 
 from .acp import (
-    ColourPassResult,
     ParfactorGraph,
     colour_pass,
     construct_pfg,
     exact_crv_positions,
     initial_factor_colours_exact,
 )
-from .equivalence import aligned_table, check_epsilon, eps_equiv_arrays, unaligned_table
+from .equivalence import Alignment, aligned_table, check_epsilon, eps_band_mask, unaligned_table
+from .equivalence import eps_equiv_arrays  # noqa: F401  perfbench/run.py counts its calls
 from .errors import InvariantError
 from .grouping import Grouping, mean_of_tables, phase1_group
 from .model import Evidence, FactorGraph, replace_tables
@@ -59,29 +67,42 @@ class CompressionResult:
 
 
 def _phase3_update(
-    fg: FactorGraph, cp: ColourPassResult, eps: float
+    fg: FactorGraph, grouping: Grouping, eps: float
 ) -> tuple[FactorGraph, dict[int, float]]:
+    """Mean update per final group in stacked calls; fg itself when no table changes."""
     new_tables: dict[str, np.ndarray] = {}
     deviations: dict[int, float] = {}
-    for gi, group in enumerate(cp.grouping.groups):
-        aligned = [
-            aligned_table(fg.factor(m.factor).table, m.align) for m in group
-        ]
-        mean = mean_of_tables(aligned)
-        worst = 0.0
-        for member in group:
-            original = fg.factor(member.factor).table
-            updated = unaligned_table(mean, member.align)
-            if not eps_equiv_arrays(original, updated, eps):
-                raise InvariantError(
-                    f"updated table of {member.factor!r} left the eps band; "
-                    f"grouping admitted a non-equivalent member"
-                )
-            worst = max(worst, float(np.max(np.abs(original - updated) / original)))
-            if updated is not original:  # unchanged factors keep their Factor object
-                new_tables[member.factor] = updated
-        deviations[gi] = worst
-    return replace_tables(fg, new_tables), deviations
+    for gi, group in enumerate(grouping.groups):
+        deviations[gi] = 0.0
+        if len(group) == 1:
+            continue
+        stack = np.stack([aligned_table(fg.factor(m.factor).table, m.align) for m in group])
+        if (stack == stack[0]).all():  # the mean is the table, inside its own band
+            continue
+        mean = mean_of_tables(stack)
+        inside = eps_band_mask(stack, stack, mean, eps)
+        if not inside.all():
+            raise InvariantError(
+                f"updated table of {group[int(np.argmin(inside))].factor!r} left the "
+                f"eps band; grouping admitted a non-equivalent member"
+            )
+        member_dev = (np.abs(stack - mean) / stack).reshape(len(group), -1).max(axis=1)
+        deviations[gi] = float(member_dev.max())
+        for member, dev in zip(group, member_dev):
+            if dev > 0.0:
+                new_tables[member.factor] = unaligned_table(mean, member.align)
+    return (replace_tables(fg, new_tables) if new_tables else fg), deviations
+
+
+def _compress(
+    fg: FactorGraph, eps: float, evidence: Evidence,
+    colours: dict[str, int], alignments: dict[str, Alignment],
+) -> CompressionResult:
+    cp = colour_pass(fg, colours, evidence, alignments=alignments, eps=eps)
+    m_prime, deviations = _phase3_update(fg, cp.grouping, eps)
+    crv = exact_crv_positions(m_prime, cp.grouping, cp.rv_classes, eps)
+    pfg = construct_pfg(m_prime, cp.grouping, cp.rv_classes, crv)
+    return CompressionResult(pfg, m_prime, cp.grouping, deviations)
 
 
 def run_eacp(
@@ -91,22 +112,10 @@ def run_eacp(
     eps = check_epsilon(eps)
     evidence.validate_against(fg)
     phase1 = phase1_group(fg.factors, eps)
-    initial = phase1.group_index()
-    cp = colour_pass(
-        fg, initial, evidence, alignments=phase1.alignments(), eps=eps
-    )
-    m_prime, deviations = _phase3_update(fg, cp, eps)
-    crv = exact_crv_positions(m_prime, cp.grouping, cp.rv_classes, eps)
-    pfg = construct_pfg(m_prime, cp.grouping, cp.rv_classes, crv)
-    return CompressionResult(pfg, m_prime, cp.grouping, deviations)
+    return _compress(fg, eps, evidence, phase1.group_index(), phase1.alignments())
 
 
 def run_acp(fg: FactorGraph, evidence: Evidence = Evidence()) -> CompressionResult:
-    """Exact-equality colour passing; tables are never modified."""
+    """Exact-equality colour passing; returns fg itself as m_prime."""
     evidence.validate_against(fg)
-    colours, alignments = initial_factor_colours_exact(fg.factors)
-    cp = colour_pass(fg, colours, evidence, alignments=alignments, eps=0.0)
-    crv = exact_crv_positions(fg, cp.grouping, cp.rv_classes, 0.0)
-    pfg = construct_pfg(fg, cp.grouping, cp.rv_classes, crv)
-    deviations = {gi: 0.0 for gi in range(len(cp.grouping.groups))}
-    return CompressionResult(pfg, fg, cp.grouping, deviations)
+    return _compress(fg, 0.0, evidence, *initial_factor_colours_exact(fg.factors))

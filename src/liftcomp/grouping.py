@@ -24,7 +24,7 @@ every member m exactly when
 because rounded multiplication by a positive constant is monotone: the
 extreme member decides each of the four one-sided comparisons.
 
-mean_factor is the update step: the entrywise arithmetic mean of the
+mean_of_tables is the update step: the entrywise arithmetic mean of the
 aligned tables. A group of bit-identical tables is returned unchanged
 (float addition of k copies then division by k is not always exact, and
 identity groups must stay bit-exact).
@@ -32,7 +32,7 @@ identity groups must stay bit-exact).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -49,7 +49,7 @@ from .equivalence import (
 )
 from .model import Factor
 
-__all__ = ["GroupMember", "Grouping", "phase1_group", "mean_factor", "mean_of_tables"]
+__all__ = ["GroupMember", "Grouping", "phase1_group", "mean_of_tables"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,24 +154,22 @@ def phase1_group(factors: Sequence[Factor], eps: float) -> Grouping:
     return Grouping(tuple(tuple(g.members) for g in groups))
 
 
-def mean_of_tables(tables: Sequence[np.ndarray]) -> np.ndarray:
-    """Entrywise arithmetic mean; bit-exact passthrough for identical tables."""
-    if not tables:
+def mean_of_tables(tables: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Entrywise arithmetic mean; bit-exact passthrough for identical tables.
+
+    tables is a sequence of equal-shape tables, or one array stacking them
+    along its first axis, which is used as it is.
+    """
+    if len(tables) == 0:
         raise InvariantError("mean of an empty group")
     first = tables[0]
-    for t in tables[1:]:
-        if t.shape != first.shape:
-            raise InvariantError(
-                f"shape mismatch in group mean: {t.shape} vs {first.shape}"
-            )
-    if all(np.array_equal(t, first) for t in tables[1:]):
+    if not isinstance(tables, np.ndarray):
+        for t in tables[1:]:
+            if t.shape != first.shape:
+                raise InvariantError(
+                    f"shape mismatch in group mean: {t.shape} vs {first.shape}"
+                )
+        tables = np.stack(tables)
+    if (tables == first).all():
         return first
-    return np.mean(np.stack(tables, axis=0), axis=0)
-
-
-def mean_factor(group: Sequence[Factor]) -> Factor:
-    """Mean of already-aligned factors, named and shaped after the first member."""
-    if not group:
-        raise InvariantError("mean of an empty group")
-    table = mean_of_tables([f.table for f in group])
-    return replace(group[0], table=table)
+    return tables.mean(axis=0)

@@ -178,24 +178,17 @@ def _min_degree_order(
     return order
 
 
-def query_ve(
-    fg: FactorGraph, q: Query, order: list[str] | None = None
-) -> QueryResult:
-    """Variable elimination; default order is greedy min-degree, ties by name."""
-    _validate_query(fg, q)
-    observed = q.evidence.as_dict()
-    sizes = {rv.name: rv.size for rv in fg.rvs}
-    items = _reduce_evidence(fg, q.evidence)
-    eliminable = {
-        rv.name for rv in fg.rvs if rv.name != q.target and rv.name not in observed
-    }
-    if order is None:
-        order = _min_degree_order([args for args, _ in items], eliminable)
-    else:
-        if sorted(order) != sorted(eliminable):
-            raise InvariantError(
-                "elimination order must cover exactly the unobserved non-target rvs"
-            )
+def _eliminate(
+    items: list[tuple[tuple[str, ...], np.ndarray]],
+    order: list[str],
+    sizes: dict[str, int],
+    target: str,
+) -> tuple[np.ndarray, int]:
+    """Bucket elimination of `order`, then the product of what is left.
+
+    Returns the unnormalised vector over `target` and the ops spent. A
+    0-d result (target in no remaining factor) becomes a constant vector.
+    """
     ops = 0
     for name in order:
         bucket = [it for it in items if name in it[0]]
@@ -216,10 +209,30 @@ def query_ve(
         ops += cost
     args, table = result
     if args == ():
-        vector = np.full(sizes[q.target], float(table))
+        return np.full(sizes[target], float(table)), ops
+    assert args == (target,)
+    return table, ops
+
+
+def query_ve(
+    fg: FactorGraph, q: Query, order: list[str] | None = None
+) -> QueryResult:
+    """Variable elimination; default order is greedy min-degree, ties by name."""
+    _validate_query(fg, q)
+    observed = q.evidence.as_dict()
+    sizes = {rv.name: rv.size for rv in fg.rvs}
+    items = _reduce_evidence(fg, q.evidence)
+    eliminable = {
+        rv.name for rv in fg.rvs if rv.name != q.target and rv.name not in observed
+    }
+    if order is None:
+        order = _min_degree_order([args for args, _ in items], eliminable)
     else:
-        assert args == (q.target,)
-        vector = table
+        if sorted(order) != sorted(eliminable):
+            raise InvariantError(
+                "elimination order must cover exactly the unobserved non-target rvs"
+            )
+    vector, ops = _eliminate(items, order, sizes, q.target)
     return _normalise(vector, fg.rv(q.target).range, "ve", ops)
 
 
@@ -323,29 +336,8 @@ def query_lifted_star(pfg: ParfactorGraph, hub: str, q: Query) -> QueryResult:
                 sizes[a] = len(ranges[a])
         internal = sorted({a for i in rep for a in members[i][2] if a != hub})
         order = _min_degree_order([args for args, _ in sub_items], set(internal))
-        items = list(sub_items)
-        for name in order:
-            bucket = [it for it in items if name in it[0]]
-            items = [it for it in items if name not in it[0]]
-            if not bucket:
-                continue
-            prod = bucket[0]
-            for other_item in bucket[1:]:
-                prod, cost = _multiply(prod, other_item, sizes)
-                ops += cost
-            marg, cost = _sum_out(prod, name)
-            ops += cost
-            items.append(marg)
-        message: tuple[tuple[str, ...], np.ndarray] = ((), np.ones((), dtype=np.float64))
-        for item in items:
-            message, cost = _multiply(message, item, sizes)
-            ops += cost
-        margs, mtable = message
-        if margs == ():
-            vector = np.full(len(hub_labels), float(mtable))
-        else:
-            assert margs == (hub,)
-            vector = mtable
+        vector, cost = _eliminate(sub_items, order, sizes, hub)
+        ops += cost
         belief *= vector ** len(group)
         ops += len(hub_labels)
     return _normalise(belief, hub_labels, "lifted-star", ops)

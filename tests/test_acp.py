@@ -23,6 +23,7 @@ from liftcomp import (
     run_acp,
 )
 from liftcomp.acp import (
+    _histogram_index,
     exact_crv_positions,
     initial_factor_colours_exact,
     initial_rv_colours,
@@ -33,6 +34,38 @@ from conftest import counting_model, random_model, sales_model
 
 def group_names(grouping):
     return [[m.factor for m in g] for g in grouping.groups]
+
+
+def reference_histogram_cells(size, n):
+    """The np.ndindex enumeration that the cached histogram index replaced."""
+    order, index, cell_of = [], {}, []
+    for idx in np.ndindex(*([size] * n)):
+        counts = [0] * size
+        for v in idx:
+            counts[v] += 1
+        cell = tuple(counts)
+        if cell not in index:
+            index[cell] = len(order)
+            order.append(cell)
+        cell_of.append(index[cell])
+    return tuple(order), cell_of
+
+
+def three_label_counting_model(rng):
+    """One factor symmetric in positions 0, 2 and 3 (3 labels); axis 1 is not counted."""
+    labels = ("lo", "mid", "hi")
+    rvs = (
+        RandomVariable("A", labels),
+        RandomVariable("X", ("high", "low")),
+        RandomVariable("B", labels),
+        RandomVariable("C", labels),
+    )
+    values = {}
+    table = np.empty((3, 2, 3, 3))
+    for a, x, b, c in np.ndindex(table.shape):
+        key = (tuple(np.bincount([a, b, c], minlength=3)), x)
+        table[a, x, b, c] = values.setdefault(key, float(rng.uniform(0.1, 1.0)))
+    return FactorGraph(rvs, (Factor("phi", ("A", "X", "B", "C"), table),)), values
 
 
 class TestInitialColours:
@@ -186,6 +219,27 @@ class TestCounting:
         # non-counted axes keep their order; histogram cells index the last axis
         assert pf.args[0] == "Rev"
         assert pf.table.shape == (2, len(pf.crv.histograms))
+
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_histogram_index_matches_reference_loop(self, size, n):
+        cells, cell_of = _histogram_index(size, n)
+        ref_cells, ref_cell_of = reference_histogram_cells(size, n)
+        assert cells == ref_cells
+        assert cell_of.tolist() == ref_cell_of
+
+    def test_round_trip_three_labels_three_positions(self):
+        fg, values = three_label_counting_model(np.random.default_rng(7))
+        res = run_acp(fg)
+        pf = res.pfg.parfactors[0]
+        assert pf.crv.positions == (0, 2, 3)
+        assert len(pf.crv.histograms) == 10
+        assert pf.table.shape == (2, 10)
+        for c, cell in enumerate(pf.crv.histograms):
+            for x in range(2):
+                assert pf.table[x, c] == values[(cell, x)]
+        assert np.array_equal(expand_crv(pf), fg.factor("phi").table)
+        assert ground(res.pfg).factor("phi").table.tobytes() == fg.factor("phi").table.tobytes()
 
 
 class TestConstructPfg:

@@ -13,15 +13,15 @@ from liftcomp import (
     bound_general,
     bound_set,
     bound_tight,
-    corollary_envelopes,
     distance_exact,
-    eval_joint,
     odds_envelope,
     prob_envelope,
     replace_tables,
     run_eacp,
     worst_case_fg,
 )
+from liftcomp.bounds import corollary_envelopes
+from liftcomp.model import eval_joint
 
 from conftest import random_model, sales_model
 

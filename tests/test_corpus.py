@@ -13,7 +13,20 @@ import json
 
 import pytest
 
-from liftcomp import GenConfig, generate_fg, perturb, phase1_group, run_acp, run_eacp
+from liftcomp import (
+    Evidence,
+    GenConfig,
+    LiftcompError,
+    Query,
+    generate_fg,
+    perturb,
+    phase1_group,
+    query_lifted_star,
+    query_ve,
+    run_acp,
+    run_eacp,
+)
+from liftcomp.bench import HUB
 from liftcomp.pfgio import pfg_to_json
 
 EPS = 0.1
@@ -59,3 +72,47 @@ def corpus_digest(k: int, x: float, seed: int) -> str:
 @pytest.mark.parametrize("k,x,seed", sorted(GOLDEN))
 def test_corpus_digest(k, x, seed):
     assert corpus_digest(k, x, seed) == GOLDEN[(k, x, seed)]
+
+
+# (k, x) -> sha256 of query answers on the compressed models of seed 0;
+# recorded before the pipelines, the elimination kernel and the histogram
+# index were merged
+QUERY_GOLDEN = {
+    (8, 0.1): "a02d51e0574fdacf07789d50ffe0ba6cddc6d0f3c8615f804bbc0f9befbe5051",
+    (8, 1.0): "78cd1a048cb0e6ec9e7c2fb5f35909aa9705d45ba1800ce8c6ecfa3812905015",
+    (16, 0.1): "56b1cc70ebca595c49c3f58d100e1f33b14d59b4542cada2aa42ff17a6d880c1",
+    (16, 1.0): "a1991e84ad4605fd456c993723951b5e47684d4b63f5937b315a0a19fe5c362a",
+    (32, 0.1): "8e7b538e32c003d5a3deec5d05f5d44be88f02a01d43aa9ffef5e3f5655900de",
+    (32, 1.0): "cb868c3fcde3d9c31e24fc22923117104c5eb8ebc9dc48596927e90677e20287",
+}
+
+
+def _hash_answer(h, run) -> None:
+    try:
+        res = run()
+    except LiftcompError as exc:
+        h.update(f"{type(exc).__name__}: {exc}".encode())
+    else:
+        h.update(repr((list(res.distribution.values()), res.ops)).encode())
+    h.update(b";")
+
+
+def query_digest(k: int, x: float) -> str:
+    cfg = GenConfig(k=k, x=x, eps=EPS, seed=0)
+    fg = perturb(generate_fg(cfg), cfg)
+    names = [rv.name for rv in fg.rvs]
+    targets = [names[1], names[len(names) // 2], names[-1], HUB]
+    observed = [None, names[2], None, names[-2]]
+    h = hashlib.sha256()
+    for comp in (run_eacp(fg, EPS), run_eacp(fg, 0.0), run_acp(fg)):
+        _hash_answer(h, lambda: query_lifted_star(comp.pfg, HUB, Query(HUB)))
+        for target, seen in zip(targets, observed):
+            evidence = Evidence(((seen, "true"),)) if seen else Evidence()
+            _hash_answer(h, lambda: query_ve(comp.m_prime, Query(target, evidence)))
+        h.update(repr(sorted(comp.per_group_max_rel_dev.items())).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("k,x", sorted(QUERY_GOLDEN))
+def test_query_digest(k, x):
+    assert query_digest(k, x) == QUERY_GOLDEN[(k, x)]

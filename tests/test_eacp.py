@@ -9,15 +9,21 @@ from liftcomp import (
     Evidence,
     Factor,
     FactorGraph,
+    Grouping,
+    GroupMember,
     InvariantError,
     RandomVariable,
     eps_equiv_potentials,
     fg_equal,
     pfg_equal,
+    phase1_group,
     run_acp,
     run_eacp,
     worst_case_fg,
 )
+from liftcomp.eacp import _phase3_update
+from liftcomp.equivalence import aligned_table, eps_equiv_arrays, unaligned_table
+from liftcomp.grouping import mean_of_tables
 
 from conftest import random_model, sales_model
 
@@ -33,6 +39,32 @@ def near_twin_star() -> FactorGraph:
     return FactorGraph(
         rvs, (Factor("a", ("H", "A"), t), Factor("b", ("H", "B"), t * (1.0 + 1e-13)))
     )
+
+
+def exact_twin_star() -> FactorGraph:
+    """Hub with two leaves whose tables are bit-identical copies."""
+    t = np.array([[0.3, 0.7], [0.6, 0.2]])
+    rvs = tuple(RandomVariable(n, ("t", "f")) for n in ("H", "A", "B"))
+    return FactorGraph(
+        rvs, (Factor("a", ("H", "A"), t), Factor("b", ("H", "B"), t.copy()))
+    )
+
+
+def reference_phase3(fg, grouping, eps):
+    """The member-by-member mean update that the stacked one replaced."""
+    new_tables, deviations = {}, {}
+    for gi, group in enumerate(grouping.groups):
+        mean = mean_of_tables([aligned_table(fg.factor(m.factor).table, m.align) for m in group])
+        worst = 0.0
+        for member in group:
+            original = fg.factor(member.factor).table
+            updated = unaligned_table(mean, member.align)
+            if not eps_equiv_arrays(original, updated, eps):
+                raise InvariantError(f"updated table of {member.factor!r} left the eps band")
+            worst = max(worst, float(np.max(np.abs(original - updated) / original)))
+            new_tables[member.factor] = updated
+        deviations[gi] = worst
+    return new_tables, deviations
 
 
 class TestRunEacp:
@@ -86,6 +118,46 @@ class TestRunEacp:
         for name in ("a", "b"):
             assert res.m_prime.factor(name).table.tobytes() == fg.factor(name).table.tobytes()
 
+    def test_eps_zero_returns_its_input(self, sales):
+        assert run_eacp(sales, 0.0).m_prime is sales
+        fg = exact_twin_star()
+        for eps in (0.0, 0.1):
+            res = run_eacp(fg, eps)
+            assert group_names(res.grouping) == [["a", "b"]]
+            assert res.m_prime is fg
+            assert res.per_group_max_rel_dev == {0: 0.0}
+
+    def test_update_names_first_member_outside_band(self):
+        rvs = tuple(RandomVariable(n, ("t", "f")) for n in ("A", "B", "C"))
+        fg = FactorGraph(rvs, tuple(
+            Factor(n.lower(), (n,), np.array([v, 1.0]))
+            for n, v in (("A", 1.0), ("B", 1.0), ("C", 1.3))
+        ))
+        members = tuple(GroupMember(f.name, (0,)) for f in fg.factors)
+        with pytest.raises(InvariantError, match="'c' left the eps band"):
+            _phase3_update(fg, Grouping((members,)), 0.15)
+
+    def test_update_matches_member_loop(self):
+        # phase-1 groups formed at 0.1, updated at 0.1 or at 0.03, which some reject
+        rng = np.random.default_rng(54)
+        raised = 0
+        for _ in range(60):
+            fg = random_model(rng, copy_prob=0.8, copy_noise=0.1)
+            grouping = phase1_group(fg.factors, 0.1)
+            eps = float(rng.choice([0.1, 0.03]))
+            try:
+                tables, deviations = reference_phase3(fg, grouping, eps)
+            except InvariantError as exc:
+                raised += 1
+                with pytest.raises(InvariantError, match=str(exc)):
+                    _phase3_update(fg, grouping, eps)
+                continue
+            m_prime, got = _phase3_update(fg, grouping, eps)
+            assert got == deviations
+            for name, table in tables.items():
+                assert m_prime.factor(name).table.tobytes() == table.tobytes()
+        assert 0 < raised < 60
+
     def test_idempotent_on_worked_example(self, sales):
         once = run_eacp(sales, 0.1)
         twice = run_eacp(once.m_prime, 0.1)
@@ -132,6 +204,12 @@ class TestRunAcp:
         fg = liftcomp.FactorGraph(sales.rvs + (salc,), sales.factors + (twin,))
         res = run_acp(fg)
         assert ["phi1", "twin"] in group_names(res.grouping)
+
+    def test_exact_twins_return_the_input_model(self):
+        fg = exact_twin_star()
+        res = run_acp(fg)
+        assert group_names(res.grouping) == [["a", "b"]]
+        assert res.m_prime is fg
 
     def test_near_twins_are_not_exact_twins(self):
         res = run_acp(near_twin_star())

@@ -19,12 +19,12 @@ from liftcomp import (
     commutative_blocks,
     eps_equiv_factors,
     eps_equiv_potentials,
-    err,
     unaligned_table,
 )
 from liftcomp.equivalence import (
     check_epsilon,
     eps_equiv_arrays,
+    err,
     identity_alignment,
     invert_alignment,
 )

@@ -10,7 +10,6 @@ from liftcomp import (
     GroupMember,
     InvariantError,
     aligned_table,
-    mean_factor,
     mean_of_tables,
     phase1_group,
 )
@@ -122,11 +121,6 @@ class TestMean:
             stack = np.stack(tables)
             assert np.all(mean >= stack.min(axis=0) - 1e-15)
             assert np.all(mean <= stack.max(axis=0) + 1e-15)
-
-    def test_mean_factor_keeps_first_member_identity(self, sales):
-        mf = mean_factor([sales.factor("phi1"), sales.factor("phi2")])
-        assert mf.name == "phi1"
-        assert mf.args == ("SalA", "Rev")
 
     def test_empty_group_rejected(self):
         with pytest.raises((InvariantError, IndexError, ValueError)):

@@ -19,19 +19,16 @@ from liftcomp import (
     InvariantError,
     ModelFormatError,
     RandomVariable,
-    eval_joint,
     fg_equal,
-    joint_probability,
     joint_table,
     load_evidence,
     load_fg,
-    partition_function,
     replace_tables,
     resolve_cap,
     save_evidence,
     save_fg,
 )
-from liftcomp.model import all_assignments
+from liftcomp.model import all_assignments, eval_joint, joint_probability, partition_function
 
 from conftest import random_model, sales_model
 
