@@ -309,19 +309,22 @@ def _histogram_index(size: int, n: int) -> tuple[tuple[tuple[int, ...], ...], np
     return tuple(index), cell_of
 
 
-def _compact_table(table: np.ndarray, positions: tuple[int, ...]) -> tuple[np.ndarray, CrvSpec]:
+def _compact_table(
+    table: np.ndarray, positions: tuple[int, ...], gi: int
+) -> tuple[np.ndarray, CrvSpec]:
     n = len(positions)
     size = table.shape[positions[0]]
     keep = [i for i in range(table.ndim) if i not in positions]
     moved = np.moveaxis(table, positions, list(range(len(keep), table.ndim)))
     flat = moved.reshape([table.shape[i] for i in keep] + [size**n])
     cells, cell_of = _histogram_index(size, n)
-    # arithmetic mean of the original potentials per histogram cell; a cell of
-    # one value keeps it (a float mean of k equal values need not equal it)
-    cols = [flat[..., np.flatnonzero(cell_of == i)] for i in range(len(cells))]
-    out = np.stack(
-        [np.where((c == c[..., :1]).all(axis=-1), c[..., 0], c.mean(axis=-1)) for c in cols], -1
-    )
+    # each cell keeps the value of its first assignment; every assignment in
+    # the cell must hold that value, or grounding would not return the table
+    out = flat[..., np.unique(cell_of, return_index=True)[1]]
+    if not np.array_equal(out[..., cell_of], flat):
+        raise InvariantError(
+            f"group {gi}: table is not invariant under its counted positions {positions}"
+        )
     return out, CrvSpec(tuple(positions), cells)
 
 
@@ -377,7 +380,12 @@ def construct_pfg(
     rv_classes: Sequence[Sequence[str]],
     crv_specs: Mapping[int, Sequence[int]] | None = None,
 ) -> ParfactorGraph:
-    """One parfactor per group; tables must already be identical within a group."""
+    """One parfactor per group; tables must already be identical within a group.
+
+    crv_specs maps a group index to argument positions to count; the
+    group's table must be exactly invariant under them (see
+    exact_crv_positions), otherwise InvariantError.
+    """
     classes = tuple(
         RvClass(fg_updated.rv(members[0]), tuple(members)) for members in rv_classes
     )
@@ -417,7 +425,7 @@ def construct_pfg(
                 raise InvariantError(
                     f"group {gi}: counted positions {positions} mix range sizes"
                 )
-            table, crv = _compact_table(table, positions)
+            table, crv = _compact_table(table, positions, gi)
         parfactors.append(
             Parfactor(
                 name=rep.factor,

@@ -137,7 +137,9 @@ def distance_exact(
     if names1 != names2:
         perm = tuple(names2.index(n) for n in names1)
         j2 = np.transpose(j2, perm)
-    ratio = j2 / j1
+    # both joints are fresh arrays, so the ratio can overwrite j2: two
+    # state-sized arrays at a time, not three
+    ratio = np.divide(j2, j1, out=j2)
     hi_idx = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
     lo_idx = np.unravel_index(int(np.argmin(ratio)), ratio.shape)
     max_ratio = float(ratio[hi_idx])

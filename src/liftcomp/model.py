@@ -20,6 +20,7 @@ threads; every operation in this module is a pure function.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import os
 import warnings
@@ -276,8 +277,17 @@ def eval_joint(fg: FactorGraph, a: Assignment) -> float:
 def joint_table(fg: FactorGraph, cap: int | None = None) -> np.ndarray:
     """Dense joint-potential array, one axis per RV in declaration order.
 
-    Built by broadcast-multiplying every factor table into the full joint
-    shape. Refuses to allocate past the enumeration cap.
+    Built as a prefix product: the product of the factors seen so far,
+    over only the RVs they touch (axes in declaration order), times the
+    next factor in declaration order; RVs no factor touches are broadcast
+    in at the end. Every cell gets the same multiplications in the same
+    order as multiplying each factor into the full joint shape, so the
+    array is bit-identical to that. A factor over RVs already seen
+    multiplies into the prefix in place; any other adds at least one RV
+    of two or more labels, so those steps write at most twice the
+    output's states in all, and peak memory, the output plus the previous
+    prefix, is at most 1.5x the output (8 bytes per state). Refuses to
+    allocate anything past the enumeration cap.
     """
     n_states = fg.state_count()
     limit = resolve_cap(cap)
@@ -285,21 +295,70 @@ def joint_table(fg: FactorGraph, cap: int | None = None) -> np.ndarray:
         raise EnumerationCapError(
             f"joint state count {n_states} exceeds enumeration cap {limit}"
         )
-    joint = np.ones(fg.shape, dtype=np.float64)
-    n = len(fg.rvs)
+    sizes = fg.shape
+    scope: list[int] = []   # declaration positions of the prefix's axes
+    prefix = np.ones((), dtype=np.float64)
     for f in fg.factors:
         axes = [fg.rv_position(arg) for arg in f.args]
-        expand = [1] * n
-        for axis, size in zip(axes, f.table.shape):
-            expand[axis] = size
-        # ascontiguous view aligned to the global axis order, then broadcast
-        order = np.argsort(axes)
-        moved = np.transpose(f.table, tuple(order))
-        dest = sorted(axes)
-        joint *= moved.reshape(
-            [expand[i] if i in dest else 1 for i in range(n)]
+        order = sorted(range(len(axes)), key=axes.__getitem__)
+        new_scope = sorted(set(scope).union(axes))
+        out = prefix if len(new_scope) == len(scope) else np.empty([sizes[a] for a in new_scope])
+        _multiply_factor(
+            out,
+            prefix,
+            [a in scope for a in new_scope],
+            f.table.transpose(order),
+            [a in axes for a in new_scope],
         )
+        prefix, scope = out, new_scope
+    if len(scope) == len(sizes):
+        return prefix
+    joint = np.empty(sizes, dtype=np.float64)
+    joint[...] = prefix.reshape([n if a in scope else 1 for a, n in enumerate(sizes)])
     return joint
+
+
+def _multiply_factor(
+    out: np.ndarray,
+    prefix: np.ndarray,
+    in_prefix: list[bool],
+    table: np.ndarray,
+    in_table: list[bool],
+) -> None:
+    """out = prefix * table, each broadcast over the out axes it lacks.
+
+    in_prefix/in_table flag which out axes each operand has, in out's
+    order. One broadcast multiply runs its innermost loop over the
+    trailing out axes the table covers; when they hold fewer float64 than
+    one 64-byte cache line that loop is too short, and one multiply per
+    table entry (the matching prefix slice times the entry) runs long
+    loops instead. Every cell gets the same single product either way.
+    """
+    block = 1
+    for n, covered in zip(reversed(out.shape), reversed(in_table)):
+        if not covered:
+            break
+        block *= n
+    if block >= 8:
+        np.multiply(
+            prefix.reshape([n if p else 1 for n, p in zip(out.shape, in_prefix)]),
+            table.reshape([n if t else 1 for n, t in zip(out.shape, in_table)]),
+            out=out,
+        )
+        return
+    # one view of each operand with the table's axes first; the prefix
+    # view leads with those of them it already has
+    table_axes = [i for i, t in enumerate(in_table) if t]
+    rest = [i for i, t in enumerate(in_table) if not t]
+    prefix_axis = {i: j for j, i in enumerate(i for i, p in enumerate(in_prefix) if p)}
+    src = prefix.transpose(
+        [prefix_axis[i] for i in table_axes if in_prefix[i]] + [prefix_axis[i] for i in rest]
+    )
+    dst = out.transpose(table_axes + rest)
+    seen = [j for j, i in enumerate(table_axes) if in_prefix[i]]
+    for idx in itertools.product(*map(range, table.shape)):
+        src_idx = tuple(idx[j] for j in seen)
+        np.multiply(src[src_idx + (...,)], table[idx], out=dst[idx + (...,)])
 
 
 def partition_function(fg: FactorGraph, cap: int | None = None) -> float:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from liftcomp import Factor, FactorGraph, RandomVariable
+from liftcomp import Factor, FactorGraph, GenConfig, RandomVariable, generate_fg, perturb
 
 HL = ("high", "low")
 
@@ -102,6 +102,21 @@ def star_model(k: int, depth: int, seed: int = 0) -> FactorGraph:
         for j in range(depth - 1):
             factors.append(Factor(f"ch{i}_{j+1}", (chain[j], chain[j + 1]), base[j + 1]))
     return FactorGraph(tuple(rvs), tuple(factors))
+
+
+def free_star(k: int, depth: int, eps: float = 0.1) -> FactorGraph:
+    """Perturbed free star (x = 0.1) from the first seed whose chains have `depth` links.
+
+    The shape of the benchmark's enumerable stars: k=4 and k=5 at depth 4
+    have 2^17 and 2^21 joint states.
+    """
+    seed = 0
+    while True:
+        cfg = GenConfig(k=k, x=0.1, eps=eps, seed=seed, free=True, guarantee_pairwise=True)
+        base = generate_fg(cfg)
+        if len(base.factors) == k * depth:
+            return perturb(base, cfg)
+        seed += 1
 
 
 @pytest.fixture

@@ -20,6 +20,7 @@ from liftcomp import (
     ground,
     pfg_equal,
     phase1_group,
+    replace_tables,
     run_acp,
 )
 from liftcomp.acp import (
@@ -269,6 +270,19 @@ class TestConstructPfg:
         )
         with pytest.raises(InvariantError, match="mixes ranges"):
             construct_pfg(fg, grouping, (("X", "Y"),))
+
+    def test_rejects_counting_a_non_invariant_table(self):
+        # [[1, 2], [3, 4]] is not symmetric: the histogram cell {a, b}
+        # holds 2 and 3, and no single value grounds back to both
+        rvs = (RandomVariable("X", ("a", "b")), RandomVariable("Y", ("a", "b")))
+        fg = FactorGraph(rvs, (Factor("f", ("X", "Y"), np.array([[1.0, 2.0], [3.0, 4.0]])),))
+        grouping = Grouping(((GroupMember("f", (0, 1)),),))
+        with pytest.raises(InvariantError, match=r"group 0: .*counted positions \(0, 1\)"):
+            construct_pfg(fg, grouping, (("X", "Y"),), {0: (0, 1)})
+        symmetric = replace_tables(fg, {"f": np.array([[1.0, 2.0], [2.0, 4.0]])})
+        pfg = construct_pfg(symmetric, grouping, (("X", "Y"),), {0: (0, 1)})
+        assert pfg.parfactors[0].table.tolist() == [1.0, 2.0, 4.0]
+        assert fg_equal(ground(pfg), symmetric)
 
     def test_member_args_recorded(self, sales):
         res = run_acp(sales)

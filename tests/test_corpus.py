@@ -14,20 +14,26 @@ import json
 import pytest
 
 from liftcomp import (
+    EPS_DOMAIN,
     Evidence,
     GenConfig,
     LiftcompError,
     Query,
+    distance_exact,
     generate_fg,
     perturb,
     phase1_group,
     query_lifted_star,
+    query_enumerate,
     query_ve,
     run_acp,
     run_eacp,
+    worst_case_fg,
 )
 from liftcomp.bench import HUB
 from liftcomp.pfgio import pfg_to_json
+
+from conftest import free_star
 
 EPS = 0.1
 
@@ -116,3 +122,67 @@ def query_digest(k: int, x: float) -> str:
 @pytest.mark.parametrize("k,x", sorted(QUERY_GOLDEN))
 def test_query_digest(k, x):
     assert query_digest(k, x) == QUERY_GOLDEN[(k, x)]
+
+
+# certification inputs: worst_case_fg(m, eps), and free stars (k, depth)
+# with 2^17 and 2^21 joint states like the benchmark's
+CERT_CASES = [("worst", m, eps) for m in range(2, 7) for eps in EPS_DOMAIN] + [
+    ("free", 4, 4),
+    ("free", 5, 4),
+]
+
+
+def certification_digest(kind: str, a: int, b) -> str:
+    fg, eps = (worst_case_fg(a, b), b) if kind == "worst" else (free_star(a, b, EPS), EPS)
+    m_prime = run_eacp(fg, eps).m_prime
+    h = hashlib.sha256()
+    if kind == "free":
+        for f in m_prime.factors:
+            h.update(f"{f.name}{f.args}".encode())
+            h.update(f.table.tobytes())
+    report = distance_exact(fg, m_prime)
+    h.update(
+        repr(
+            (
+                report.d_exact,
+                report.max_ratio,
+                report.min_ratio,
+                sorted(report.argmax_assignment.items()),
+                sorted(report.argmin_assignment.items()),
+            )
+        ).encode()
+    )
+    first, last = fg.rvs[0], fg.rvs[-1]
+    queries = (Query(first.name), Query(last.name, Evidence(((first.name, first.range[-1]),))))
+    for model in (fg, m_prime):
+        for q in queries:
+            res = query_enumerate(model, q)
+            h.update(repr((list(res.distribution.items()), res.ops)).encode())
+    return h.hexdigest()
+
+
+# recorded before the joint table was built as a prefix product
+CERT_GOLDEN = {
+    ('worst', 2, 0.001): "e4cc2ebe8454103095fa1127b3042229468b910e76e82129b1cf2ca2948cca05",
+    ('worst', 2, 0.01): "13ec0797fe0953820f0bfdd638bea9415a8d07e58a5c631df67fce9a2e1a14e1",
+    ('worst', 2, 0.1): "698a5fa39d671dd7c85e1ace184a0781ed268e9f9e405784ebbf0665d279b4a3",
+    ('worst', 3, 0.001): "c34e83c9fa1a6a37da3ecd1ec8e4ced0924b46683227235df44e35e1df76b783",
+    ('worst', 3, 0.01): "c6e3534a29c8a362c36bf0c4a27cdca5f8b789b8590456cfd4fdd1a9f7184e5a",
+    ('worst', 3, 0.1): "ca640a9f512c326162e3ba8273e604074683948190b34a19ff1ce0796c7141f7",
+    ('worst', 4, 0.001): "5b6265afb90fbbfdf6fdd2b4f7c5ca458f24cb44ea9203ab9c1ce8ef6e5bf9f2",
+    ('worst', 4, 0.01): "094d5eec61ca7a491077c73c637756e6e849b3afdade292a9c8905b63c616aa4",
+    ('worst', 4, 0.1): "17e46f170d731423ccc5faf502898c31ff74b044a96ede56995d76fc3f13d906",
+    ('worst', 5, 0.001): "75e009ad93fdbb62c36bfbd6e87742945863a1bc55e596804cc43ee84659f5d1",
+    ('worst', 5, 0.01): "9a38c67c1fa31a2fc035e44e6926cdd001c053e37cae11b6eb7a12d80d646d35",
+    ('worst', 5, 0.1): "b22857ab22bee7693b7bfad97df10879811a6d684bf4ad4108adf767d6c373bb",
+    ('worst', 6, 0.001): "b7366db1ecde488f3d7113252a10fbc9065597c32a202cba94d69fbe59a0cbfe",
+    ('worst', 6, 0.01): "696e7c38eca4a2d43afdfd1516e34acd16d6ffba7c909f328edba2a89e9f6446",
+    ('worst', 6, 0.1): "66d540db6c870d936713f81acb17b643391e96a549f719048eabf2e3691ff3c9",
+    ('free', 4, 4): "89cca4c81bc2395c0564b1054d3700e17338f0d31e53172fdb5571e51db922d2",
+    ('free', 5, 4): "6f7a625c2cb3d2f2e52b5ce57bd4e7a7daccd439125b521532f6c55dbcdc0719",
+}
+
+
+@pytest.mark.parametrize("kind,a,b", CERT_CASES)
+def test_certification_digest(kind, a, b):
+    assert certification_digest(kind, a, b) == CERT_GOLDEN[(kind, a, b)]

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 from liftcomp import (
     DEFAULT_ENUM_CAP,
+    EPS_DOMAIN,
     EnumerationCapError,
     Evidence,
     Factor,
@@ -27,10 +31,11 @@ from liftcomp import (
     resolve_cap,
     save_evidence,
     save_fg,
+    worst_case_fg,
 )
 from liftcomp.model import all_assignments, eval_joint, joint_probability, partition_function
 
-from conftest import random_model, sales_model
+from conftest import free_star, random_model, sales_model
 
 
 class TestRandomVariable:
@@ -116,6 +121,59 @@ class TestFactorGraph:
         assert sales.state_count() == 8
 
 
+def full_shape_joint(fg):
+    """Reference: every factor broadcast-multiplied into the full joint shape."""
+    joint = np.ones(fg.shape, dtype=np.float64)
+    n = len(fg.rvs)
+    for f in fg.factors:
+        axes = [fg.rv_position(arg) for arg in f.args]
+        expand = [1] * n
+        for axis, size in zip(axes, f.table.shape):
+            expand[axis] = size
+        moved = np.transpose(f.table, tuple(np.argsort(axes)))
+        dest = sorted(axes)
+        joint *= moved.reshape([expand[i] if i in dest else 1 for i in range(n)])
+    return joint
+
+
+def sequential_joint(fg):
+    """Reference: each state's factor entries gathered and multiplied in declaration order."""
+    grid = np.indices(fg.shape, sparse=True)
+    value = np.ones(fg.shape, dtype=np.float64)
+    for f in fg.factors:
+        value = value * f.table[tuple(grid[fg.rv_position(arg)] for arg in f.args)]
+    return value
+
+
+def mixed_range_model(rng):
+    """Up to 6 RVs of 2, 3, 4 or 12 labels (some untouched) and factors of
+    arity 1-3 whose arguments come in random order."""
+    n = int(rng.integers(1, 7))
+    sizes = [int(s) for s in rng.choice((2, 3, 4, 12), size=n)]
+    while math.prod(sizes) > 2**15:
+        sizes[sizes.index(max(sizes))] = 2
+    names = [f"V{i}" for i in range(n)]
+    rvs = tuple(
+        RandomVariable(name, tuple(f"l{j}" for j in range(size)))
+        for name, size in zip(names, sizes)
+    )
+    factors = []
+    for i in range(int(rng.integers(1, 7))):
+        args = [int(j) for j in rng.choice(n, size=int(rng.integers(1, min(3, n) + 1)), replace=False)]
+        table = rng.uniform(0.1, 2.0, size=[sizes[j] for j in args])
+        factors.append(Factor(f"f{i}", tuple(names[j] for j in args), table))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # untouched RVs are part of the sample
+        return FactorGraph(rvs, tuple(factors))
+
+
+def assert_joint_bit_identical(fg):
+    joint = joint_table(fg)
+    assert joint.shape == fg.shape and joint.flags.c_contiguous
+    assert joint.tobytes() == full_shape_joint(fg).tobytes()
+    assert joint.tobytes() == sequential_joint(fg).tobytes()
+
+
 class TestJointEvaluation:
     def test_partition_function_value(self, sales):
         assert partition_function(sales) == pytest.approx(1.874, abs=1e-12)
@@ -145,6 +203,30 @@ class TestJointEvaluation:
                     by_hand *= f.table[pos]
                 assert joint[idx] == pytest.approx(by_hand, rel=1e-12)
 
+    def test_joint_table_bytes_on_random_models(self):
+        rng = np.random.default_rng(2024)
+        unsorted = isolated = 0
+        for _ in range(300):
+            fg = mixed_range_model(rng)
+            assert_joint_bit_identical(fg)
+            unsorted += any(
+                [fg.rv_position(a) for a in f.args] != sorted(fg.rv_position(a) for a in f.args)
+                for f in fg.factors
+            )
+            touched = {a for f in fg.factors for a in f.args}
+            isolated += any(rv.name not in touched for rv in fg.rvs)
+        # the sample holds both layouts the kernel must handle
+        assert unsorted > 50 and isolated > 50
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_joint_table_bytes_on_worst_case(self, m):
+        for eps in (EPS_DOMAIN[0], EPS_DOMAIN[-1]):
+            assert_joint_bit_identical(worst_case_fg(m, eps))
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_joint_table_bytes_on_free_stars(self, k):
+        assert_joint_bit_identical(free_star(k, 4))
+
     def test_partition_is_sum_over_assignments(self):
         rng = np.random.default_rng(12)
         fg = random_model(rng, max_rvs=5, max_factors=5)
@@ -163,6 +245,23 @@ class TestEnumerationCap:
     def test_cap_raises(self, sales):
         with pytest.raises(EnumerationCapError):
             joint_table(sales, cap=4)
+
+    def test_cap_checked_before_any_allocation(self):
+        # 2^22 states against a 2^20 cap: building any prefix past the cap
+        # first would trace megabytes
+        rvs = tuple(RandomVariable(f"V{i}", ("a", "b")) for i in range(22))
+        factors = tuple(
+            Factor(f"f{i}", (f"V{i}", f"V{i + 1}"), np.full((2, 2), 0.5)) for i in range(21)
+        )
+        fg = FactorGraph(rvs, factors)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapError):
+                joint_table(fg, cap=2**20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
     def test_cap_env_override(self, sales, monkeypatch):
         monkeypatch.setenv("LIFTCOMP_ENUM_CAP", "4")
