@@ -28,17 +28,17 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .equivalence import (
+    ARITY_CAP,
     Alignment,
-    BandStack,
+    _permutations,
     aligned_args,
     aligned_table,
-    band_matches,
     check_epsilon,
-    commutative_blocks,
     eps_equiv_factors,  # noqa: F401  perfbench/run.py counts calls through this name
     identity_alignment,
+    table_commutative_blocks,
 )
-from .errors import InvariantError
+from .errors import ArityCapError, InvariantError
 from .grouping import GroupMember, Grouping
 from .model import Evidence, Factor, FactorGraph, RandomVariable
 
@@ -96,29 +96,43 @@ def initial_factor_colours_exact(
     """Seed colours by bit-identical tables up to argument permutation.
 
     This is the classic colour-passing initialisation, the eps = 0 case
-    of the band test. A factor takes the colour of the lowest-numbered
-    representative (the first factor seen with its table) that some
-    permutation matches, with the first such permutation in
-    lexicographic order as its alignment into the representative's
-    frame; a factor matching none becomes a new representative.
-    Representatives of one shape are stacked and tested in one call.
+    of the band test. A factor takes the colour of the representative
+    (the first factor seen with its table) that some permutation
+    matches, with the first such permutation in lexicographic order as
+    its alignment into the representative's frame; a factor matching
+    none becomes a new representative. Representatives are keyed by
+    (shape, table bytes), and a factor looks up its table viewed in
+    each permutation's frame, stopping at the first hit. This is exact:
+    tables are positive finite float64, so byte equality is the eps = 0
+    band test; representatives lie in disjoint permutation orbits, so at
+    most one matches and the first hit is its first alignment; and the
+    shape in the key admits only range-compatible permutations.
     """
     colours: dict[str, int] = {}
     alignments: dict[str, Alignment] = {}
-    stacks: dict[tuple[int, ...], BandStack] = {}
-    n_reps = 0
+    reps: dict[tuple[tuple[int, ...], bytes], int] = {}
+    rep_arities: set[int] = set()
     for f in factors:
-        found = band_matches(f.table, stacks.values(), 0.0)
-        if found:
-            colour = min(found)
-            colours[f.name] = colour
-            alignments[f.name] = found[colour]
-        else:
-            stacks.setdefault(f.table.shape, BandStack(f.table.shape)).append(n_reps, f.table)
-            colours[f.name] = n_reps
-            alignments[f.name] = identity_alignment(f.arity)
-            n_reps += 1
+        hit = _exact_match(f.table, reps) if f.arity in rep_arities else None
+        if hit is None:
+            hit = len(reps), identity_alignment(f.arity)
+            reps[f.table.shape, f.table.tobytes()] = len(reps)
+            rep_arities.add(f.arity)
+        colours[f.name], alignments[f.name] = hit
     return colours, alignments
+
+
+def _exact_match(
+    table: np.ndarray, reps: Mapping[tuple[tuple[int, ...], bytes], int]
+) -> tuple[int, Alignment] | None:
+    if table.ndim > ARITY_CAP:
+        raise ArityCapError(f"arity {table.ndim} exceeds permutation search cap {ARITY_CAP}")
+    for perm in _permutations(table.ndim):
+        view = aligned_table(table, perm)
+        colour = reps.get((view.shape, view.tobytes()))
+        if colour is not None:
+            return colour, perm
+    return None
 
 
 def _dense_renumber(order: Sequence[str], sigs: Mapping[str, tuple]) -> dict[str, int]:
@@ -151,8 +165,10 @@ def _class_blocks(
         rep = members[0]
         perm = alignments[rep.name]
         frame_args = aligned_args(rep.args, perm)
-        frame = Factor(rep.name, frame_args, aligned_table(rep.table, perm))
-        spec = commutative_blocks(frame, eps, tuple(fg.rv(a).range for a in frame_args))
+        spec = table_commutative_blocks(
+            rep.name, aligned_table(rep.table, perm), eps,
+            tuple(fg.rv(a).range for a in frame_args),
+        )
         blocks_by_colour[colour] = spec.blocks
         counted_by_colour[colour] = frozenset(
             p for block in spec.blocks if len(block) >= 2 for p in block
@@ -354,8 +370,9 @@ def exact_crv_positions(
         f = fg.factor(rep.factor)
         args = aligned_args(f.args, rep.align)
         table = aligned_table(f.table, rep.align)
-        frame = Factor(f.name, args, table)
-        spec = commutative_blocks(frame, eps, tuple(fg.rv(a).range for a in args))
+        spec = table_commutative_blocks(
+            f.name, table, eps, tuple(fg.rv(a).range for a in args)
+        )
         best: tuple[int, ...] | None = None
         for block in spec.counted_candidates():
             if len({class_of[args[p]] for p in block}) != 1:

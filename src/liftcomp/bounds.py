@@ -157,22 +157,33 @@ def distance_exact(
 
 def odds_envelope(d: float) -> tuple[float, float]:
     """Posterior odds of any conditional query move by a factor in this band."""
-    if d < 0.0 or not math.isfinite(d):
+    _check_distance(d)
+    try:
+        return (math.exp(-d), math.exp(d))
+    except OverflowError:
+        raise InvariantError(f"odds envelope e^{d!r} exceeds the float64 range") from None
+
+
+def _check_distance(d: float) -> None:
+    if not 0.0 <= d < math.inf:
         raise InvariantError(f"distance must be non-negative and finite, got {d!r}")
-    return (math.exp(-d), math.exp(d))
 
 
 def _prob_shift(p: float, t: float) -> float:
-    # p*e^t / (p*(e^t - 1) + 1), stable for small |t| via expm1
-    return p * math.exp(t) / (p * math.expm1(t) + 1.0)
+    # p*e^t / (p*(e^t - 1) + 1), stable for small |t| via expm1; where e^t
+    # overflows, the same value as p / (p + (1-p)*e^-t), whose denominator
+    # stays >= p
+    try:
+        return p * math.exp(t) / (p * math.expm1(t) + 1.0)
+    except OverflowError:
+        return p / (p + (1.0 - p) * math.exp(-t))
 
 
 def prob_envelope(p: float, d: float) -> tuple[float, float]:
     """Interval containing the true probability when the model reports p."""
     if not 0.0 < p < 1.0:
         raise InvariantError(f"probability must lie in (0, 1), got {p!r}")
-    if d < 0.0:
-        raise InvariantError(f"distance must be non-negative, got {d!r}")
+    _check_distance(d)
     return (_prob_shift(p, -d), _prob_shift(p, d))
 
 

@@ -12,9 +12,11 @@ change, and every updated entry is checked eps-equivalent to its
 original.
 
 ACP keeps its own seeding loop, initial_factor_colours_exact, although
-phase1_group(factors, 0.0) finds the same groups: phase 1 also keeps
-per-group stacks and envelopes that exact seeding never uses, and as
-ACP's seeding it was measured 13-16% slower.
+phase1_group(factors, 0.0) finds the same groups: at eps = 0 the band
+test is byte equality, so a factor is looked up in a hash of the
+representatives' (shape, table bytes), one lookup per permutation
+however many representatives there are. A hash is exact only at
+eps = 0; phase 1 must test each group's envelope.
 
 A group whose aligned tables are bit-identical keeps them, and m_prime
 is fg itself when no entry changes. That always holds at eps = 0, where

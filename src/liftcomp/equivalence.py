@@ -59,6 +59,7 @@ __all__ = [
     "band_matches",
     "err",
     "commutative_blocks",
+    "table_commutative_blocks",
 ]
 
 REL_SLACK = 1e-12
@@ -307,20 +308,28 @@ def commutative_blocks(
     eps > 0 the relation is not transitive, matching the pairwise
     grouping stance used everywhere else.
     """
+    return table_commutative_blocks(f.name, f.table, eps, ranges)
+
+
+def table_commutative_blocks(
+    name: str,
+    table: np.ndarray,
+    eps: float,
+    ranges: tuple[tuple[str, ...], ...] | None = None,
+) -> CommutativeSpec:
+    """commutative_blocks on a bare table, e.g. a factor viewed in its group frame."""
     eps = check_epsilon(eps)
-    n = f.arity
+    n = table.ndim
     if ranges is not None and len(ranges) != n:
         raise InvariantError(f"ranges arity {len(ranges)} != factor arity {n}")
 
     def compatible(i: int, j: int) -> bool:
         if ranges is not None:
             return ranges[i] == ranges[j]
-        return f.table.shape[i] == f.table.shape[j]
+        return table.shape[i] == table.shape[j]
 
     def swap_ok(i: int, j: int) -> bool:
-        return compatible(i, j) and eps_equiv_arrays(
-            f.table, np.swapaxes(f.table, i, j), eps
-        )
+        return compatible(i, j) and eps_equiv_arrays(table, np.swapaxes(table, i, j), eps)
 
     blocks: list[list[int]] = []
     placed = [False] * n
@@ -334,4 +343,4 @@ def commutative_blocks(
                 block.append(j)
                 placed[j] = True
         blocks.append(block)
-    return CommutativeSpec(f.name, tuple(tuple(b) for b in blocks))
+    return CommutativeSpec(name, tuple(tuple(b) for b in blocks))

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liftcomp import ARITY_CAP, ArityCapError, Factor, Grouping, GroupMember, phase1_group
+from liftcomp import acp
 from liftcomp.acp import initial_factor_colours_exact
 from liftcomp.equivalence import (
     REL_SLACK,
+    _permutations,
     aligned_table,
     eps_band_mask,
     eps_equiv_arrays,
@@ -47,6 +49,41 @@ class TestArityCap:
         n = ARITY_CAP + 1
         SEARCHES[search]((_wide("a", (2,) * n),))
         SEARCHES[search]((_wide("a", (2,) * n), _wide("b", (2, 2)), _wide("c", (2, 2))))
+
+
+class TestExactSeeding:
+    def test_equal_bytes_other_shape_is_not_a_match(self):
+        # same row-major bytes, but (3, 2) is no transpose of (2, 3)
+        a = Factor("a", ("a0", "a1"), np.arange(1.0, 7.0).reshape(2, 3))
+        b = Factor("b", ("b0", "b1"), np.arange(1.0, 7.0).reshape(3, 2))
+        assert a.table.tobytes() == b.table.tobytes()
+        colours, alignments = initial_factor_colours_exact((a, b))
+        assert colours == {"a": 0, "b": 1}
+        assert (colours, alignments) == reference_seeding((a, b))
+
+    def test_transpose_matches_other_shape(self):
+        a = Factor("a", ("a0", "a1"), np.arange(1.0, 7.0).reshape(2, 3))
+        b = Factor("b", ("b0", "b1"), a.table.T)
+        colours, alignments = initial_factor_colours_exact((a, b))
+        assert colours == {"a": 0, "b": 0}
+        assert alignments["b"] == (1, 0)
+        assert (colours, alignments) == reference_seeding((a, b))
+
+    def test_lone_wide_factor_enumerates_no_permutation(self, monkeypatch):
+        calls = []
+
+        def counting(arity):
+            calls.append(arity)
+            return _permutations(arity)
+
+        monkeypatch.setattr(acp, "_permutations", counting)
+        n = ARITY_CAP + 1
+        factors = (
+            _wide("b", (2, 2)), _wide("c", (2, 2)), _wide("d", (2, 2, 2)), _wide("a", (2,) * n)
+        )
+        colours, _ = initial_factor_colours_exact(factors)
+        assert colours == {"b": 0, "c": 0, "d": 1, "a": 2}
+        assert calls == [2]  # only c has a representative of its arity to search
 
 
 # -- reference loops: phase 1 and exact seeding, one member at a time -------

@@ -123,6 +123,39 @@ class TestEnvelopes:
             lo, hi = prob_envelope(p, d)
             assert 0.0 < lo <= p <= hi < 1.0
 
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -1.0])
+    def test_bad_distance_rejected(self, d):
+        with pytest.raises(InvariantError):
+            prob_envelope(0.5, d)
+        with pytest.raises(InvariantError):
+            odds_envelope(d)
+
+    def test_odds_envelope_overflow_is_typed(self):
+        with pytest.raises(InvariantError, match="float64"):
+            odds_envelope(800.0)
+
+    def test_prob_envelope_past_exp_range(self):
+        assert prob_envelope(0.5, 800.0) == (0.0, 1.0)
+        for p in (5e-324, 1e-300, 0.3, 1 - 1e-16):
+            for d in (709.79, 710.0, 800.0, 1e300):
+                lo, hi = prob_envelope(p, d)
+                assert 0.0 <= lo <= p <= hi <= 1.0
+            # e^d overflows between these two distances; the ends stay close
+            below, above = prob_envelope(p, 709.78)[1], prob_envelope(p, 709.79)[1]
+            assert above == pytest.approx(below, rel=1e-4)
+
+    def test_prob_envelope_unchanged_where_finite(self):
+        # the closed form alone, as it was before overflow handling
+        def shift(p, t):
+            return p * math.exp(t) / (p * math.expm1(t) + 1.0)
+
+        rng = np.random.default_rng(3)
+        ps = [5e-324, 1e-300, 1e-9, 0.5, 1 - 1e-16, *rng.uniform(0.0, 1.0, 50)]
+        ds = [0.0, 1e-300, 1e-12, 0.1, 1.0, 30.0, 700.0, 709.78, *rng.uniform(0.0, 709.0, 20)]
+        for p in ps:
+            for d in ds:
+                assert prob_envelope(float(p), float(d)) == (shift(p, -d), shift(p, d))
+
     def test_corollary_nesting(self):
         env = corollary_envelopes(5, 0.1)
         glo, ghi = env["general"]

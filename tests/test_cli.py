@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import liftcomp
 from liftcomp import CSV_COLUMNS, fg_equal, load_fg, save_fg
 from liftcomp.cli import main
 
@@ -207,6 +210,13 @@ class TestBound:
         assert payload["distance"]["d_exact"] <= payload["d_tight"] + 1e-9
         assert set(payload["distance"]["argmax_assignment"]) == {"SalA", "SalB", "Rev"}
 
+    def test_envelope_overflow_exits_2(self, capsys):
+        # d_general is about 4013 here, and e^4013 is past the float64 range
+        code, out, err = run_cli(capsys, "bound", "--m", "20000", "--eps", "0.1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "float64" in err
+
     def test_requires_m_or_models(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--eps", "0.1")
         assert code == 2
@@ -285,9 +295,13 @@ class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path, sales):
         path = tmp_path / "m.json"
         path.write_bytes(save_fg(sales))
+        # the child imports the liftcomp under test, whether installed or not
+        src = str(Path(liftcomp.__file__).resolve().parent.parent)
+        paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
         proc = subprocess.run(
             [sys.executable, "-m", "liftcomp.cli", "inspect", "--model", str(path)],
             capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["n_factors"] == 2
