@@ -36,7 +36,6 @@ __all__ = [
     "distance_exact",
     "odds_envelope",
     "prob_envelope",
-    "corollary_envelopes",
     "worst_case_fg",
 ]
 
@@ -185,15 +184,6 @@ def prob_envelope(p: float, d: float) -> tuple[float, float]:
         raise InvariantError(f"probability must lie in (0, 1), got {p!r}")
     _check_distance(d)
     return (_prob_shift(p, -d), _prob_shift(p, d))
-
-
-def corollary_envelopes(m: int, eps: float) -> dict[str, tuple[float, float]]:
-    """Odds-ratio bands under both certificates; the tight band is nested."""
-    bounds = bound_set(m, eps)
-    return {
-        "general": odds_envelope(bounds.d_general),
-        "tight": odds_envelope(bounds.d_tight),
-    }
 
 
 def worst_case_fg(m: int, eps: float) -> FactorGraph:

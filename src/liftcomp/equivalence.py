@@ -1,31 +1,37 @@
 """Epsilon-equivalence tests, argument alignment, and commutativity detection.
 
 Two positive potentials a, b are eps-equivalent when each lies in the
-other's multiplicative band: a in [b(1-eps), b(1+eps)] and
-b in [a(1-eps), a(1+eps)]. Both directions are checked literally; for
-eps < 1 the conjunction is the same as max(a,b)/min(a,b) <= 1+eps, which
-is what makes the mean-update deviation bounds work. For eps > 0 the
-boundary comparisons carry a 1e-12 relative slack so rounded decimal
-inputs do not flip on the edge; at eps = 0 there is no slack and the
-test is bit equality. The relation is symmetric and reflexive but NOT
-transitive, and no code here may assume otherwise.
+other's multiplicative band. With hi = max(a, b), lo = min(a, b) and the
+caps (c1, c2) = ((1+eps)(1+s), (1-eps)(1-s)) from `_band`, the test is
+
+    hi <= lo*c1  and  lo >= hi*c2.
+
+Because c1 >= 1 >= c2 and rounding is monotone, this is the same as the
+four one-sided tests a <= b*c1, b <= a*c1, a >= b*c2 and b >= a*c2; for
+eps < 1 it says max(a,b)/min(a,b) <= 1+eps, which is what makes the
+mean-update deviation bounds work. For eps > 0 the slack s = 1e-12 keeps
+rounded decimal inputs from flipping on the edge; at eps = 0, s = 0 and
+the test is bit equality. The relation is symmetric and reflexive but
+NOT transitive, and no code here may assume otherwise.
+
+The test has two forms. eps_equiv_arrays applies it entrywise to two
+tables of one shape. eps_band_mask applies it to one table against a
+stack of envelopes: a stack row holds the entrywise minimum and maximum
+of one set of tables, and the mask decides from those two tables alone,
+exactly as eps_equiv_arrays against every member would (the grouping
+module docstring gives the argument). The scalar and factor forms are
+views of these: eps_equiv_potentials is eps_equiv_arrays on two 0-d
+values, and eps_equiv_factors is band_matches on a one-row BandStack.
 
 Two factors are eps-equivalent when some permutation of argument
-positions aligns their tables entrywise under that scalar test. The
-search is exhaustive over range-compatible permutations (arity capped
-at 8), returning the lexicographically smallest witness so the identity
-wins whenever it is valid.
+positions aligns their tables entrywise under that test. band_matches
+searches the range-compatible permutations (arity capped at 8) in
+lexicographic order, so the identity wins whenever it is valid.
 
 An alignment `perm` is a tuple with the meaning of Def-style
 permutations: position j of the right-hand factor receives the left
 factor's coordinate perm[j]. `aligned_table(t, perm)` therefore views
 the right factor's table in the left factor's frame.
-
-BandStack and band_matches test one table against many sets of tables
-at once: a stack row holds the entrywise minimum and maximum of one set,
-and eps_band_mask decides from those two tables alone, exactly as
-eps_equiv_arrays against every member would (the grouping module
-docstring gives the argument).
 """
 
 from __future__ import annotations
@@ -57,7 +63,6 @@ __all__ = [
     "eps_equiv_factors",
     "eps_band_mask",
     "band_matches",
-    "err",
     "commutative_blocks",
     "table_commutative_blocks",
 ]
@@ -136,21 +141,14 @@ def _band(eps: float) -> tuple[float, float]:
 
 
 def eps_equiv_potentials(a: float, b: float, eps: float) -> bool:
-    """Symmetric two-sided band test on a pair of positive potentials."""
-    eps = check_epsilon(eps)
+    """eps_equiv_arrays on a pair of strictly positive potentials."""
     if a <= 0.0 or b <= 0.0:
         raise InvariantError("potentials must be strictly positive")
-    slack = _slack(eps)
-    return bool(
-        a <= b * (1.0 + eps) * (1.0 + slack)
-        and a >= b * (1.0 - eps) * (1.0 - slack)
-        and b <= a * (1.0 + eps) * (1.0 + slack)
-        and b >= a * (1.0 - eps) * (1.0 - slack)
-    )
+    return eps_equiv_arrays(np.float64(a), np.float64(b), eps)
 
 
 def eps_equiv_arrays(x: np.ndarray, y: np.ndarray, eps: float) -> bool:
-    """Vectorized entrywise form of eps_equiv_potentials over equal-shape arrays."""
+    """Entrywise band test over two equal-shape arrays."""
     eps = check_epsilon(eps)
     if x.shape != y.shape:
         raise InvariantError(f"shape mismatch {x.shape} vs {y.shape}")
@@ -212,26 +210,15 @@ def _range_compatible(shape1: tuple[int, ...], shape2: tuple[int, ...], perm: Al
 
 
 def eps_equiv_factors(f1: Factor, f2: Factor, eps: float) -> Alignment | None:
-    """Witness permutation aligning f2 to f1 under the entrywise test, or None.
+    """Witness alignment of f2 onto f1 under the entrywise test, or None.
 
-    Permutations are tried in lexicographic order, so the identity is
-    returned whenever it works. Arity above ARITY_CAP is refused rather
-    than silently running a factorial search.
+    band_matches against a one-row stack holding f1: the lexicographically
+    first witness, None on an arity mismatch, ArityCapError above
+    ARITY_CAP.
     """
-    eps = check_epsilon(eps)
-    if f1.arity != f2.arity:
-        return None
-    if f1.arity > ARITY_CAP:
-        raise ArityCapError(
-            f"arity {f1.arity} exceeds permutation search cap {ARITY_CAP}"
-        )
-    shape1, shape2 = f1.table.shape, f2.table.shape
-    for perm in permutations(range(f1.arity)):
-        if not _range_compatible(shape1, shape2, perm):
-            continue
-        if eps_equiv_arrays(f1.table, aligned_table(f2.table, perm), eps):
-            return perm
-    return None
+    stack = BandStack(f1.table.shape)
+    stack.append(0, f1.table)
+    return band_matches(f2.table, [stack], eps).get(0)
 
 
 def band_matches(
@@ -262,19 +249,6 @@ def band_matches(
             if not unmatched.any():
                 break
     return found
-
-
-def err(f1: Factor, f2: Factor, align: Alignment) -> float:
-    """Sum of squared entrywise deviations after aligning f2 onto f1."""
-    if f1.arity != f2.arity or not _range_compatible(
-        f1.table.shape, f2.table.shape, align
-    ):
-        raise InvariantError(
-            f"factors {f1.name!r} and {f2.name!r} are not shape-compatible "
-            f"under alignment {align}"
-        )
-    diff = f1.table - aligned_table(f2.table, align)
-    return float(np.sum(diff * diff))
 
 
 @dataclass(frozen=True)

@@ -42,8 +42,6 @@ __all__ = [
     "resolve_cap",
     "eval_joint",
     "joint_table",
-    "partition_function",
-    "joint_probability",
     "all_assignments",
     "fg_equal",
     "replace_tables",
@@ -361,16 +359,6 @@ def _multiply_factor(
         np.multiply(src[src_idx + (...,)], table[idx], out=dst[idx + (...,)])
 
 
-def partition_function(fg: FactorGraph, cap: int | None = None) -> float:
-    """Z: the sum of the joint potential over every full assignment."""
-    return float(joint_table(fg, cap).sum())
-
-
-def joint_probability(fg: FactorGraph, a: Assignment, cap: int | None = None) -> float:
-    """Normalized joint potential of one assignment."""
-    return eval_joint(fg, a) / partition_function(fg, cap)
-
-
 def all_assignments(fg: FactorGraph) -> Iterator[dict[str, str]]:
     """Iterate every full assignment in row-major order (last RV fastest)."""
     names = [rv.name for rv in fg.rvs]
@@ -378,11 +366,8 @@ def all_assignments(fg: FactorGraph) -> Iterator[dict[str, str]]:
         yield {name: fg.rvs[i].range[idx[i]] for i, name in enumerate(names)}
 
 
-def fg_equal(a: FactorGraph, b: FactorGraph, *, bit_exact: bool = True) -> bool:
-    """Structural equality: same RVs, ranges, factors, argument order, tables.
-
-    With bit_exact the tables must match exactly, otherwise to 1e-12 relative.
-    """
+def fg_equal(a: FactorGraph, b: FactorGraph) -> bool:
+    """Structural equality: same RVs, ranges, factors, argument order, bit-equal tables."""
     if [(rv.name, rv.range) for rv in a.rvs] != [(rv.name, rv.range) for rv in b.rvs]:
         return False
     if len(a.factors) != len(b.factors):
@@ -390,10 +375,7 @@ def fg_equal(a: FactorGraph, b: FactorGraph, *, bit_exact: bool = True) -> bool:
     for fa, fb in zip(a.factors, b.factors):
         if fa.name != fb.name or fa.args != fb.args:
             return False
-        if bit_exact:
-            if not np.array_equal(fa.table, fb.table):
-                return False
-        elif not np.allclose(fa.table, fb.table, rtol=1e-12, atol=0.0):
+        if not np.array_equal(fa.table, fb.table):
             return False
     return True
 

@@ -18,7 +18,6 @@ from liftcomp.equivalence import (
     aligned_table,
     eps_band_mask,
     eps_equiv_arrays,
-    eps_equiv_factors,
     identity_alignment,
 )
 
@@ -134,10 +133,10 @@ def reference_seeding(factors):
     colours, alignments, reps = {}, {}, []
     for f in factors:
         for ci, rep in enumerate(reps):
-            perm = eps_equiv_factors(rep, f, 0.0)
-            if perm is not None:
+            found = _reference_group_alignment(f, rep.table.shape, [rep.table], 0.0)
+            if found is not None:
                 colours[f.name] = ci
-                alignments[f.name] = perm
+                alignments[f.name] = found[0]
                 break
         else:
             colours[f.name] = len(reps)

@@ -20,7 +20,6 @@ from liftcomp import (
     run_eacp,
     worst_case_fg,
 )
-from liftcomp.bounds import corollary_envelopes
 from liftcomp.model import eval_joint
 
 from conftest import random_model, sales_model
@@ -155,12 +154,6 @@ class TestEnvelopes:
         for p in ps:
             for d in ds:
                 assert prob_envelope(float(p), float(d)) == (shift(p, -d), shift(p, d))
-
-    def test_corollary_nesting(self):
-        env = corollary_envelopes(5, 0.1)
-        glo, ghi = env["general"]
-        tlo, thi = env["tight"]
-        assert glo < tlo <= 1.0 <= thi < ghi
 
 
 class TestDistanceExact:

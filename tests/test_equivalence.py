@@ -22,9 +22,10 @@ from liftcomp import (
     unaligned_table,
 )
 from liftcomp.equivalence import (
+    _band,
     check_epsilon,
+    eps_band_mask,
     eps_equiv_arrays,
-    err,
     identity_alignment,
     invert_alignment,
 )
@@ -93,6 +94,43 @@ class TestPotentials:
         with pytest.raises(InvariantError):
             check_epsilon(1.0)
         assert check_epsilon(0.0) == 0.0
+
+
+class TestBandEdge:
+    """Every form of the test gives one answer within 2 ulps of a band edge."""
+
+    @staticmethod
+    def forms(a, b, eps):
+        fa = Factor("a", ("X",), np.array([a]))
+        fb = Factor("b", ("Y",), np.array([b]))
+        return (
+            eps_equiv_potentials(a, b, eps),
+            eps_equiv_arrays(np.array([a]), np.array([b]), eps),
+            bool(eps_band_mask(np.array([[a]]), np.array([[a]]), np.array([b]), eps)[0]),
+            eps_equiv_factors(fa, fb, eps) is not None,
+        )
+
+    @pytest.mark.parametrize("eps", [0.0, 0.001, 0.1, 0.5])
+    def test_forms_agree_near_edges(self, eps):
+        rng = np.random.default_rng(31)
+        c1, c2 = _band(eps)
+        answers = set()
+        for a in [3.0, 0.7, 1.0, *rng.uniform(0.1, 10.0, 60)]:
+            for edge in (a * c1, a * c2):
+                b = edge
+                for _ in range(2):
+                    b = np.nextafter(b, 0.0)
+                for _ in range(5):
+                    for pair in ((a, float(b)), (float(b), a)):
+                        got = self.forms(*pair, eps)
+                        assert len(set(got)) == 1, (pair, eps, got)
+                        answers.add(got[0])
+                    b = np.nextafter(b, np.inf)
+        assert answers == {True, False}
+
+    def test_pinned_edge_pair(self):
+        assert self.forms(3.0, 3.3000000000033007, 0.1) == (False,) * 4
+        assert self.forms(3.3000000000033007, 3.0, 0.1) == (False,) * 4
 
 
 class TestAlignment:
@@ -178,35 +216,6 @@ class TestFactorEquivalence:
         f2 = Factor("b", args1, t)
         with pytest.raises(ArityCapError):
             eps_equiv_factors(f1, f2, 0.1)
-
-
-class TestErr:
-    def test_worked_values(self, sales_three):
-        phi1 = sales_three.factor("phi1")
-        phi2 = sales_three.factor("phi2")
-        phi3 = sales_three.factor("phi3")
-        ident = (0, 1)
-        assert err(phi1, phi2, ident) == pytest.approx(0.0042, abs=1e-12)
-        assert err(phi2, phi3, ident) == pytest.approx(0.0022, abs=1e-12)
-
-    def test_zero_for_identical(self):
-        t = np.array([[0.3, 0.4], [0.5, 0.6]])
-        f1 = Factor("a", ("X", "Y"), t)
-        f2 = Factor("b", ("P", "Q"), t)
-        assert err(f1, f2, (0, 1)) == 0.0
-
-    def test_respects_alignment(self):
-        rng = np.random.default_rng(26)
-        t = rng.uniform(0.1, 1.0, size=(2, 3))
-        f1 = Factor("a", ("X", "Y"), t)
-        f2 = Factor("b", ("Q", "P"), np.transpose(t, (1, 0)))
-        assert err(f1, f2, (1, 0)) == 0.0
-
-    def test_incompatible_alignment(self):
-        f1 = Factor("a", ("X", "Y"), np.ones((2, 3)))
-        f2 = Factor("b", ("P", "Q"), np.ones((3, 2)))
-        with pytest.raises(InvariantError):
-            err(f1, f2, (0, 1))
 
 
 class TestCommutativeBlocks:

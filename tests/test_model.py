@@ -33,7 +33,7 @@ from liftcomp import (
     save_fg,
     worst_case_fg,
 )
-from liftcomp.model import all_assignments, eval_joint, joint_probability, partition_function
+from liftcomp.model import all_assignments, eval_joint
 
 from conftest import free_star, random_model, sales_model
 
@@ -176,15 +176,11 @@ def assert_joint_bit_identical(fg):
 
 class TestJointEvaluation:
     def test_partition_function_value(self, sales):
-        assert partition_function(sales) == pytest.approx(1.874, abs=1e-12)
+        assert joint_table(sales).sum() == pytest.approx(1.874, abs=1e-12)
 
     def test_eval_joint_value(self, sales):
         a = {"SalA": "high", "SalB": "high", "Rev": "high"}
         assert eval_joint(sales, a) == pytest.approx(0.75 * 0.8, abs=1e-15)
-
-    def test_joint_probability(self, sales):
-        a = {"SalA": "high", "SalB": "high", "Rev": "high"}
-        assert joint_probability(sales, a) == pytest.approx(0.6 / 1.874, rel=1e-12)
 
     def test_eval_joint_requires_full_assignment(self, sales):
         with pytest.raises(InvariantError):
@@ -231,7 +227,7 @@ class TestJointEvaluation:
         rng = np.random.default_rng(12)
         fg = random_model(rng, max_rvs=5, max_factors=5)
         z = sum(eval_joint(fg, a) for a in all_assignments(fg))
-        assert partition_function(fg) == pytest.approx(z, rel=1e-10)
+        assert joint_table(fg).sum() == pytest.approx(z, rel=1e-10)
 
     def test_all_assignments_row_major(self, sales):
         first = list(itertools.islice(all_assignments(sales), 3))
@@ -267,7 +263,7 @@ class TestEnumerationCap:
         monkeypatch.setenv("LIFTCOMP_ENUM_CAP", "4")
         assert resolve_cap(None) == 4
         with pytest.raises(EnumerationCapError):
-            partition_function(sales)
+            joint_table(sales)
 
     def test_cap_argument_beats_env(self, monkeypatch):
         monkeypatch.setenv("LIFTCOMP_ENUM_CAP", "4")
@@ -402,4 +398,4 @@ def test_unary_partition_is_table_sum(labels, values):
     rv = RandomVariable("X", tuple(labels[:n]))
     f = Factor("f", ("X",), np.array(values[:n]))
     fg = FactorGraph((rv,), (f,))
-    assert partition_function(fg) == pytest.approx(float(np.sum(values[:n])), rel=1e-12)
+    assert joint_table(fg).sum() == pytest.approx(float(np.sum(values[:n])), rel=1e-12)
