@@ -7,9 +7,19 @@ own colour; RVs absorb (factor colour, position) pairs plus their own
 colour, with position 0 standing in for any argument slot that belongs
 to a commutative block of the factor's class representative. Colours
 are renumbered densely in first-seen order every round, and the loop
-stops when neither partition changes. Initial factor colours are
+stops when neither partition changes. The loop runs on integer slots
+(RV numbers per factor, (factor, position) pairs per RV) built once
+before it; at the benchmark's sizes plain Python on these slots beats
+numpy, whose per-call cost exceeds the work. Initial factor colours are
 injected by the caller: run_eacp seeds with the phase-1 eps-groups,
 run_acp with initial_factor_colours_exact (bit-identical tables).
+
+Commutativity is detected on a factor's table viewed in its group
+frame, once per distinct (shape, table bytes, range labels) within one
+compression: colour_pass detects it on each class representative and
+hands its results on, and exact_crv_positions detects it again only for
+representative tables it has not seen, such as the ones the mean update
+changed.
 
 construct_pfg turns the final grouping into a parfactor graph: one
 representative factor per group with an instance count, RV classes, and
@@ -60,6 +70,10 @@ __all__ = [
 ]
 
 
+# (frame shape, frame table bytes, frame range labels) -> commutative blocks
+BlocksKey = tuple[tuple[int, ...], bytes, tuple[tuple[str, ...], ...]]
+
+
 @dataclass(frozen=True)
 class ColourState:
     """Final colours per node plus the number of refinement rounds used."""
@@ -71,9 +85,12 @@ class ColourState:
 
 @dataclass(frozen=True)
 class ColourPassResult:
+    """Final grouping and RV classes; blocks holds every commutativity detection made."""
+
     grouping: Grouping
     rv_classes: tuple[tuple[str, ...], ...]
     state: ColourState
+    blocks: Mapping[BlocksKey, tuple[tuple[int, ...], ...]]
 
 
 def initial_rv_colours(fg: FactorGraph, evidence: Evidence = Evidence()) -> dict[str, int]:
@@ -135,45 +152,26 @@ def _exact_match(
     return None
 
 
-def _dense_renumber(order: Sequence[str], sigs: Mapping[str, tuple]) -> dict[str, int]:
-    # canonical ids: first-seen order over the given node ordering
-    ids: dict[tuple, int] = {}
-    out: dict[str, int] = {}
-    for name in order:
-        sig = sigs[name]
-        if sig not in ids:
-            ids[sig] = len(ids)
-        out[name] = ids[sig]
-    return out
-
-
-def _class_blocks(
+def _frame_blocks(
     fg: FactorGraph,
-    factors_of_colour: dict[int, list[Factor]],
-    alignments: Mapping[str, Alignment],
+    name: str,
+    table: np.ndarray,
+    args: tuple[str, ...],
     eps: float,
-) -> tuple[dict[int, tuple[tuple[int, ...], ...]], dict[int, frozenset[int]]]:
-    """Commutative blocks of each initial class representative, in the group frame.
+    known: dict[BlocksKey, tuple[tuple[int, ...], ...]],
+) -> tuple[tuple[int, ...], ...]:
+    """Commutative blocks of a factor's table and arguments in its group frame.
 
-    Detected once before the refinement loop and inherited by all members
-    of the class; positions inside a block of size >= 2 are the counted
-    candidates that send position 0 during colour passing.
+    Equal frame tables with equal range labels have equal blocks, so a key
+    already in `known` is answered from it; a new key is detected and
+    added.
     """
-    blocks_by_colour: dict[int, tuple[tuple[int, ...], ...]] = {}
-    counted_by_colour: dict[int, frozenset[int]] = {}
-    for colour, members in factors_of_colour.items():
-        rep = members[0]
-        perm = alignments[rep.name]
-        frame_args = aligned_args(rep.args, perm)
-        spec = table_commutative_blocks(
-            rep.name, aligned_table(rep.table, perm), eps,
-            tuple(fg.rv(a).range for a in frame_args),
-        )
-        blocks_by_colour[colour] = spec.blocks
-        counted_by_colour[colour] = frozenset(
-            p for block in spec.blocks if len(block) >= 2 for p in block
-        )
-    return blocks_by_colour, counted_by_colour
+    ranges = tuple(fg.rv(a).range for a in args)
+    key = (table.shape, table.tobytes(), ranges)
+    blocks = known.get(key)
+    if blocks is None:
+        blocks = known[key] = table_commutative_blocks(name, table, eps, ranges).blocks
+    return blocks
 
 
 def colour_pass(
@@ -189,10 +187,26 @@ def colour_pass(
     initial_factor_colours must cover every factor; alignments default to
     the identity. eps only affects commutativity detection on the class
     representatives (position-0 marking), not the refinement itself.
+
+    The refinement works on integer slots: RVs and factors are numbered
+    in model order, each factor holds the RV numbers of its group-frame
+    arguments and the blocks to sort, and each RV holds its (factor,
+    position) slots. Colours are renumbered in first-seen order over that
+    numbering. The result carries the commutative blocks it detected, for
+    exact_crv_positions.
     """
     eps = check_epsilon(eps)
-    aligns: dict[str, Alignment] = {}
-    for f in fg.factors:
+    rv_index = {rv.name: i for i, rv in enumerate(fg.rvs)}.__getitem__
+    known: dict[BlocksKey, tuple[tuple[int, ...], ...]] = {}
+    # per initial class: blocks to sort, and the position each slot sends
+    class_slots: dict[int, tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = {}
+    f_perms: list[Alignment] = []
+    f_args: list[tuple[int, ...]] = []
+    f_sorts: list[tuple[tuple[int, ...], ...]] = []
+    slots: list[list[tuple[int, int]]] = [[] for _ in fg.rvs]
+    f_col: list[int] = []
+    first_seen: dict[int, int] = {}   # initial colours renumbered like every round's
+    for fi, f in enumerate(fg.factors):
         if f.name not in initial_factor_colours:
             raise InvariantError(f"no initial colour for factor {f.name!r}")
         perm = (
@@ -200,24 +214,27 @@ def colour_pass(
             if alignments
             else identity_alignment(f.arity)
         )
-        aligns[f.name] = perm
-
-    init_colour = dict(initial_factor_colours)
-    factors_of_colour: dict[int, list[Factor]] = {}
-    for f in fg.factors:
-        factors_of_colour.setdefault(init_colour[f.name], []).append(f)
-    blocks_by_colour, counted_by_colour = _class_blocks(
-        fg, factors_of_colour, aligns, eps
-    )
-
-    frame_args = {f.name: aligned_args(f.args, aligns[f.name]) for f in fg.factors}
-    rv_order = [rv.name for rv in fg.rvs]
-    f_order = [f.name for f in fg.factors]
-
-    rv_col = initial_rv_colours(fg, evidence)
-    f_col = _dense_renumber(
-        f_order, {name: (init_colour[name],) for name in f_order}
-    )
+        colour = initial_factor_colours[f.name]
+        frame_args = aligned_args(f.args, perm)
+        if colour not in class_slots:
+            # the class representative, its first factor, decides the blocks
+            blocks = _frame_blocks(
+                fg, f.name, aligned_table(f.table, perm), frame_args, eps, known
+            )
+            sorts = tuple(b for b in blocks if len(b) >= 2)
+            counted = {p for b in sorts for p in b}
+            positions = tuple(0 if j in counted else j + 1 for j in range(f.arity))
+            class_slots[colour] = sorts, positions
+        sorts, positions = class_slots[colour]
+        args = tuple(map(rv_index, frame_args))
+        for a, pos in zip(args, positions):
+            slots[a].append((fi, pos))
+        f_perms.append(perm)
+        f_args.append(args)
+        f_sorts.append(sorts)
+        f_col.append(first_seen.setdefault(colour, len(first_seen)))
+    start_rv = initial_rv_colours(fg, evidence)
+    rv_col = [start_rv[rv.name] for rv in fg.rvs]
 
     iteration = 0
     max_rounds = len(fg.rvs) + len(fg.factors) + 2
@@ -225,29 +242,22 @@ def colour_pass(
         if iteration > max_rounds:
             raise InvariantError("colour refinement failed to stabilize")
         # factors first: argument colours in the group frame + own colour
-        fsigs: dict[str, tuple] = {}
-        for f in fg.factors:
-            cols = [rv_col[a] for a in frame_args[f.name]]
-            for block in blocks_by_colour[init_colour[f.name]]:
-                if len(block) >= 2:
-                    vals = sorted(cols[p] for p in block)
-                    for p, v in zip(block, vals):
-                        cols[p] = v
-            fsigs[f.name] = (tuple(cols), f_col[f.name])
-        new_f_col = _dense_renumber(f_order, fsigs)
+        ids: dict[tuple, int] = {}
+        new_f_col: list[int] = []
+        for args, sorts, own in zip(f_args, f_sorts, f_col):
+            cols = [rv_col[a] for a in args]
+            for block in sorts:
+                for p, v in zip(block, sorted([cols[p] for p in block])):
+                    cols[p] = v
+            new_f_col.append(ids.setdefault((tuple(cols), own), len(ids)))
 
         # then RVs: sorted (factor colour, position) pairs + own colour,
         # position 0 for slots inside a commutative block
-        incoming: dict[str, list[tuple[int, int]]] = {name: [] for name in rv_order}
-        for f in fg.factors:
-            counted = counted_by_colour[init_colour[f.name]]
-            for j, a in enumerate(frame_args[f.name]):
-                pos = 0 if j in counted else j + 1
-                incoming[a].append((new_f_col[f.name], pos))
-        rsigs = {
-            name: (tuple(sorted(incoming[name])), rv_col[name]) for name in rv_order
-        }
-        new_rv_col = _dense_renumber(rv_order, rsigs)
+        ids = {}
+        new_rv_col: list[int] = []
+        for rv_slots, own in zip(slots, rv_col):
+            sig = tuple(sorted([(new_f_col[fi], pos) for fi, pos in rv_slots]))
+            new_rv_col.append(ids.setdefault((sig, own), len(ids)))
 
         iteration += 1
         if new_f_col == f_col and new_rv_col == rv_col:
@@ -255,20 +265,19 @@ def colour_pass(
         f_col, rv_col = new_f_col, new_rv_col
 
     factor_groups: dict[int, list[GroupMember]] = {}
-    for name in f_order:
-        factor_groups.setdefault(f_col[name], []).append(
-            GroupMember(name, aligns[name])
-        )
-    grouping = Grouping(
-        tuple(tuple(factor_groups[c]) for c in sorted(factor_groups))
-    )
+    for f, perm, colour in zip(fg.factors, f_perms, f_col):
+        factor_groups.setdefault(colour, []).append(GroupMember(f.name, perm))
+    grouping = Grouping(tuple(tuple(factor_groups[c]) for c in sorted(factor_groups)))
     rv_classes: dict[int, list[str]] = {}
-    for name in rv_order:
-        rv_classes.setdefault(rv_col[name], []).append(name)
+    for rv, colour in zip(fg.rvs, rv_col):
+        rv_classes.setdefault(colour, []).append(rv.name)
     classes = tuple(tuple(rv_classes[c]) for c in sorted(rv_classes))
-    return ColourPassResult(
-        grouping, classes, ColourState(rv_col, f_col, iteration)
+    state = ColourState(
+        {rv.name: c for rv, c in zip(fg.rvs, rv_col)},
+        {f.name: c for f, c in zip(fg.factors, f_col)},
+        iteration,
     )
+    return ColourPassResult(grouping, classes, state, known)
 
 
 @dataclass(frozen=True)
@@ -349,6 +358,8 @@ def exact_crv_positions(
     grouping: Grouping,
     rv_classes: Sequence[Sequence[str]],
     eps: float,
+    *,
+    known_blocks: Mapping[BlocksKey, tuple[tuple[int, ...], ...]] | None = None,
 ) -> dict[int, tuple[int, ...]]:
     """Counting candidates that compact losslessly, per group index.
 
@@ -358,8 +369,14 @@ def exact_crv_positions(
     one value and grounding round-trips bit-exactly), and all counted
     argument slots hold RVs of one class. One block per group, the
     largest, earliest on ties.
+
+    known_blocks takes the detections of a colour pass at the same eps
+    (ColourPassResult.blocks): a representative whose frame table and
+    range labels are already there is not tested again, and a table the
+    mean update changed has other bytes, so it is.
     """
     eps = check_epsilon(eps)
+    known = dict(known_blocks or {})
     class_of: dict[str, int] = {}
     for ci, members in enumerate(rv_classes):
         for name in members:
@@ -370,11 +387,11 @@ def exact_crv_positions(
         f = fg.factor(rep.factor)
         args = aligned_args(f.args, rep.align)
         table = aligned_table(f.table, rep.align)
-        spec = table_commutative_blocks(
-            f.name, table, eps, tuple(fg.rv(a).range for a in args)
-        )
+        blocks = _frame_blocks(fg, f.name, table, args, eps, known)
         best: tuple[int, ...] | None = None
-        for block in spec.counted_candidates():
+        for block in blocks:
+            if len(block) < 2:
+                continue
             if len({class_of[args[p]] for p in block}) != 1:
                 continue
             exact = all(

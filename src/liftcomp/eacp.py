@@ -102,7 +102,9 @@ def _compress(
 ) -> CompressionResult:
     cp = colour_pass(fg, colours, evidence, alignments=alignments, eps=eps)
     m_prime, deviations = _phase3_update(fg, cp.grouping, eps)
-    crv = exact_crv_positions(m_prime, cp.grouping, cp.rv_classes, eps)
+    crv = exact_crv_positions(
+        m_prime, cp.grouping, cp.rv_classes, eps, known_blocks=cp.blocks
+    )
     pfg = construct_pfg(m_prime, cp.grouping, cp.rv_classes, crv)
     return CompressionResult(pfg, m_prime, cp.grouping, deviations)
 

@@ -15,18 +15,20 @@ the test is bit equality. The relation is symmetric and reflexive but
 NOT transitive, and no code here may assume otherwise.
 
 The test has two forms. eps_equiv_arrays applies it entrywise to two
-tables of one shape. eps_band_mask applies it to one table against a
-stack of envelopes: a stack row holds the entrywise minimum and maximum
-of one set of tables, and the mask decides from those two tables alone,
-exactly as eps_equiv_arrays against every member would (the grouping
-module docstring gives the argument). The scalar and factor forms are
-views of these: eps_equiv_potentials is eps_equiv_arrays on two 0-d
-values, and eps_equiv_factors is band_matches on a one-row BandStack.
+tables of one shape. eps_band_mask applies it to one table, or to a
+stack of candidate tables, against a stack of envelopes: a stack row
+holds the entrywise minimum and maximum of one set of tables, and the
+mask decides from those two tables alone, exactly as eps_equiv_arrays
+against every member would (the grouping module docstring gives the
+argument). The scalar and factor forms are views of these:
+eps_equiv_potentials is eps_equiv_arrays on two 0-d values, and
+eps_equiv_factors is band_matches on a one-row BandStack.
 
 Two factors are eps-equivalent when some permutation of argument
 positions aligns their tables entrywise under that test. band_matches
-searches the range-compatible permutations (arity capped at 8) in
-lexicographic order, so the identity wins whenever it is valid.
+tests the range-compatible permutations (arity capped at 8) together
+and keeps the first hit in lexicographic order, so the identity wins
+whenever it is valid.
 
 An alignment `perm` is a tuple with the meaning of Def-style
 permutations: position j of the right-hand factor receives the left
@@ -161,22 +163,26 @@ def eps_equiv_arrays(x: np.ndarray, y: np.ndarray, eps: float) -> bool:
 def eps_band_mask(lo: np.ndarray, hi: np.ndarray, table: np.ndarray, eps: float) -> np.ndarray:
     """Per row of the (lo, hi) stack: is `table` eps-equivalent to every table it spans?
 
-    lo and hi have shape (rows,) + table.shape and hold the entrywise
-    minimum and maximum of each row's tables. A candidate a passes
-    against a row exactly when a <= lo*c1, hi <= a*c1, lo >= a*c2 and
-    a >= hi*c2, with c1, c2 the caps eps_equiv_arrays uses.
+    lo and hi have shape (rows,) + shape and hold the entrywise minimum
+    and maximum of each row's tables. A candidate a passes against a row
+    exactly when a <= lo*c1, hi <= a*c1, lo >= a*c2 and a >= hi*c2, with
+    c1, c2 the caps eps_equiv_arrays uses. `table` is one candidate of
+    that shape, giving a (rows,) mask, or a stack of candidates of shape
+    (candidates,) + shape, giving a (candidates, rows) mask.
     """
     c1, c2 = _band(eps)
+    if table.ndim == lo.ndim:
+        table = table[:, None]
     ok = (table <= lo * c1) & (hi <= table * c1) & (lo >= table * c2) & (table >= hi * c2)
-    return ok.reshape(len(ok), -1).all(axis=1)
+    return ok.all(axis=tuple(range(ok.ndim - lo.ndim + 1, ok.ndim)))
 
 
 class BandStack:
     """Envelopes of one table shape, one row per key, tested in one call.
 
     Each row starts as a single table (append) and may be widened by more
-    tables of the same shape (widen); match() runs eps_band_mask against
-    all rows.
+    tables of the same shape (widen); lo and hi are the filled rows, which
+    band_matches tests against.
     """
 
     def __init__(self, shape: tuple[int, ...]) -> None:
@@ -184,6 +190,14 @@ class BandStack:
         self.keys: list[int] = []
         self._lo = np.empty((4,) + shape)
         self._hi = np.empty((4,) + shape)
+
+    @property
+    def lo(self) -> np.ndarray:
+        return self._lo[: len(self.keys)]
+
+    @property
+    def hi(self) -> np.ndarray:
+        return self._hi[: len(self.keys)]
 
     def append(self, key: int, table: np.ndarray) -> int:
         row = len(self.keys)
@@ -198,10 +212,6 @@ class BandStack:
     def widen(self, row: int, table: np.ndarray) -> None:
         np.minimum(self._lo[row], table, out=self._lo[row])
         np.maximum(self._hi[row], table, out=self._hi[row])
-
-    def match(self, table: np.ndarray, eps: float) -> np.ndarray:
-        n = len(self.keys)
-        return eps_band_mask(self._lo[:n], self._hi[:n], table, eps)
 
 
 def _range_compatible(shape1: tuple[int, ...], shape2: tuple[int, ...], perm: Alignment) -> bool:
@@ -221,14 +231,41 @@ def eps_equiv_factors(f1: Factor, f2: Factor, eps: float) -> Alignment | None:
     return band_matches(f2.table, [stack], eps).get(0)
 
 
+# largest stack of one table's views, in table entries; above it (arity 6
+# and up on binary ranges) views are tested one at a time to bound memory
+_GATHER_ENTRIES = 4096
+
+
+@lru_cache(maxsize=256)
+def _fitting_views(
+    frame: tuple[int, ...], shape: tuple[int, ...]
+) -> tuple[tuple[Alignment, ...], np.ndarray | None]:
+    """Range-compatible permutations in lexicographic order, and a gather index.
+
+    Indexing a flat table of `shape` with the index stacks its views in
+    `frame` under those permutations. The index is None when at most one
+    permutation fits, or when the stack would exceed _GATHER_ENTRIES.
+    """
+    perms = tuple(p for p in _permutations(len(shape)) if _range_compatible(frame, shape, p))
+    size = int(np.prod(shape))
+    if len(perms) < 2 or len(perms) * size > _GATHER_ENTRIES:
+        return perms, None
+    flat = np.arange(size).reshape(shape)
+    index = np.stack([aligned_table(flat, p) for p in perms])
+    index.flags.writeable = False
+    return perms, index
+
+
 def band_matches(
     table: np.ndarray, stacks: Iterable[BandStack], eps: float
 ) -> dict[int, Alignment]:
     """Key -> first lexicographic alignment putting `table` inside that key's envelope.
 
-    Only stacks of the table's arity are searched, each with every
-    range-compatible permutation in lexicographic order. Arity above
-    ARITY_CAP is refused as soon as one such stack exists.
+    Only stacks of the table's arity are searched. Each takes one
+    eps_band_mask call on the table's views under every range-compatible
+    permutation at once (one call per permutation when they are too many
+    to stack), and each row keeps its first hit in lexicographic order.
+    Arity above ARITY_CAP is refused as soon as one such stack exists.
     """
     eps = check_epsilon(eps)
     arity = table.ndim
@@ -238,16 +275,18 @@ def band_matches(
             continue
         if arity > ARITY_CAP:
             raise ArityCapError(f"arity {arity} exceeds permutation search cap {ARITY_CAP}")
-        unmatched = np.ones(len(stack.keys), dtype=bool)
-        for perm in _permutations(arity):
-            if not _range_compatible(stack.shape, table.shape, perm):
-                continue
-            hit = stack.match(aligned_table(table, perm), eps) & unmatched
-            for row in np.flatnonzero(hit):
-                found[stack.keys[row]] = perm
-            unmatched &= ~hit
-            if not unmatched.any():
-                break
+        perms, index = _fitting_views(stack.shape, table.shape)
+        if not perms:
+            continue
+        if index is not None:
+            hits = eps_band_mask(stack.lo, stack.hi, table.reshape(-1)[index], eps)
+        else:
+            hits = np.array(
+                [eps_band_mask(stack.lo, stack.hi, aligned_table(table, p), eps) for p in perms]
+            )
+        first = hits.argmax(axis=0)
+        for row in np.flatnonzero(hits.any(axis=0)):
+            found[stack.keys[row]] = perms[first[row]]
     return found
 
 
@@ -263,9 +302,6 @@ class CommutativeSpec:
 
     factor: str
     blocks: tuple[tuple[int, ...], ...]
-
-    def counted_candidates(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(b for b in self.blocks if len(b) >= 2)
 
 
 def commutative_blocks(

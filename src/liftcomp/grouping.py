@@ -13,11 +13,12 @@ model order.
 
 Groups are not compared member by member. Each group keeps the
 entrywise minimum Mn and maximum Mx of its member tables, and groups of
-equal frame shape are stacked, so one numpy call per permutation tests
-a factor against all of them (equivalence.BandStack). The test is
-exact. With c1 = (1+eps)(1+slack) and c2 = (1-eps)(1-slack), a factor
-table a passes max(a,m) <= min(a,m)*c1 and min(a,m) >= max(a,m)*c2 for
-every member m exactly when
+equal frame shape are stacked, so one numpy call tests a factor, under
+all its range-compatible permutations at once, against all of them
+(equivalence.BandStack, equivalence.band_matches). The test is exact.
+With c1 = (1+eps)(1+slack) and c2 = (1-eps)(1-slack), a factor table a
+passes max(a,m) <= min(a,m)*c1 and min(a,m) >= max(a,m)*c2 for every
+member m exactly when
 
     a <= Mn*c1,   Mx <= a*c1,   Mn >= a*c2,   a >= Mx*c2,
 

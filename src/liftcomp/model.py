@@ -114,7 +114,7 @@ class Factor:
 
     The table must arrive shaped (one axis per argument, last axis fastest
     in the flat row-major reading). Entries are strictly positive finite
-    float64; the array is frozen against writes on construction.
+    float64; the factor holds a read-only view of them.
     """
 
     name: str
@@ -137,7 +137,8 @@ class Factor:
             raise InvariantError(
                 f"factor {self.name!r}: table entries must be strictly positive and finite"
             )
-        table = np.ascontiguousarray(table)
+        # a view, so that a caller's array that needed no conversion stays writeable
+        table = np.ascontiguousarray(table).view()
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
 

@@ -1,0 +1,237 @@
+"""Colour passing against a name-keyed reference loop; commutativity detected once per call."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from liftcomp import (
+    Evidence,
+    Factor,
+    FactorGraph,
+    RandomVariable,
+    phase1_group,
+    run_acp,
+    run_eacp,
+)
+from liftcomp import acp
+from liftcomp.acp import (
+    colour_pass,
+    exact_crv_positions,
+    initial_factor_colours_exact,
+    initial_rv_colours,
+)
+from liftcomp.equivalence import (
+    aligned_args,
+    aligned_table,
+    identity_alignment,
+    table_commutative_blocks,
+)
+from liftcomp.grouping import GroupMember, Grouping
+
+from conftest import star_model
+
+# -- reference: colour passing over dicts keyed by node name --------------
+
+
+def _dense_renumber(order, sigs):
+    ids, out = {}, {}
+    for name in order:
+        sig = sigs[name]
+        if sig not in ids:
+            ids[sig] = len(ids)
+        out[name] = ids[sig]
+    return out
+
+
+def reference_colour_pass(fg, initial_factor_colours, evidence, alignments, eps):
+    """(grouping, rv classes, rv colours, factor colours, rounds), one node at a time."""
+    aligns = {f.name: alignments.get(f.name, identity_alignment(f.arity)) for f in fg.factors}
+    init_colour = dict(initial_factor_colours)
+    blocks_by_colour, counted_by_colour = {}, {}
+    for f in fg.factors:
+        colour = init_colour[f.name]
+        if colour in blocks_by_colour:
+            continue
+        perm = aligns[f.name]
+        spec = table_commutative_blocks(
+            f.name, aligned_table(f.table, perm), eps,
+            tuple(fg.rv(a).range for a in aligned_args(f.args, perm)),
+        )
+        blocks_by_colour[colour] = spec.blocks
+        counted_by_colour[colour] = {p for b in spec.blocks if len(b) >= 2 for p in b}
+
+    frame_args = {f.name: aligned_args(f.args, aligns[f.name]) for f in fg.factors}
+    rv_order = [rv.name for rv in fg.rvs]
+    f_order = [f.name for f in fg.factors]
+    rv_col = initial_rv_colours(fg, evidence)
+    f_col = _dense_renumber(f_order, {name: (init_colour[name],) for name in f_order})
+    iteration = 0
+    while True:
+        fsigs = {}
+        for f in fg.factors:
+            cols = [rv_col[a] for a in frame_args[f.name]]
+            for block in blocks_by_colour[init_colour[f.name]]:
+                if len(block) >= 2:
+                    vals = sorted(cols[p] for p in block)
+                    for p, v in zip(block, vals):
+                        cols[p] = v
+            fsigs[f.name] = (tuple(cols), f_col[f.name])
+        new_f_col = _dense_renumber(f_order, fsigs)
+        incoming = {name: [] for name in rv_order}
+        for f in fg.factors:
+            counted = counted_by_colour[init_colour[f.name]]
+            for j, a in enumerate(frame_args[f.name]):
+                incoming[a].append((new_f_col[f.name], 0 if j in counted else j + 1))
+        rsigs = {name: (tuple(sorted(incoming[name])), rv_col[name]) for name in rv_order}
+        new_rv_col = _dense_renumber(rv_order, rsigs)
+        iteration += 1
+        if new_f_col == f_col and new_rv_col == rv_col:
+            break
+        f_col, rv_col = new_f_col, new_rv_col
+
+    groups, classes = {}, {}
+    for name in f_order:
+        groups.setdefault(f_col[name], []).append(GroupMember(name, aligns[name]))
+    for name in rv_order:
+        classes.setdefault(rv_col[name], []).append(name)
+    grouping = Grouping(tuple(tuple(groups[c]) for c in sorted(groups)))
+    rv_classes = tuple(tuple(classes[c]) for c in sorted(classes))
+    return grouping, rv_classes, rv_col, f_col, iteration
+
+
+# -- generated models -------------------------------------------------------
+
+
+def _symmetric(rng, arity):
+    # arity 2: a + a.T; arity 3: symmetric in the first two axes, or in all three
+    table = rng.uniform(0.1, 1.0, size=(2,) * arity)
+    if arity == 2:
+        return table + table.T
+    if rng.random() < 0.5:
+        return table + np.swapaxes(table, 0, 1)
+    return sum(np.transpose(table, p) for p in ((0, 1, 2), (0, 2, 1), (1, 0, 2),
+                                                 (1, 2, 0), (2, 0, 1), (2, 1, 0)))
+
+
+def generated_model(seed):
+    """Binary RVs; fresh, symmetric and permuted-twin tables; random evidence."""
+    rng = np.random.default_rng(seed)
+    n_rvs = int(rng.integers(3, 10))
+    names = [f"V{i}" for i in range(n_rvs)]
+    factors = []
+    for i in range(int(rng.integers(2, 12))):
+        kind = rng.choice(["fresh", "symmetric", "twin"]) if factors else "fresh"
+        if kind == "twin":
+            # a permuted copy of an earlier table, bit-exact or inside eps = 0.1
+            src = factors[int(rng.integers(len(factors)))].table
+            table = np.transpose(src, rng.permutation(src.ndim))
+            if rng.random() < 0.5:
+                table = table * rng.uniform(0.97, 1.03, size=table.shape)
+        else:
+            arity = int(rng.integers(1, 4)) if kind == "fresh" else int(rng.integers(2, 4))
+            table = (rng.uniform(0.1, 1.0, size=(2,) * arity) if kind == "fresh"
+                     else _symmetric(rng, arity))
+        args = tuple(names[j] for j in rng.choice(n_rvs, size=table.ndim, replace=False))
+        factors.append(Factor(f"f{i}", args, table))
+    used = [n for n in names if any(n in f.args for f in factors)]
+    fg = FactorGraph(tuple(RandomVariable(n, ("t", "f")) for n in used), tuple(factors))
+    observed = [n for n in used if rng.random() < 0.2]
+    evidence = Evidence(tuple((n, str(rng.choice(["t", "f"]))) for n in observed))
+    return fg, evidence
+
+
+def _seedings(fg, eps):
+    phase1 = phase1_group(fg.factors, eps)
+    return {
+        "phase1": (phase1.group_index(), phase1.alignments(), eps),
+        "exact": (*initial_factor_colours_exact(fg.factors), 0.0),
+    }
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_generated_models(self, eps):
+        permuted = symmetric = 0
+        for seed in range(150):
+            fg, evidence = generated_model(seed)
+            for colours, alignments, seed_eps in _seedings(fg, eps).values():
+                got = colour_pass(fg, colours, evidence, alignments=alignments, eps=seed_eps)
+                grouping, rv_classes, rv_col, f_col, rounds = reference_colour_pass(
+                    fg, colours, evidence, alignments, seed_eps
+                )
+                assert got.grouping == grouping
+                assert got.rv_classes == rv_classes
+                assert list(got.state.rv_colours.items()) == list(rv_col.items())
+                assert list(got.state.factor_colours.items()) == list(f_col.items())
+                assert got.state.iteration == rounds
+                permuted += any(a != identity_alignment(len(a)) for a in alignments.values())
+                symmetric += any(len(b) >= 2 for b in got.blocks.values())
+        # the corpus exercises non-identity alignments and commutative blocks
+        assert permuted > 50 and symmetric > 50
+
+
+# -- commutativity: one detection per distinct frame table and ranges --------
+
+
+def _record_detections(monkeypatch):
+    keys = []
+
+    def recording(name, table, eps, ranges=None):
+        keys.append((table.shape, table.tobytes(), ranges))
+        return table_commutative_blocks(name, table, eps, ranges)
+
+    monkeypatch.setattr(acp, "table_commutative_blocks", recording)
+    return keys
+
+
+class TestCommutativeHandOff:
+    def test_same_bytes_other_ranges_count_other_positions(self):
+        # fully symmetric table; b's last argument has other labels, so only
+        # its first two positions form a block
+        hl, ab = ("high", "low"), ("a", "b")
+        rvs = tuple(RandomVariable(n, hl) for n in ("A1", "A2", "A3", "B1", "B2"))
+        rvs += (RandomVariable("C", ab),)
+        table = np.array([1.0, 2.0, 2.0, 3.0, 2.0, 3.0, 3.0, 4.0]).reshape(2, 2, 2)
+        fg = FactorGraph(rvs, (
+            Factor("a", ("A1", "A2", "A3"), table),
+            Factor("b", ("B1", "B2", "C"), table),
+        ))
+        crv = {pf.name: pf.crv.positions for pf in run_acp(fg).pfg.parfactors}
+        assert crv == {"a": (0, 1, 2), "b": (0, 1)}
+
+    def test_table_changed_by_mean_update_is_detected_again(self, monkeypatch):
+        # a and b form one eps-group; their mean is a new table, symmetric
+        # although neither member is
+        rvs = tuple(RandomVariable(n, ("t", "f")) for n in ("X1", "X2", "Y1", "Y2"))
+        a = np.array([[1.0, 1.04], [1.0, 2.0]])
+        b = np.array([[1.0, 1.0], [1.04, 2.0]])
+        fg = FactorGraph(rvs, (Factor("a", ("X1", "X2"), a), Factor("b", ("Y1", "Y2"), b)))
+        keys = _record_detections(monkeypatch)
+        comp = run_eacp(fg, 0.1)
+        mean = comp.m_prime.factor("a").table
+        assert not np.array_equal(mean, a) and np.array_equal(mean, mean.T)
+        assert (mean.shape, mean.tobytes(), (("t", "f"),) * 2) in keys
+        assert len(keys) == len(set(keys))
+        assert {pf.crv.positions for pf in comp.pfg.parfactors} == {(0, 1)}
+
+    def test_known_blocks_change_no_result(self):
+        for seed in range(60):
+            fg, evidence = generated_model(seed)
+            for eps in (0.0, 0.1):
+                comp = run_eacp(fg, eps, evidence)
+                fresh = exact_crv_positions(comp.m_prime, comp.grouping, comp.rv_classes, eps)
+                counted = {
+                    gi: pf.crv.positions
+                    for gi, pf in enumerate(comp.pfg.parfactors)
+                    if pf.crv is not None
+                }
+                assert counted == fresh
+
+    def test_one_detection_per_key_on_an_acp_star(self, monkeypatch):
+        fg = star_model(16, 3, seed=2)
+        keys = _record_detections(monkeypatch)
+        run_acp(fg)
+        # three distinct tables, each detected once for colour passing and
+        # never again for counting
+        assert len(keys) == len(set(keys)) == 3

@@ -30,6 +30,7 @@ from liftcomp import (
     run_eacp,
     worst_case_fg,
 )
+from liftcomp.acp import colour_pass, initial_factor_colours_exact
 from liftcomp.bench import HUB
 from liftcomp.pfgio import pfg_to_json
 
@@ -78,6 +79,58 @@ def corpus_digest(k: int, x: float, seed: int) -> str:
 @pytest.mark.parametrize("k,x,seed", sorted(GOLDEN))
 def test_corpus_digest(k, x, seed):
     assert corpus_digest(k, x, seed) == GOLDEN[(k, x, seed)]
+
+
+def colour_digest(k: int, x: float, seed: int) -> str:
+    """Colour passing under both seedings, with and without evidence."""
+    cfg = GenConfig(k=k, x=x, eps=EPS, seed=seed)
+    fg = perturb(generate_fg(cfg), cfg)
+    observed = fg.rvs[2]
+    phase1 = phase1_group(fg.factors, EPS)
+    seedings = (
+        (phase1.group_index(), phase1.alignments(), EPS),
+        (*initial_factor_colours_exact(fg.factors), 0.0),
+    )
+    h = hashlib.sha256()
+    for colours, alignments, eps in seedings:
+        for evidence in (Evidence(), Evidence(((observed.name, observed.range[0]),))):
+            cp = colour_pass(fg, colours, evidence, alignments=alignments, eps=eps)
+            state = cp.state
+            h.update(
+                repr(
+                    (
+                        list(state.rv_colours.items()),
+                        list(state.factor_colours.items()),
+                        state.iteration,
+                        cp.rv_classes,
+                    )
+                ).encode()
+            )
+            _hash_grouping(h, cp.grouping)
+    return h.hexdigest()
+
+
+# (k, x, seed) -> sha256 of colour states, RV classes and final groupings;
+# recorded before colour refinement moved from name-keyed dicts to integer slots
+COLOUR_GOLDEN = {
+    (8, 0.1, 0): "10fb078607c30b52dc3b6902412f8e2bceac101747c14bc7301eb589bddeab2d",
+    (8, 0.1, 1): "e5f2abfe70247060eeefadd6b89b7ed4207280adf8f812e7858578a797e3d8d4",
+    (8, 1.0, 0): "d7ba666449b18eb64f6319125908c39a2d5136a348fea6be91ac4871c2e1b8e9",
+    (8, 1.0, 1): "7b82afd0318a6ccf31ee53dbf34fb04691cede4450ca35d1a3e92013eaa545da",
+    (16, 0.1, 0): "c0acc880115b4cf248fdc23e8a60b9c587fc6b6ee95fd7529db2651f7ece6ff8",
+    (16, 0.1, 1): "f9143a7af0020f254097455d7a5d780de1f2942357c8dcfe75902b361b89f3c6",
+    (16, 1.0, 0): "7612ccc98959e86834b30ac4027265b77684f2313678399783508491e2f9c2fb",
+    (16, 1.0, 1): "832d54629da293dad86bb4a36d9901d13758a12068f1cd478bc386bfc40b422a",
+    (32, 0.1, 0): "4399f0faec9f64ea9fa5e55195e925a7d0881245cae9e0b4d5402332550f4c85",
+    (32, 0.1, 1): "43bc827a38e410d594bfd028bf74468206d85c793fd97cbe7386ea65cad92a8f",
+    (32, 1.0, 0): "37387a6cf9f0223c27d66532b595b9e9a8cdc5451b8c8f0ca0be09c06d811e0d",
+    (32, 1.0, 1): "50806784ceb9587121feb7585455b1034830142be4844ad08097c4f43b197f78",
+}
+
+
+@pytest.mark.parametrize("k,x,seed", sorted(GOLDEN))
+def test_colour_digest(k, x, seed):
+    assert colour_digest(k, x, seed) == COLOUR_GOLDEN[(k, x, seed)]
 
 
 # (k, x) -> sha256 of query answers on the compressed models of seed 0;

@@ -22,7 +22,9 @@ from liftcomp import (
     unaligned_table,
 )
 from liftcomp.equivalence import (
+    BandStack,
     _band,
+    band_matches,
     check_epsilon,
     eps_band_mask,
     eps_equiv_arrays,
@@ -133,6 +135,70 @@ class TestBandEdge:
         assert self.forms(3.3000000000033007, 3.0, 0.1) == (False,) * 4
 
 
+class TestStackedBandMask:
+    """One eps_band_mask call on stacked views answers as one call per view."""
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    @pytest.mark.parametrize("shape", [(2,), (2, 3, 2), (3, 3)])
+    def test_stack_equals_per_view_calls(self, shape, eps):
+        rng = np.random.default_rng(5)
+        c1, c2 = _band(eps)
+        edges = [1.0, c1, c2, np.nextafter(c1, 2.0), np.nextafter(c2, 0.0), 1 / c1, 1 / c2]
+        weights = [0.7] + [0.05] * 6
+        perms = [
+            p for p in itertools.permutations(range(len(shape)))
+            if all(shape[j] == shape[p[j]] for j in range(len(shape)))
+        ]
+        outcomes = set()
+        for _ in range(40):
+            table = rng.uniform(0.5, 2.0, shape)
+            views = [aligned_table(table, p) for p in perms]
+            stack = BandStack(shape)
+            rows = []
+            for key in range(6):
+                # members at or just past the band edges of one of the views
+                base = views[int(rng.integers(len(views)))]
+                members = [
+                    base * rng.choice(edges, size=shape, p=weights)
+                    for _ in range(rng.integers(1, 4))
+                ]
+                stack.append(key, members[0])
+                for m in members[1:]:
+                    stack.widen(key, m)
+                rows.append(members)
+            lo = np.stack([np.min(m, axis=0) for m in rows])
+            hi = np.stack([np.max(m, axis=0) for m in rows])
+            per_view = np.array([eps_band_mask(lo, hi, v, eps) for v in views])
+            assert np.array_equal(eps_band_mask(lo, hi, np.stack(views), eps), per_view)
+            # each row keeps its first permutation in lexicographic order
+            expected = {
+                key: perms[int(np.argmax(per_view[:, key]))]
+                for key in range(len(rows))
+                if per_view[:, key].any()
+            }
+            assert band_matches(table, [stack], eps) == expected
+            outcomes.update(per_view.ravel().tolist())
+        assert outcomes == {True, False}
+
+
+    def test_too_many_views_to_stack(self):
+        # 720 permutations of a 2**6 table are tested one call each
+        rng = np.random.default_rng(9)
+        shape = (2,) * 6
+        table = rng.uniform(0.5, 2.0, shape)
+        stack = BandStack(shape)
+        for key, perm in enumerate([(5, 4, 3, 2, 1, 0), (0, 2, 1, 3, 4, 5), (1, 0, 2, 3, 4, 5)]):
+            stack.append(key, aligned_table(table, perm) * 1.05)
+        stack.append(3, np.full(shape, 1.0))
+        expected = {}
+        for perm in itertools.permutations(range(6)):
+            hits = eps_band_mask(stack.lo, stack.hi, aligned_table(table, perm), 0.1)
+            for key in np.flatnonzero(hits):
+                expected.setdefault(int(key), perm)
+        assert set(expected) == {0, 1, 2}
+        assert band_matches(table, [stack], 0.1) == expected
+
+
 class TestAlignment:
     def test_identity_and_inverse(self):
         assert identity_alignment(3) == (0, 1, 2)
@@ -223,7 +289,6 @@ class TestCommutativeBlocks:
         f = counting.factor("phi1")
         spec = commutative_blocks(f, 0.0, counting.arg_ranges(f))
         assert spec.blocks == ((0,), (1, 2))
-        assert spec.counted_candidates() == ((1, 2),)
 
     def test_asymmetric_table_all_singletons(self):
         rng = np.random.default_rng(27)

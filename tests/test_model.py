@@ -81,6 +81,18 @@ class TestFactor:
         with pytest.raises(ValueError):
             f.table[0] = 3.0
 
+    def test_callers_array_stays_writeable(self):
+        # a C-contiguous float64 array needs no conversion; the factor must
+        # still not freeze the caller's own array
+        t = np.array([[1.0, 2.0], [3.0, 4.0]])
+        f = Factor("f", ("X", "Y"), t)
+        assert t.flags.writeable
+        assert not f.table.flags.writeable
+        assert f.table.tobytes() == t.tobytes()
+        t[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            f.table[0, 0] = 6.0
+
     def test_row_major_layout(self):
         # last argument varies fastest in the flattened order
         t = np.array([[1.0, 2.0], [3.0, 4.0]])
