@@ -25,6 +25,30 @@ member m exactly when
 because rounded multiplication by a positive constant is monotone: the
 extreme member decides each of the four one-sided comparisons.
 
+A factor whose table repeats an earlier factor's table (same shape, same
+bytes) may reuse that table's last band-tested join: the same group under
+the same alignment, without band_matches, _closest or a widen. It does so
+while no group has been opened since that join and no candidate group of
+that join has gained a member since, other than by such reuse. The
+result is the one the full test would give:
+
+- envelopes only widen, so a group that failed the band test under every
+  alignment still fails it and is still no candidate;
+- a candidate group with no new member gives the same first alignment
+  and the same member-by-member deviation, which is what _closest
+  minimizes (its one-call estimates only skip that sum where it cannot
+  change the answer);
+- a copy joining its own group lies inside that group's envelope
+  already and adds exact zeros to its deviation, so the join stays valid
+  for the next copy.
+
+Member counts only grow, so their sum over the candidates, compared
+with its value after the join, tells whether any candidate has grown. A
+join is recorded only for a table seen before, so inputs without repeats
+pay one tobytes and a few set and dict operations per factor. No table
+above ARITY_CAP ever has a join to reuse: band_matches raises as soon as
+a group of its arity exists, so such a table can only open a group.
+
 mean_of_tables is the update step: the entrywise arithmetic mean of the
 aligned tables. A group of bit-identical tables is returned unchanged
 (float addition of k copies then division by k is not always exact, and
@@ -136,12 +160,42 @@ def _closest(groups: list[_Group], found: dict[int, Alignment], table: np.ndarra
     return min(close, key=lambda c: groups[c].deviation(aligned[c]))
 
 
+@dataclass(slots=True)
+class _Decision:
+    """A repeated table's last band-tested join, and what it depended on."""
+
+    group: int
+    align: Alignment
+    opened: int              # groups open when it was made
+    candidates: tuple[int, ...]
+    joins: int               # members of the candidate groups after it and its reuses
+
+    def holds(self, groups: list[_Group]) -> bool:
+        return self.opened == len(groups) and self.joins == _members(groups, self.candidates)
+
+
+def _members(groups: list[_Group], candidates: tuple[int, ...]) -> int:
+    return sum(len(groups[c].members) for c in candidates)
+
+
 def phase1_group(factors: Sequence[Factor], eps: float) -> Grouping:
     """Partition factors into greedy groups of pairwise eps-equivalent members."""
     eps = check_epsilon(eps)
     groups: list[_Group] = []
     stacks: dict[tuple[int, ...], BandStack] = {}   # group envelopes per frame shape
+    seen: set[tuple[tuple[int, ...], bytes]] = set()
+    decisions: dict[tuple[tuple[int, ...], bytes], _Decision] = {}
     for f in factors:
+        key = (f.table.shape, f.table.tobytes())
+        last = decisions.get(key)
+        if last is not None and last.holds(groups):
+            groups[last.group].add(
+                GroupMember(f.name, last.align), aligned_table(f.table, last.align)
+            )
+            last.joins += 1
+            continue
+        repeated = key in seen
+        seen.add(key)
         found = band_matches(f.table, stacks.values(), eps)
         if not found:
             stack = stacks.setdefault(f.table.shape, BandStack(f.table.shape))
@@ -152,6 +206,11 @@ def phase1_group(factors: Sequence[Factor], eps: float) -> Grouping:
         table = aligned_table(f.table, found[gi])
         groups[gi].add(GroupMember(f.name, found[gi]), table)
         stacks[table.shape].widen(groups[gi].row, table)
+        if repeated:
+            candidates = tuple(found)
+            decisions[key] = _Decision(
+                gi, found[gi], len(groups), candidates, _members(groups, candidates)
+            )
     return Grouping(tuple(tuple(g.members) for g in groups))
 
 

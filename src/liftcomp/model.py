@@ -114,7 +114,7 @@ class Factor:
 
     The table must arrive shaped (one axis per argument, last axis fastest
     in the flat row-major reading). Entries are strictly positive finite
-    float64; the factor holds a read-only view of them.
+    float64; the factor holds a read-only copy of them.
     """
 
     name: str
@@ -127,7 +127,9 @@ class Factor:
             raise InvariantError("factor name must be non-empty")
         if len(set(self.args)) != len(self.args):
             raise InvariantError(f"factor {self.name!r}: argument RVs are not distinct")
-        table = np.asarray(self.table, dtype=np.float64)
+        # a copy: the caller's array stays writeable, and writing to it
+        # cannot change the table validated here
+        table = np.array(self.table, dtype=np.float64, order="C")
         if table.ndim != len(self.args):
             raise InvariantError(
                 f"factor {self.name!r}: table has {table.ndim} axes "
@@ -137,8 +139,6 @@ class Factor:
             raise InvariantError(
                 f"factor {self.name!r}: table entries must be strictly positive and finite"
             )
-        # a view, so that a caller's array that needed no conversion stays writeable
-        table = np.ascontiguousarray(table).view()
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
 

@@ -9,7 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftcomp import ARITY_CAP, ArityCapError, Factor, Grouping, GroupMember, phase1_group
+from liftcomp import (
+    ARITY_CAP,
+    ArityCapError,
+    Factor,
+    GenConfig,
+    Grouping,
+    GroupMember,
+    generate_fg,
+    perturb,
+    phase1_group,
+)
 from liftcomp import acp
 from liftcomp.acp import initial_factor_colours_exact
 from liftcomp.equivalence import (
@@ -42,6 +52,13 @@ class TestArityCap:
         # equal arity is enough, even when no permutation could fit the shapes
         with pytest.raises(ArityCapError):
             SEARCHES[search]((_wide("a", (2,) * n), _wide("b", (3,) + (2,) * (n - 1))))
+
+    @pytest.mark.parametrize("search", sorted(SEARCHES))
+    def test_wide_copy_after_another_factor_raises(self, search):
+        # the copy of a repeats a's table bytes; it must still meet a's group
+        n = ARITY_CAP + 1
+        with pytest.raises(ArityCapError):
+            SEARCHES[search]((_wide("a", (2,) * n), _wide("b", (2, 2)), _wide("c", (2,) * n)))
 
     @pytest.mark.parametrize("search", sorted(SEARCHES))
     def test_lone_wide_factor_passes(self, search):
@@ -201,6 +218,57 @@ def factor_lists(draw):
     return factors, eps
 
 
+REUSE_EPS = (0.0, 0.05, 0.1, 0.3)
+
+
+@st.composite
+def repeating_lists(draw):
+    """Factors drawn, interleaved and with repeats, from a small pool of tables.
+
+    The pool holds tables derived from one base: scalings by multiples of
+    eps/4, which lie in band or out of band with each other and at various
+    distances, permuted twins, and copies with entries nudged onto or just
+    across the band edge. Repeats of one table see groups open and widen
+    between them, so a repeat may have to decide differently from its
+    earlier copy.
+    """
+    eps = draw(st.sampled_from(REUSE_EPS))
+    multipliers = _edge_multipliers(eps)
+    shape = draw(st.sampled_from(((2,), (2, 2), (2, 3), (2, 2, 2))))
+    size = int(np.prod(shape))
+    values = st.sampled_from(DYADIC) | st.floats(0.1, 2.0)
+    base = np.reshape(draw(st.lists(values, min_size=size, max_size=size)), shape)
+    pool = [base]
+    for _ in range(draw(st.integers(2, 5))):
+        # scalings twice as often: they make the groups that repeats must choose between
+        kind = draw(st.sampled_from(("scaled", "scaled", "twin", "nudged")))
+        if kind == "scaled":
+            table = base * (1.0 + draw(st.integers(-4, 4)) * eps / 4)
+        elif kind == "twin":
+            src = draw(st.sampled_from(pool))
+            table = np.transpose(src, draw(st.permutations(range(src.ndim))))
+        else:
+            src = draw(st.sampled_from(pool))
+            nudge = draw(st.lists(st.sampled_from(multipliers), min_size=size, max_size=size))
+            table = src * np.reshape(nudge, src.shape)
+        pool.append(table)
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=3, max_size=20))
+    factors = [
+        Factor(f"f{n}", tuple(f"f{n}_{j}" for j in range(pool[i].ndim)), pool[i])
+        for n, i in enumerate(picks)
+    ]
+    return factors, eps
+
+
+def _changed_decisions(factors, grouping) -> list[tuple]:
+    """Tables whose copies do not all join one group under one alignment."""
+    placed = {m.factor: (gi, m.align) for gi, g in enumerate(grouping.groups) for m in g}
+    decisions: dict[tuple, set] = {}
+    for f in factors:
+        decisions.setdefault((f.table.shape, f.table.tobytes()), set()).add(placed[f.name])
+    return [key for key, seen in decisions.items() if len(seen) > 1]
+
+
 class TestBandMask:
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
@@ -295,3 +363,22 @@ class TestReferenceLoops:
             ["a1", "a2", "c"], ["b1", "b2"]
         ]
         assert_matches_reference(factors, eps)
+
+
+class TestRepeatedTables:
+    @settings(max_examples=400, deadline=None)
+    @given(case=repeating_lists())
+    def test_pool_lists(self, case):
+        factors, eps = case
+        assert_matches_reference(factors, eps)
+
+    @pytest.mark.parametrize("k,x,seed", [(16, 0.1, 0), (16, 0.3, 5)])
+    def test_star_where_a_repeat_decides_differently(self, k, x, seed):
+        # between copies of a base table, a perturbed table opens a group
+        # (both stars) or joins one of the copy's candidate groups (k=16,
+        # x=0.3), so that a later copy joins elsewhere than an earlier one
+        cfg = GenConfig(k=k, x=x, eps=0.1, seed=seed)
+        factors = perturb(generate_fg(cfg), cfg).factors
+        reference = reference_phase1(factors, 0.1)
+        assert _changed_decisions(factors, reference)
+        assert phase1_group(factors, 0.1) == reference

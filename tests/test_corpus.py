@@ -30,6 +30,7 @@ from liftcomp import (
     run_eacp,
     worst_case_fg,
 )
+from liftcomp import grouping
 from liftcomp.acp import colour_pass, initial_factor_colours_exact
 from liftcomp.bench import HUB
 from liftcomp.pfgio import pfg_to_json
@@ -79,6 +80,62 @@ def corpus_digest(k: int, x: float, seed: int) -> str:
 @pytest.mark.parametrize("k,x,seed", sorted(GOLDEN))
 def test_corpus_digest(k, x, seed):
     assert corpus_digest(k, x, seed) == GOLDEN[(k, x, seed)]
+
+
+def phase1_digest(k: int, seed: int, eps: float) -> str:
+    cfg = GenConfig(k=k, x=0.1, eps=EPS, seed=seed)
+    fg = perturb(generate_fg(cfg), cfg)
+    h = hashlib.sha256()
+    _hash_grouping(h, phase1_group(fg.factors, eps))
+    return h.hexdigest()
+
+
+# (k, seed, eps) -> sha256 of the phase-1 grouping of the x=0.1 star;
+# recorded before repeated tables reused their earlier grouping decisions
+PHASE1_GOLDEN = {
+    (64, 0, 0.05): "20c58c88b2c5a6a1c2ac485ccbfc8bc2135b80db80912037c43ee2a7ee819304",
+    (64, 0, 0.1): "0b7804ce8ae41f79f53c24dba3004a656ffff125871c57d304e91575415f9661",
+    (64, 0, 0.3): "d81ddee7556aca956b5056bc07e7c0a0f1446280ee45d559755dbac27a121d3c",
+    (64, 1, 0.05): "ebd31df16aff96a7ca33843f383439134e50c2bbb37bed7df37b65628008dc09",
+    (64, 1, 0.1): "2abf2f469178f8fe581dd3a4e80d5e8848f3b50adf5ccee1e002a8bef3929dcf",
+    (64, 1, 0.3): "2c2d52a795de7d763d82dc756de99ebcf98eac2815c42494f59deb4b6bc24b34",
+    (64, 2, 0.05): "3602b4ecb5f1faa53d29a823abf18b2ece03d20a9e530bc4aaff3071412629f2",
+    (64, 2, 0.1): "de40ca3470066b8f05dd3ee159123229608fa617f61a6dff0e30f08eb0d894df",
+    (64, 2, 0.3): "d81ddee7556aca956b5056bc07e7c0a0f1446280ee45d559755dbac27a121d3c",
+    (128, 0, 0.05): "7857bdb80a3fff53fe7a2d8953b572105d131308329fa0dfaeb04e947f048cf6",
+    (128, 0, 0.1): "8e7d7cbadc7c9e6498814a39f5ca1c15efb8cfbf16321cc6d965057e67e0a47a",
+    (128, 0, 0.3): "a803cf616fe82fa905ea7880b941f511cb430ef8553cc705d886cff13591c973",
+    (128, 1, 0.05): "d1492fe93b868d1510ee2ef964526a6a6ab6eeef00a6991061236e16ca774b9d",
+    (128, 1, 0.1): "948894d56f906a6ff3b0f2405276954b4df20e492ca127828a32578ea920cf1a",
+    (128, 1, 0.3): "b037d1a47578f97cfc15324f0c394946eb9b4b4507b666e10f3ae5e8600a820a",
+    (128, 2, 0.05): "33a025aa9c5fc94d860da1e484f541f412d8f5b50a5c46801f480defa44a9bd4",
+    (128, 2, 0.1): "a4e231d925db1602631795bc1d2bc7f315d60c581d9fa03c4eeabdf46792a29f",
+    (128, 2, 0.3): "a803cf616fe82fa905ea7880b941f511cb430ef8553cc705d886cff13591c973",
+}
+
+
+@pytest.mark.parametrize("k,seed,eps", sorted(PHASE1_GOLDEN))
+def test_phase1_digest(k, seed, eps):
+    assert phase1_digest(k, seed, eps) == PHASE1_GOLDEN[(k, seed, eps)]
+
+
+def test_repeated_tables_skip_band_test(monkeypatch):
+    # a k=128 star with 3 links per chain: 384 factors over a few distinct
+    # tables; the band test runs for the first two copies of each table and
+    # after a change to the groups a repeat's last decision depended on
+    calls = []
+    band_matches = grouping.band_matches
+
+    def counting(table, stacks, eps):
+        calls.append(table)
+        return band_matches(table, stacks, eps)
+
+    monkeypatch.setattr(grouping, "band_matches", counting)
+    cfg = GenConfig(k=128, x=0.1, eps=EPS, seed=11)
+    factors = perturb(generate_fg(cfg), cfg).factors
+    assert len(factors) == 384
+    phase1_group(factors, EPS)
+    assert len(calls) <= 0.4 * len(factors)
 
 
 def colour_digest(k: int, x: float, seed: int) -> str:

@@ -93,6 +93,12 @@ class TestFactor:
         with pytest.raises(ValueError):
             f.table[0, 0] = 6.0
 
+    def test_writing_callers_array_leaves_table(self):
+        t = np.array([[1.0, 2.0], [3.0, 4.0]])
+        f = Factor("f", ("X", "Y"), t)
+        t[0, 0] = -5.0
+        assert f.table.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
     def test_row_major_layout(self):
         # last argument varies fastest in the flattened order
         t = np.array([[1.0, 2.0], [3.0, 4.0]])
