@@ -14,12 +14,13 @@ numpy, whose per-call cost exceeds the work. Initial factor colours are
 injected by the caller: run_eacp seeds with the phase-1 eps-groups,
 run_acp with initial_factor_colours_exact (bit-identical tables).
 
-Commutativity is detected on a factor's table viewed in its group
-frame, once per distinct (shape, table bytes, range labels) within one
-compression: colour_pass detects it on each class representative and
-hands its results on, and exact_crv_positions detects it again only for
-representative tables it has not seen, such as the ones the mean update
-changed.
+Commutativity is detected by equivalence.commutative_blocks on a
+factor's table viewed in its group frame, with that frame's range
+labels, once per distinct (shape, table bytes, range labels) within one
+compression (_frame_blocks): colour_pass detects it on each class
+representative and hands its results on, and exact_crv_positions
+detects it again only for representative tables it has not seen, such
+as the ones the mean update changed.
 
 construct_pfg turns the final grouping into a parfactor graph: one
 representative factor per group with an instance count, RV classes, and
@@ -44,9 +45,9 @@ from .equivalence import (
     aligned_args,
     aligned_table,
     check_epsilon,
+    commutative_blocks,
     eps_equiv_factors,  # noqa: F401  perfbench/run.py counts calls through this name
     identity_alignment,
-    table_commutative_blocks,
 )
 from .errors import ArityCapError, InvariantError
 from .grouping import GroupMember, Grouping
@@ -154,7 +155,6 @@ def _exact_match(
 
 def _frame_blocks(
     fg: FactorGraph,
-    name: str,
     table: np.ndarray,
     args: tuple[str, ...],
     eps: float,
@@ -170,7 +170,7 @@ def _frame_blocks(
     key = (table.shape, table.tobytes(), ranges)
     blocks = known.get(key)
     if blocks is None:
-        blocks = known[key] = table_commutative_blocks(name, table, eps, ranges).blocks
+        blocks = known[key] = commutative_blocks(table, eps, ranges)
     return blocks
 
 
@@ -218,9 +218,7 @@ def colour_pass(
         frame_args = aligned_args(f.args, perm)
         if colour not in class_slots:
             # the class representative, its first factor, decides the blocks
-            blocks = _frame_blocks(
-                fg, f.name, aligned_table(f.table, perm), frame_args, eps, known
-            )
+            blocks = _frame_blocks(fg, aligned_table(f.table, perm), frame_args, eps, known)
             sorts = tuple(b for b in blocks if len(b) >= 2)
             counted = {p for b in sorts for p in b}
             positions = tuple(0 if j in counted else j + 1 for j in range(f.arity))
@@ -387,7 +385,7 @@ def exact_crv_positions(
         f = fg.factor(rep.factor)
         args = aligned_args(f.args, rep.align)
         table = aligned_table(f.table, rep.align)
-        blocks = _frame_blocks(fg, f.name, table, args, eps, known)
+        blocks = _frame_blocks(fg, table, args, eps, known)
         best: tuple[int, ...] | None = None
         for block in blocks:
             if len(block) < 2:

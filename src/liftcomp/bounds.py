@@ -113,14 +113,12 @@ class DistanceReport:
             raise InvariantError("distance cannot be negative")
 
 
-def distance_exact(
-    m1: FactorGraph, m2: FactorGraph, cap: int | None = None
-) -> DistanceReport:
+def distance_exact(m1: FactorGraph, m2: FactorGraph) -> DistanceReport:
     """Enumerate max and min of psi2/psi1 over all joint states.
 
     Both models must declare the same random variables with the same
-    ranges; factorisations may differ. Raises through joint_table when
-    the state space exceeds the enumeration cap.
+    ranges; factorisations may differ. Raises EnumerationCapError through
+    joint_table when the state space exceeds the enumeration cap.
     """
     names1 = [rv.name for rv in m1.rvs]
     names2 = [rv.name for rv in m2.rvs]
@@ -131,8 +129,8 @@ def distance_exact(
             raise InvariantError(
                 f"rv {rv.name!r} has different ranges in the two models"
             )
-    j1 = joint_table(m1, cap)
-    j2 = joint_table(m2, cap)
+    j1 = joint_table(m1)
+    j2 = joint_table(m2)
     if names1 != names2:
         perm = tuple(names2.index(n) for n in names1)
         j2 = np.transpose(j2, perm)

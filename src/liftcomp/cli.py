@@ -3,8 +3,8 @@
 Machine-readable JSON (or CSV for bench) goes to standard output; human
 summaries and diagnostics go to standard error. Exit codes: 0 success,
 1 unreadable or malformed input files, 2 domain violations (bad eps,
-unknown rvs, caps, unsupported topologies). The enumeration cap honours
-the LIFTCOMP_ENUM_CAP environment variable throughout.
+unknown rvs, caps, unsupported topologies). The enumeration cap is
+LIFTCOMP_ENUM_CAP or its default; bound skips d_exact above it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .bench import EPS_DOMAIN, GenConfig, X_DOMAIN, emit_csv, run_grid
 from .bounds import bound_set, distance_exact, odds_envelope
 from .eacp import run_eacp
-from .errors import LiftcompError, ModelFormatError
+from .errors import EnumerationCapError, LiftcompError, ModelFormatError
 from .inference import Query, query_enumerate, query_lifted_star, query_ve
 from .io import load_evidence, load_fg, save_fg
 from .model import Evidence, FactorGraph, resolve_cap
@@ -149,8 +149,11 @@ def cmd_bound(args: argparse.Namespace) -> int:
         m2 = _load_model(args.compressed)
         if m is None:
             m = _factor_diff_count(m1, m2)
-        if m1.state_count() <= resolve_cap(None):
+        try:
             report = distance_exact(m1, m2)
+        except EnumerationCapError:
+            print("state space above enumeration cap; skipping d_exact", file=sys.stderr)
+        else:
             distance = {
                 "d_exact": report.d_exact,
                 "max_ratio": report.max_ratio,
@@ -158,8 +161,6 @@ def cmd_bound(args: argparse.Namespace) -> int:
                 "argmax_assignment": report.argmax_assignment,
                 "argmin_assignment": report.argmin_assignment,
             }
-        else:
-            print("state space above enumeration cap; skipping d_exact", file=sys.stderr)
     if m == 0:
         payload = {
             "m": 0,
@@ -230,7 +231,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             "n_rvs": len(fg.rvs),
             "n_factors": len(fg.factors),
             "state_count": fg.state_count(),
-            "enum_cap": resolve_cap(None),
+            "enum_cap": resolve_cap(),
             "rvs": [{"name": rv.name, "range": list(rv.range)} for rv in fg.rvs],
             "factors": [
                 {"name": f.name, "args": list(f.args), "shape": list(f.table.shape)}

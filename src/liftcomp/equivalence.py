@@ -34,11 +34,16 @@ An alignment `perm` is a tuple with the meaning of Def-style
 permutations: position j of the right-hand factor receives the left
 factor's coordinate perm[j]. `aligned_table(t, perm)` therefore views
 the right factor's table in the left factor's frame.
+
+commutative_blocks is the one commutativity test: it partitions a
+table's axes into blocks whose pairwise swaps keep the table
+eps-equivalent, allowing a swap only between axes with equal range
+labels. The caller passes the table in whatever frame it needs (acp
+passes each class representative in its group frame).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from typing import Iterable
@@ -53,7 +58,6 @@ __all__ = [
     "ARITY_CAP",
     "Alignment",
     "BandStack",
-    "CommutativeSpec",
     "check_epsilon",
     "identity_alignment",
     "invert_alignment",
@@ -66,7 +70,6 @@ __all__ = [
     "eps_band_mask",
     "band_matches",
     "commutative_blocks",
-    "table_commutative_blocks",
 ]
 
 REL_SLACK = 1e-12
@@ -290,67 +293,33 @@ def band_matches(
     return found
 
 
-@dataclass(frozen=True)
-class CommutativeSpec:
-    """Partition of a factor's argument positions into swap-closed blocks.
-
-    Every block of size >= 2 passed the pairwise transposition test: for
-    each pair of positions in the block, swapping those two table axes
-    yields an eps-equivalent table. Blocks are disjoint and cover all
-    positions.
-    """
-
-    factor: str
-    blocks: tuple[tuple[int, ...], ...]
-
-
 def commutative_blocks(
-    f: Factor,
-    eps: float,
-    ranges: tuple[tuple[str, ...], ...] | None = None,
-) -> CommutativeSpec:
-    """Greedy clique partition of positions under the pairwise swap test.
+    table: np.ndarray, eps: float, ranges: tuple[tuple[str, ...], ...]
+) -> tuple[tuple[int, ...], ...]:
+    """Greedy clique partition of a table's axes under the pairwise swap test.
 
-    Two positions may share a block only if their arguments have a common
-    range; pass `ranges` (label tuples per position) to enforce label
-    equality, otherwise equal axis sizes are the best available check.
-    Pairwise transpositions rather than all block permutations: with
-    eps > 0 the relation is not transitive, matching the pairwise
-    grouping stance used everywhere else.
+    `ranges` holds the range labels of each axis. Two axes pass the swap
+    test when their labels are equal and swapping them yields an
+    eps-equivalent table. Each axis in turn joins the first block all of
+    whose axes it passes with, or opens a new block. Pairwise
+    transpositions rather than all block permutations: with eps > 0 the
+    relation is not transitive, matching the pairwise grouping stance
+    used everywhere else. Blocks are disjoint, cover all axes, and are
+    listed by first axis.
     """
-    return table_commutative_blocks(f.name, f.table, eps, ranges)
-
-
-def table_commutative_blocks(
-    name: str,
-    table: np.ndarray,
-    eps: float,
-    ranges: tuple[tuple[str, ...], ...] | None = None,
-) -> CommutativeSpec:
-    """commutative_blocks on a bare table, e.g. a factor viewed in its group frame."""
     eps = check_epsilon(eps)
-    n = table.ndim
-    if ranges is not None and len(ranges) != n:
-        raise InvariantError(f"ranges arity {len(ranges)} != factor arity {n}")
-
-    def compatible(i: int, j: int) -> bool:
-        if ranges is not None:
-            return ranges[i] == ranges[j]
-        return table.shape[i] == table.shape[j]
+    if len(ranges) != table.ndim:
+        raise InvariantError(f"ranges arity {len(ranges)} != table arity {table.ndim}")
 
     def swap_ok(i: int, j: int) -> bool:
-        return compatible(i, j) and eps_equiv_arrays(table, np.swapaxes(table, i, j), eps)
+        return ranges[i] == ranges[j] and eps_equiv_arrays(table, np.swapaxes(table, i, j), eps)
 
     blocks: list[list[int]] = []
-    placed = [False] * n
-    for i in range(n):
-        if placed[i]:
-            continue
-        block = [i]
-        placed[i] = True
-        for j in range(i + 1, n):
-            if not placed[j] and all(swap_ok(j, b) for b in block):
+    for j in range(table.ndim):
+        for block in blocks:
+            if all(swap_ok(j, b) for b in block):
                 block.append(j)
-                placed[j] = True
-        blocks.append(block)
-    return CommutativeSpec(name, tuple(tuple(b) for b in blocks))
+                break
+        else:
+            blocks.append([j])
+    return tuple(map(tuple, blocks))

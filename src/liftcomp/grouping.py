@@ -101,9 +101,6 @@ class Grouping:
     def alignments(self) -> dict[str, Alignment]:
         return {m.factor: m.align for g in self.groups for m in g}
 
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(g) for g in self.groups)
-
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 

@@ -88,10 +88,10 @@ def _normalise(vector: np.ndarray, labels: tuple[str, ...], method: str, ops: in
     return QueryResult(dist, method, ops)
 
 
-def query_enumerate(fg: FactorGraph, q: Query, cap: int | None = None) -> QueryResult:
+def query_enumerate(fg: FactorGraph, q: Query) -> QueryResult:
     """Oracle evaluator: build the joint, slice evidence, sum out the rest."""
     _validate_query(fg, q)
-    joint = joint_table(fg, cap)
+    joint = joint_table(fg)
     ops = joint.size
     index: list[object] = [slice(None)] * len(fg.rvs)
     for rv_name, label in q.evidence.as_dict().items():

@@ -10,23 +10,31 @@ with tables listed flat in row-major order, last argument fastest.
 Evidence files are {"evidence": [{"rv": "Rev", "value": "high"}, ...]}.
 
 Floats are emitted via Python's shortest round-trip repr, so
-load(save(fg)) reproduces every table bit-exactly. Schema violations
-raise ModelFormatError with a JSON-path-style pointer to the offending
-field.
+load(save(fg)) reproduces every table bit-exactly.
+
+Malformed input raises ModelFormatError with a JSON-path-style pointer
+to the offending field. The loaders check JSON syntax, shape and types,
+and load_fg what it needs to build each table: declared arguments,
+table length, numbers within float64. Model validity (range sizes,
+distinct labels and arguments, unique names, positive finite entries)
+is the model constructors' rule; _build reports their InvariantError at
+rvs[i] or factors[i], or at $ for rules spanning entries.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 import numpy as np
 
-from .errors import LiftcompError, ModelFormatError
+from .errors import InvariantError, ModelFormatError
 from .model import Evidence, Factor, FactorGraph, RandomVariable
 
 __all__ = ["load_fg", "save_fg", "load_evidence", "save_evidence"]
+
+T = TypeVar("T")
 
 
 def _fail(path: str, message: str) -> None:
@@ -54,8 +62,19 @@ def _parse_json(data: bytes | str, what: str) -> Any:
             raise ModelFormatError(f"{what}: not valid UTF-8 ({exc})") from None
     try:
         return json.loads(data)
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise ModelFormatError(f"{what}: invalid JSON (nested too deeply)") from None
+    except ValueError as exc:
+        # JSONDecodeError, and integer literals past Python's digit limit
         raise ModelFormatError(f"{what}: invalid JSON ({exc})") from None
+
+
+def _build(path: str, make: Callable[..., T], *args: Any) -> T:
+    """make(*args), with the model's InvariantError reported at `path`."""
+    try:
+        return make(*args)
+    except InvariantError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
 
 
 def load_fg(data: bytes | str) -> FactorGraph:
@@ -75,31 +94,18 @@ def load_fg(data: bytes | str) -> FactorGraph:
         _expect(entry, dict, path, "an object")
         name = _expect_str(entry.get("name"), f"{path}.name")
         range_raw = _expect(entry.get("range"), list, f"{path}.range", "an array")
-        labels = tuple(
-            _expect_str(lbl, f"{path}.range[{j}]") for j, lbl in enumerate(range_raw)
-        )
-        if len(labels) < 2:
-            _fail(f"{path}.range", f"needs at least 2 labels, got {len(labels)}")
-        if len(set(labels)) != len(labels):
-            _fail(f"{path}.range", "labels are not distinct")
-        if name in sizes:
-            _fail(f"{path}.name", f"duplicate rv name {name!r}")
-        sizes[name] = len(labels)
-        rvs.append(RandomVariable(name, labels))
+        labels = tuple(_expect_str(lbl, f"{path}.range[{j}]") for j, lbl in enumerate(range_raw))
+        rv = _build(path, RandomVariable, name, labels)
+        sizes.setdefault(name, rv.size)
+        rvs.append(rv)
 
     factors: list[Factor] = []
-    seen: set[str] = set()
     for i, entry in enumerate(factors_raw):
         path = f"factors[{i}]"
         _expect(entry, dict, path, "an object")
         name = _expect_str(entry.get("name"), f"{path}.name")
-        if name in seen:
-            _fail(f"{path}.name", f"duplicate factor name {name!r}")
-        seen.add(name)
         args_raw = _expect(entry.get("args"), list, f"{path}.args", "an array")
-        args = tuple(
-            _expect_str(a, f"{path}.args[{j}]") for j, a in enumerate(args_raw)
-        )
+        args = tuple(_expect_str(a, f"{path}.args[{j}]") for j, a in enumerate(args_raw))
         if not args:
             _fail(f"{path}.args", "factor needs at least one argument")
         shape = []
@@ -107,8 +113,6 @@ def load_fg(data: bytes | str) -> FactorGraph:
             if a not in sizes:
                 _fail(f"{path}.args[{j}]", f"undeclared rv {a!r}")
             shape.append(sizes[a])
-        if len(set(args)) != len(args):
-            _fail(f"{path}.args", "argument RVs are not distinct")
         table_raw = _expect(entry.get("table"), list, f"{path}.table", "an array")
         expected_len = math.prod(shape)
         if len(table_raw) != expected_len:
@@ -121,17 +125,14 @@ def load_fg(data: bytes | str) -> FactorGraph:
         for j, v in enumerate(table_raw):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 _fail(f"{path}.table[{j}]", "expected a number")
-            v = float(v)
-            if not math.isfinite(v) or v <= 0.0:
-                _fail(f"{path}.table[{j}]", f"potential must be positive and finite, got {v}")
-            values.append(v)
+            try:
+                values.append(float(v))
+            except OverflowError:
+                _fail(f"{path}.table[{j}]", "number outside the float64 range")
         table = np.asarray(values, dtype=np.float64).reshape(shape)
-        factors.append(Factor(name, args, table))
+        factors.append(_build(path, Factor, name, args, table))
 
-    try:
-        return FactorGraph(tuple(rvs), tuple(factors))
-    except LiftcompError as exc:
-        raise ModelFormatError(f"$: {exc}") from None
+    return _build("$", FactorGraph, tuple(rvs), tuple(factors))
 
 
 def save_fg(fg: FactorGraph) -> bytes:
@@ -164,10 +165,7 @@ def load_evidence(data: bytes | str) -> Evidence:
         rv = _expect_str(entry.get("rv"), f"{path}.rv")
         value = _expect_str(entry.get("value"), f"{path}.value")
         pairs.append((rv, value))
-    try:
-        return Evidence(tuple(pairs))
-    except LiftcompError as exc:
-        raise ModelFormatError(f"evidence: {exc}") from None
+    return _build("evidence", Evidence, tuple(pairs))
 
 
 def save_evidence(ev: Evidence) -> bytes:

@@ -9,9 +9,12 @@ into a probability distribution.
 
 Tables are stored as read-only float64 arrays shaped by the argument
 range sizes, C-order, so flat row-major listings have the last argument
-varying fastest. All enumeration-based operations refuse to run once
-the joint state count exceeds a cap (default 2**24 states) because they
-materialize one float per state.
+varying fastest. The constructors of RandomVariable, Factor and
+FactorGraph are the one definition of a valid model; io.load_fg relies
+on them. Every enumeration-based operation goes through joint_table,
+which refuses to run once the joint state count exceeds the cap
+(LIFTCOMP_ENUM_CAP, default 2**24 states) because it materializes one
+float per state.
 
 Instances are immutable after construction and safe to share between
 threads; every operation in this module is a pure function.
@@ -25,7 +28,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -54,24 +57,18 @@ ENUM_CAP_ENV_VAR = "LIFTCOMP_ENUM_CAP"
 Assignment = Mapping[str, str]
 
 
-def resolve_cap(cap: int | None = None) -> int:
-    """Effective enumeration cap: explicit argument, else environment, else default."""
-    if cap is not None:
-        if cap < 1:
-            raise InvariantError(f"enumeration cap must be positive, got {cap}")
-        return cap
+def resolve_cap() -> int:
+    """Effective enumeration cap: the environment variable, else the default."""
     env = os.environ.get(ENUM_CAP_ENV_VAR)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise InvariantError(
-                f"{ENUM_CAP_ENV_VAR} must be an integer, got {env!r}"
-            ) from None
-        if value < 1:
-            raise InvariantError(f"{ENUM_CAP_ENV_VAR} must be positive, got {value}")
-        return value
-    return DEFAULT_ENUM_CAP
+    if env is None:
+        return DEFAULT_ENUM_CAP
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise InvariantError(f"{ENUM_CAP_ENV_VAR} must be a positive integer, got {env!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -222,9 +219,6 @@ class FactorGraph:
     def state_count(self) -> int:
         return math.prod(rv.size for rv in self.rvs)
 
-    def arg_ranges(self, factor: Factor) -> tuple[tuple[str, ...], ...]:
-        return tuple(self.rv(a).range for a in factor.args)
-
 
 @dataclass(frozen=True)
 class Evidence:
@@ -238,10 +232,6 @@ class Evidence:
         names = [rv for rv, _ in items]
         if len(set(names)) != len(names):
             raise InvariantError("evidence assigns some rv twice")
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, str]) -> "Evidence":
-        return cls(tuple(mapping.items()))
 
     def as_dict(self) -> dict[str, str]:
         return dict(self.items)
@@ -273,7 +263,7 @@ def eval_joint(fg: FactorGraph, a: Assignment) -> float:
     return value
 
 
-def joint_table(fg: FactorGraph, cap: int | None = None) -> np.ndarray:
+def joint_table(fg: FactorGraph) -> np.ndarray:
     """Dense joint-potential array, one axis per RV in declaration order.
 
     Built as a prefix product: the product of the factors seen so far,
@@ -286,10 +276,11 @@ def joint_table(fg: FactorGraph, cap: int | None = None) -> np.ndarray:
     of two or more labels, so those steps write at most twice the
     output's states in all, and peak memory, the output plus the previous
     prefix, is at most 1.5x the output (8 bytes per state). Refuses to
-    allocate anything past the enumeration cap.
+    allocate anything past the enumeration cap (resolve_cap), and is the
+    only place that cap is checked.
     """
     n_states = fg.state_count()
-    limit = resolve_cap(cap)
+    limit = resolve_cap()
     if n_states > limit:
         raise EnumerationCapError(
             f"joint state count {n_states} exceeds enumeration cap {limit}"

@@ -119,6 +119,22 @@ def free_star(k: int, depth: int, eps: float = 0.1) -> FactorGraph:
         seed += 1
 
 
+def _one_table(entries: str) -> str:
+    return (
+        '{"rvs": [{"name": "X", "range": ["a", "b"]}], '
+        '"factors": [{"name": "f", "args": ["X"], "table": [' + entries + "]}]}"
+    )
+
+
+# model files that float() and json.loads reject with OverflowError,
+# ValueError and RecursionError, each with a pattern its ModelFormatError matches
+UNPARSEABLE_MODELS = {
+    "past-float64": (_one_table("1, 1" + "9" * 400), r"^factors\[0\]\.table\[1\]: "),
+    "past-digit-limit": (_one_table("1, " + "1" * 5000), "^model: invalid JSON"),
+    "nested-100000": ("[" * 100_000 + "]" * 100_000, "^model: invalid JSON"),
+}
+
+
 @pytest.fixture
 def sales():
     return sales_model()

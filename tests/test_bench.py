@@ -156,9 +156,10 @@ class TestRunExperiment:
         rec = run_experiment(cfg, n_queries=1, skip_exact=True)
         assert rec.d_exact is None
 
-    def test_state_cap_skips_exact(self):
+    def test_state_cap_skips_exact(self, monkeypatch):
+        monkeypatch.setenv("LIFTCOMP_ENUM_CAP", "4")
         cfg = GenConfig(k=2, x=0.5, eps=0.1, seed=17)
-        rec = run_experiment(cfg, n_queries=1, cap=4)
+        rec = run_experiment(cfg, n_queries=1)
         assert rec.d_exact is None
 
     def test_bound_counts_modified_factors(self):

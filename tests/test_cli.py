@@ -16,7 +16,7 @@ import liftcomp
 from liftcomp import CSV_COLUMNS, fg_equal, load_fg, save_fg
 from liftcomp.cli import main
 
-from conftest import sales_model, star_model
+from conftest import UNPARSEABLE_MODELS, sales_model, star_model
 
 
 @pytest.fixture
@@ -222,6 +222,33 @@ class TestBound:
         assert code == 2
         assert "--m" in err
 
+    def test_above_cap_skips_distance(self, capsys, tmp_path, sales_path, monkeypatch):
+        out_dir = tmp_path / "cmp"
+        run_cli(capsys, "compress", "--model", str(sales_path), "--eps", "0.1",
+                "--out", str(out_dir))
+        monkeypatch.setenv("LIFTCOMP_ENUM_CAP", "4")
+        code, out, err = run_cli(
+            capsys, "bound", "--eps", "0.1", "--model", str(sales_path),
+            "--compressed", str(out_dir / "m_prime.json"),
+        )
+        assert code == 0
+        assert "skipping d_exact" in err
+        payload = json.loads(out)
+        assert payload["m"] == 2
+        assert payload["distance"] is None
+
+    def test_models_over_different_rvs_exit_2(self, capsys, tmp_path, sales_path, monkeypatch):
+        other = tmp_path / "other.json"
+        other.write_bytes(save_fg(star_model(2, 2)))
+        monkeypatch.setenv("LIFTCOMP_ENUM_CAP", "4")
+        code, out, err = run_cli(
+            capsys, "bound", "--m", "1", "--eps", "0.1", "--model", str(sales_path),
+            "--compressed", str(other),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "different random variables" in err
+
     def test_m_zero_degenerate(self, capsys, sales_path, tmp_path):
         other = tmp_path / "same.json"
         other.write_bytes(sales_path.read_bytes())
@@ -284,6 +311,15 @@ class TestInspect:
         assert payload["factors"][0] == {
             "name": "phi1", "args": ["SalA", "Rev"], "shape": [2, 2],
         }
+
+    @pytest.mark.parametrize("name", sorted(UNPARSEABLE_MODELS))
+    def test_unparseable_model_exit_1(self, capsys, tmp_path, name):
+        path = tmp_path / "bad.json"
+        path.write_text(UNPARSEABLE_MODELS[name][0])
+        code, out, err = run_cli(capsys, "inspect", "--model", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_env_cap_reported(self, capsys, sales_path, monkeypatch):
         monkeypatch.setenv("LIFTCOMP_ENUM_CAP", "4096")

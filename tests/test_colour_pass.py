@@ -24,8 +24,8 @@ from liftcomp.acp import (
 from liftcomp.equivalence import (
     aligned_args,
     aligned_table,
+    commutative_blocks,
     identity_alignment,
-    table_commutative_blocks,
 )
 from liftcomp.grouping import GroupMember, Grouping
 
@@ -54,12 +54,12 @@ def reference_colour_pass(fg, initial_factor_colours, evidence, alignments, eps)
         if colour in blocks_by_colour:
             continue
         perm = aligns[f.name]
-        spec = table_commutative_blocks(
-            f.name, aligned_table(f.table, perm), eps,
+        blocks = commutative_blocks(
+            aligned_table(f.table, perm), eps,
             tuple(fg.rv(a).range for a in aligned_args(f.args, perm)),
         )
-        blocks_by_colour[colour] = spec.blocks
-        counted_by_colour[colour] = {p for b in spec.blocks if len(b) >= 2 for p in b}
+        blocks_by_colour[colour] = blocks
+        counted_by_colour[colour] = {p for b in blocks if len(b) >= 2 for p in b}
 
     frame_args = {f.name: aligned_args(f.args, aligns[f.name]) for f in fg.factors}
     rv_order = [rv.name for rv in fg.rvs]
@@ -177,11 +177,11 @@ class TestAgainstReference:
 def _record_detections(monkeypatch):
     keys = []
 
-    def recording(name, table, eps, ranges=None):
+    def recording(table, eps, ranges):
         keys.append((table.shape, table.tobytes(), ranges))
-        return table_commutative_blocks(name, table, eps, ranges)
+        return commutative_blocks(table, eps, ranges)
 
-    monkeypatch.setattr(acp, "table_commutative_blocks", recording)
+    monkeypatch.setattr(acp, "commutative_blocks", recording)
     return keys
 
 

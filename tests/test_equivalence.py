@@ -284,38 +284,34 @@ class TestFactorEquivalence:
             eps_equiv_factors(f1, f2, 0.1)
 
 
+BINARY = ("a", "b")
+
+
 class TestCommutativeBlocks:
     def test_symmetric_pair_detected(self, counting):
         f = counting.factor("phi1")
-        spec = commutative_blocks(f, 0.0, counting.arg_ranges(f))
-        assert spec.blocks == ((0,), (1, 2))
+        ranges = tuple(counting.rv(a).range for a in f.args)
+        assert commutative_blocks(f.table, 0.0, ranges) == ((0,), (1, 2))
 
     def test_asymmetric_table_all_singletons(self):
         rng = np.random.default_rng(27)
-        f = Factor("f", ("X", "Y"), rng.uniform(0.1, 1.0, size=(2, 2)))
-        spec = commutative_blocks(f, 0.0)
-        assert spec.blocks == ((0,), (1,))
+        t = rng.uniform(0.1, 1.0, size=(2, 2))
+        assert commutative_blocks(t, 0.0, (BINARY, BINARY)) == ((0,), (1,))
 
     def test_range_labels_block_mixing(self):
         # symmetric values, but the two positions range over different labels
         t = np.array([[1.0, 2.0], [2.0, 1.0]])
-        f = Factor("f", ("X", "Y"), t)
-        spec = commutative_blocks(f, 0.0, (("a", "b"), ("c", "d")))
-        assert spec.blocks == ((0,), (1,))
-        spec2 = commutative_blocks(f, 0.0, (("a", "b"), ("a", "b")))
-        assert spec2.blocks == ((0, 1),)
+        assert commutative_blocks(t, 0.0, (("a", "b"), ("c", "d"))) == ((0,), (1,))
+        assert commutative_blocks(t, 0.0, (("a", "b"), ("a", "b"))) == ((0, 1),)
 
     def test_tolerant_swap(self):
         # near-symmetric: off-diagonal entries differ by 5 percent
         t = np.array([[1.0, 2.0], [2.1, 1.0]])
-        f = Factor("f", ("X", "Y"), t)
-        assert commutative_blocks(f, 0.0).blocks == ((0,), (1,))
-        assert commutative_blocks(f, 0.1).blocks == ((0, 1),)
+        assert commutative_blocks(t, 0.0, (BINARY, BINARY)) == ((0,), (1,))
+        assert commutative_blocks(t, 0.1, (BINARY, BINARY)) == ((0, 1),)
 
     def test_fully_symmetric_three(self):
         t = np.zeros((2, 2, 2))
         for idx in np.ndindex(2, 2, 2):
             t[idx] = 1.0 + sum(idx)
-        f = Factor("f", ("X", "Y", "Z"), t)
-        spec = commutative_blocks(f, 0.0)
-        assert spec.blocks == ((0, 1, 2),)
+        assert commutative_blocks(t, 0.0, (BINARY,) * 3) == ((0, 1, 2),)

@@ -74,9 +74,10 @@ class TestEnumerate:
         assert res["high"] == pytest.approx(0.6097560975609756, abs=1e-15)
         assert res.method == "enumerate"
 
-    def test_cap_respected(self, sales):
+    def test_cap_respected(self, sales, monkeypatch):
+        monkeypatch.setenv("LIFTCOMP_ENUM_CAP", "4")
         with pytest.raises(EnumerationCapError):
-            query_enumerate(sales, Query("SalA"), cap=4)
+            query_enumerate(sales, Query("SalA"))
 
 
 class TestVariableElimination:

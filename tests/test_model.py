@@ -35,7 +35,7 @@ from liftcomp import (
 )
 from liftcomp.model import all_assignments, eval_joint
 
-from conftest import free_star, random_model, sales_model
+from conftest import UNPARSEABLE_MODELS, free_star, random_model, sales_model
 
 
 class TestRandomVariable:
@@ -256,11 +256,12 @@ class TestJointEvaluation:
 
 
 class TestEnumerationCap:
-    def test_cap_raises(self, sales):
+    def test_cap_raises(self, sales, monkeypatch):
+        monkeypatch.setenv("LIFTCOMP_ENUM_CAP", "4")
         with pytest.raises(EnumerationCapError):
-            joint_table(sales, cap=4)
+            joint_table(sales)
 
-    def test_cap_checked_before_any_allocation(self):
+    def test_cap_checked_before_any_allocation(self, monkeypatch):
         # 2^22 states against a 2^20 cap: building any prefix past the cap
         # first would trace megabytes
         rvs = tuple(RandomVariable(f"V{i}", ("a", "b")) for i in range(22))
@@ -268,10 +269,11 @@ class TestEnumerationCap:
             Factor(f"f{i}", (f"V{i}", f"V{i + 1}"), np.full((2, 2), 0.5)) for i in range(21)
         )
         fg = FactorGraph(rvs, factors)
+        monkeypatch.setenv("LIFTCOMP_ENUM_CAP", str(2**20))
         tracemalloc.start()
         try:
             with pytest.raises(EnumerationCapError):
-                joint_table(fg, cap=2**20)
+                joint_table(fg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -279,16 +281,12 @@ class TestEnumerationCap:
 
     def test_cap_env_override(self, sales, monkeypatch):
         monkeypatch.setenv("LIFTCOMP_ENUM_CAP", "4")
-        assert resolve_cap(None) == 4
+        assert resolve_cap() == 4
         with pytest.raises(EnumerationCapError):
             joint_table(sales)
 
-    def test_cap_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("LIFTCOMP_ENUM_CAP", "4")
-        assert resolve_cap(100) == 100
-
     def test_default_cap(self):
-        assert resolve_cap(None) == DEFAULT_ENUM_CAP
+        assert resolve_cap() == DEFAULT_ENUM_CAP
 
 
 class TestEvidence:
@@ -341,6 +339,10 @@ class TestFgEqual:
         assert not fg_equal(sales, other2)
 
 
+_X = {"name": "X", "range": ["a", "b"]}
+_F = {"name": "f", "args": ["X"], "table": [1.0, 2.0]}
+
+
 class TestIo:
     def test_round_trip(self, sales):
         data = save_fg(sales)
@@ -384,6 +386,37 @@ class TestIo:
         }
         with pytest.raises(ModelFormatError):
             load_fg(json.dumps(doc))
+
+    @pytest.mark.parametrize("name", sorted(UNPARSEABLE_MODELS))
+    def test_unparseable_numbers_and_nesting(self, name):
+        data, message = UNPARSEABLE_MODELS[name]
+        with pytest.raises(ModelFormatError, match=message):
+            load_fg(data)
+
+    # the model's own checks, reported at the entry that breaks them
+    @pytest.mark.parametrize(
+        "rvs, factors, path",
+        [
+            pytest.param([{"name": "X", "range": ["a"]}], [], r"rvs\[0\]", id="one-label-range"),
+            pytest.param(
+                [{"name": "X", "range": ["a", "a"]}], [], r"rvs\[0\]", id="repeated-labels"
+            ),
+            pytest.param([_X, _X], [_F], r"\$", id="duplicate-rv"),
+            pytest.param([_X], [_F, _F], r"\$", id="duplicate-factor"),
+            pytest.param(
+                [_X],
+                [{"name": "f", "args": ["X", "X"], "table": [1.0] * 4}],
+                r"factors\[0\]",
+                id="repeated-arguments",
+            ),
+            pytest.param(
+                [_X], [{**_F, "table": [float("nan"), 1.0]}], r"factors\[0\]", id="nan-entry"
+            ),
+        ],
+    )
+    def test_model_checks_at_entry_path(self, rvs, factors, path):
+        with pytest.raises(ModelFormatError, match=f"^{path}: "):
+            load_fg(json.dumps({"rvs": rvs, "factors": factors}))
 
     def test_save_preserves_exact_floats(self):
         # repr round-trip: every float comes back bit-identical

@@ -1,4 +1,4 @@
-"""The benchmark harness still finds every liftcomp name it traces."""
+"""The benchmark harness still finds every liftcomp name it traces, and runs a pass."""
 
 from __future__ import annotations
 
@@ -7,10 +7,14 @@ import os
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_harness_installs_and_restores(monkeypatch):
+@pytest.fixture
+def run(monkeypatch):
+    """perfbench/run.py as a module."""
     # importing run pins OMP/OPENBLAS/MKL_NUM_THREADS to 1 in os.environ;
     # numpy is already loaded here, and monkeypatch puts the old values back
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -19,13 +23,19 @@ def test_harness_installs_and_restores(monkeypatch):
         else:
             monkeypatch.delenv(var, raising=False)
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    run = importlib.import_module("run")
-    spans = importlib.import_module("spans")
+    return importlib.import_module("run")
 
+
+def _liftcomp(run) -> SimpleNamespace:
     # the modules already imported here; run.import_liftcomp would re-import them
-    lc = SimpleNamespace(
+    return SimpleNamespace(
         **{name: importlib.import_module(f"liftcomp.{name}") for name in run.MODULES}
     )
+
+
+def test_harness_installs_and_restores(run):
+    spans = importlib.import_module("spans")
+    lc = _liftcomp(run)
     before = {name: dict(vars(getattr(lc, name))) for name in run.MODULES}
     tracer = spans.Tracer()
     run.install(tracer, lc)  # AttributeError when a traced name is gone
@@ -44,3 +54,18 @@ def test_harness_installs_and_restores(monkeypatch):
         after = vars(getattr(lc, name))
         for attr, obj in before[name].items():
             assert after[attr] is obj, f"liftcomp.{name}.{attr} not restored"
+
+
+@pytest.mark.parametrize("workload", ["certify", "star-compress"])
+def test_one_untraced_pass(run, workload):
+    # what run.main does before measuring, without writing .bench_out/:
+    # a library change that breaks the harness fails here
+    lc = _liftcomp(run)
+    models = run.build_models(lc, workload, 1)
+    for i, model in enumerate(models):
+        model.fg = lc.io.load_fg(model.data)
+        model.queries = run.sample_queries(lc, model, 1, i, workload)
+    bench_run = run.Run(lc, models, workload, run.Speed())
+    bench_run.run_pass()
+    assert bench_run.problems == []
+    assert bench_run.digest()
