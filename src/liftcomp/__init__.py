@@ -52,7 +52,6 @@ from .equivalence import (
     aligned_table,
     commutative_blocks,
     eps_equiv_factors,
-    eps_equiv_potentials,
     unaligned_table,
 )
 from .errors import (
@@ -70,9 +69,8 @@ from .inference import (
     query_enumerate,
     query_lifted_star,
     query_ve,
-    quotient,
 )
-from .io import load_evidence, load_fg, save_evidence, save_fg
+from .io import load_evidence, load_fg, save_fg
 from .model import (
     DEFAULT_ENUM_CAP,
     Evidence,
@@ -104,13 +102,11 @@ __all__ = [
     "load_fg",
     "save_fg",
     "load_evidence",
-    "save_evidence",
     "pfg_to_json",
     "save_pfg",
     # equivalence
     "Alignment",
     "ARITY_CAP",
-    "eps_equiv_potentials",
     "eps_equiv_factors",
     "aligned_table",
     "unaligned_table",
@@ -152,7 +148,6 @@ __all__ = [
     "query_enumerate",
     "query_ve",
     "query_lifted_star",
-    "quotient",
     # bench
     "GenConfig",
     "QueryOutcome",

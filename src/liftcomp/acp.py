@@ -94,7 +94,7 @@ class ColourPassResult:
     blocks: Mapping[BlocksKey, tuple[tuple[int, ...], ...]]
 
 
-def initial_rv_colours(fg: FactorGraph, evidence: Evidence = Evidence()) -> dict[str, int]:
+def initial_rv_colours(fg: FactorGraph, evidence: Evidence) -> dict[str, int]:
     """Colour RVs by (range labels, observed value or unobserved)."""
     evidence.validate_against(fg)
     observed = evidence.as_dict()
@@ -177,16 +177,17 @@ def _frame_blocks(
 def colour_pass(
     fg: FactorGraph,
     initial_factor_colours: Mapping[str, int],
-    evidence: Evidence = Evidence(),
+    evidence: Evidence,
     *,
-    alignments: Mapping[str, Alignment] | None = None,
-    eps: float = 0.0,
+    alignments: Mapping[str, Alignment],
+    eps: float,
 ) -> ColourPassResult:
     """Refine RV and factor colours to the coarsest stable partition.
 
-    initial_factor_colours must cover every factor; alignments default to
-    the identity. eps only affects commutativity detection on the class
-    representatives (position-0 marking), not the refinement itself.
+    initial_factor_colours and alignments must each cover every factor;
+    an alignment views the factor's table in its initial group's frame.
+    eps only affects commutativity detection on the class representatives
+    (position-0 marking), not the refinement itself.
 
     The refinement works on integer slots: RVs and factors are numbered
     in model order, each factor holds the RV numbers of its group-frame
@@ -209,11 +210,7 @@ def colour_pass(
     for fi, f in enumerate(fg.factors):
         if f.name not in initial_factor_colours:
             raise InvariantError(f"no initial colour for factor {f.name!r}")
-        perm = (
-            alignments.get(f.name, identity_alignment(f.arity))
-            if alignments
-            else identity_alignment(f.arity)
-        )
+        perm = alignments[f.name]
         colour = initial_factor_colours[f.name]
         frame_args = aligned_args(f.args, perm)
         if colour not in class_slots:
@@ -357,7 +354,7 @@ def exact_crv_positions(
     rv_classes: Sequence[Sequence[str]],
     eps: float,
     *,
-    known_blocks: Mapping[BlocksKey, tuple[tuple[int, ...], ...]] | None = None,
+    known_blocks: Mapping[BlocksKey, tuple[tuple[int, ...], ...]],
 ) -> dict[int, tuple[int, ...]]:
     """Counting candidates that compact losslessly, per group index.
 
@@ -368,13 +365,13 @@ def exact_crv_positions(
     argument slots hold RVs of one class. One block per group, the
     largest, earliest on ties.
 
-    known_blocks takes the detections of a colour pass at the same eps
-    (ColourPassResult.blocks): a representative whose frame table and
-    range labels are already there is not tested again, and a table the
-    mean update changed has other bytes, so it is.
+    known_blocks holds the detections of a colour pass at the same eps
+    (ColourPassResult.blocks), or is empty: a representative whose frame
+    table and range labels are already there is not tested again, and a
+    table the mean update changed has other bytes, so it is.
     """
     eps = check_epsilon(eps)
-    known = dict(known_blocks or {})
+    known = dict(known_blocks)
     class_of: dict[str, int] = {}
     for ci, members in enumerate(rv_classes):
         for name in members:
@@ -410,13 +407,14 @@ def construct_pfg(
     fg_updated: FactorGraph,
     factor_groups: Grouping,
     rv_classes: Sequence[Sequence[str]],
-    crv_specs: Mapping[int, Sequence[int]] | None = None,
+    crv_specs: Mapping[int, Sequence[int]],
 ) -> ParfactorGraph:
     """One parfactor per group; tables must already be identical within a group.
 
-    crv_specs maps a group index to argument positions to count; the
-    group's table must be exactly invariant under them (see
-    exact_crv_positions), otherwise InvariantError.
+    crv_specs maps a group index to argument positions to count, and a
+    group it does not list is not counted; the group's table must be
+    exactly invariant under them (see exact_crv_positions), otherwise
+    InvariantError.
     """
     classes = tuple(
         RvClass(fg_updated.rv(members[0]), tuple(members)) for members in rv_classes
@@ -447,7 +445,7 @@ def construct_pfg(
                     f"representative {rep.factor!r} after alignment"
                 )
             member_args.append(aligned_args(f.args, member.align))
-        positions = tuple(crv_specs[gi]) if crv_specs and gi in crv_specs else None
+        positions = tuple(crv_specs.get(gi, ()))
         crv = None
         if positions:
             if len(positions) < 2 or len(set(positions)) != len(positions):

@@ -119,7 +119,6 @@ def run_eacp(
     return _compress(fg, eps, evidence, phase1.group_index(), phase1.alignments())
 
 
-def run_acp(fg: FactorGraph, evidence: Evidence = Evidence()) -> CompressionResult:
-    """Exact-equality colour passing; returns fg itself as m_prime."""
-    evidence.validate_against(fg)
-    return _compress(fg, 0.0, evidence, *initial_factor_colours_exact(fg.factors))
+def run_acp(fg: FactorGraph) -> CompressionResult:
+    """Exact-equality colour passing without evidence; returns fg itself as m_prime."""
+    return _compress(fg, 0.0, Evidence(), *initial_factor_colours_exact(fg.factors))

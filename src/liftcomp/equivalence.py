@@ -20,9 +20,8 @@ stack of candidate tables, against a stack of envelopes: a stack row
 holds the entrywise minimum and maximum of one set of tables, and the
 mask decides from those two tables alone, exactly as eps_equiv_arrays
 against every member would (the grouping module docstring gives the
-argument). The scalar and factor forms are views of these:
-eps_equiv_potentials is eps_equiv_arrays on two 0-d values, and
-eps_equiv_factors is band_matches on a one-row BandStack.
+argument). The factor form, eps_equiv_factors, is band_matches on a
+one-row BandStack.
 
 Two factors are eps-equivalent when some permutation of argument
 positions aligns their tables entrywise under that test. band_matches
@@ -64,7 +63,6 @@ __all__ = [
     "aligned_table",
     "unaligned_table",
     "aligned_args",
-    "eps_equiv_potentials",
     "eps_equiv_arrays",
     "eps_equiv_factors",
     "eps_band_mask",
@@ -143,13 +141,6 @@ def _band(eps: float) -> tuple[float, float]:
     """Upper and lower ratio caps (c1, c2) of the entrywise band test."""
     slack = _slack(eps)
     return (1.0 + eps) * (1.0 + slack), (1.0 - eps) * (1.0 - slack)
-
-
-def eps_equiv_potentials(a: float, b: float, eps: float) -> bool:
-    """eps_equiv_arrays on a pair of strictly positive potentials."""
-    if a <= 0.0 or b <= 0.0:
-        raise InvariantError("potentials must be strictly positive")
-    return eps_equiv_arrays(np.float64(a), np.float64(b), eps)
 
 
 def eps_equiv_arrays(x: np.ndarray, y: np.ndarray, eps: float) -> bool:

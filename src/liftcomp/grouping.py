@@ -50,8 +50,9 @@ above ARITY_CAP ever has a join to reuse: band_matches raises as soon as
 a group of its arity exists, so such a table can only open a group.
 
 mean_of_tables is the update step: the entrywise arithmetic mean of the
-aligned tables. A group of bit-identical tables is returned unchanged
-(float addition of k copies then division by k is not always exact, and
+aligned tables, stacked along the first axis of one array. A stack of
+bit-identical tables gives its first table back unchanged (float
+addition of k copies then division by k is not always exact, and
 identity groups must stay bit-exact).
 """
 
@@ -211,22 +212,11 @@ def phase1_group(factors: Sequence[Factor], eps: float) -> Grouping:
     return Grouping(tuple(tuple(g.members) for g in groups))
 
 
-def mean_of_tables(tables: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Entrywise arithmetic mean; bit-exact passthrough for identical tables.
-
-    tables is a sequence of equal-shape tables, or one array stacking them
-    along its first axis, which is used as it is.
-    """
-    if len(tables) == 0:
+def mean_of_tables(stack: np.ndarray) -> np.ndarray:
+    """Entrywise arithmetic mean over the first axis; bit-exact for identical tables."""
+    if len(stack) == 0:
         raise InvariantError("mean of an empty group")
-    first = tables[0]
-    if not isinstance(tables, np.ndarray):
-        for t in tables[1:]:
-            if t.shape != first.shape:
-                raise InvariantError(
-                    f"shape mismatch in group mean: {t.shape} vs {first.shape}"
-                )
-        tables = np.stack(tables)
-    if (tables == first).all():
+    first = stack[0]
+    if (stack == first).all():
         return first
-    return tables.mean(axis=0)
+    return stack.mean(axis=0)

@@ -30,7 +30,6 @@ __all__ = [
     "query_enumerate",
     "query_ve",
     "query_lifted_star",
-    "quotient",
 ]
 
 
@@ -214,10 +213,8 @@ def _eliminate(
     return table, ops
 
 
-def query_ve(
-    fg: FactorGraph, q: Query, order: list[str] | None = None
-) -> QueryResult:
-    """Variable elimination; default order is greedy min-degree, ties by name."""
+def query_ve(fg: FactorGraph, q: Query) -> QueryResult:
+    """Variable elimination in greedy min-degree order, ties by name."""
     _validate_query(fg, q)
     observed = q.evidence.as_dict()
     sizes = {rv.name: rv.size for rv in fg.rvs}
@@ -225,13 +222,7 @@ def query_ve(
     eliminable = {
         rv.name for rv in fg.rvs if rv.name != q.target and rv.name not in observed
     }
-    if order is None:
-        order = _min_degree_order([args for args, _ in items], eliminable)
-    else:
-        if sorted(order) != sorted(eliminable):
-            raise InvariantError(
-                "elimination order must cover exactly the unobserved non-target rvs"
-            )
+    order = _min_degree_order([args for args, _ in items], eliminable)
     vector, ops = _eliminate(items, order, sizes, q.target)
     return _normalise(vector, fg.rv(q.target).range, "ve", ops)
 
@@ -341,12 +332,3 @@ def query_lifted_star(pfg: ParfactorGraph, hub: str, q: Query) -> QueryResult:
         belief *= vector ** len(group)
         ops += len(hub_labels)
     return _normalise(belief, hub_labels, "lifted-star", ops)
-
-
-def quotient(q: Query, m: FactorGraph, m_prime: FactorGraph) -> float:
-    """P'(target=value | evidence) / P(target=value | evidence), both via VE."""
-    if q.value is None:
-        raise InvariantError("quotient needs a concrete query value")
-    p = query_ve(m, q).distribution[q.value]
-    p_prime = query_ve(m_prime, q).distribution[q.value]
-    return p_prime / p

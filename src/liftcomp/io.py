@@ -1,4 +1,4 @@
-"""JSON serialization for models and evidence.
+"""JSON serialization for models, and parsing of evidence files.
 
 Model files look like
 
@@ -14,11 +14,13 @@ load(save(fg)) reproduces every table bit-exactly.
 
 Malformed input raises ModelFormatError with a JSON-path-style pointer
 to the offending field. The loaders check JSON syntax, shape and types,
-and load_fg what it needs to build each table: declared arguments,
-table length, numbers within float64. Model validity (range sizes,
-distinct labels and arguments, unique names, positive finite entries)
-is the model constructors' rule; _build reports their InvariantError at
-rvs[i] or factors[i], or at $ for rules spanning entries.
+and load_fg what it needs to build each table: one declaration per RV
+name (a repeat is reported at $ before any table is sized), declared
+arguments, table length, numbers within float64. Model validity (range
+sizes, distinct labels, at least one and distinct arguments, unique
+factor names, positive finite entries) is the model constructors' rule;
+_build reports their InvariantError at rvs[i] or factors[i], or at $
+for rules spanning entries.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from .errors import InvariantError, ModelFormatError
 from .model import Evidence, Factor, FactorGraph, RandomVariable
 
-__all__ = ["load_fg", "save_fg", "load_evidence", "save_evidence"]
+__all__ = ["load_fg", "save_fg", "load_evidence"]
 
 T = TypeVar("T")
 
@@ -96,7 +98,9 @@ def load_fg(data: bytes | str) -> FactorGraph:
         range_raw = _expect(entry.get("range"), list, f"{path}.range", "an array")
         labels = tuple(_expect_str(lbl, f"{path}.range[{j}]") for j, lbl in enumerate(range_raw))
         rv = _build(path, RandomVariable, name, labels)
-        sizes.setdefault(name, rv.size)
+        if name in sizes:
+            _fail("$", f"duplicate rv name {name!r}")
+        sizes[name] = rv.size
         rvs.append(rv)
 
     factors: list[Factor] = []
@@ -106,8 +110,6 @@ def load_fg(data: bytes | str) -> FactorGraph:
         name = _expect_str(entry.get("name"), f"{path}.name")
         args_raw = _expect(entry.get("args"), list, f"{path}.args", "an array")
         args = tuple(_expect_str(a, f"{path}.args[{j}]") for j, a in enumerate(args_raw))
-        if not args:
-            _fail(f"{path}.args", "factor needs at least one argument")
         shape = []
         for j, a in enumerate(args):
             if a not in sizes:
@@ -166,8 +168,3 @@ def load_evidence(data: bytes | str) -> Evidence:
         value = _expect_str(entry.get("value"), f"{path}.value")
         pairs.append((rv, value))
     return _build("evidence", Evidence, tuple(pairs))
-
-
-def save_evidence(ev: Evidence) -> bytes:
-    doc = {"evidence": [{"rv": rv, "value": value} for rv, value in ev.items]}
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")

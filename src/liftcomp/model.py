@@ -1,11 +1,11 @@
 """Factor-graph data model and exact joint-potential arithmetic.
 
 A factor graph here is a bipartite structure of named random variables
-(each with an ordered range of value labels) and named factors (each an
-ordered argument list plus a dense table of strictly positive reals).
-The joint potential of a full assignment is the product of the factor
-entries it selects; normalizing by the partition function turns that
-into a probability distribution.
+(each with an ordered range of value labels) and named factors (each a
+non-empty ordered argument list plus a dense table of strictly positive
+reals). The joint potential of a full assignment is the product of the
+factor entries it selects; normalizing by the partition function turns
+that into a probability distribution.
 
 Tables are stored as read-only float64 arrays shaped by the argument
 range sizes, C-order, so flat row-major listings have the last argument
@@ -28,7 +28,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -37,24 +37,18 @@ from .errors import EnumerationCapError, InvariantError
 __all__ = [
     "DEFAULT_ENUM_CAP",
     "ENUM_CAP_ENV_VAR",
-    "Assignment",
     "RandomVariable",
     "Factor",
     "FactorGraph",
     "Evidence",
     "resolve_cap",
-    "eval_joint",
     "joint_table",
-    "all_assignments",
     "fg_equal",
     "replace_tables",
 ]
 
 DEFAULT_ENUM_CAP = 2**24
 ENUM_CAP_ENV_VAR = "LIFTCOMP_ENUM_CAP"
-
-# An assignment maps RV names to range labels.
-Assignment = Mapping[str, str]
 
 
 def resolve_cap() -> int:
@@ -107,7 +101,7 @@ class RandomVariable:
 
 @dataclass(frozen=True, eq=False)
 class Factor:
-    """Named factor: ordered argument RVs plus a dense positive table.
+    """Named factor: one or more distinct argument RVs plus a dense positive table.
 
     The table must arrive shaped (one axis per argument, last axis fastest
     in the flat row-major reading). Entries are strictly positive finite
@@ -122,6 +116,8 @@ class Factor:
         object.__setattr__(self, "args", tuple(self.args))
         if not self.name:
             raise InvariantError("factor name must be non-empty")
+        if not self.args:
+            raise InvariantError(f"factor {self.name!r}: needs at least one argument")
         if len(set(self.args)) != len(self.args):
             raise InvariantError(f"factor {self.name!r}: argument RVs are not distinct")
         # a copy: the caller's array stays writeable, and writing to it
@@ -245,24 +241,6 @@ class Evidence:
             fg.rv(rv_name).index_of(label)
 
 
-def _assignment_indices(fg: FactorGraph, a: Assignment) -> dict[str, int]:
-    indices: dict[str, int] = {}
-    for rv in fg.rvs:
-        if rv.name not in a:
-            raise InvariantError(f"assignment is missing rv {rv.name!r}")
-        indices[rv.name] = rv.index_of(a[rv.name])
-    return indices
-
-
-def eval_joint(fg: FactorGraph, a: Assignment) -> float:
-    """Joint potential of a full assignment: the product of selected entries."""
-    indices = _assignment_indices(fg, a)
-    value = 1.0
-    for f in fg.factors:
-        value *= float(f.table[tuple(indices[arg] for arg in f.args)])
-    return value
-
-
 def joint_table(fg: FactorGraph) -> np.ndarray:
     """Dense joint-potential array, one axis per RV in declaration order.
 
@@ -349,13 +327,6 @@ def _multiply_factor(
     for idx in itertools.product(*map(range, table.shape)):
         src_idx = tuple(idx[j] for j in seen)
         np.multiply(src[src_idx + (...,)], table[idx], out=dst[idx + (...,)])
-
-
-def all_assignments(fg: FactorGraph) -> Iterator[dict[str, str]]:
-    """Iterate every full assignment in row-major order (last RV fastest)."""
-    names = [rv.name for rv in fg.rvs]
-    for idx in np.ndindex(*fg.shape):
-        yield {name: fg.rvs[i].range[idx[i]] for i, name in enumerate(names)}
 
 
 def fg_equal(a: FactorGraph, b: FactorGraph) -> bool:

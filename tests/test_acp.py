@@ -71,7 +71,7 @@ def three_label_counting_model(rng):
 
 class TestInitialColours:
     def test_rv_colours_by_range_and_observation(self, sales):
-        cols = initial_rv_colours(sales)
+        cols = initial_rv_colours(sales, Evidence())
         assert cols["SalA"] == cols["SalB"] == cols["Rev"]
         with_ev = initial_rv_colours(sales, Evidence((("Rev", "high"),)))
         assert with_ev["SalA"] == with_ev["SalB"] != with_ev["Rev"]
@@ -91,7 +91,7 @@ class TestInitialColours:
             Factor("f", ("X",), np.ones(2)),
             Factor("g", ("Y",), np.ones(3)),
         )
-        cols = initial_rv_colours(FactorGraph(rvs, fs))
+        cols = initial_rv_colours(FactorGraph(rvs, fs), Evidence())
         assert cols["X"] != cols["Y"]
 
     def test_exact_factor_seeding(self, sales):
@@ -116,7 +116,7 @@ class TestInitialColours:
 class TestColourPass:
     def test_sales_pair_with_injected_groups(self, sales):
         ph = phase1_group(sales.factors, 0.1)
-        res = colour_pass(sales, ph.group_index(), alignments=ph.alignments(), eps=0.1)
+        res = colour_pass(sales, ph.group_index(), Evidence(), alignments=ph.alignments(), eps=0.1)
         assert group_names(res.grouping) == [["phi1", "phi2"]]
         assert res.rv_classes == (("SalA", "SalB"), ("Rev",))
 
@@ -146,12 +146,13 @@ class TestColourPass:
         fg = FactorGraph(rvs, fs)
         ph = phase1_group(fg.factors, 0.0)
         assert group_names(ph) == [["att1", "att2"], ["deep1"]]
-        res = colour_pass(fg, ph.group_index(), alignments=ph.alignments())
+        res = colour_pass(fg, ph.group_index(), Evidence(), alignments=ph.alignments(), eps=0.0)
         assert group_names(res.grouping) == [["att1"], ["att2"], ["deep1"]]
 
     def test_missing_colour_rejected(self, sales):
+        aligns = {"phi1": (0, 1), "phi2": (0, 1)}
         with pytest.raises(InvariantError):
-            colour_pass(sales, {"phi1": 0})
+            colour_pass(sales, {"phi1": 0}, Evidence(), alignments=aligns, eps=0.0)
 
     def test_refines_initial_groups(self):
         # final groups only split initial ones, never merge across them
@@ -159,7 +160,9 @@ class TestColourPass:
         for _ in range(30):
             fg = random_model(rng, max_rvs=6, max_factors=6)
             ph = phase1_group(fg.factors, 0.05)
-            res = colour_pass(fg, ph.group_index(), alignments=ph.alignments(), eps=0.05)
+            res = colour_pass(
+                fg, ph.group_index(), Evidence(), alignments=ph.alignments(), eps=0.05
+            )
             initial = ph.group_index()
             for group in res.grouping.groups:
                 assert len({initial[m.factor] for m in group}) == 1
@@ -169,7 +172,7 @@ class TestColourPass:
         for _ in range(20):
             fg = random_model(rng, max_rvs=7, max_factors=7)
             cols, aligns = initial_factor_colours_exact(fg.factors)
-            res = colour_pass(fg, cols, alignments=aligns)
+            res = colour_pass(fg, cols, Evidence(), alignments=aligns, eps=0.0)
             assert res.state.iteration <= len(fg.rvs) + len(fg.factors) + 2
 
 
@@ -210,8 +213,8 @@ class TestCounting:
         t = np.array([1.0, 2.0, 2.02, 3.0, 4.0, 5.0, 5.05, 6.0]).reshape(2, 2, 2)
         fg = FactorGraph(rvs, (Factor("phi1", ("Rev", "ComA", "ComB"), t),))
         ph = phase1_group(fg.factors, 0.1)
-        res = colour_pass(fg, ph.group_index(), alignments=ph.alignments(), eps=0.1)
-        crv = exact_crv_positions(fg, res.grouping, res.rv_classes, 0.1)
+        res = colour_pass(fg, ph.group_index(), Evidence(), alignments=ph.alignments(), eps=0.1)
+        crv = exact_crv_positions(fg, res.grouping, res.rv_classes, 0.1, known_blocks={})
         assert crv == {}
 
     def test_histogram_axis_is_last(self, counting):
@@ -249,14 +252,14 @@ class TestConstructPfg:
             ((GroupMember("phi1", (0, 1)), GroupMember("phi2", (0, 1))),)
         )
         with pytest.raises(InvariantError, match="differs from"):
-            construct_pfg(sales, grouping, (("SalA", "SalB"), ("Rev",)))
+            construct_pfg(sales, grouping, (("SalA", "SalB"), ("Rev",)), {})
 
     def test_rejects_partial_rv_classes(self, sales):
         grouping = Grouping(
             ((GroupMember("phi1", (0, 1)),), (GroupMember("phi2", (0, 1)),))
         )
         with pytest.raises(InvariantError, match="partition"):
-            construct_pfg(sales, grouping, (("SalA",), ("Rev",)))
+            construct_pfg(sales, grouping, (("SalA",), ("Rev",)), {})
 
     def test_rejects_mixed_range_class(self):
         rvs = (
@@ -269,7 +272,7 @@ class TestConstructPfg:
             ((GroupMember("f", (0,)),), (GroupMember("g", (0,)),))
         )
         with pytest.raises(InvariantError, match="mixes ranges"):
-            construct_pfg(fg, grouping, (("X", "Y"),))
+            construct_pfg(fg, grouping, (("X", "Y"),), {})
 
     def test_rejects_counting_a_non_invariant_table(self):
         # [[1, 2], [3, 4]] is not symmetric: the histogram cell {a, b}

@@ -14,13 +14,13 @@ from liftcomp import (
     bound_set,
     bound_tight,
     distance_exact,
+    joint_table,
     odds_envelope,
     prob_envelope,
     replace_tables,
     run_eacp,
     worst_case_fg,
 )
-from liftcomp.model import eval_joint
 
 from conftest import random_model, sales_model
 
@@ -189,8 +189,13 @@ class TestDistanceExact:
     def test_witness_assignments_attain_extremes(self, sales):
         res = run_eacp(sales, 0.1)
         rep = distance_exact(sales, res.m_prime)
-        hi = eval_joint(res.m_prime, rep.argmax_assignment) / eval_joint(sales, rep.argmax_assignment)
-        lo = eval_joint(res.m_prime, rep.argmin_assignment) / eval_joint(sales, rep.argmin_assignment)
+        joint, joint_prime = joint_table(sales), joint_table(res.m_prime)
+
+        def ratio(a):
+            cell = tuple(rv.index_of(a[rv.name]) for rv in sales.rvs)
+            return joint_prime[cell] / joint[cell]
+
+        hi, lo = ratio(rep.argmax_assignment), ratio(rep.argmin_assignment)
         assert hi == pytest.approx(rep.max_ratio, rel=1e-12)
         assert lo == pytest.approx(rep.min_ratio, rel=1e-12)
         assert rep.d_exact == pytest.approx(math.log(hi) - math.log(lo), rel=1e-12)

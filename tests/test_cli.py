@@ -67,10 +67,8 @@ class TestCompress:
         assert fg_equal(sales, m_prime)
 
     def test_evidence_file(self, capsys, tmp_path, sales_path):
-        from liftcomp import Evidence, save_evidence
-
         ev_path = tmp_path / "ev.json"
-        ev_path.write_bytes(save_evidence(Evidence((("SalA", "high"),))))
+        ev_path.write_bytes(json.dumps({"evidence": [{"rv": "SalA", "value": "high"}]}).encode())
         code, out, _ = run_cli(
             capsys, "compress", "--model", str(sales_path), "--eps", "0.1",
             "--evidence", str(ev_path), "--out", str(tmp_path / "ev_out"),
@@ -320,6 +318,17 @@ class TestInspect:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_factor_without_arguments_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "constant.json"
+        path.write_text(json.dumps({
+            "rvs": [{"name": "X", "range": ["a", "b"]}],
+            "factors": [{"name": "c", "args": [], "table": [2.0]}],
+        }))
+        code, out, err = run_cli(capsys, "inspect", "--model", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "factors[0]" in err and err.count("\n") == 1
 
     def test_env_cap_reported(self, capsys, sales_path, monkeypatch):
         monkeypatch.setenv("LIFTCOMP_ENUM_CAP", "4096")

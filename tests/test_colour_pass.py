@@ -220,7 +220,9 @@ class TestCommutativeHandOff:
             fg, evidence = generated_model(seed)
             for eps in (0.0, 0.1):
                 comp = run_eacp(fg, eps, evidence)
-                fresh = exact_crv_positions(comp.m_prime, comp.grouping, comp.rv_classes, eps)
+                fresh = exact_crv_positions(
+                    comp.m_prime, comp.grouping, comp.rv_classes, eps, known_blocks={}
+                )
                 counted = {
                     gi: pf.crv.positions
                     for gi, pf in enumerate(comp.pfg.parfactors)

@@ -100,7 +100,7 @@ class TestPhase1:
 class TestMean:
     def test_identical_tables_pass_through_bit_exactly(self):
         t = np.array([0.1, 0.2, 0.3])
-        out = mean_of_tables([t, t.copy(), t.copy()])
+        out = mean_of_tables(np.stack([t, t.copy(), t.copy()]))
         assert np.array_equal(out, t)
         # np.mean would give (0.1+0.1+0.1)/3 != 0.1 in floats; passthrough must win
         assert out[0] == 0.1
@@ -108,7 +108,7 @@ class TestMean:
     def test_mean_values(self, sales):
         t1 = sales.factor("phi1").table
         t2 = sales.factor("phi2").table
-        mean = mean_of_tables([t1, t2])
+        mean = mean_of_tables(np.stack([t1, t2]))
         expected = np.array([[0.775, 0.315], [0.49, 0.21]])
         assert np.max(np.abs(mean - expected)) <= 4 * np.spacing(1.0)
 
@@ -117,14 +117,14 @@ class TestMean:
         for _ in range(50):
             k = int(rng.integers(2, 6))
             tables = [rng.uniform(0.5, 1.5, size=(2, 2)) for _ in range(k)]
-            mean = mean_of_tables(tables)
             stack = np.stack(tables)
+            mean = mean_of_tables(stack)
             assert np.all(mean >= stack.min(axis=0) - 1e-15)
             assert np.all(mean <= stack.max(axis=0) + 1e-15)
 
     def test_empty_group_rejected(self):
         with pytest.raises((InvariantError, IndexError, ValueError)):
-            mean_of_tables([])
+            mean_of_tables(np.empty((0, 2)))
 
 
 class TestGroupMember:

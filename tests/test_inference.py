@@ -24,7 +24,6 @@ from liftcomp import (
     query_enumerate,
     query_lifted_star,
     query_ve,
-    quotient,
     run_eacp,
 )
 
@@ -120,18 +119,6 @@ class TestVariableElimination:
         b = query_ve(sales_three, q)
         assert a.distribution == b.distribution and a.ops == b.ops
 
-    def test_explicit_order_same_answer(self, sales_three):
-        q = Query("Rev")
-        default = query_ve(sales_three, q)
-        for order in (["SalA", "SalB", "SalC"], ["SalC", "SalB", "SalA"]):
-            assert dist_close(query_ve(sales_three, q, order=order), default, 1e-12)
-
-    def test_explicit_order_validated(self, sales_three):
-        with pytest.raises(InvariantError):
-            query_ve(sales_three, Query("Rev"), order=["SalA"])
-        with pytest.raises(InvariantError):
-            query_ve(sales_three, Query("Rev"), order=["SalA", "SalB", "SalC", "Rev"])
-
 
 class TestLiftedStar:
     def pfg_for(self, k: int, depth: int, seed: int = 0):
@@ -202,21 +189,3 @@ class TestLiftedStar:
         )
         with pytest.raises(UnsupportedTopologyError, match="structurally identical"):
             query_lifted_star(ParfactorGraph(classes, (p1, p2)), "Hub", Query("Hub"))
-
-
-class TestQuotient:
-    def test_worked_value(self, sales):
-        res = run_eacp(sales, 0.1)
-        q = Query("SalA", Evidence((("Rev", "high"),)), value="high")
-        assert quotient(q, sales, res.m_prime) == pytest.approx(
-            1.0047430830039525, abs=1e-14
-        )
-
-    def test_requires_value(self, sales):
-        res = run_eacp(sales, 0.1)
-        with pytest.raises(InvariantError):
-            quotient(Query("SalA"), sales, res.m_prime)
-
-    def test_identity_when_models_equal(self, sales):
-        q = Query("SalA", value="high")
-        assert quotient(q, sales, sales) == 1.0

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import tracemalloc
@@ -29,11 +28,9 @@ from liftcomp import (
     load_fg,
     replace_tables,
     resolve_cap,
-    save_evidence,
     save_fg,
     worst_case_fg,
 )
-from liftcomp.model import all_assignments, eval_joint
 
 from conftest import UNPARSEABLE_MODELS, free_star, random_model, sales_model
 
@@ -58,6 +55,10 @@ class TestRandomVariable:
 
 
 class TestFactor:
+    def test_rejects_no_args(self):
+        with pytest.raises(InvariantError, match="at least one argument"):
+            Factor("c", (), np.array(2.0))
+
     def test_rejects_duplicate_args(self):
         with pytest.raises(InvariantError):
             Factor("f", ("X", "X"), np.ones((2, 2)))
@@ -196,25 +197,15 @@ class TestJointEvaluation:
     def test_partition_function_value(self, sales):
         assert joint_table(sales).sum() == pytest.approx(1.874, abs=1e-12)
 
-    def test_eval_joint_value(self, sales):
-        a = {"SalA": "high", "SalB": "high", "Rev": "high"}
-        assert eval_joint(sales, a) == pytest.approx(0.75 * 0.8, abs=1e-15)
-
-    def test_eval_joint_requires_full_assignment(self, sales):
-        with pytest.raises(InvariantError):
-            eval_joint(sales, {"SalA": "high"})
-
     def test_joint_table_matches_bruteforce(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
             fg = random_model(rng, max_rvs=5, max_factors=5)
             joint = joint_table(fg)
-            for a in all_assignments(fg):
-                idx = tuple(fg.rv(rv.name).index_of(a[rv.name]) for rv in fg.rvs)
+            for idx in np.ndindex(fg.shape):
                 by_hand = 1.0
                 for f in fg.factors:
-                    pos = tuple(fg.rv(arg).index_of(a[arg]) for arg in f.args)
-                    by_hand *= f.table[pos]
+                    by_hand *= f.table[tuple(idx[fg.rv_position(arg)] for arg in f.args)]
                 assert joint[idx] == pytest.approx(by_hand, rel=1e-12)
 
     def test_joint_table_bytes_on_random_models(self):
@@ -240,19 +231,6 @@ class TestJointEvaluation:
     @pytest.mark.parametrize("k", [4, 5])
     def test_joint_table_bytes_on_free_stars(self, k):
         assert_joint_bit_identical(free_star(k, 4))
-
-    def test_partition_is_sum_over_assignments(self):
-        rng = np.random.default_rng(12)
-        fg = random_model(rng, max_rvs=5, max_factors=5)
-        z = sum(eval_joint(fg, a) for a in all_assignments(fg))
-        assert joint_table(fg).sum() == pytest.approx(z, rel=1e-10)
-
-    def test_all_assignments_row_major(self, sales):
-        first = list(itertools.islice(all_assignments(sales), 3))
-        assert first[0] == {"SalA": "high", "SalB": "high", "Rev": "high"}
-        # last declared rv flips fastest
-        assert first[1] == {"SalA": "high", "SalB": "high", "Rev": "low"}
-        assert first[2] == {"SalA": "high", "SalB": "low", "Rev": "high"}
 
 
 class TestEnumerationCap:
@@ -402,6 +380,16 @@ class TestIo:
                 [{"name": "X", "range": ["a", "a"]}], [], r"rvs\[0\]", id="repeated-labels"
             ),
             pytest.param([_X, _X], [_F], r"\$", id="duplicate-rv"),
+            # the table fits the second declaration; the repeat is the error
+            pytest.param(
+                [_X, {"name": "X", "range": ["a", "b", "c"]}],
+                [{**_F, "table": [1.0, 2.0, 3.0]}],
+                r"\$",
+                id="duplicate-rv-other-size",
+            ),
+            pytest.param(
+                [_X], [{**_F, "args": [], "table": [2.0]}], r"factors\[0\]", id="no-arguments"
+            ),
             pytest.param([_X], [_F, _F], r"\$", id="duplicate-factor"),
             pytest.param(
                 [_X],
@@ -425,10 +413,6 @@ class TestIo:
         back = load_fg(save_fg(fg))
         for f, g in zip(fg.factors, back.factors):
             assert np.array_equal(f.table, g.table)
-
-    def test_evidence_round_trip(self):
-        ev = Evidence((("Rev", "high"), ("SalA", "low")))
-        assert load_evidence(save_evidence(ev)).as_dict() == ev.as_dict()
 
     def test_evidence_malformed(self):
         with pytest.raises(ModelFormatError):
