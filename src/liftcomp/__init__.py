@@ -40,6 +40,7 @@ from .bounds import (
     bound_set,
     bound_tight,
     distance_exact,
+    modified_factor_count,
     odds_envelope,
     prob_envelope,
     worst_case_fg,
@@ -70,7 +71,7 @@ from .inference import (
     query_lifted_star,
     query_ve,
 )
-from .io import load_evidence, load_fg, save_fg
+from .io import load_evidence, load_fg, pfg_to_json, save_fg, save_pfg
 from .model import (
     DEFAULT_ENUM_CAP,
     Evidence,
@@ -82,7 +83,6 @@ from .model import (
     replace_tables,
     resolve_cap,
 )
-from .pfgio import pfg_to_json, save_pfg
 
 __version__ = "0.1.0"
 
@@ -139,6 +139,7 @@ __all__ = [
     "bound_tight",
     "bound_set",
     "distance_exact",
+    "modified_factor_count",
     "odds_envelope",
     "prob_envelope",
     "worst_case_fg",

@@ -210,6 +210,8 @@ def colour_pass(
     for fi, f in enumerate(fg.factors):
         if f.name not in initial_factor_colours:
             raise InvariantError(f"no initial colour for factor {f.name!r}")
+        if f.name not in alignments:
+            raise InvariantError(f"no alignment for factor {f.name!r}")
         perm = alignments[f.name]
         colour = initial_factor_colours[f.name]
         frame_args = aligned_args(f.args, perm)
@@ -293,16 +295,20 @@ class Parfactor:
     name: str
     args: tuple[str, ...]
     table: np.ndarray
-    count: int
     members: tuple[str, ...]
     member_args: tuple[tuple[str, ...], ...]
     crv: CrvSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.count != len(self.members) or len(self.members) != len(self.member_args):
+        if len(self.members) != len(self.member_args):
             raise InvariantError(
-                f"parfactor {self.name!r}: count/member bookkeeping out of sync"
+                f"parfactor {self.name!r}: members and member_args out of sync"
             )
+
+    @property
+    def count(self) -> int:
+        """Number of ground factors the parfactor stands for."""
+        return len(self.members)
 
 
 @dataclass(frozen=True, slots=True)
@@ -329,23 +335,25 @@ def _histogram_index(size: int, n: int) -> tuple[tuple[tuple[int, ...], ...], np
     return tuple(index), cell_of
 
 
-def _compact_table(
-    table: np.ndarray, positions: tuple[int, ...], gi: int
-) -> tuple[np.ndarray, CrvSpec]:
+def _counted_table(
+    table: np.ndarray, positions: tuple[int, ...]
+) -> tuple[np.ndarray, CrvSpec] | None:
+    """The table with the positions replaced by one last axis of histogram cells.
+
+    None when a cell holds two values, i.e. the table is not invariant
+    under every permutation of the positions and grounding would not
+    return it.
+    """
     n = len(positions)
     size = table.shape[positions[0]]
     keep = [i for i in range(table.ndim) if i not in positions]
     moved = np.moveaxis(table, positions, list(range(len(keep), table.ndim)))
     flat = moved.reshape([table.shape[i] for i in keep] + [size**n])
     cells, cell_of = _histogram_index(size, n)
-    # each cell keeps the value of its first assignment; every assignment in
-    # the cell must hold that value, or grounding would not return the table
     out = flat[..., np.unique(cell_of, return_index=True)[1]]
     if not np.array_equal(out[..., cell_of], flat):
-        raise InvariantError(
-            f"group {gi}: table is not invariant under its counted positions {positions}"
-        )
-    return out, CrvSpec(tuple(positions), cells)
+        return None
+    return out, CrvSpec(positions, cells)
 
 
 def exact_crv_positions(
@@ -360,8 +368,8 @@ def exact_crv_positions(
 
     A block qualifies when it was detected commutative at eps on the
     group representative, the updated representative table is EXACTLY
-    invariant under the block's transpositions (so histogram cells hold
-    one value and grounding round-trips bit-exactly), and all counted
+    invariant under the block's permutations (each histogram cell holds
+    one value, so grounding round-trips bit-exactly), and all counted
     argument slots hold RVs of one class. One block per group, the
     largest, earliest on ties.
 
@@ -383,23 +391,14 @@ def exact_crv_positions(
         args = aligned_args(f.args, rep.align)
         table = aligned_table(f.table, rep.align)
         blocks = _frame_blocks(fg, table, args, eps, known)
-        best: tuple[int, ...] | None = None
-        for block in blocks:
-            if len(block) < 2:
-                continue
-            if len({class_of[args[p]] for p in block}) != 1:
-                continue
-            exact = all(
-                np.array_equal(table, np.swapaxes(table, block[i], block[j]))
-                for i in range(len(block))
-                for j in range(i + 1, len(block))
-            )
-            if not exact:
-                continue
-            if best is None or len(block) > len(best):
-                best = tuple(block)
-        if best is not None:
-            out[gi] = best
+        candidates = [
+            block for block in blocks
+            if len(block) >= 2
+            and len({class_of[args[p]] for p in block}) == 1
+            and _counted_table(table, block) is not None
+        ]
+        if candidates:
+            out[gi] = max(candidates, key=len)  # the first of the largest
     return out
 
 
@@ -455,13 +454,17 @@ def construct_pfg(
                 raise InvariantError(
                     f"group {gi}: counted positions {positions} mix range sizes"
                 )
-            table, crv = _compact_table(table, positions, gi)
+            compacted = _counted_table(table, positions)
+            if compacted is None:
+                raise InvariantError(
+                    f"group {gi}: table is not invariant under its counted positions {positions}"
+                )
+            table, crv = compacted
         parfactors.append(
             Parfactor(
                 name=rep.factor,
                 args=args,
                 table=table,
-                count=len(group),
                 members=tuple(m.factor for m in group),
                 member_args=tuple(member_args),
                 crv=crv,
@@ -508,7 +511,6 @@ def pfg_equal(a: ParfactorGraph, b: ParfactorGraph) -> bool:
         if (
             pa.name != pb.name
             or pa.args != pb.args
-            or pa.count != pb.count
             or pa.members != pb.members
             or pa.member_args != pb.member_args
             or pa.crv != pb.crv

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import bound_tight, distance_exact
+from .bounds import bound_tight, distance_exact, modified_factor_count
 from .eacp import run_acp, run_eacp
 from .errors import EnumerationCapError, InvariantError, UnsupportedTopologyError
 from .inference import Query, query_lifted_star, query_ve
@@ -205,11 +205,7 @@ def run_experiment(
         except EnumerationCapError:
             pass  # above the cap: d_exact stays blank
 
-    n_modified = sum(
-        1
-        for f, g in zip(m.factors, comp.m_prime.factors)
-        if not np.array_equal(f.table, g.table)
-    )
+    n_modified = modified_factor_count(m, comp.m_prime)
     certified = bound_tight(n_modified, cfg.eps) if n_modified else 0.0
 
     q_hub = Query(HUB)

@@ -5,10 +5,10 @@ log-ratio span d = ln(max_r psi'(r)/psi(r)) - ln(min_r psi'(r)/psi(r)),
 computed on unnormalized potential products so the partition functions
 cancel and never have to be tracked. distance_exact enumerates it;
 bound_general and bound_tight certify it from the factor count m and the
-tolerance eps alone. The tight bound exploits that every updated table
-is a group mean, which couples the attainable extremes; worst_case_fg
-builds the adversarial model that attains it exactly and anchors the
-formula tests.
+tolerance eps alone, and modified_factor_count reads m off the two
+models. The tight bound exploits that every updated table is a group
+mean, which couples the attainable extremes; worst_case_fg builds the
+adversarial model that attains it exactly and anchors the formula tests.
 
 A distance d converts into interval guarantees: posterior odds of any
 conditional query move by at most e^{+/-d}, and prob_envelope transports
@@ -34,6 +34,7 @@ __all__ = [
     "bound_tight",
     "bound_set",
     "distance_exact",
+    "modified_factor_count",
     "odds_envelope",
     "prob_envelope",
     "worst_case_fg",
@@ -150,6 +151,24 @@ def distance_exact(m1: FactorGraph, m2: FactorGraph) -> DistanceReport:
         max_ratio=max_ratio,
         min_ratio=min_ratio,
     )
+
+
+def modified_factor_count(original: FactorGraph, updated: FactorGraph) -> int:
+    """m for the certificates: factors whose tables differ between the two models.
+
+    The models must hold the same factor names with the same arguments, as
+    a compression's input and m_prime do; otherwise InvariantError.
+    """
+    if sorted(f.name for f in original.factors) != sorted(f.name for f in updated.factors):
+        raise InvariantError("models must share factor names to infer the modified count")
+    count = 0
+    for f in original.factors:
+        g = updated.factor(f.name)
+        if f.args != g.args:
+            raise InvariantError(f"factor {f.name!r} has different arguments in the two models")
+        if not np.array_equal(f.table, g.table):
+            count += 1
+    return count
 
 
 def odds_envelope(d: float) -> tuple[float, float]:

@@ -2,9 +2,10 @@
 
 Machine-readable JSON (or CSV for bench) goes to standard output; human
 summaries and diagnostics go to standard error. Exit codes: 0 success,
-1 unreadable or malformed input files, 2 domain violations (bad eps,
-unknown rvs, caps, unsupported topologies). The enumeration cap is
-LIFTCOMP_ENUM_CAP or its default; bound skips d_exact above it.
+1 unreadable or malformed input files or unwritable outputs, 2 domain
+violations (bad eps, unknown rvs, caps, unsupported topologies). The
+enumeration cap is LIFTCOMP_ENUM_CAP or its default; bound skips d_exact
+above it.
 """
 
 from __future__ import annotations
@@ -14,16 +15,14 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .bench import EPS_DOMAIN, GenConfig, X_DOMAIN, emit_csv, run_grid
-from .bounds import bound_set, distance_exact, odds_envelope
+from .bounds import bound_set, distance_exact, modified_factor_count, odds_envelope
 from .eacp import run_eacp
-from .errors import EnumerationCapError, LiftcompError, ModelFormatError
+from .equivalence import check_epsilon
+from .errors import EnumerationCapError, InvariantError, LiftcompError, ModelFormatError
 from .inference import Query, query_enumerate, query_lifted_star, query_ve
-from .io import load_evidence, load_fg, save_fg
+from .io import load_evidence, load_fg, save_fg, save_pfg
 from .model import Evidence, FactorGraph, resolve_cap
-from .pfgio import save_pfg
 
 __all__ = ["main"]
 
@@ -33,6 +32,16 @@ def _read_bytes(path: str) -> bytes:
         return Path(path).read_bytes()
     except OSError as exc:
         raise ModelFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _write_bytes(path: Path, data: bytes, *, make_parents: bool = False) -> None:
+    """Write data to path, first creating missing directories above it if asked."""
+    try:
+        if make_parents:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    except OSError as exc:
+        raise ModelFormatError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_model(path: str) -> FactorGraph:
@@ -61,11 +70,10 @@ def cmd_compress(args: argparse.Namespace) -> int:
     evidence = load_evidence(_read_bytes(args.evidence)) if args.evidence else Evidence()
     result = run_eacp(fg, args.eps, evidence)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     pfg_path = out / "pfg.json"
     mprime_path = out / "m_prime.json"
-    pfg_path.write_bytes(save_pfg(result.pfg))
-    mprime_path.write_bytes(save_fg(result.m_prime))
+    _write_bytes(pfg_path, save_pfg(result.pfg), make_parents=True)
+    _write_bytes(mprime_path, save_fg(result.m_prime))
     groups = [
         {
             "index": gi,
@@ -120,35 +128,20 @@ def cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _factor_diff_count(m1: FactorGraph, m2: FactorGraph) -> int:
-    names1 = [f.name for f in m1.factors]
-    names2 = [f.name for f in m2.factors]
-    if sorted(names1) != sorted(names2):
-        raise LiftcompError(
-            "models must share factor names to infer the modified count; pass --m"
-        )
-    count = 0
-    for f in m1.factors:
-        g = m2.factor(f.name)
-        if f.args != g.args:
-            raise LiftcompError(
-                f"factor {f.name!r} has different arguments in the two models; pass --m"
-            )
-        if not np.array_equal(f.table, g.table):
-            count += 1
-    return count
-
-
 def cmd_bound(args: argparse.Namespace) -> int:
     if args.m is None and not (args.model and args.compressed):
         raise LiftcompError("bound needs --m, or --model together with --compressed")
+    eps = check_epsilon(args.eps)
     distance = None
     m = args.m
     if args.model and args.compressed:
         m1 = _load_model(args.model)
         m2 = _load_model(args.compressed)
         if m is None:
-            m = _factor_diff_count(m1, m2)
+            try:
+                m = modified_factor_count(m1, m2)
+            except InvariantError as exc:
+                raise LiftcompError(f"{exc}; pass --m") from None
         try:
             report = distance_exact(m1, m2)
         except EnumerationCapError:
@@ -162,36 +155,29 @@ def cmd_bound(args: argparse.Namespace) -> int:
                 "argmin_assignment": report.argmin_assignment,
             }
     if m == 0:
-        payload = {
-            "m": 0,
-            "eps": args.eps,
-            "d_general": 0.0,
-            "d_tight": 0.0,
-            "alpha1": 1.0,
-            "alpha2": 1.0,
-            "odds_envelopes": {"general": [1.0, 1.0], "tight": [1.0, 1.0]},
+        d_general = d_tight = 0.0
+        alpha1 = alpha2 = 1.0
+    else:
+        bounds = bound_set(m, eps)
+        d_general, d_tight = bounds.d_general, bounds.d_tight
+        alpha1, alpha2 = bounds.alpha1, bounds.alpha2
+    _emit(
+        {
+            "m": m,
+            "eps": eps,
+            "d_general": d_general,
+            "d_tight": d_tight,
+            "alpha1": alpha1,
+            "alpha2": alpha2,
+            "odds_envelopes": {
+                "general": list(odds_envelope(d_general)),
+                "tight": list(odds_envelope(d_tight)),
+            },
             "distance": distance,
         }
-        _emit(payload)
-        return 0
-    bounds = bound_set(m, args.eps)
-    payload = {
-        "m": bounds.m,
-        "eps": bounds.eps,
-        "d_general": bounds.d_general,
-        "d_tight": bounds.d_tight,
-        "alpha1": bounds.alpha1,
-        "alpha2": bounds.alpha2,
-        "odds_envelopes": {
-            "general": list(odds_envelope(bounds.d_general)),
-            "tight": list(odds_envelope(bounds.d_tight)),
-        },
-        "distance": distance,
-    }
-    _emit(payload)
+    )
     print(
-        f"m={bounds.m} eps={bounds.eps}: d_tight={bounds.d_tight:.6g}"
-        f" <= d_general={bounds.d_general:.6g}",
+        f"m={m} eps={eps}: d_tight={d_tight:.6g} <= d_general={d_general:.6g}",
         file=sys.stderr,
     )
     return 0
@@ -216,7 +202,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     data = emit_csv(records)
     if args.out:
-        Path(args.out).write_bytes(data)
+        _write_bytes(Path(args.out), data)
         print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(data.decode("utf-8"))

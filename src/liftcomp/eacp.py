@@ -18,11 +18,13 @@ representatives' (shape, table bytes), one lookup per permutation
 however many representatives there are. A hash is exact only at
 eps = 0; phase 1 must test each group's envelope.
 
-A group whose aligned tables are bit-identical keeps them, and m_prime
-is fg itself when no entry changes. That always holds at eps = 0, where
-phase 1 groups only bit-identical tables, and for run_acp. At eps = 0
-both pipelines produce identical groupings, parfactor graphs and
-models, which is what the regression tests pin.
+A group whose aligned tables are bit-identical keeps them (the float
+mean of k copies is not always the copy): _phase3_update skips it, and
+grouping.mean_of_tables has no passthrough of its own. m_prime is fg
+itself when no entry changes. That always holds at eps = 0, where phase
+1 groups only bit-identical tables, and for run_acp. At eps = 0 both
+pipelines produce identical groupings, parfactor graphs and models,
+which is what the regression tests pin.
 """
 
 from __future__ import annotations

@@ -50,10 +50,10 @@ above ARITY_CAP ever has a join to reuse: band_matches raises as soon as
 a group of its arity exists, so such a table can only open a group.
 
 mean_of_tables is the update step: the entrywise arithmetic mean of the
-aligned tables, stacked along the first axis of one array. A stack of
-bit-identical tables gives its first table back unchanged (float
-addition of k copies then division by k is not always exact, and
-identity groups must stay bit-exact).
+aligned tables, stacked along the first axis of one array. Its caller,
+eacp._phase3_update, keeps a stack of bit-identical tables as it is
+without calling it (float addition of k copies then division by k is
+not always exact, and identity groups must stay bit-exact).
 """
 
 from __future__ import annotations
@@ -213,10 +213,7 @@ def phase1_group(factors: Sequence[Factor], eps: float) -> Grouping:
 
 
 def mean_of_tables(stack: np.ndarray) -> np.ndarray:
-    """Entrywise arithmetic mean over the first axis; bit-exact for identical tables."""
+    """Entrywise arithmetic mean over the first axis."""
     if len(stack) == 0:
         raise InvariantError("mean of an empty group")
-    first = stack[0]
-    if (stack == first).all():
-        return first
     return stack.mean(axis=0)

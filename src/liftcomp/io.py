@@ -1,4 +1,4 @@
-"""JSON serialization for models, and parsing of evidence files.
+"""JSON serialization for models and parfactor graphs, and parsing of evidence files.
 
 Model files look like
 
@@ -8,6 +8,10 @@ Model files look like
 
 with tables listed flat in row-major order, last argument fastest.
 Evidence files are {"evidence": [{"rv": "Rev", "value": "high"}, ...]}.
+
+Parfactor-graph files list tables the same way. member_args carries each
+member's own argument tuple, so the ground model can be rebuilt from the
+file alone; crv is null for a parfactor without counted positions.
 
 Floats are emitted via Python's shortest round-trip repr, so
 load(save(fg)) reproduces every table bit-exactly.
@@ -31,10 +35,11 @@ from typing import Any, Callable, TypeVar
 
 import numpy as np
 
+from .acp import Parfactor, ParfactorGraph
 from .errors import InvariantError, ModelFormatError
 from .model import Evidence, Factor, FactorGraph, RandomVariable
 
-__all__ = ["load_fg", "save_fg", "load_evidence"]
+__all__ = ["load_fg", "save_fg", "load_evidence", "pfg_to_json", "save_pfg"]
 
 T = TypeVar("T")
 
@@ -137,20 +142,67 @@ def load_fg(data: bytes | str) -> FactorGraph:
     return _build("$", FactorGraph, tuple(rvs), tuple(factors))
 
 
+def _table_json(table: np.ndarray) -> list[float]:
+    """A table as listed in files: flat, row-major, last axis fastest."""
+    return table.reshape(-1).tolist()
+
+
+def _dump(doc: dict) -> bytes:
+    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
 def save_fg(fg: FactorGraph) -> bytes:
     """Serialize a model; floats as shortest round-trip decimal strings."""
     doc = {
         "rvs": [{"name": rv.name, "range": list(rv.range)} for rv in fg.rvs],
         "factors": [
-            {
-                "name": f.name,
-                "args": list(f.args),
-                "table": [float(v) for v in f.flat()],
-            }
+            {"name": f.name, "args": list(f.args), "table": _table_json(f.table)}
             for f in fg.factors
         ],
     }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    return _dump(doc)
+
+
+def _parfactor_to_json(pf: Parfactor) -> dict:
+    crv = None
+    if pf.crv is not None:
+        crv = {
+            "positions": list(pf.crv.positions),
+            "histograms": [list(cell) for cell in pf.crv.histograms],
+        }
+    return {
+        "representative": {
+            "name": pf.name,
+            "args": list(pf.args),
+            "table": _table_json(pf.table),
+        },
+        "count": pf.count,
+        "members": list(pf.members),
+        "member_args": [list(args) for args in pf.member_args],
+        "crv": crv,
+    }
+
+
+def pfg_to_json(pfg: ParfactorGraph) -> dict:
+    """The parfactor-graph file's document, before encoding."""
+    return {
+        "rv_classes": [
+            {
+                "representative": {
+                    "name": cls.representative.name,
+                    "range": list(cls.representative.range),
+                },
+                "members": list(cls.members),
+            }
+            for cls in pfg.rv_classes
+        ],
+        "parfactors": [_parfactor_to_json(pf) for pf in pfg.parfactors],
+    }
+
+
+def save_pfg(pfg: ParfactorGraph) -> bytes:
+    """Serialize a parfactor graph; floats as in save_fg."""
+    return _dump(pfg_to_json(pfg))
 
 
 def load_evidence(data: bytes | str) -> Evidence:

@@ -139,9 +139,6 @@ class Factor:
     def arity(self) -> int:
         return len(self.args)
 
-    def flat(self) -> np.ndarray:
-        return self.table.reshape(-1)
-
 
 @dataclass(frozen=True, eq=False)
 class FactorGraph:

@@ -154,6 +154,12 @@ class TestColourPass:
         with pytest.raises(InvariantError):
             colour_pass(sales, {"phi1": 0}, Evidence(), alignments=aligns, eps=0.0)
 
+    def test_missing_alignment_rejected(self, sales):
+        cols, aligns = initial_factor_colours_exact(sales.factors)
+        aligns.pop("phi2")
+        with pytest.raises(InvariantError, match="no alignment for factor 'phi2'"):
+            colour_pass(sales, cols, Evidence(), alignments=aligns, eps=0.0)
+
     def test_refines_initial_groups(self):
         # final groups only split initial ones, never merge across them
         rng = np.random.default_rng(43)
@@ -295,15 +301,15 @@ class TestConstructPfg:
     def test_parfactor_count_validation(self):
         from liftcomp import Parfactor
 
-        with pytest.raises(InvariantError):
+        with pytest.raises(InvariantError, match="out of sync"):
             Parfactor(
                 name="p",
                 args=("X",),
                 table=np.ones(2),
-                count=2,
-                members=("a",),
+                members=("a", "b"),
                 member_args=(("X",),),
             )
+        assert Parfactor("p", ("X",), np.ones(2), ("a", "b"), (("X",), ("Y",))).count == 2
 
 
 class TestGrounding:

@@ -9,12 +9,15 @@ import pytest
 
 from liftcomp import (
     BoundSet,
+    Factor,
+    FactorGraph,
     InvariantError,
     bound_general,
     bound_set,
     bound_tight,
     distance_exact,
     joint_table,
+    modified_factor_count,
     odds_envelope,
     prob_envelope,
     replace_tables,
@@ -225,6 +228,27 @@ class TestDistanceExact:
 
         flipped = FactorGraph(tuple(reversed(sales.rvs)), sales.factors)
         assert distance_exact(sales, flipped).d_exact == 0.0
+
+
+class TestModifiedFactorCount:
+    def test_counts_changed_tables(self, sales):
+        assert modified_factor_count(sales, sales) == 0
+        assert modified_factor_count(sales, run_eacp(sales, 0.1).m_prime) == 2
+        scaled = replace_tables(sales, {"phi2": sales.factor("phi2").table * 1.01})
+        assert modified_factor_count(sales, scaled) == 1
+        reordered = FactorGraph(scaled.rvs, tuple(reversed(scaled.factors)))
+        assert modified_factor_count(sales, reordered) == 1
+
+    def test_structure_mismatch_rejected(self, sales):
+        phi1, phi2 = sales.factors
+        renamed = FactorGraph(sales.rvs, (phi1, Factor("other", phi2.args, phi2.table)))
+        with pytest.raises(InvariantError, match="factor names"):
+            modified_factor_count(sales, renamed)
+        swapped = FactorGraph(
+            sales.rvs, (phi1, Factor("phi2", phi2.args[::-1], phi2.table.T))
+        )
+        with pytest.raises(InvariantError, match="'phi2' has different arguments"):
+            modified_factor_count(sales, swapped)
 
 
 class TestWorstCase:

@@ -101,6 +101,15 @@ class TestCompress:
         )
         assert code == 2
 
+    def test_out_naming_a_file_exit_1(self, capsys, tmp_path, sales_path):
+        code, out, err = run_cli(
+            capsys, "compress", "--model", str(sales_path), "--eps", "0.1",
+            "--out", str(sales_path),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
+
 
 class TestQuery:
     def test_ve_conditional_pair(self, capsys, sales_path, tmp_path):
@@ -247,6 +256,30 @@ class TestBound:
         assert out == ""
         assert err.startswith("error:") and "different random variables" in err
 
+    def test_inferred_m_needs_matching_factors(self, capsys, tmp_path, sales_path, sales):
+        phi1, phi2 = sales.factors
+        other = tmp_path / "renamed.json"
+        other.write_bytes(save_fg(liftcomp.FactorGraph(
+            sales.rvs, (phi1, liftcomp.Factor("other", phi2.args, phi2.table))
+        )))
+        code, out, err = run_cli(
+            capsys, "bound", "--eps", "0.1", "--model", str(sales_path),
+            "--compressed", str(other),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "factor names" in err and "pass --m" in err
+
+    @pytest.mark.parametrize("inferred", [False, True])
+    def test_m_zero_bad_eps_exit_2(self, capsys, sales_path, inferred):
+        source = ["--model", str(sales_path), "--compressed", str(sales_path)]
+        code, out, err = run_cli(
+            capsys, "bound", "--eps", "1.5", *(source if inferred else ["--m", "0"])
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "eps" in err
+
     def test_m_zero_degenerate(self, capsys, sales_path, tmp_path):
         other = tmp_path / "same.json"
         other.write_bytes(sales_path.read_bytes())
@@ -273,6 +306,17 @@ class TestBench:
         assert len(rows) == 2
         assert set(rows[0]) == set(CSV_COLUMNS)
         assert "wrote 1 records" in err
+
+    def test_out_in_missing_directory_exit_1(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "grid.csv"
+        code, stdout, err = run_cli(
+            capsys, "bench", "--k", "2", "--x", "0.5", "--eps", "0.1",
+            "--queries", "1", "--skip-exact", "--out", str(out),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
+        assert not out.parent.exists()
 
     def test_csv_to_stdout(self, capsys):
         code, out, _ = run_cli(

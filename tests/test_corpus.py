@@ -33,7 +33,7 @@ from liftcomp import (
 from liftcomp import grouping
 from liftcomp.acp import colour_pass, initial_factor_colours_exact
 from liftcomp.bench import HUB
-from liftcomp.pfgio import pfg_to_json
+from liftcomp.io import pfg_to_json
 
 from conftest import free_star
 

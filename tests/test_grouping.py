@@ -98,13 +98,6 @@ class TestPhase1:
 
 
 class TestMean:
-    def test_identical_tables_pass_through_bit_exactly(self):
-        t = np.array([0.1, 0.2, 0.3])
-        out = mean_of_tables(np.stack([t, t.copy(), t.copy()]))
-        assert np.array_equal(out, t)
-        # np.mean would give (0.1+0.1+0.1)/3 != 0.1 in floats; passthrough must win
-        assert out[0] == 0.1
-
     def test_mean_values(self, sales):
         t1 = sales.factor("phi1").table
         t2 = sales.factor("phi2").table

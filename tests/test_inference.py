@@ -161,7 +161,6 @@ class TestLiftedStar:
             name="g",
             args=("Hub", "X1"),
             table=table,
-            count=2,
             members=("g1", "g2"),
             member_args=(("Hub", "X1"), ("X1", "X2")),
         )
@@ -176,11 +175,11 @@ class TestLiftedStar:
         att = np.array([[0.6, 0.4], [0.3, 0.7]])
         link = np.array([[0.2, 0.8], [0.9, 0.1]])
         p1 = Parfactor(
-            name="p1", args=("Hub", "X1"), table=att, count=2,
+            name="p1", args=("Hub", "X1"), table=att,
             members=("a1", "a2"), member_args=(("Hub", "X1"), ("Hub", "Y1")),
         )
         p2 = Parfactor(
-            name="p2", args=("X1", "X2"), table=link, count=2,
+            name="p2", args=("X1", "X2"), table=link,
             members=("c1", "c2"), member_args=(("X1", "X2"), ("Y2", "Y1")),
         )
         classes = (

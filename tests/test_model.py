@@ -101,10 +101,12 @@ class TestFactor:
         assert f.table.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_row_major_layout(self):
-        # last argument varies fastest in the flattened order
+        # last argument varies fastest in the file's flat listing
         t = np.array([[1.0, 2.0], [3.0, 4.0]])
         f = Factor("f", ("X", "Y"), t)
-        assert f.flat().tolist() == [1.0, 2.0, 3.0, 4.0]
+        rvs = (RandomVariable("X", ("a", "b")), RandomVariable("Y", ("a", "b")))
+        doc = json.loads(save_fg(FactorGraph(rvs, (f,))))
+        assert doc["factors"][0]["table"] == [1.0, 2.0, 3.0, 4.0]
         assert f.table[0, 1] == 2.0
 
 

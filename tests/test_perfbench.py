@@ -69,3 +69,29 @@ def test_one_untraced_pass(run, workload):
     bench_run.run_pass()
     assert bench_run.problems == []
     assert bench_run.digest()
+
+
+def test_one_traced_pass(run):
+    # what run.traced_run does for one traced pass: a change to what a traced
+    # function returns, or to a name it is looked up by, fails here
+    spans = importlib.import_module("spans")
+    lc = _liftcomp(run)
+    models = run.build_models(lc, "star-compress", 1)
+    for i, model in enumerate(models):
+        model.fg = lc.io.load_fg(model.data)
+        model.queries = run.sample_queries(lc, model, 1, i, "star-compress")
+    bench_run = run.Run(lc, models, "star-compress", run.Speed())
+    tracer = spans.Tracer()
+    run.install(tracer, lc)
+    bench_run.tracer = tracer
+    tracer.enabled = True
+    try:
+        result = bench_run.run_pass()
+    finally:
+        tracer.enabled = False
+        tracer.uninstall()
+        bench_run.tracer = None
+    assert bench_run.problems == []
+    metrics = run.layer_metrics(tracer, result)
+    for name in ("equivalence.eps_equiv_arrays_calls", "acp.colour_rounds", "inference.ve_ops"):
+        assert metrics[name][0] > 0, name
