@@ -18,6 +18,7 @@ expm1) so small eps keeps full precision at large m.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -99,6 +100,11 @@ def bound_set(m: int, eps: float) -> BoundSet:
     return BoundSet(m, eps, bound_general(m, eps), bound_tight(m, eps), alpha1, alpha2)
 
 
+# states per distance_exact slab: 2 MiB of float64. Smaller slabs let
+# per-slab Python work dominate; larger ones stop fitting in cache.
+SLAB_STATES = 2**18
+
+
 @dataclass(frozen=True)
 class DistanceReport:
     """Exact distance with the assignments attaining the ratio extremes."""
@@ -110,16 +116,27 @@ class DistanceReport:
     min_ratio: float
 
     def __post_init__(self) -> None:
-        if self.d_exact < 0.0:
-            raise InvariantError("distance cannot be negative")
+        if not 0.0 <= self.d_exact < math.inf:
+            raise InvariantError(f"distance must be non-negative and finite, got {self.d_exact!r}")
+        if not (math.isfinite(self.max_ratio) and math.isfinite(self.min_ratio)):
+            raise InvariantError(
+                f"ratio extremes must be finite, got {self.max_ratio!r} and {self.min_ratio!r}"
+            )
 
 
 def distance_exact(m1: FactorGraph, m2: FactorGraph) -> DistanceReport:
     """Enumerate max and min of psi2/psi1 over all joint states.
 
     Both models must declare the same random variables with the same
-    ranges; factorisations may differ. Raises EnumerationCapError through
-    joint_table when the state space exceeds the enumeration cap.
+    ranges; factorisations may differ. The joints are never held whole:
+    the leading RVs of m1, in declaration order, are held until a slab has
+    at most SLAB_STATES states, and their assignments are visited in
+    row-major order, one slab of each model at a time (joint_table with
+    held RVs). On ties the first extreme in row-major order of m1's RVs
+    wins, as over the full joint. Raises EnumerationCapError through
+    joint_table when the state space exceeds the enumeration cap, and
+    InvariantError when some ratio is not finite and positive because a
+    joint product overflowed or underflowed float64.
     """
     names1 = [rv.name for rv in m1.rvs]
     names2 = [rv.name for rv in m2.rvs]
@@ -130,24 +147,41 @@ def distance_exact(m1: FactorGraph, m2: FactorGraph) -> DistanceReport:
             raise InvariantError(
                 f"rv {rv.name!r} has different ranges in the two models"
             )
-    j1 = joint_table(m1)
-    j2 = joint_table(m2)
-    if names1 != names2:
-        perm = tuple(names2.index(n) for n in names1)
-        j2 = np.transpose(j2, perm)
-    # both joints are fresh arrays, so the ratio can overwrite j2: two
-    # state-sized arrays at a time, not three
-    ratio = np.divide(j2, j1, out=j2)
-    hi_idx = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
-    lo_idx = np.unravel_index(int(np.argmin(ratio)), ratio.shape)
-    max_ratio = float(ratio[hi_idx])
-    min_ratio = float(ratio[lo_idx])
-    hi = {rv.name: rv.range[k] for rv, k in zip(m1.rvs, hi_idx)}
-    lo = {rv.name: rv.range[k] for rv, k in zip(m1.rvs, lo_idx)}
+    sizes = m1.shape
+    n_held = 0
+    while math.prod(sizes[n_held:]) > SLAB_STATES:
+        n_held += 1
+    held_names = names1[:n_held]
+    free2 = [n for n in names2 if n not in held_names]
+    perm = tuple(free2.index(n) for n in names1[n_held:])
+    hi_idx = lo_idx = ()
+    max_ratio, min_ratio = -math.inf, math.inf
+    for head in itertools.product(*map(range, sizes[:n_held])):
+        held = dict(zip(held_names, head))
+        slab2 = joint_table(m2, held).transpose(perm)
+        # both slabs are fresh arrays, so the ratio can overwrite m1's
+        ratio = joint_table(m1, held)
+        np.divide(slab2, ratio, out=ratio)
+        hi = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
+        lo = np.unravel_index(int(np.argmin(ratio)), ratio.shape)
+        slab_max, slab_min = float(ratio[hi]), float(ratio[lo])
+        # freed before the next slabs are built, which caps the peak at two
+        # slabs plus one build; freeing slab2 here too made distance_exact
+        # over the certify models 1.7x slower
+        del ratio
+        if not 0.0 < slab_min <= slab_max < math.inf:
+            raise InvariantError(
+                f"ratio extremes {slab_min!r} and {slab_max!r} are not finite and "
+                "positive: the joint product left the float64 range"
+            )
+        if slab_max > max_ratio:
+            max_ratio, hi_idx = slab_max, head + hi
+        if slab_min < min_ratio:
+            min_ratio, lo_idx = slab_min, head + lo
     return DistanceReport(
         d_exact=math.log(max_ratio) - math.log(min_ratio),
-        argmax_assignment=hi,
-        argmin_assignment=lo,
+        argmax_assignment={rv.name: rv.range[k] for rv, k in zip(m1.rvs, hi_idx)},
+        argmin_assignment={rv.name: rv.range[k] for rv, k in zip(m1.rvs, lo_idx)},
         max_ratio=max_ratio,
         min_ratio=min_ratio,
     )

@@ -238,8 +238,8 @@ class Evidence:
             fg.rv(rv_name).index_of(label)
 
 
-def joint_table(fg: FactorGraph) -> np.ndarray:
-    """Dense joint-potential array, one axis per RV in declaration order.
+def joint_table(fg: FactorGraph, held: Mapping[str, int] | None = None) -> np.ndarray:
+    """Dense joint-potential array, one axis per RV not held, in declaration order.
 
     Built as a prefix product: the product of the factors seen so far,
     over only the RVs they touch (axes in declaration order), times the
@@ -250,9 +250,17 @@ def joint_table(fg: FactorGraph) -> np.ndarray:
     multiplies into the prefix in place; any other adds at least one RV
     of two or more labels, so those steps write at most twice the
     output's states in all, and peak memory, the output plus the previous
-    prefix, is at most 1.5x the output (8 bytes per state). Refuses to
-    allocate anything past the enumeration cap (resolve_cap), and is the
-    only place that cap is checked.
+    prefix, is at most 1.5x the output (8 bytes per state).
+
+    held maps RV names to label indices and returns one slab of the
+    joint: the RVs it names are fixed there and dropped from the axes.
+    Each factor table is indexed at its held arguments before it
+    multiplies in, and a factor whose arguments are all held multiplies
+    in as a 0-d scalar at its place in the order, so the slab is
+    bit-identical to the matching slice of the full joint and the
+    peak-memory claim holds per slab. Refuses to allocate anything when
+    the full joint's state count exceeds the enumeration cap
+    (resolve_cap), held or not, and is the only place that cap is checked.
     """
     n_states = fg.state_count()
     limit = resolve_cap()
@@ -260,11 +268,18 @@ def joint_table(fg: FactorGraph) -> np.ndarray:
         raise EnumerationCapError(
             f"joint state count {n_states} exceeds enumeration cap {limit}"
         )
+    held = held or {}
+    for name, k in held.items():
+        if not 0 <= k < fg.rv(name).size:
+            raise InvariantError(f"held index {k!r} out of range for rv {name!r}")
     sizes = fg.shape
+    free = [a for a, rv in enumerate(fg.rvs) if rv.name not in held]
     scope: list[int] = []   # declaration positions of the prefix's axes
     prefix = np.ones((), dtype=np.float64)
     for f in fg.factors:
-        axes = [fg.rv_position(arg) for arg in f.args]
+        # the trailing Ellipsis keeps a view, 0-d when every argument is held
+        table = f.table[tuple(held.get(arg, slice(None)) for arg in f.args) + (...,)]
+        axes = [fg.rv_position(arg) for arg in f.args if arg not in held]
         order = sorted(range(len(axes)), key=axes.__getitem__)
         new_scope = sorted(set(scope).union(axes))
         out = prefix if len(new_scope) == len(scope) else np.empty([sizes[a] for a in new_scope])
@@ -272,14 +287,14 @@ def joint_table(fg: FactorGraph) -> np.ndarray:
             out,
             prefix,
             [a in scope for a in new_scope],
-            f.table.transpose(order),
+            table.transpose(order),
             [a in axes for a in new_scope],
         )
         prefix, scope = out, new_scope
-    if len(scope) == len(sizes):
+    if len(scope) == len(free):
         return prefix
-    joint = np.empty(sizes, dtype=np.float64)
-    joint[...] = prefix.reshape([n if a in scope else 1 for a, n in enumerate(sizes)])
+    joint = np.empty([sizes[a] for a in free], dtype=np.float64)
+    joint[...] = prefix.reshape([sizes[a] if a in scope else 1 for a in free])
     return joint
 
 

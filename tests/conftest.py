@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -87,6 +90,28 @@ def random_model(
     used = {a for f in factors for a in f.args}
     rvs = tuple(rv for rv in rvs if rv.name in used)
     return FactorGraph(rvs, tuple(factors))
+
+
+def mixed_range_model(rng):
+    """Up to 6 RVs of 2, 3, 4 or 12 labels (some untouched) and factors of
+    arity 1-3 whose arguments come in random order."""
+    n = int(rng.integers(1, 7))
+    sizes = [int(s) for s in rng.choice((2, 3, 4, 12), size=n)]
+    while math.prod(sizes) > 2**15:
+        sizes[sizes.index(max(sizes))] = 2
+    names = [f"V{i}" for i in range(n)]
+    rvs = tuple(
+        RandomVariable(name, tuple(f"l{j}" for j in range(size)))
+        for name, size in zip(names, sizes)
+    )
+    factors = []
+    for i in range(int(rng.integers(1, 7))):
+        args = [int(j) for j in rng.choice(n, size=int(rng.integers(1, min(3, n) + 1)), replace=False)]
+        table = rng.uniform(0.1, 2.0, size=[sizes[j] for j in args])
+        factors.append(Factor(f"f{i}", tuple(names[j] for j in args), table))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # untouched RVs are part of the sample
+        return FactorGraph(rvs, tuple(factors))
 
 
 def star_model(k: int, depth: int, seed: int = 0) -> FactorGraph:

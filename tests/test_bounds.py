@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from liftcomp import (
     BoundSet,
+    DistanceReport,
+    EnumerationCapError,
     Factor,
     FactorGraph,
     InvariantError,
+    RandomVariable,
     bound_general,
     bound_set,
     bound_tight,
@@ -24,8 +29,9 @@ from liftcomp import (
     run_eacp,
     worst_case_fg,
 )
+from liftcomp import bounds
 
-from conftest import random_model, sales_model
+from conftest import mixed_range_model, random_model, sales_model
 
 
 class TestClosedForms:
@@ -228,6 +234,192 @@ class TestDistanceExact:
 
         flipped = FactorGraph(tuple(reversed(sales.rvs)), sales.factors)
         assert distance_exact(sales, flipped).d_exact == 0.0
+
+
+def two_joint_distance(m1, m2):
+    """Reference: distance_exact as it was before slabs, over both full joints."""
+    names1 = [rv.name for rv in m1.rvs]
+    names2 = [rv.name for rv in m2.rvs]
+    j1 = joint_table(m1)
+    j2 = joint_table(m2)
+    if names1 != names2:
+        perm = tuple(names2.index(n) for n in names1)
+        j2 = np.transpose(j2, perm)
+    ratio = np.divide(j2, j1, out=j2)
+    hi_idx = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
+    lo_idx = np.unravel_index(int(np.argmin(ratio)), ratio.shape)
+    max_ratio = float(ratio[hi_idx])
+    min_ratio = float(ratio[lo_idx])
+    return DistanceReport(
+        d_exact=math.log(max_ratio) - math.log(min_ratio),
+        argmax_assignment={rv.name: rv.range[k] for rv, k in zip(m1.rvs, hi_idx)},
+        argmin_assignment={rv.name: rv.range[k] for rv, k in zip(m1.rvs, lo_idx)},
+        max_ratio=max_ratio,
+        min_ratio=min_ratio,
+    )
+
+
+def record_slabs(monkeypatch):
+    """Wrap bounds.joint_table; returns the list of (held, result size) it fills."""
+    calls = []
+    real = bounds.joint_table
+
+    def recorder(fg, held=None):
+        out = real(fg, held)
+        calls.append((dict(held or {}), out.size))
+        return out
+
+    monkeypatch.setattr(bounds, "joint_table", recorder)
+    return calls
+
+
+def perturbed(rng, fg):
+    """fg with a random subset of its tables rescaled, its RVs sometimes reordered."""
+    tables = {
+        f.name: f.table * rng.uniform(0.8, 1.25, f.table.shape)
+        for f in fg.factors if rng.random() < 0.4
+    }
+    out = replace_tables(fg, tables)
+    if rng.random() < 0.5:
+        order = rng.permutation(len(fg.rvs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            out = FactorGraph(tuple(fg.rvs[int(i)] for i in order), out.factors)
+    return out
+
+
+def sized_model(rng, sizes):
+    """A chain over RVs of the given sizes plus random factors of arity 1-3."""
+    names = [f"V{i}" for i in range(len(sizes))]
+    rvs = tuple(RandomVariable(n, tuple(f"l{j}" for j in range(k))) for n, k in zip(names, sizes))
+    arg_lists = [(names[i], names[i + 1]) for i in range(len(names) - 1)]
+    for _ in range(4):
+        picked = rng.choice(len(names), size=int(rng.integers(1, 4)), replace=False)
+        arg_lists.append(tuple(names[int(j)] for j in picked))
+    factors = tuple(
+        Factor(f"f{i}", args, rng.uniform(0.1, 2.0, [sizes[names.index(a)] for a in args]))
+        for i, args in enumerate(arg_lists)
+    )
+    return FactorGraph(rvs, factors)
+
+
+def binary_chain(n, rng):
+    rvs = tuple(RandomVariable(f"V{i}", ("a", "b")) for i in range(n))
+    factors = tuple(
+        Factor(f"f{i}", (f"V{i}", f"V{i + 1}"), rng.uniform(0.5, 2.0, (2, 2)))
+        for i in range(n - 1)
+    )
+    return FactorGraph(rvs, factors)
+
+
+class TestDistanceSlabs:
+    def test_bit_identical_to_two_joint_reference(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        calls = record_slabs(monkeypatch)
+        reordered = all_held_factor = zero_d = multi_slab = 0
+        for _ in range(280):
+            fg = mixed_range_model(rng)
+            other = perturbed(rng, fg)
+            # small slab bounds make these small models span many slabs
+            bound = max(1, fg.state_count() >> int(rng.integers(0, 7)))
+            monkeypatch.setattr(bounds, "SLAB_STATES", bound)
+            calls.clear()
+            rep, ref = distance_exact(fg, other), two_joint_distance(fg, other)
+            assert rep == ref and rep.d_exact.hex() == ref.d_exact.hex()
+            held = calls[0][0]
+            reordered += other.rvs != fg.rvs
+            all_held_factor += any(held and set(f.args) <= held.keys() for f in fg.factors)
+            zero_d += len(held) == len(fg.rvs)
+            multi_slab += len(calls) > 2
+        assert reordered > 80 and all_held_factor > 50 and zero_d > 10 and multi_slab > 150
+
+    def test_ties_keep_the_first_extreme(self, sales):
+        rep = distance_exact(sales, sales)
+        assert rep == two_joint_distance(sales, sales)
+        first = {rv.name: rv.range[0] for rv in sales.rvs}
+        assert rep.argmax_assignment == first == rep.argmin_assignment
+        for m in (2, 3, 4, 5, 6):
+            fg = worst_case_fg(m, 0.0)
+            for other in (fg, run_eacp(fg, 0.0).m_prime, run_eacp(fg, 0.1).m_prime):
+                assert distance_exact(fg, other) == two_joint_distance(fg, other)
+
+    def test_bit_identical_around_the_slab_bound(self):
+        rng = np.random.default_rng(8)
+        cases = [
+            [12] * 5,              # 248832 states: one slab, just below the bound
+            [2] * 18,              # 2^18: one slab, at the bound
+            [3] * 7 + [2] * 7,     # 279936: just above, two held RVs
+            [12] * 5 + [2],        # 497664: a held 12-label RV
+            [2, 3, 4, 12, 2, 3, 4, 12, 2],
+        ]
+        for sizes in cases:
+            fg = sized_model(rng, sizes)
+            for _ in range(2):
+                other = perturbed(rng, fg)
+                assert distance_exact(fg, other) == two_joint_distance(fg, other)
+        for m in (5, 6):
+            fg = worst_case_fg(m, 0.1)
+            other = run_eacp(fg, 0.1).m_prime
+            assert distance_exact(fg, other) == two_joint_distance(fg, other)
+
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_slab_sizes_sum_to_two_joints(self, monkeypatch, m):
+        fg = worst_case_fg(m, 0.1)
+        m_prime = run_eacp(fg, 0.1).m_prime
+        flipped = FactorGraph(tuple(reversed(m_prime.rvs)), m_prime.factors)
+        calls = record_slabs(monkeypatch)
+        for other in (m_prime, flipped):
+            calls.clear()
+            distance_exact(fg, other)
+            sizes = [size for _, size in calls]
+            assert sum(sizes) == 2 * fg.state_count()
+            assert max(sizes) <= bounds.SLAB_STATES
+
+    def test_memory_stays_within_two_slabs(self):
+        # 2^22 states: the two full joints would take 64 MiB
+        rng = np.random.default_rng(3)
+        fg, other = binary_chain(22, rng), binary_chain(22, rng)
+        tracemalloc.start()
+        try:
+            rep = distance_exact(fg, other)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert rep.d_exact > 0.0
+
+    def test_cap_checked_before_any_allocation(self, monkeypatch):
+        fg = binary_chain(22, np.random.default_rng(4))
+        monkeypatch.setenv("LIFTCOMP_ENUM_CAP", str(2**20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapError):
+                distance_exact(fg, fg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_joint_product_leaving_float64_raises(self, scale):
+        rvs = tuple(RandomVariable(f"V{i}", ("a", "b")) for i in range(4))
+
+        def unary(row):
+            return FactorGraph(
+                rvs, tuple(Factor(f"f{i}", (f"V{i}",), np.array(row) * scale) for i in range(4))
+            )
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvariantError, match="left the float64 range"):
+                distance_exact(unary([1.0, 2.0]), unary([1.1, 2.0]))
+
+    @pytest.mark.parametrize(
+        "d, hi, lo", [(math.nan, 1.0, 1.0), (math.inf, 2.0, 1.0), (0.5, math.nan, 1.0),
+                      (0.5, 2.0, math.inf), (-0.1, 1.0, 1.0)],
+    )
+    def test_report_rejects_non_finite_fields(self, d, hi, lo):
+        with pytest.raises(InvariantError):
+            DistanceReport(d, {}, {}, hi, lo)
 
 
 class TestModifiedFactorCount:

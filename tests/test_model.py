@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import json
-import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +30,7 @@ from liftcomp import (
     worst_case_fg,
 )
 
-from conftest import UNPARSEABLE_MODELS, free_star, random_model, sales_model
+from conftest import UNPARSEABLE_MODELS, free_star, mixed_range_model, random_model, sales_model
 
 
 class TestRandomVariable:
@@ -166,28 +164,6 @@ def sequential_joint(fg):
     return value
 
 
-def mixed_range_model(rng):
-    """Up to 6 RVs of 2, 3, 4 or 12 labels (some untouched) and factors of
-    arity 1-3 whose arguments come in random order."""
-    n = int(rng.integers(1, 7))
-    sizes = [int(s) for s in rng.choice((2, 3, 4, 12), size=n)]
-    while math.prod(sizes) > 2**15:
-        sizes[sizes.index(max(sizes))] = 2
-    names = [f"V{i}" for i in range(n)]
-    rvs = tuple(
-        RandomVariable(name, tuple(f"l{j}" for j in range(size)))
-        for name, size in zip(names, sizes)
-    )
-    factors = []
-    for i in range(int(rng.integers(1, 7))):
-        args = [int(j) for j in rng.choice(n, size=int(rng.integers(1, min(3, n) + 1)), replace=False)]
-        table = rng.uniform(0.1, 2.0, size=[sizes[j] for j in args])
-        factors.append(Factor(f"f{i}", tuple(names[j] for j in args), table))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")   # untouched RVs are part of the sample
-        return FactorGraph(rvs, tuple(factors))
-
-
 def assert_joint_bit_identical(fg):
     joint = joint_table(fg)
     assert joint.shape == fg.shape and joint.flags.c_contiguous
@@ -234,6 +210,30 @@ class TestJointEvaluation:
     def test_joint_table_bytes_on_free_stars(self, k):
         assert_joint_bit_identical(free_star(k, 4))
 
+    def test_held_slab_bytes_match_full_joint_slice(self):
+        rng = np.random.default_rng(77)
+        all_held_factor = zero_d = 0
+        for _ in range(300):
+            fg = mixed_range_model(rng)
+            joint = joint_table(fg)
+            held_rvs = [rv for rv in fg.rvs if rng.random() < 0.5]
+            held = {rv.name: int(rng.integers(rv.size)) for rv in held_rvs}
+            slab = joint_table(fg, held)
+            cell = tuple(held.get(rv.name, slice(None)) for rv in fg.rvs)
+            assert slab.shape == joint[cell].shape and slab.flags.c_contiguous
+            assert slab.tobytes() == joint[cell].tobytes()
+            all_held_factor += any(set(f.args) <= held.keys() for f in fg.factors)
+            zero_d += slab.ndim == 0
+        assert all_held_factor > 50 and zero_d > 10
+
+    def test_held_rvs_checked(self, sales):
+        with pytest.raises(InvariantError):
+            joint_table(sales, {"Nope": 0})
+        with pytest.raises(InvariantError):
+            joint_table(sales, {"Rev": 2})
+        with pytest.raises(InvariantError):
+            joint_table(sales, {"Rev": -1})
+
 
 class TestEnumerationCap:
     def test_cap_raises(self, sales, monkeypatch):
@@ -258,6 +258,12 @@ class TestEnumerationCap:
         finally:
             tracemalloc.stop()
         assert peak < 2**16
+
+    def test_cap_counts_held_rvs(self, sales, monkeypatch):
+        # the cap bounds the whole joint, not the slab
+        monkeypatch.setenv("LIFTCOMP_ENUM_CAP", "4")
+        with pytest.raises(EnumerationCapError):
+            joint_table(sales, {"SalA": 0, "SalB": 1})
 
     def test_cap_env_override(self, sales, monkeypatch):
         monkeypatch.setenv("LIFTCOMP_ENUM_CAP", "4")
