@@ -5,14 +5,25 @@ the colours of their argument RVs (viewed in their group frame so that
 permuted-but-equivalent factors send comparable signatures) plus their
 own colour; RVs absorb (factor colour, position) pairs plus their own
 colour, with position 0 standing in for any argument slot that belongs
-to a commutative block of the factor's class representative. Colours
-are renumbered densely in first-seen order every round, and the loop
-stops when neither partition changes. The loop runs on integer slots
-(RV numbers per factor, (factor, position) pairs per RV) built once
-before it; at the benchmark's sizes plain Python on these slots beats
-numpy, whose per-call cost exceeds the work. Initial factor colours are
-injected by the caller: run_eacp seeds with the phase-1 eps-groups,
-run_acp with initial_factor_colours_exact (bit-identical tables).
+to a commutative block of the factor's class representative. Rounds
+are synchronous, factors then RVs, and the loop stops after the first
+round in which neither partition changes. Round 1 signs every node;
+after it only the frontier is signed again: a factor when one of its
+argument RVs took a new label in the previous RV step, an RV when one
+of its factors took a new label in the same round, since no other
+signature can have changed ("process what changed": Paige & Tarjan
+1987, Berkholz, Bonsma & Grohe 2017). A node alone in its class is
+never signed, as a class of one cannot split. A class that splits
+keeps its label on its members that were not signed again, or on its
+largest part when all were, so a node takes a new label only when its
+class split. Colours are renumbered densely in first-seen order once,
+at the end; colours, classes and the round count are those of signing
+every node in every round. The loop runs on integer slots (RV numbers
+per factor, (factor, position) pairs per RV) built once before it; at
+the benchmark's sizes plain Python on these slots beats numpy, whose
+per-call cost exceeds the work. Initial factor colours are injected by
+the caller: run_eacp seeds with the phase-1 eps-groups, run_acp with
+initial_factor_colours_exact (bit-identical tables).
 
 Commutativity is detected by equivalence.commutative_blocks on a
 factor's table viewed in its group frame, with that frame's range
@@ -25,8 +36,10 @@ as the ones the mean update changed.
 construct_pfg turns the final grouping into a parfactor graph: one
 representative factor per group with an instance count, RV classes, and
 optional counting compaction that re-indexes interchangeable argument
-positions by value histogram. ground() expands the parfactor graph back
-into a flat factor graph for round-trip checks.
+positions by value histogram. It checks the members of a group one
+alignment at a time, in one stacked comparison per alignment. ground()
+expands the parfactor graph back into a flat factor graph for
+round-trip checks.
 """
 
 from __future__ import annotations
@@ -34,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -48,6 +61,7 @@ from .equivalence import (
     commutative_blocks,
     eps_equiv_factors,  # noqa: F401  perfbench/run.py counts calls through this name
     identity_alignment,
+    unaligned_table,
 )
 from .errors import ArityCapError, InvariantError
 from .grouping import GroupMember, Grouping
@@ -174,6 +188,48 @@ def _frame_blocks(
     return blocks
 
 
+def _class_sizes(labels: list[int]) -> list[int]:
+    """Members per label, for labels numbered 0, 1, ... without gaps."""
+    sizes = [0] * (max(labels, default=-1) + 1)
+    for c in labels:
+        sizes[c] += 1
+    return sizes
+
+
+def _split(parts: Mapping[tuple, list[int]], labels: list[int], sizes: list[int]) -> list[int]:
+    """Give each new part of a class a new label; return the nodes relabelled.
+
+    parts maps (label, *signature) to the re-signed members of that class
+    with that signature. A node is re-signed only when a neighbour took a
+    new label in the step before, so its signature holds that label and
+    differs from the one its classmates not re-signed share: they keep
+    the label and every part moves. When every member was re-signed, the
+    largest part keeps the label, so a class whose members all agree
+    stays whole and the next step re-signs less.
+    """
+    by_label: dict[int, list[list[int]]] = {}
+    for key, part in parts.items():
+        by_label.setdefault(key[0], []).append(part)
+    changed: list[int] = []
+    for c, split in by_label.items():
+        if sum(map(len, split)) == sizes[c]:
+            split.remove(max(split, key=len))   # parts are disjoint: removes that one
+        for part in split:
+            sizes[c] -= len(part)
+            new = len(sizes)
+            sizes.append(len(part))
+            for n in part:
+                labels[n] = new
+            changed += part
+    return changed
+
+
+def _first_seen(labels: list[int]) -> list[int]:
+    """Labels renumbered 0, 1, ... in order of first occurrence."""
+    ids: dict[int, int] = {}
+    return [ids.setdefault(c, len(ids)) for c in labels]
+
+
 def colour_pass(
     fg: FactorGraph,
     initial_factor_colours: Mapping[str, int],
@@ -192,9 +248,10 @@ def colour_pass(
     The refinement works on integer slots: RVs and factors are numbered
     in model order, each factor holds the RV numbers of its group-frame
     arguments and the blocks to sort, and each RV holds its (factor,
-    position) slots. Colours are renumbered in first-seen order over that
-    numbering. The result carries the commutative blocks it detected, for
-    exact_crv_positions.
+    position) slots. Each round signs only the frontier (module
+    docstring); colours are renumbered in first-seen order over that
+    numbering at the end. The result carries the commutative blocks it
+    detected, for exact_crv_positions.
     """
     eps = check_epsilon(eps)
     rv_index = {rv.name: i for i, rv in enumerate(fg.rvs)}.__getitem__
@@ -205,8 +262,7 @@ def colour_pass(
     f_args: list[tuple[int, ...]] = []
     f_sorts: list[tuple[tuple[int, ...], ...]] = []
     slots: list[list[tuple[int, int]]] = [[] for _ in fg.rvs]
-    f_col: list[int] = []
-    first_seen: dict[int, int] = {}   # initial colours renumbered like every round's
+    initial: list[int] = []
     for fi, f in enumerate(fg.factors):
         if f.name not in initial_factor_colours:
             raise InvariantError(f"no initial colour for factor {f.name!r}")
@@ -229,37 +285,53 @@ def colour_pass(
         f_perms.append(perm)
         f_args.append(args)
         f_sorts.append(sorts)
-        f_col.append(first_seen.setdefault(colour, len(first_seen)))
+        initial.append(colour)
     start_rv = initial_rv_colours(fg, evidence)
-    rv_col = [start_rv[rv.name] for rv in fg.rvs]
 
+    # colours below are class labels, numbered 0, 1, ... at the start and
+    # kept by the part of a class that does not move when it splits
+    f_col = _first_seen(initial)
+    rv_col = [start_rv[rv.name] for rv in fg.rvs]
+    f_sizes = _class_sizes(f_col)
+    rv_sizes = _class_sizes(rv_col)
+    f_frontier: Iterable[int] = range(len(f_col))   # round 1 signs every node
     iteration = 0
     max_rounds = len(fg.rvs) + len(fg.factors) + 2
     while True:
         if iteration > max_rounds:
             raise InvariantError("colour refinement failed to stabilize")
-        # factors first: argument colours in the group frame + own colour
-        ids: dict[tuple, int] = {}
-        new_f_col: list[int] = []
-        for args, sorts, own in zip(f_args, f_sorts, f_col):
-            cols = [rv_col[a] for a in args]
-            for block in sorts:
+        # factors first: argument colours in the group frame
+        parts: dict[tuple, list[int]] = {}
+        for fi in f_frontier:
+            if f_sizes[f_col[fi]] == 1:
+                continue   # a class of one cannot split
+            cols = [rv_col[a] for a in f_args[fi]]
+            for block in f_sorts[fi]:
                 for p, v in zip(block, sorted([cols[p] for p in block])):
                     cols[p] = v
-            new_f_col.append(ids.setdefault((tuple(cols), own), len(ids)))
+            parts.setdefault((f_col[fi], *cols), []).append(fi)
+        f_changed = _split(parts, f_col, f_sizes)
 
-        # then RVs: sorted (factor colour, position) pairs + own colour,
-        # position 0 for slots inside a commutative block
-        ids = {}
-        new_rv_col: list[int] = []
-        for rv_slots, own in zip(slots, rv_col):
-            sig = tuple(sorted([(new_f_col[fi], pos) for fi, pos in rv_slots]))
-            new_rv_col.append(ids.setdefault((sig, own), len(ids)))
+        # then RVs: sorted (factor colour, position) pairs, position 0 for
+        # slots inside a commutative block
+        rv_frontier = (
+            range(len(rv_col)) if iteration == 0
+            else {a for fi in f_changed for a in f_args[fi]}
+        )
+        parts = {}
+        for a in rv_frontier:
+            if rv_sizes[rv_col[a]] == 1:
+                continue
+            sig = sorted([(f_col[fi], pos) for fi, pos in slots[a]])
+            parts.setdefault((rv_col[a], *sig), []).append(a)
+        rv_changed = _split(parts, rv_col, rv_sizes)
 
         iteration += 1
-        if new_f_col == f_col and new_rv_col == rv_col:
+        if not f_changed and not rv_changed:
             break
-        f_col, rv_col = new_f_col, new_rv_col
+        f_frontier = {fi for a in rv_changed for fi, _ in slots[a]}
+    f_col = _first_seen(f_col)
+    rv_col = _first_seen(rv_col)
 
     factor_groups: dict[int, list[GroupMember]] = {}
     for f, perm, colour in zip(fg.factors, f_perms, f_col):
@@ -402,6 +474,32 @@ def exact_crv_positions(
     return out
 
 
+def _differing_member(
+    group: Sequence[GroupMember], factors: Sequence[Factor], table: np.ndarray
+) -> str | None:
+    """The first member in group order whose aligned table is not `table`, if any.
+
+    The representative, group[0], is not checked. The other members are
+    checked one alignment at a time: their tables in one stack, compared
+    with `table` pushed back into that alignment's member frame, which is
+    the same bitwise comparison as aligning each member's table.
+    """
+    by_view: dict[tuple[Alignment, tuple[int, ...]], list[int]] = {}
+    for i in range(1, len(group)):
+        by_view.setdefault((group[i].align, factors[i].table.shape), []).append(i)
+    bad: list[int] = []
+    for (align, shape), idx in by_view.items():
+        expected = unaligned_table(table, align)
+        if shape != expected.shape:
+            bad.append(idx[0])
+            continue
+        same = (np.stack([factors[i].table for i in idx]) == expected).reshape(len(idx), -1)
+        hits = same.all(axis=1)
+        if not hits.all():
+            bad.append(idx[int(np.argmin(hits))])
+    return group[min(bad)].factor if bad else None
+
+
 def construct_pfg(
     fg_updated: FactorGraph,
     factor_groups: Grouping,
@@ -434,16 +532,14 @@ def construct_pfg(
         rep_factor = fg_updated.factor(rep.factor)
         table = aligned_table(rep_factor.table, rep.align)
         args = aligned_args(rep_factor.args, rep.align)
-        member_args: list[tuple[str, ...]] = []
-        for member in group:
-            f = fg_updated.factor(member.factor)
-            aligned = aligned_table(f.table, member.align)
-            if not np.array_equal(aligned, table):
-                raise InvariantError(
-                    f"group {gi}: member {member.factor!r} table differs from "
-                    f"representative {rep.factor!r} after alignment"
-                )
-            member_args.append(aligned_args(f.args, member.align))
+        factors = [fg_updated.factor(m.factor) for m in group]
+        bad = _differing_member(group, factors, table)
+        if bad is not None:
+            raise InvariantError(
+                f"group {gi}: member {bad!r} table differs from "
+                f"representative {rep.factor!r} after alignment"
+            )
+        member_args = [aligned_args(f.args, m.align) for f, m in zip(factors, group)]
         positions = tuple(crv_specs.get(gi, ()))
         crv = None
         if positions:

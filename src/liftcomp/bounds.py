@@ -161,7 +161,8 @@ def distance_exact(m1: FactorGraph, m2: FactorGraph) -> DistanceReport:
         slab2 = joint_table(m2, held).transpose(perm)
         # both slabs are fresh arrays, so the ratio can overwrite m1's
         ratio = joint_table(m1, held)
-        np.divide(slab2, ratio, out=ratio)
+        with np.errstate(over="ignore", invalid="ignore"):   # checked just below
+            np.divide(slab2, ratio, out=ratio)
         hi = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
         lo = np.unravel_index(int(np.argmin(ratio)), ratio.shape)
         slab_max, slab_min = float(ratio[hi]), float(ratio[lo])

@@ -43,6 +43,7 @@ passes each class representative in its group frame).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import permutations
 from typing import Iterable
@@ -206,6 +207,14 @@ class BandStack:
     def widen(self, row: int, table: np.ndarray) -> None:
         np.minimum(self._lo[row], table, out=self._lo[row])
         np.maximum(self._hi[row], table, out=self._hi[row])
+
+    def rows_from(self, key: int) -> BandStack:
+        """The rows of keys >= key, sharing this stack's memory; keys must ascend."""
+        row = bisect_left(self.keys, key)
+        out = BandStack(self.shape)
+        out.keys = self.keys[row:]
+        out._lo, out._hi = self.lo[row:], self.hi[row:]
+        return out
 
 
 def _range_compatible(shape1: tuple[int, ...], shape2: tuple[int, ...], perm: Alignment) -> bool:

@@ -27,13 +27,17 @@ extreme member decides each of the four one-sided comparisons.
 
 A factor whose table repeats an earlier factor's table (same shape, same
 bytes) may reuse that table's last band-tested join: the same group under
-the same alignment, without band_matches, _closest or a widen. It does so
-while no group has been opened since that join and no candidate group of
-that join has gained a member since, other than by such reuse. The
-result is the one the full test would give:
+the same alignment, without _closest or a widen. It does so while no
+candidate group of that join has gained a member since, other than by
+such reuse, and no group opened since accepts the table. Only those
+newer groups are band-tested (groups are numbered in opening order, so
+they are the last rows of each BandStack), and once none accepts the
+table they count as tested for the next copy. The result is the one
+the full test would give:
 
 - envelopes only widen, so a group that failed the band test under every
-  alignment still fails it and is still no candidate;
+  alignment still fails it and is still no candidate, and a newer group
+  that does not accept the table is no candidate either;
 - a candidate group with no new member gives the same first alignment
   and the same member-by-member deviation, which is what _closest
   minimizes (its one-call estimates only skip that sum where it cannot
@@ -59,7 +63,7 @@ not always exact, and identity groups must stay bit-exact).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -164,12 +168,26 @@ class _Decision:
 
     group: int
     align: Alignment
-    opened: int              # groups open when it was made
+    opened: int              # groups tested: those open when it was made or last reused
     candidates: tuple[int, ...]
     joins: int               # members of the candidate groups after it and its reuses
 
-    def holds(self, groups: list[_Group]) -> bool:
-        return self.opened == len(groups) and self.joins == _members(groups, self.candidates)
+    def holds(
+        self, groups: list[_Group], stacks: Iterable[BandStack], table: np.ndarray, eps: float
+    ) -> bool:
+        """Whether the full test would give this join to `table`, a copy of the decided one.
+
+        Groups opened since are band-tested, and once none of them
+        accepts the table they count as tested.
+        """
+        if self.joins != _members(groups, self.candidates):
+            return False
+        if self.opened < len(groups):
+            since = [s.rows_from(self.opened) for s in stacks if s.keys[-1] >= self.opened]
+            if band_matches(table, since, eps):
+                return False
+            self.opened = len(groups)
+        return True
 
 
 def _members(groups: list[_Group], candidates: tuple[int, ...]) -> int:
@@ -186,7 +204,7 @@ def phase1_group(factors: Sequence[Factor], eps: float) -> Grouping:
     for f in factors:
         key = (f.table.shape, f.table.tobytes())
         last = decisions.get(key)
-        if last is not None and last.holds(groups):
+        if last is not None and last.holds(groups, stacks.values(), f.table, eps):
             groups[last.group].add(
                 GroupMember(f.name, last.align), aligned_table(f.table, last.align)
             )

@@ -15,14 +15,19 @@ branches grows, while ground VE grows linearly.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
+from typing import Callable, ParamSpec
 
 import numpy as np
 
 from .acp import ParfactorGraph, expand_crv
 from .errors import InvariantError, UnsupportedTopologyError
 from .model import Evidence, FactorGraph, joint_table
+
+P = ParamSpec("P")
 
 __all__ = [
     "Query",
@@ -76,10 +81,30 @@ def _validate_query(fg: FactorGraph, q: Query) -> None:
         )
 
 
+def _float64_checked(evaluate: Callable[P, QueryResult]) -> Callable[P, QueryResult]:
+    """The evaluator with numpy's overflow and invalid-value warnings off.
+
+    A product or sum past the float64 range gives inf or nan, and the
+    query mass then fails _normalise's check, which raises the typed
+    error; numpy would otherwise warn ahead of it.
+    """
+
+    @functools.wraps(evaluate)
+    def checked(*args: P.args, **kwargs: P.kwargs) -> QueryResult:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return evaluate(*args, **kwargs)
+
+    return checked
+
+
 def _normalise(vector: np.ndarray, labels: tuple[str, ...], method: str, ops: int) -> QueryResult:
     total = float(vector.sum())
-    if total <= 0.0 or not np.isfinite(total):
-        raise InvariantError("query mass vanished; potentials must be positive")
+    if not math.isfinite(total):
+        raise InvariantError(
+            f"query mass is {total!r}: a product of potentials left the float64 range"
+        )
+    if total <= 0.0:
+        raise InvariantError("query mass vanished: a product of potentials underflowed float64")
     dist = {label: float(v / total) for label, v in zip(labels, vector)}
     # renormalise in float so the stored values sum to 1 exactly enough
     correction = sum(dist.values())
@@ -87,6 +112,7 @@ def _normalise(vector: np.ndarray, labels: tuple[str, ...], method: str, ops: in
     return QueryResult(dist, method, ops)
 
 
+@_float64_checked
 def query_enumerate(fg: FactorGraph, q: Query) -> QueryResult:
     """Oracle evaluator: build the joint, slice evidence, sum out the rest."""
     _validate_query(fg, q)
@@ -213,6 +239,7 @@ def _eliminate(
     return table, ops
 
 
+@_float64_checked
 def query_ve(fg: FactorGraph, q: Query) -> QueryResult:
     """Variable elimination in greedy min-degree order, ties by name."""
     _validate_query(fg, q)
@@ -261,6 +288,7 @@ def _components(
     return list(buckets.values()) + solo
 
 
+@_float64_checked
 def query_lifted_star(pfg: ParfactorGraph, hub: str, q: Query) -> QueryResult:
     """Belief at the hub of a star of structurally identical branches.
 

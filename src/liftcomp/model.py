@@ -128,7 +128,8 @@ class Factor:
                 f"factor {self.name!r}: table has {table.ndim} axes "
                 f"for {len(self.args)} arguments"
             )
-        if not np.all(np.isfinite(table)) or not np.all(table > 0.0):
+        # min and max carry NaN through, so NaN fails the comparisons too
+        if table.size and not (table.min() > 0.0 and table.max() < math.inf):
             raise InvariantError(
                 f"factor {self.name!r}: table entries must be strictly positive and finite"
             )
@@ -276,21 +277,27 @@ def joint_table(fg: FactorGraph, held: Mapping[str, int] | None = None) -> np.nd
     free = [a for a, rv in enumerate(fg.rvs) if rv.name not in held]
     scope: list[int] = []   # declaration positions of the prefix's axes
     prefix = np.ones((), dtype=np.float64)
-    for f in fg.factors:
-        # the trailing Ellipsis keeps a view, 0-d when every argument is held
-        table = f.table[tuple(held.get(arg, slice(None)) for arg in f.args) + (...,)]
-        axes = [fg.rv_position(arg) for arg in f.args if arg not in held]
-        order = sorted(range(len(axes)), key=axes.__getitem__)
-        new_scope = sorted(set(scope).union(axes))
-        out = prefix if len(new_scope) == len(scope) else np.empty([sizes[a] for a in new_scope])
-        _multiply_factor(
-            out,
-            prefix,
-            [a in scope for a in new_scope],
-            table.transpose(order),
-            [a in axes for a in new_scope],
-        )
-        prefix, scope = out, new_scope
+    # a product past the float64 range is left as inf for callers to report
+    # as a typed error, with no numpy warning ahead of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f in fg.factors:
+            # the trailing Ellipsis keeps a view, 0-d when every argument is held
+            table = f.table[tuple(held.get(arg, slice(None)) for arg in f.args) + (...,)]
+            axes = [fg.rv_position(arg) for arg in f.args if arg not in held]
+            order = sorted(range(len(axes)), key=axes.__getitem__)
+            new_scope = sorted(set(scope).union(axes))
+            out = (
+                prefix if len(new_scope) == len(scope)
+                else np.empty([sizes[a] for a in new_scope])
+            )
+            _multiply_factor(
+                out,
+                prefix,
+                [a in scope for a in new_scope],
+                table.transpose(order),
+                [a in axes for a in new_scope],
+            )
+            prefix, scope = out, new_scope
     if len(scope) == len(free):
         return prefix
     joint = np.empty([sizes[a] for a in free], dtype=np.float64)

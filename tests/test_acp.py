@@ -260,6 +260,28 @@ class TestConstructPfg:
         with pytest.raises(InvariantError, match="differs from"):
             construct_pfg(sales, grouping, (("SalA", "SalB"), ("Rev",)), {})
 
+    def test_names_first_differing_member_in_group_order(self):
+        # the members are checked one alignment at a time, the swapped ones
+        # first here; c, under the identity, is the first to differ
+        t = np.array([[1.0, 2.0], [3.0, 4.0]])
+        odd = np.array([[1.0, 2.0], [3.0, 5.0]])
+        members = (("a", (0, 1), t), ("b", (1, 0), t.T), ("c", (0, 1), odd),
+                   ("d", (1, 0), odd.T), ("e", (0, 1), t))
+        rvs = tuple(RandomVariable(f"{n}{i}", ("x", "y")) for n, *_ in members for i in (1, 2))
+        fg = FactorGraph(rvs, tuple(Factor(n, (f"{n}1", f"{n}2"), tab) for n, _, tab in members))
+        grouping = Grouping((tuple(GroupMember(n, align) for n, align, _ in members),))
+        classes = (tuple(rv.name for rv in rvs),)
+        with pytest.raises(InvariantError, match="group 0: member 'c' table differs from "
+                                                 "representative 'a'"):
+            construct_pfg(fg, grouping, classes, {})
+        fixed = replace_tables(fg, {"c": t, "d": t.T})
+        pf = construct_pfg(fixed, grouping, classes, {}).parfactors[0]
+        assert pf.members == ("a", "b", "c", "d", "e")
+        assert pf.member_args[1] == ("b2", "b1")
+        fixed = replace_tables(fg, {"c": t})
+        with pytest.raises(InvariantError, match="member 'd' table differs"):
+            construct_pfg(fixed, grouping, classes, {})
+
     def test_rejects_partial_rv_classes(self, sales):
         grouping = Grouping(
             ((GroupMember("phi1", (0, 1)),), (GroupMember("phi2", (0, 1)),))

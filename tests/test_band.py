@@ -20,7 +20,7 @@ from liftcomp import (
     perturb,
     phase1_group,
 )
-from liftcomp import acp
+from liftcomp import acp, grouping
 from liftcomp.acp import initial_factor_colours_exact
 from liftcomp.equivalence import (
     REL_SLACK,
@@ -371,6 +371,30 @@ class TestRepeatedTables:
     def test_pool_lists(self, case):
         factors, eps = case
         assert_matches_reference(factors, eps)
+
+    @pytest.mark.parametrize("newer, joins", [([0.95, 1.0], 1), ([1.2, 1.0], 0)])
+    def test_repeat_after_a_group_opened(self, monkeypatch, newer, joins):
+        # T and W group, a copy of T joins them, then `newer` opens group 1
+        # (it is out of band with W). The last copy of T is band-tested
+        # against group 1 alone: [0.95, 1] accepts it and lies closer, so it
+        # goes there; [1.2, 1] does not, and the recorded join holds.
+        t, w = [1.0, 1.0], [1.08, 1.0]
+        factors = [Factor(f"f{n}", ("x",), np.array(v)) for n, v in enumerate([t, w, t, newer, t])]
+        rows = []
+        band_matches = grouping.band_matches
+
+        def recording(table, stacks, eps):
+            stacks = list(stacks)
+            rows.append([key for s in stacks for key in s.keys])
+            return band_matches(table, stacks, eps)
+
+        monkeypatch.setattr(grouping, "band_matches", recording)
+        got = phase1_group(factors, 0.1)
+        assert got == reference_phase1(factors, 0.1)
+        assert [m.factor for m in got.groups[joins]][-1] == "f4"
+        # f0 finds no group, f1 to f3 test group 0, f4 first tests group 1 alone
+        assert rows[:5] == [[], [0], [0], [0], [1]]
+        assert len(rows) == 5 + joins   # and takes the full test when it accepts
 
     @pytest.mark.parametrize("k,x,seed", [(16, 0.1, 0), (16, 0.3, 5)])
     def test_star_where_a_repeat_decides_differently(self, k, x, seed):

@@ -409,7 +409,9 @@ class TestDistanceSlabs:
                 rvs, tuple(Factor(f"f{i}", (f"V{i}",), np.array(row) * scale) for i in range(4))
             )
 
-        with np.errstate(over="ignore", invalid="ignore"):
+        # raised with no numpy warning ahead of it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(InvariantError, match="left the float64 range"):
                 distance_exact(unary([1.0, 2.0]), unary([1.1, 2.0]))
 

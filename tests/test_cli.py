@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 import liftcomp
-from liftcomp import CSV_COLUMNS, fg_equal, load_fg, save_fg
+from liftcomp import (
+    CSV_COLUMNS, Factor, FactorGraph, RandomVariable, fg_equal, load_fg, save_fg,
+)
 from liftcomp.cli import main
 
 from conftest import UNPARSEABLE_MODELS, sales_model, star_model
@@ -30,6 +32,17 @@ def run_cli(capsys, *argv: str):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _run_module(*argv: str) -> subprocess.CompletedProcess:
+    """`python -m liftcomp.cli` in a child that imports the liftcomp under test."""
+    src = str(Path(liftcomp.__file__).resolve().parent.parent)
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return subprocess.run(
+        [sys.executable, "-m", "liftcomp.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+    )
 
 
 class TestCompress:
@@ -224,6 +237,24 @@ class TestBound:
         assert out == ""
         assert err.startswith("error:") and "float64" in err
 
+    def test_joint_overflow_prints_only_its_error(self, tmp_path):
+        # unary tables [1e200, 2e200] on four RVs: the joint overflows; a
+        # child process, so that a numpy warning would reach its stderr
+        rvs = tuple(RandomVariable(f"V{i}", ("a", "b")) for i in range(4))
+        paths = []
+        for name, first in (("a", 1e200), ("b", 1.1e200)):
+            table = np.array([first, 2e200])
+            fg = FactorGraph(rvs, tuple(Factor(f"f{i}", (f"V{i}",), table) for i in range(4)))
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_bytes(save_fg(fg))
+        proc = _run_module(
+            "bound", "--eps", "0.1", "--model", str(paths[0]), "--compressed", str(paths[1])
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "float64 range" in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
     def test_requires_m_or_models(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--eps", "0.1")
         assert code == 2
@@ -384,13 +415,6 @@ class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path, sales):
         path = tmp_path / "m.json"
         path.write_bytes(save_fg(sales))
-        # the child imports the liftcomp under test, whether installed or not
-        src = str(Path(liftcomp.__file__).resolve().parent.parent)
-        paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-        proc = subprocess.run(
-            [sys.executable, "-m", "liftcomp.cli", "inspect", "--model", str(path)],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
-        )
+        proc = _run_module("inspect", "--model", str(path))
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["n_factors"] == 2

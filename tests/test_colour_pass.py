@@ -11,6 +11,7 @@ from liftcomp import (
     FactorGraph,
     RandomVariable,
     phase1_group,
+    replace_tables,
     run_acp,
     run_eacp,
 )
@@ -141,6 +142,22 @@ def generated_model(seed):
     return fg, evidence
 
 
+def deep_star(k, depth, seed):
+    """star_model with a tenth of its tables scaled: half inside eps = 0.1, half outside.
+
+    Every scaled table sets its branch apart, and the splits travel along
+    the chains one link per round.
+    """
+    fg = star_model(k, depth, seed)
+    rng = np.random.default_rng(seed)
+    hit = rng.choice(len(fg.factors), size=len(fg.factors) // 10, replace=False)
+    tables = {}
+    for n, i in enumerate(hit):
+        f = fg.factors[i]
+        tables[f.name] = f.table * (rng.uniform(0.97, 1.03, (2, 2)) if n % 2 else 1.5)
+    return replace_tables(fg, tables)
+
+
 def _seedings(fg, eps):
     phase1 = phase1_group(fg.factors, eps)
     return {
@@ -169,6 +186,27 @@ class TestAgainstReference:
                 symmetric += any(len(b) >= 2 for b in got.blocks.values())
         # the corpus exercises non-identity alignments and commutative blocks
         assert permuted > 50 and symmetric > 50
+
+    @pytest.mark.parametrize("k, depth", [(4, 6), (16, 6), (16, 8), (64, 6)])
+    def test_deep_stars(self, k, depth):
+        rounds = []
+        for seed in range(3):
+            fg = deep_star(k, depth, seed)
+            leaf = fg.rvs[depth].name   # the last RV of the first chain
+            for evidence in (Evidence(), Evidence(((leaf, "t"),))):
+                for colours, alignments, eps in _seedings(fg, 0.1).values():
+                    got = colour_pass(fg, colours, evidence, alignments=alignments, eps=eps)
+                    grouping, rv_classes, rv_col, f_col, n = reference_colour_pass(
+                        fg, colours, evidence, alignments, eps
+                    )
+                    assert got.grouping == grouping
+                    assert got.rv_classes == rv_classes
+                    assert list(got.state.rv_colours.items()) == list(rv_col.items())
+                    assert list(got.state.factor_colours.items()) == list(f_col.items())
+                    assert got.state.iteration == n
+                    rounds.append(n)
+        # splits travel the length of a chain, one link per round
+        assert max(rounds) > depth
 
 
 # -- commutativity: one detection per distinct frame table and ranges --------

@@ -66,6 +66,23 @@ class TestQueryContract:
         res = query_ve(sales, Query("SalA"))
         assert res["high"] == res.distribution["high"]
 
+    @pytest.mark.parametrize("evaluate", [query_ve, query_enumerate])
+    @pytest.mark.parametrize("n, table, message", [
+        (4, [1e200, 2e200], "left the float64 range"),
+        (4, [1e-200, 2e-200], "underflowed float64"),
+        (2, [1e154, 1e154], "left the float64 range"),   # finite joint, its sums overflow
+        (1, [1e308, 1e308], "left the float64 range"),   # the total mass overflows
+    ])
+    def test_mass_outside_float64_is_a_typed_error(self, evaluate, n, table, message):
+        # strictly positive unary potentials whose products or sums leave
+        # float64, with no numpy warning ahead of the error
+        rvs = tuple(RandomVariable(f"V{i}", TF) for i in range(n))
+        fg = FactorGraph(rvs, tuple(Factor(f"f{i}", (f"V{i}",), table) for i in range(n)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantError, match=message):
+                evaluate(fg, Query("V0"))
+
 
 class TestEnumerate:
     def test_sales_conditional(self, sales):
@@ -144,6 +161,19 @@ class TestLiftedStar:
             ve_ops.append(query_ve(fg, Query("Hub")).ops)
         assert len(set(lifted_ops)) == 1
         assert all(a < b for a, b in zip(ve_ops, ve_ops[1:]))
+
+    def test_class_message_overflow_is_a_typed_error(self):
+        # each branch sends [2e200, 2e200]; its square, for two branches,
+        # leaves float64, with no numpy warning ahead of the error
+        rvs = tuple(RandomVariable(n, TF) for n in ("Hub", "B1", "B2"))
+        table = np.full((2, 2), 1e200)
+        fg = FactorGraph(rvs, (Factor("a1", ("Hub", "B1"), table),
+                               Factor("a2", ("Hub", "B2"), table)))
+        pfg = run_eacp(fg, 0.0).pfg
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantError, match="left the float64 range"):
+                query_lifted_star(pfg, "Hub", Query("Hub"))
 
     def test_rejects_non_hub_target(self):
         _, pfg = self.pfg_for(3, 2)

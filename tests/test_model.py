@@ -75,6 +75,22 @@ class TestFactor:
         with pytest.raises(InvariantError):
             Factor("f", ("X",), np.array([1.0, np.inf]))
 
+    @pytest.mark.parametrize("entries", [
+        [1.0, 2.0], [np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf],
+        [0.0, 1.0], [-0.0, 1.0], [1.0, -2.0], [np.nan, np.inf], [-np.inf, np.inf],
+        [5e-324, 1.7976931348623157e308], [], [[np.nan, 1.0], [2.0, 0.0]],
+        [[1.0, 2.0], [3.0, np.inf]], [[1.0, 2.0], [3.0, 4.0]],
+    ])
+    def test_accepts_exactly_positive_finite_tables(self, entries):
+        table = np.array(entries, dtype=np.float64)
+        args = ("X", "Y")[: table.ndim]
+        valid = bool(np.all(np.isfinite(table)) and np.all(table > 0.0))
+        if valid:
+            assert Factor("f", args, table).table.tobytes() == table.tobytes()
+        else:
+            with pytest.raises(InvariantError, match="strictly positive and finite"):
+                Factor("f", args, table)
+
     def test_table_is_readonly(self):
         f = Factor("f", ("X",), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
