@@ -7,8 +7,11 @@ own colour; RVs absorb (factor colour, position) pairs plus their own
 colour, with position 0 standing in for any argument slot that belongs
 to a commutative block of the factor's class representative. Rounds
 are synchronous, factors then RVs, and the loop stops after the first
-round in which neither partition changes. Round 1 signs every node;
-after it only the frontier is signed again: a factor when one of its
+round in which neither partition changes. Round 1 signs every node,
+except the factors when every RV starts with one colour (no evidence,
+one range): a factor's signature is then its class and one repeated RV
+colour, the same for all its classmates, so no class can split. After
+round 1 only the frontier is signed again: a factor when one of its
 argument RVs took a new label in the previous RV step, an RV when one
 of its factors took a new label in the same round, since no other
 signature can have changed ("process what changed": Paige & Tarjan
@@ -294,7 +297,9 @@ def colour_pass(
     rv_col = [start_rv[rv.name] for rv in fg.rvs]
     f_sizes = _class_sizes(f_col)
     rv_sizes = _class_sizes(rv_col)
-    f_frontier: Iterable[int] = range(len(f_col))   # round 1 signs every node
+    # round 1 signs every node, except the factors while every RV has one
+    # colour: every member of a factor class then signs the same
+    f_frontier: Iterable[int] = range(len(f_col)) if len(rv_sizes) > 1 else ()
     iteration = 0
     max_rounds = len(fg.rvs) + len(fg.factors) + 2
     while True:

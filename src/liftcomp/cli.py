@@ -77,11 +77,11 @@ def cmd_compress(args: argparse.Namespace) -> int:
     groups = [
         {
             "index": gi,
-            "size": len(group),
-            "members": [m.factor for m in group],
-            "max_rel_dev": result.per_group_max_rel_dev[gi],
+            "size": pf.count,
+            "members": list(pf.members),
+            "max_rel_dev": dev,
         }
-        for gi, group in enumerate(result.grouping.groups)
+        for gi, (pf, dev) in enumerate(zip(result.pfg.parfactors, result.deviations))
     ]
     n_factors = len(fg.factors)
     n_groups = result.n_groups()

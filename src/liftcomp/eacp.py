@@ -25,6 +25,13 @@ itself when no entry changes. That always holds at eps = 0, where phase
 1 groups only bit-identical tables, and for run_acp. At eps = 0 both
 pipelines produce identical groupings, parfactor graphs and models,
 which is what the regression tests pin.
+
+A CompressionResult stores each fact once: the parfactor graph (final
+groups in order, members, their frame arguments, RV classes), m_prime
+and one deviation per group. The grouping and the deviation dict are
+derived from these on access. m_prime shares its input's factor index,
+its unmodified factors, and one mean table per (group, alignment) among
+the modified members.
 """
 
 from __future__ import annotations
@@ -39,10 +46,18 @@ from .acp import (
     exact_crv_positions,
     initial_factor_colours_exact,
 )
-from .equivalence import Alignment, aligned_table, check_epsilon, eps_band_mask, unaligned_table
+from .equivalence import (
+    Alignment,
+    aligned_table,
+    check_epsilon,
+    eps_band_mask,
+    identity_alignment,
+    invert_alignment,
+    unaligned_table,
+)
 from .equivalence import eps_equiv_arrays  # noqa: F401  perfbench/run.py counts its calls
 from .errors import InvariantError
-from .grouping import Grouping, mean_of_tables, phase1_group
+from .grouping import GroupMember, Grouping, mean_of_tables, phase1_group
 from .model import Evidence, FactorGraph, replace_tables
 
 __all__ = ["CompressionResult", "run_eacp", "run_acp"]
@@ -52,32 +67,71 @@ __all__ = ["CompressionResult", "run_eacp", "run_acp"]
 class CompressionResult:
     """Compressed representation plus the updated ground model.
 
-    per_group_max_rel_dev maps each final group index to the largest
-    relative deviation |phi - phi*| / phi over its members' entries; by
-    the mean-update bound this never exceeds the eps of the run.
+    Each fact is stored once. pfg holds the final groups, one parfactor
+    each in group order, with every member's arguments in the group
+    frame; m_prime holds the updated tables, where the modified members
+    of one group under one alignment share one read-only array.
+    deviations holds, per final group index, the largest relative
+    deviation |phi - phi*| / phi over its members' entries; by the
+    mean-update bound it never exceeds the eps of the run.
+
+    grouping, rv_classes and per_group_max_rel_dev are derived from these
+    on every access and never cached; a caller that reads one often keeps
+    its own copy.
     """
 
     pfg: ParfactorGraph
     m_prime: FactorGraph
-    grouping: Grouping
-    per_group_max_rel_dev: dict[int, float]
+    deviations: tuple[float, ...]
+
+    @property
+    def grouping(self) -> Grouping:
+        """The final grouping, alignments recovered from each member's frame arguments.
+
+        A member's frame arguments are its own arguments permuted by its
+        alignment, and a factor's arguments are distinct, so the frame
+        position of each argument gives the alignment back.
+        """
+        factor = self.m_prime.factor
+        groups = []
+        for pf in self.pfg.parfactors:
+            group = []
+            for name, frame_args in zip(pf.members, pf.member_args):
+                args = factor(name).args
+                if frame_args == args:
+                    align = identity_alignment(len(args))
+                else:
+                    position = {a: i for i, a in enumerate(args)}
+                    align = invert_alignment(tuple(position[a] for a in frame_args))
+                group.append(GroupMember(name, align))
+            groups.append(tuple(group))
+        return Grouping(tuple(groups))
+
+    @property
+    def per_group_max_rel_dev(self) -> dict[int, float]:
+        return dict(enumerate(self.deviations))
 
     @property
     def rv_classes(self) -> tuple[tuple[str, ...], ...]:
         return tuple(c.members for c in self.pfg.rv_classes)
 
     def n_groups(self) -> int:
-        return len(self.grouping.groups)
+        return len(self.pfg.parfactors)
 
 
 def _phase3_update(
     fg: FactorGraph, grouping: Grouping, eps: float
-) -> tuple[FactorGraph, dict[int, float]]:
-    """Mean update per final group in stacked calls; fg itself when no table changes."""
+) -> tuple[FactorGraph, tuple[float, ...]]:
+    """Mean update per final group in stacked calls; fg itself when no table changes.
+
+    The modified members of a group under one alignment get one shared
+    table: the mean in their frame, C-contiguous and read-only, which
+    Factor keeps without a copy.
+    """
     new_tables: dict[str, np.ndarray] = {}
-    deviations: dict[int, float] = {}
-    for gi, group in enumerate(grouping.groups):
-        deviations[gi] = 0.0
+    deviations: list[float] = []
+    for group in grouping.groups:
+        deviations.append(0.0)
         if len(group) == 1:
             continue
         stack = np.stack([aligned_table(fg.factor(m.factor).table, m.align) for m in group])
@@ -91,11 +145,16 @@ def _phase3_update(
                 f"eps band; grouping admitted a non-equivalent member"
             )
         member_dev = (np.abs(stack - mean) / stack).reshape(len(group), -1).max(axis=1)
-        deviations[gi] = float(member_dev.max())
+        deviations[-1] = float(member_dev.max())
+        shared: dict[Alignment, np.ndarray] = {}
         for member, dev in zip(group, member_dev):
             if dev > 0.0:
-                new_tables[member.factor] = unaligned_table(mean, member.align)
-    return (replace_tables(fg, new_tables) if new_tables else fg), deviations
+                table = shared.get(member.align)
+                if table is None:
+                    table = shared[member.align] = unaligned_table(mean, member.align).copy()
+                    table.flags.writeable = False
+                new_tables[member.factor] = table
+    return (replace_tables(fg, new_tables) if new_tables else fg), tuple(deviations)
 
 
 def _compress(
@@ -108,7 +167,7 @@ def _compress(
         m_prime, cp.grouping, cp.rv_classes, eps, known_blocks=cp.blocks
     )
     pfg = construct_pfg(m_prime, cp.grouping, cp.rv_classes, crv)
-    return CompressionResult(pfg, m_prime, cp.grouping, deviations)
+    return CompressionResult(pfg, m_prime, deviations)
 
 
 def run_eacp(

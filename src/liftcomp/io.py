@@ -136,7 +136,11 @@ def load_fg(data: bytes | str) -> FactorGraph:
                 values.append(float(v))
             except OverflowError:
                 _fail(f"{path}.table[{j}]", "number outside the float64 range")
-        table = np.asarray(values, dtype=np.float64).reshape(shape)
+        # shaped in place, the array still owns its data: once frozen,
+        # Factor keeps it without a second copy
+        table = np.fromiter(values, dtype=np.float64, count=expected_len)
+        table.shape = shape
+        table.flags.writeable = False
         factors.append(_build(path, Factor, name, args, table))
 
     return _build("$", FactorGraph, tuple(rvs), tuple(factors))

@@ -99,13 +99,18 @@ class RandomVariable:
             ) from None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Factor:
     """Named factor: one or more distinct argument RVs plus a dense positive table.
 
     The table must arrive shaped (one axis per argument, last axis fastest
     in the flat row-major reading). Entries are strictly positive finite
-    float64; the factor holds a read-only copy of them.
+    float64, held read-only. The factor shares the caller's array when it
+    is already frozen: a read-only, C-contiguous float64 ndarray that owns
+    its data, which whoever froze it hands over without keeping a
+    writeable view. Any other input (writeable, a view, another dtype or
+    layout, a list) is copied, and later writes to the caller's array do
+    not reach the factor.
     """
 
     name: str
@@ -120,9 +125,12 @@ class Factor:
             raise InvariantError(f"factor {self.name!r}: needs at least one argument")
         if len(set(self.args)) != len(self.args):
             raise InvariantError(f"factor {self.name!r}: argument RVs are not distinct")
-        # a copy: the caller's array stays writeable, and writing to it
-        # cannot change the table validated here
-        table = np.array(self.table, dtype=np.float64, order="C")
+        table = self.table
+        if not _frozen(table):
+            # a copy: the caller's array stays writeable, and writing to it
+            # cannot change the table validated here
+            table = np.array(table, dtype=np.float64, order="C")
+            table.flags.writeable = False
         if table.ndim != len(self.args):
             raise InvariantError(
                 f"factor {self.name!r}: table has {table.ndim} axes "
@@ -133,7 +141,6 @@ class Factor:
             raise InvariantError(
                 f"factor {self.name!r}: table entries must be strictly positive and finite"
             )
-        table.flags.writeable = False
         object.__setattr__(self, "table", table)
 
     @property
@@ -141,9 +148,21 @@ class Factor:
         return len(self.args)
 
 
+def _frozen(table: object) -> bool:
+    """A read-only, C-contiguous float64 ndarray that owns its data."""
+    if type(table) is not np.ndarray or table.dtype != np.float64:
+        return False
+    flags = table.flags
+    return flags.owndata and flags.c_contiguous and not flags.writeable
+
+
 @dataclass(frozen=True, eq=False)
 class FactorGraph:
-    """Immutable factor graph; edges are implicit in factor argument lists."""
+    """Immutable factor graph; edges are implicit in factor argument lists.
+
+    Factors are indexed by name -> position, so a graph made by
+    replace_tables shares every index with its input.
+    """
 
     rvs: tuple[RandomVariable, ...]
     factors: tuple[Factor, ...]
@@ -156,10 +175,10 @@ class FactorGraph:
             if rv.name in rv_index:
                 raise InvariantError(f"duplicate rv name {rv.name!r}")
             rv_index[rv.name] = rv
-        factor_index: dict[str, Factor] = {}
+        factor_pos: dict[str, int] = {}
         touched: set[str] = set()
         for f in self.factors:
-            if f.name in factor_index:
+            if f.name in factor_pos:
                 raise InvariantError(f"duplicate factor name {f.name!r}")
             expected = []
             for arg in f.args:
@@ -173,7 +192,7 @@ class FactorGraph:
                     f"factor {f.name!r}: table shape {f.table.shape} does not match "
                     f"argument range sizes {tuple(expected)}"
                 )
-            factor_index[f.name] = f
+            factor_pos[f.name] = len(factor_pos)
             touched.update(f.args)
         isolated = [rv.name for rv in self.rvs if rv.name not in touched]
         if isolated:
@@ -182,7 +201,7 @@ class FactorGraph:
                 stacklevel=2,
             )
         object.__setattr__(self, "_rv_index", rv_index)
-        object.__setattr__(self, "_factor_index", factor_index)
+        object.__setattr__(self, "_factor_pos", factor_pos)
         object.__setattr__(
             self, "_rv_pos", {rv.name: i for i, rv in enumerate(self.rvs)}
         )
@@ -195,7 +214,7 @@ class FactorGraph:
 
     def factor(self, name: str) -> Factor:
         try:
-            return self._factor_index[name]  # type: ignore[attr-defined]
+            return self.factors[self._factor_pos[name]]  # type: ignore[attr-defined]
         except KeyError:
             raise InvariantError(f"unknown factor {name!r}") from None
 
@@ -364,8 +383,7 @@ def fg_equal(a: FactorGraph, b: FactorGraph) -> bool:
 
 def replace_tables(fg: FactorGraph, tables: Mapping[str, np.ndarray]) -> FactorGraph:
     """Copy of fg with some factor tables swapped; structure untouched."""
-    known = {f.name for f in fg.factors}
-    unknown = set(tables) - known
+    unknown = set(tables).difference(fg._factor_pos)  # type: ignore[attr-defined]
     if unknown:
         raise InvariantError(f"no such factors: {sorted(unknown)}")
     factors = tuple(
@@ -378,9 +396,8 @@ def replace_tables(fg: FactorGraph, tables: Mapping[str, np.ndarray]) -> FactorG
                 f"factor {old.name!r}: table shape {new.table.shape} does not match "
                 f"{old.table.shape}"
             )
-    # same RVs and arguments: the copy shares fg's RV indexes, which keeps
-    # every compression result from holding its own
+    # same RVs and factor names in the same order: the copy shares fg's
+    # indexes, which keeps every compression result from holding its own
     out = copy.copy(fg)
     object.__setattr__(out, "factors", factors)
-    object.__setattr__(out, "_factor_index", {f.name: f for f in factors})
     return out

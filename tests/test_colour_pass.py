@@ -169,9 +169,11 @@ def _seedings(fg, eps):
 class TestAgainstReference:
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     def test_generated_models(self, eps):
-        permuted = symmetric = 0
+        permuted = symmetric = one_colour = 0
         for seed in range(150):
             fg, evidence = generated_model(seed)
+            # every RV starts with one colour: round 1 signs no factor
+            one_colour += len(set(initial_rv_colours(fg, evidence).values())) == 1
             for colours, alignments, seed_eps in _seedings(fg, eps).values():
                 got = colour_pass(fg, colours, evidence, alignments=alignments, eps=seed_eps)
                 grouping, rv_classes, rv_col, f_col, rounds = reference_colour_pass(
@@ -184,8 +186,9 @@ class TestAgainstReference:
                 assert got.state.iteration == rounds
                 permuted += any(a != identity_alignment(len(a)) for a in alignments.values())
                 symmetric += any(len(b) >= 2 for b in got.blocks.values())
-        # the corpus exercises non-identity alignments and commutative blocks
-        assert permuted > 50 and symmetric > 50
+        # the corpus exercises non-identity alignments, commutative blocks
+        # and models without evidence
+        assert permuted > 50 and symmetric > 50 and one_colour > 20
 
     @pytest.mark.parametrize("k, depth", [(4, 6), (16, 6), (16, 8), (64, 6)])
     def test_deep_stars(self, k, depth):

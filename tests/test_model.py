@@ -114,6 +114,29 @@ class TestFactor:
         t[0, 0] = -5.0
         assert f.table.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
+    def test_view_of_writeable_base_is_copied(self):
+        base = np.array([[1.0, 2.0], [3.0, 4.0]])
+        view = base.view()
+        view.flags.writeable = False
+        f = Factor("f", ("X", "Y"), view)
+        assert f.table is not view and not np.shares_memory(f.table, base)
+        base[0, 0] = 5.0
+        assert f.table[0, 0] == 1.0
+
+    def test_other_dtypes_are_converted(self):
+        for t in (np.array([[1, 2], [3, 4]]), np.array([[1.0, 2.0], [3.0, 4.0]], np.float32),
+                  [[1.0, 2.0], [3.0, 4.0]]):
+            f = Factor("f", ("X", "Y"), t)
+            assert f.table.dtype == np.float64
+            assert f.table.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_frozen_array_is_shared(self):
+        t = np.array([[1.0, 2.0], [3.0, 4.0]])
+        t.flags.writeable = False
+        assert Factor("f", ("X", "Y"), t).table is t
+        # the same array frozen but not C-contiguous is copied
+        assert Factor("f", ("X", "Y"), t.T).table is not t.T
+
     def test_row_major_layout(self):
         # last argument varies fastest in the file's flat listing
         t = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -330,6 +353,15 @@ class TestReplaceTables:
         assert new.rv("Rev") is sales.rv("Rev")
 
 
+    def test_lookup_finds_replaced_factor(self, sales):
+        new = replace_tables(sales, {"phi2": np.full((2, 2), 0.5)})
+        assert new.factor("phi2") is new.factors[1]
+        assert new.factor("phi2").table.tolist() == [[0.5, 0.5], [0.5, 0.5]]
+        assert new.factor("phi1") is sales.factor("phi1")
+        with pytest.raises(InvariantError, match="unknown factor 'nope'"):
+            new.factor("nope")
+
+
 class TestFgEqual:
     def test_reflexive(self, sales):
         assert fg_equal(sales, sales)
@@ -429,6 +461,11 @@ class TestIo:
     def test_model_checks_at_entry_path(self, rvs, factors, path):
         with pytest.raises(ModelFormatError, match=f"^{path}: "):
             load_fg(json.dumps({"rvs": rvs, "factors": factors}))
+
+    def test_loaded_tables_are_built_once(self, sales):
+        # each table is one frozen array owning its data, which Factor shares
+        for f in load_fg(save_fg(sales)).factors:
+            assert f.table.flags.owndata and not f.table.flags.writeable
 
     def test_save_preserves_exact_floats(self):
         # repr round-trip: every float comes back bit-identical
