@@ -3,7 +3,7 @@
 Machine-readable JSON (or CSV for bench) goes to standard output; human
 summaries and diagnostics go to standard error. Exit codes: 0 success,
 1 unreadable or malformed input files or unwritable outputs, 2 domain
-violations (bad eps, unknown rvs, caps, unsupported topologies). The
+violations (bad eps, unknown rvs, caps, evidence on a lifted query). The
 enumeration cap is LIFTCOMP_ENUM_CAP or its default; bound skips d_exact
 above it.
 """

@@ -1,30 +1,31 @@
 """End-to-end compression: one pipeline tail with two seedings.
 
-run_eacp seeds colour passing with the greedy eps-groups of phase 1;
-run_acp, the exact-equality baseline, seeds it with bit-identical
-tables up to argument permutation. Both then run the same tail: colour
-passing (evidence enters only here, as initial RV colours), the
-entrywise mean update per POST-refinement group, so factors that the
-graph structure split apart are averaged only within their final group,
-counting detection and the parfactor graph. The updated ground model
-keeps the input's structure, argument order included; only tables
-change, and every updated entry is checked eps-equivalent to its
-original.
+run_eacp seeds colour passing with the greedy eps-groups of phase 1
+when eps > 0; run_acp, the exact-equality baseline, seeds it with
+bit-identical tables up to argument permutation. Both then run the same
+tail: colour passing (evidence enters only here, as initial RV
+colours), the entrywise mean update per POST-refinement group, so
+factors that the graph structure split apart are averaged only within
+their final group, counting detection and the parfactor graph. The
+updated ground model keeps the input's structure, argument order
+included; only tables change, and every updated entry is checked
+eps-equivalent to its original.
 
-ACP keeps its own seeding loop, initial_factor_colours_exact, although
-phase1_group(factors, 0.0) finds the same groups: at eps = 0 the band
-test is byte equality, so a factor is looked up in a hash of the
-representatives' (shape, table bytes), one lookup per permutation
-however many representatives there are. A hash is exact only at
-eps = 0; phase 1 must test each group's envelope.
+At eps = 0 run_eacp seeds like run_acp, with initial_factor_colours_exact.
+phase1_group(factors, 0.0) finds the same groups, since its band test is
+then byte equality, but it tests each group's envelope, which is
+quadratic in the number of groups; the exact seeding looks a factor up in
+a hash of the representatives' (shape, table bytes), one lookup per
+permutation however many representatives there are. A hash is exact
+only at eps = 0, so above it phase 1 seeds.
 
 A group whose aligned tables are bit-identical keeps them (the float
 mean of k copies is not always the copy): _phase3_update skips it, and
 grouping.mean_of_tables has no passthrough of its own. m_prime is fg
-itself when no entry changes. That always holds at eps = 0, where phase
-1 groups only bit-identical tables, and for run_acp. At eps = 0 both
-pipelines produce identical groupings, parfactor graphs and models,
-which is what the regression tests pin.
+itself when no entry changes. That always holds at eps = 0, where the
+exact seeding groups only bit-identical tables, and so for run_acp. At
+eps = 0 both pipelines run the same calls, so their groupings, parfactor
+graphs and models are identical.
 
 A CompressionResult stores each fact once: the parfactor graph (final
 groups in order, members, their frame arguments, RV classes), m_prime
@@ -176,6 +177,8 @@ def run_eacp(
     """Compress fg with tolerance eps; evidence refines initial RV colours only."""
     eps = check_epsilon(eps)
     evidence.validate_against(fg)
+    if eps == 0.0:
+        return _compress(fg, eps, evidence, *initial_factor_colours_exact(fg.factors))
     phase1 = phase1_group(fg.factors, eps)
     return _compress(fg, eps, evidence, phase1.group_index(), phase1.alignments())
 

@@ -36,4 +36,4 @@ class ArityCapError(InvariantError):
 
 
 class UnsupportedTopologyError(InvariantError):
-    """Model shape outside what the restricted lifted evaluator handles."""
+    """A query the lifted evaluator does not answer: a non-hub target, or evidence."""

@@ -2,9 +2,9 @@
 
 Three evaluators over the same Query contract: full enumeration (the
 oracle), variable elimination with a min-degree order, and a lifted
-evaluator for star-shaped compressed models that computes one message
-per branch class and raises it to the class size instead of repeating
-identical eliminations.
+evaluator for the hub marginal of a compressed model that computes one
+message per class of isomorphic branches and raises it to the class
+size instead of repeating identical eliminations.
 
 QueryResult.ops counts table entries written by products plus entries
 read by marginalisations; it is a machine-independent proxy for work
@@ -55,17 +55,39 @@ class Query:
 
 @dataclass(frozen=True, eq=False)
 class QueryResult:
+    """A normalised marginal and the work spent on it.
+
+    log_distribution holds log P per label. The evaluators take it from
+    the unnormalised vector (log v_i - log sum v), so it stays finite
+    and accurate where P itself rounds to 0 or 1; without it, it is the
+    logarithm of distribution. The invariant: distribution sums to 1,
+    and the log-probabilities are finite with a log-sum-exp within 1e-12
+    of 0, which a zero entry or a lost unit of mass fails.
+    """
+
     distribution: dict[str, float]
     method: str
     ops: int = 0
+    log_distribution: dict[str, float] | None = None
 
     def __post_init__(self) -> None:
-        total = sum(self.distribution.values())
+        dist = self.distribution
+        total = sum(dist.values())
         if abs(total - 1.0) > 1e-12:
             raise InvariantError(f"distribution sums to {total!r}, not 1")
-        for label, p in self.distribution.items():
-            if not 0.0 < p < 1.0:
-                raise InvariantError(f"P({label})={p!r} outside (0, 1)")
+        logs = self.log_distribution
+        if logs is None:
+            logs = {k: math.log(p) if p > 0.0 else -math.inf for k, p in dist.items()}
+            object.__setattr__(self, "log_distribution", logs)
+        elif logs.keys() != dist.keys():
+            raise InvariantError("log_distribution and distribution label different values")
+        # a nan or +inf entry makes lse nan, which fails the comparison
+        top = max(logs.values())
+        lse = top + math.log(sum([math.exp(lp - top) for lp in logs.values()]))
+        if not (abs(lse) <= 1e-12 and math.isfinite(min(logs.values()))):
+            raise InvariantError(
+                f"log-probabilities {logs!r} must be finite with log-sum-exp 0, got {lse!r}"
+            )
 
     def __getitem__(self, label: str) -> float:
         return self.distribution[label]
@@ -105,11 +127,17 @@ def _normalise(vector: np.ndarray, labels: tuple[str, ...], method: str, ops: in
         )
     if total <= 0.0:
         raise InvariantError("query mass vanished: a product of potentials underflowed float64")
-    dist = {label: float(v / total) for label, v in zip(labels, vector)}
+    values = vector.tolist()
+    dist = {label: v / total for label, v in zip(labels, values)}
     # renormalise in float so the stored values sum to 1 exactly enough
     correction = sum(dist.values())
     dist = {k: v / correction for k, v in dist.items()}
-    return QueryResult(dist, method, ops)
+    log_total = math.log(total)
+    logs = {
+        label: math.log(v) - log_total if v > 0.0 else -math.inf
+        for label, v in zip(labels, values)
+    }
+    return QueryResult(dist, method, ops, logs)
 
 
 @_float64_checked
@@ -118,12 +146,13 @@ def query_enumerate(fg: FactorGraph, q: Query) -> QueryResult:
     _validate_query(fg, q)
     joint = joint_table(fg)
     ops = joint.size
+    observed = q.evidence.as_dict()
     index: list[object] = [slice(None)] * len(fg.rvs)
-    for rv_name, label in q.evidence.as_dict().items():
+    for rv_name, label in observed.items():
         pos = fg.rv_position(rv_name)
         index[pos] = fg.rv(rv_name).index_of(label)
     sliced = joint[tuple(index)]
-    remaining = [rv.name for rv in fg.rvs if rv.name not in q.evidence.as_dict()]
+    remaining = [rv.name for rv in fg.rvs if rv.name not in observed]
     target_axis = remaining.index(q.target)
     other_axes = tuple(i for i in range(sliced.ndim) if i != target_axis)
     vector = sliced.sum(axis=other_axes) if other_axes else sliced
@@ -254,9 +283,7 @@ def query_ve(fg: FactorGraph, q: Query) -> QueryResult:
     return _normalise(vector, fg.rv(q.target).range, "ve", ops)
 
 
-def _components(
-    members: list[tuple[int, str, tuple[str, ...]]], hub: str
-) -> list[list[int]]:
+def _components(members: list[tuple[int, tuple[str, ...]]], hub: str) -> list[list[int]]:
     """Group member factors by connectivity through non-hub arguments."""
     parent: dict[str, str] = {}
 
@@ -271,7 +298,7 @@ def _components(
         if rx != ry:
             parent[rx] = ry
 
-    for _, _, args in members:
+    for _, args in members:
         internal = [a for a in args if a != hub]
         for a in internal:
             parent.setdefault(a, a)
@@ -279,7 +306,7 @@ def _components(
             union(a, b)
     buckets: dict[str, list[int]] = {}
     solo: list[list[int]] = []
-    for idx, (_, _, args) in enumerate(members):
+    for idx, (_, args) in enumerate(members):
         internal = [a for a in args if a != hub]
         if not internal:
             solo.append([idx])
@@ -290,13 +317,18 @@ def _components(
 
 @_float64_checked
 def query_lifted_star(pfg: ParfactorGraph, hub: str, q: Query) -> QueryResult:
-    """Belief at the hub of a star of structurally identical branches.
+    """Belief at the hub, one message per class of isomorphic components.
 
-    Branches sharing a parfactor signature contribute one message raised
-    to the branch count; every further branch in a class costs O(1)
-    numeric work. Evidence and non-hub targets are out of scope here and
-    raise UnsupportedTopologyError, as do branches that cannot be mapped
-    onto their class representative position by position.
+    The member factors split into components connected through non-hub
+    arguments, which share only the hub. A component's key is, in member
+    order, each member's parfactor index and its arguments numbered by
+    first occurrence, the hub as 0; components with equal keys are
+    copies up to renaming, so the first one of each class is eliminated
+    and its message raised to the class size, and every further copy
+    costs O(1) numeric work (Taghipour et al. 2013, lifted variable
+    elimination). Every component is eliminated exactly, so the answer
+    is the hub marginal of any parfactor graph. A non-hub target and
+    evidence raise UnsupportedTopologyError.
     """
     if q.target != hub:
         raise UnsupportedTopologyError(
@@ -314,47 +346,25 @@ def query_lifted_star(pfg: ParfactorGraph, hub: str, q: Query) -> QueryResult:
     if q.value is not None and q.value not in hub_labels:
         raise InvariantError(f"value {q.value!r} is not a label of {hub!r}")
 
-    members: list[tuple[int, str, tuple[str, ...]]] = []
-    tables: dict[int, np.ndarray] = {}
-    for pi, pf in enumerate(pfg.parfactors):
-        tables[pi] = expand_crv(pf)
-        for mname, margs in zip(pf.members, pf.member_args):
-            members.append((pi, mname, margs))
+    tables = [expand_crv(pf) for pf in pfg.parfactors]
+    members = [(pi, margs) for pi, pf in enumerate(pfg.parfactors) for margs in pf.member_args]
+    classes: dict[tuple[tuple[int, tuple[int, ...]], ...], list[list[int]]] = {}
+    for comp in _components(members, hub):
+        number = {hub: 0}
+        key = tuple(
+            (members[i][0], tuple(number.setdefault(a, len(number)) for a in members[i][1]))
+            for i in comp
+        )
+        classes.setdefault(key, []).append(comp)
 
-    comps = _components(members, hub)
     ops = 0
-    keyed: dict[tuple[int, ...], list[list[int]]] = {}
-    for comp in comps:
-        ids = sorted(members[i][0] for i in comp)
-        if len(set(ids)) != len(ids):
-            raise UnsupportedTopologyError(
-                "a branch holds two members of one parfactor; branches must be copies"
-            )
-        keyed.setdefault(tuple(ids), []).append(comp)
-
     belief = np.ones(len(hub_labels), dtype=np.float64)
-    for key, group in keyed.items():
+    for group in classes.values():
         rep = group[0]
-        rep_by_pf = {members[i][0]: members[i][2] for i in rep}
-        for other in group[1:]:
-            mapping: dict[str, str] = {hub: hub}
-            reverse: dict[str, str] = {hub: hub}
-            for i in other:
-                pf_id, _, args = members[i]
-                for a, b in zip(rep_by_pf[pf_id], args):
-                    if mapping.setdefault(a, b) != b or reverse.setdefault(b, a) != a:
-                        raise UnsupportedTopologyError(
-                            "branches with equal parfactor signatures are not"
-                            " structurally identical"
-                        )
-        # one message per signature, via elimination on the representative branch
-        sub_items = [(members[i][2], tables[members[i][0]]) for i in rep]
-        sizes = {hub: len(hub_labels)}
-        for i in rep:
-            for a in members[i][2]:
-                sizes[a] = len(ranges[a])
-        internal = sorted({a for i in rep for a in members[i][2] if a != hub})
-        order = _min_degree_order([args for args, _ in sub_items], set(internal))
+        sub_items = [(members[i][1], tables[members[i][0]]) for i in rep]
+        internal = {a for args, _ in sub_items for a in args if a != hub}
+        sizes = {a: len(ranges[a]) for a in (hub, *internal)}
+        order = _min_degree_order([args for args, _ in sub_items], internal)
         vector, cost = _eliminate(sub_items, order, sizes, hub)
         ops += cost
         belief *= vector ** len(group)

@@ -71,6 +71,13 @@ class TestGenerate:
         base = f_att["att1"].table
         assert all(np.array_equal(f.table, base) for f in f_att.values())
 
+    def test_chains_share_base_tables(self):
+        # one read-only array per chain position, shared by every chain
+        fg = generate_fg(GenConfig(k=64, x=0.1, eps=0.1, seed=0))
+        tables = {id(f.table): f.table for f in fg.factors}
+        assert len(tables) == len(fg.factors) // 64 == 7
+        assert not any(t.flags.writeable for t in tables.values())
+
     def test_seed_changes_model(self):
         a = generate_fg(GenConfig(k=4, x=0.5, eps=0.01, seed=1))
         b = generate_fg(GenConfig(k=4, x=0.5, eps=0.01, seed=2))
@@ -150,6 +157,13 @@ class TestRunExperiment:
             rec = run_experiment(cfg, n_queries=2)
             if rec.d_exact is not None and rec.bound_tight > 0.0:
                 assert rec.d_exact <= rec.bound_tight + 1e-9
+
+    def test_saturated_hub_marginal(self):
+        # P(Hub=false) rounds to 1.0 here; the run answers every query and
+        # times the lifted hub query
+        rec = run_experiment(GenConfig(k=128, x=0.1, eps=0.1, seed=0), skip_exact=True)
+        assert len(rec.queries) == 5
+        assert isinstance(rec.t_lifted_query, float) and rec.t_lifted_query > 0.0
 
     def test_skip_exact(self):
         cfg = GenConfig(k=2, x=0.5, eps=0.1, seed=17)

@@ -258,6 +258,31 @@ class TestBaselineAgreement:
             assert pfg_equal(a.pfg, b.pfg)
             assert fg_equal(a.m_prime, b.m_prime)
 
+    def test_eps_zero_exact_seeding_keeps_phase1_grouping(self):
+        # run_eacp seeds with initial_factor_colours_exact at eps = 0; colour
+        # passing seeded by phase 1 at eps = 0, as before, ends in the same
+        # groups, alignments and RV classes, with and without evidence
+        models = [
+            perturb(generate_fg(cfg), cfg)
+            for cfg in (
+                GenConfig(k=k, x=x, eps=0.1, seed=seed)
+                for k in (8, 16, 32) for x in (0.1, 1.0) for seed in (0, 1)
+            )
+        ]
+        rng = np.random.default_rng(54)
+        models += [random_model(rng, copy_prob=0.8, copy_noise=0.0) for _ in range(40)]
+        for fg in models:
+            observed = fg.rvs[-1]
+            phase1 = phase1_group(fg.factors, 0.0)
+            for evidence in (Evidence(), Evidence(((observed.name, observed.range[0]),))):
+                comp = run_eacp(fg, 0.0, evidence)
+                cp = colour_pass(
+                    fg, phase1.group_index(), evidence, alignments=phase1.alignments(), eps=0.0
+                )
+                assert comp.grouping == cp.grouping
+                assert comp.rv_classes == cp.rv_classes
+                assert comp.m_prime is fg
+
 
 class TestStoredOnce:
     def test_one_table_per_group_alignment(self):

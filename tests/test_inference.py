@@ -12,6 +12,7 @@ from liftcomp import (
     Evidence,
     Factor,
     FactorGraph,
+    GenConfig,
     InvariantError,
     Parfactor,
     ParfactorGraph,
@@ -20,14 +21,16 @@ from liftcomp import (
     RandomVariable,
     RvClass,
     UnsupportedTopologyError,
+    generate_fg,
     ground,
+    perturb,
     query_enumerate,
     query_lifted_star,
     query_ve,
     run_eacp,
 )
 
-from conftest import random_model, star_model
+from conftest import mixed_range_model, random_model, star_model
 
 TF = ("t", "f")
 
@@ -61,6 +64,34 @@ class TestQueryContract:
     def test_result_rejects_degenerate_mass(self):
         with pytest.raises(InvariantError):
             QueryResult({"t": 1.0, "f": 0.0}, "test")
+
+    def test_result_rejects_inconsistent_logs(self):
+        for logs in ({"t": 0.0, "f": -np.inf}, {"t": np.nan, "f": 0.0}, {"t": np.inf, "f": 0.0},
+                     {"t": -0.1, "f": -0.1}):
+            with pytest.raises(InvariantError, match="must be finite with log-sum-exp 0"):
+                QueryResult({"t": 0.5, "f": 0.5}, "test", log_distribution=logs)
+        with pytest.raises(InvariantError, match="label different values"):
+            QueryResult({"t": 0.5, "f": 0.5}, "test", log_distribution={"t": -0.69})
+
+    def test_result_accepts_saturated_vector(self):
+        # P(t) = 1 / (1 + 1.3e16) is 7.7e-17, so P(f) rounds to 1.0; the
+        # log-probabilities taken from the unnormalised vector stay finite
+        fg = FactorGraph((RandomVariable("A", TF),), (Factor("u", ("A",), [1.0, 1.3e16]),))
+        res = query_ve(fg, Query("A"))
+        assert res["f"] == 1.0 and 0.0 < res["t"] < 1e-16
+        assert res.log_distribution["t"] == pytest.approx(-np.log(1.3e16), rel=1e-14)
+        assert res.log_distribution["f"] == pytest.approx(0.0, abs=1e-15)
+
+    def test_result_rejects_a_zero_entry(self):
+        # each unary factor is positive, their product underflows to 0 at "t"
+        fg = FactorGraph(
+            (RandomVariable("A", TF),),
+            (Factor("u1", ("A",), [1e-200, 1.0]), Factor("u2", ("A",), [1e-200, 1.0])),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantError, match=r"'t': -inf.* must be finite"):
+                query_ve(fg, Query("A"))
 
     def test_getitem(self, sales):
         res = query_ve(sales, Query("SalA"))
@@ -185,7 +216,8 @@ class TestLiftedStar:
         with pytest.raises(UnsupportedTopologyError):
             query_lifted_star(pfg, "Hub", Query("Hub", Evidence((("B1_1", "t"),))))
 
-    def test_rejects_repeated_parfactor_in_branch(self):
+    def test_answers_repeated_parfactor_in_branch(self):
+        # one branch holds both members of g: Hub - X1 - X2
         table = np.array([[0.6, 0.4], [0.3, 0.7]])
         pf = Parfactor(
             name="g",
@@ -198,10 +230,13 @@ class TestLiftedStar:
             RvClass(RandomVariable("Hub", TF), ("Hub",)),
             RvClass(RandomVariable("X1", TF), ("X1", "X2")),
         )
-        with pytest.raises(UnsupportedTopologyError, match="copies"):
-            query_lifted_star(ParfactorGraph(classes, (pf,)), "Hub", Query("Hub"))
+        pfg = ParfactorGraph(classes, (pf,))
+        lifted = query_lifted_star(pfg, "Hub", Query("Hub"))
+        assert dist_close(lifted, query_ve(ground(pfg), Query("Hub")))
 
-    def test_rejects_cross_wired_branches(self):
+    def test_answers_cross_wired_branches(self):
+        # equal parfactor sets, link members in opposite orientations: the
+        # two branches are not isomorphic and form two classes
         att = np.array([[0.6, 0.4], [0.3, 0.7]])
         link = np.array([[0.2, 0.8], [0.9, 0.1]])
         p1 = Parfactor(
@@ -216,5 +251,40 @@ class TestLiftedStar:
             RvClass(RandomVariable("Hub", TF), ("Hub",)),
             RvClass(RandomVariable("X1", TF), ("X1", "X2", "Y1", "Y2")),
         )
-        with pytest.raises(UnsupportedTopologyError, match="structurally identical"):
-            query_lifted_star(ParfactorGraph(classes, (p1, p2)), "Hub", Query("Hub"))
+        pfg = ParfactorGraph(classes, (p1, p2))
+        lifted = query_lifted_star(pfg, "Hub", Query("Hub"))
+        assert dist_close(lifted, query_ve(ground(pfg), Query("Hub")))
+
+    def test_answers_any_rv_of_any_model(self):
+        # the hub marginal of every RV, on general graphs whose groups hold
+        # argument-permuted (for 2-ary tables: transposed) copies
+        rng = np.random.default_rng(71)
+        models = [random_model(rng, copy_prob=0.8, copy_noise=0.0) for _ in range(60)]
+        models += [random_model(rng, copy_prob=0.8, copy_noise=0.05) for _ in range(60)]
+        models += [mixed_range_model(rng) for _ in range(30)]
+        for fg in models:
+            for eps in (0.0, 0.1):
+                pfg = run_eacp(fg, eps).pfg
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")   # isolated RVs stay in the sample
+                    grounded = ground(pfg)
+                for rv in grounded.rvs:
+                    q = Query(rv.name)
+                    lifted = query_lifted_star(pfg, rv.name, q)
+                    assert dist_close(lifted, query_ve(grounded, q))
+
+    def test_answers_mixed_orientation_links(self):
+        # phase 1 puts a Boolean link table and its transpose in one group,
+        # so one parfactor holds chain links in both orientations
+        cfg = GenConfig(128, 0.1, 0.1, seed=120122616)
+        comp = run_eacp(perturb(generate_fg(cfg), cfg), 0.1)
+        # a link's frame arguments (B<i>_<j>, B<i>_<j+1>) sort ascending
+        assert any(
+            len({args[0] < args[1] for args in pf.member_args if "Hub" not in args}) == 2
+            for pf in comp.pfg.parfactors
+        )
+        lifted = query_lifted_star(comp.pfg, "Hub", Query("Hub"))
+        reference = query_ve(comp.m_prime, Query("Hub"))
+        assert dist_close(lifted, reference)
+        for label, lp in reference.log_distribution.items():
+            assert lifted.log_distribution[label] == pytest.approx(lp, rel=1e-12)

@@ -56,7 +56,7 @@ def test_harness_installs_and_restores(run):
             assert after[attr] is obj, f"liftcomp.{name}.{attr} not restored"
 
 
-@pytest.mark.parametrize("workload", ["certify", "star-compress"])
+@pytest.mark.parametrize("workload", ["certify", "star-compress", "star-query"])
 def test_one_untraced_pass(run, workload):
     # what run.main does before measuring, without writing .bench_out/:
     # a library change that breaks the harness fails here
@@ -66,9 +66,13 @@ def test_one_untraced_pass(run, workload):
         model.fg = lc.io.load_fg(model.data)
         model.queries = run.sample_queries(lc, model, 1, i, workload)
     bench_run = run.Run(lc, models, workload, run.Speed())
-    bench_run.run_pass()
+    result = bench_run.run_pass()
     assert bench_run.problems == []
     assert bench_run.digest()
+    if workload != "certify":
+        # seed 1: every hub query is answered lifted, and no operation fails
+        assert result.lifted_hits == result.lifted_attempts > 0
+        assert result.failed == 0, dict(result.errors)
 
 
 def test_one_traced_pass(run):
