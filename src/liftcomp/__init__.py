@@ -10,9 +10,7 @@ evaluators and a reproducible experiment harness.
 from .acp import (
     ColourPassResult,
     CrvSpec,
-    Parfactor,
     ParfactorGraph,
-    RvClass,
     colour_pass,
     construct_pfg,
     expand_crv,
@@ -120,8 +118,6 @@ __all__ = [
     # colour passing / parfactors
     "ColourPassResult",
     "colour_pass",
-    "RvClass",
-    "Parfactor",
     "ParfactorGraph",
     "CrvSpec",
     "construct_pfg",

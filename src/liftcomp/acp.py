@@ -36,20 +36,21 @@ representative and hands its results on, and exact_crv_positions
 detects it again only for representative tables it has not seen, such
 as the ones the mean update changed.
 
-construct_pfg turns the final grouping into a parfactor graph: one
-representative factor per group with an instance count, RV classes, and
+construct_pfg turns the final grouping into a parfactor graph: per
+group, its members in the representative's frame, one table and an
 optional counting compaction that re-indexes interchangeable argument
-positions by value histogram. It checks the members of a group one
-alignment at a time, in one stacked comparison per alignment. ground()
-expands the parfactor graph back into a flat factor graph for
-round-trip checks.
+positions by value histogram, and the RV classes. The graph is stored as
+columns (ParfactorGraph), not as one object per group and per class. It
+checks the members of a group one alignment at a time, in one stacked
+comparison per alignment. ground() expands the parfactor graph back into
+a flat factor graph for round-trip checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -74,8 +75,6 @@ __all__ = [
     "ColourState",
     "ColourPassResult",
     "CrvSpec",
-    "Parfactor",
-    "RvClass",
     "ParfactorGraph",
     "initial_rv_colours",
     "initial_factor_colours_exact",
@@ -367,37 +366,68 @@ class CrvSpec:
     histograms: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Parfactor:
-    name: str
-    args: tuple[str, ...]
-    table: np.ndarray
-    members: tuple[str, ...]
-    member_args: tuple[tuple[str, ...], ...]
-    crv: CrvSpec | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.members) != len(self.member_args):
-            raise InvariantError(
-                f"parfactor {self.name!r}: members and member_args out of sync"
-            )
-
-    @property
-    def count(self) -> int:
-        """Number of ground factors the parfactor stands for."""
-        return len(self.members)
+def _spans(ends: np.ndarray) -> list[range]:
+    """Consecutive index ranges that end at `ends`, the first starting at 0."""
+    stops = ends.tolist()
+    return [range(start, stop) for start, stop in zip([0, *stops], stops)]
 
 
-@dataclass(frozen=True, slots=True)
-class RvClass:
-    representative: RandomVariable
-    members: tuple[str, ...]
+def _offsets(ends: Sequence[int]) -> np.ndarray:
+    out = np.array(ends, dtype=np.intp)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class ParfactorGraph:
-    rv_classes: tuple[RvClass, ...]
-    parfactors: tuple[Parfactor, ...]
+    """A parfactor graph as columns, one entry per RV, per ground factor or per group.
+
+    - rvs: every RV, class by class (the model's RandomVariable objects);
+      class_ends[c] is where class c ends in rvs. The RVs of a class
+      share one range.
+    - members, member_args: per ground factor, group by group, its name
+      and its arguments in its group's frame; group_ends[g] is where
+      group g ends in them. A group's first member is its
+      representative, and its frame is the representative's.
+    - tables, crvs: per group, its table over the representative's frame
+      arguments (compacted along crvs[g].positions when counted) and its
+      CrvSpec, None when no position is counted.
+
+    The ends are stored as read-only integer arrays, whatever integer
+    sequence the caller passes. construct_pfg shares argument tuples,
+    names and tables with the model it reads wherever a member's frame
+    is its own, so a graph adds a few pointers per ground factor.
+    """
+
+    rvs: tuple[RandomVariable, ...]
+    class_ends: np.ndarray
+    members: tuple[str, ...]
+    member_args: tuple[tuple[str, ...], ...]
+    group_ends: np.ndarray
+    tables: tuple[np.ndarray, ...]
+    crvs: tuple[CrvSpec | None, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "class_ends", _offsets(self.class_ends))
+        object.__setattr__(self, "group_ends", _offsets(self.group_ends))
+        if len(self.members) != len(self.member_args):
+            raise InvariantError("members and member_args out of sync")
+        if not len(self.group_ends) == len(self.tables) == len(self.crvs):
+            raise InvariantError("group_ends, tables and crvs out of sync")
+        for name, ends, total in (
+            ("class_ends", self.class_ends, len(self.rvs)),
+            ("group_ends", self.group_ends, len(self.members)),
+        ):
+            if (ends[-1] if len(ends) else 0) != total:
+                raise InvariantError(f"{name} must end at {total}")
+
+    def groups(self) -> list[range]:
+        """Each group's indices into members and member_args, in group order."""
+        return _spans(self.group_ends)
+
+    def classes(self) -> list[tuple[RandomVariable, ...]]:
+        """Each class's RVs, in class order."""
+        return [self.rvs[r.start : r.stop] for r in _spans(self.class_ends)]
 
 
 @lru_cache(maxsize=64)
@@ -518,33 +548,31 @@ def construct_pfg(
     exactly invariant under them (see exact_crv_positions), otherwise
     InvariantError.
     """
-    classes = tuple(
-        RvClass(fg_updated.rv(members[0]), tuple(members)) for members in rv_classes
-    )
-    covered = [name for c in classes for name in c.members]
-    if sorted(covered) != sorted(rv.name for rv in fg_updated.rvs):
+    rvs = tuple(fg_updated.rv(name) for names in rv_classes for name in names)
+    if sorted(rv.name for rv in rvs) != sorted(rv.name for rv in fg_updated.rvs):
         raise InvariantError("rv classes must partition the model's RVs")
-    for c in classes:
-        for name in c.members:
-            if fg_updated.rv(name).range != c.representative.range:
-                raise InvariantError(
-                    f"rv class of {c.representative.name!r} mixes ranges"
-                )
+    for names in rv_classes:
+        if len({fg_updated.rv(name).range for name in names}) > 1:
+            raise InvariantError(f"rv class of {names[0]!r} mixes ranges")
 
-    parfactors: list[Parfactor] = []
+    members: list[str] = []
+    member_args: list[tuple[str, ...]] = []
+    group_ends: list[int] = []
+    tables: list[np.ndarray] = []
+    crvs: list[CrvSpec | None] = []
     for gi, group in enumerate(factor_groups.groups):
-        rep = group[0]
-        rep_factor = fg_updated.factor(rep.factor)
-        table = aligned_table(rep_factor.table, rep.align)
-        args = aligned_args(rep_factor.args, rep.align)
         factors = [fg_updated.factor(m.factor) for m in group]
+        rep = group[0]
+        table = aligned_table(factors[0].table, rep.align)
         bad = _differing_member(group, factors, table)
         if bad is not None:
             raise InvariantError(
                 f"group {gi}: member {bad!r} table differs from "
                 f"representative {rep.factor!r} after alignment"
             )
-        member_args = [aligned_args(f.args, m.align) for f, m in zip(factors, group)]
+        members += [f.name for f in factors]
+        member_args += [aligned_args(f.args, m.align) for f, m in zip(factors, group)]
+        group_ends.append(len(members))
         positions = tuple(crv_specs.get(gi, ()))
         crv = None
         if positions:
@@ -561,61 +589,45 @@ def construct_pfg(
                     f"group {gi}: table is not invariant under its counted positions {positions}"
                 )
             table, crv = compacted
-        parfactors.append(
-            Parfactor(
-                name=rep.factor,
-                args=args,
-                table=table,
-                members=tuple(m.factor for m in group),
-                member_args=tuple(member_args),
-                crv=crv,
-            )
-        )
-    return ParfactorGraph(classes, tuple(parfactors))
+        tables.append(table)
+        crvs.append(crv)
+    return ParfactorGraph(
+        rvs, list(accumulate(map(len, rv_classes))), tuple(members), tuple(member_args),
+        group_ends, tuple(tables), tuple(crvs),
+    )
 
 
-def expand_crv(pf: Parfactor) -> np.ndarray:
-    """Full per-assignment table of a parfactor, undoing counting compaction."""
-    if pf.crv is None:
-        return pf.table
-    positions = pf.crv.positions
+def expand_crv(table: np.ndarray, crv: CrvSpec | None) -> np.ndarray:
+    """Full per-assignment table of a group, undoing counting compaction."""
+    if crv is None:
+        return table
+    positions = crv.positions
     n = len(positions)
-    size = len(pf.crv.histograms[0])
+    size = len(crv.histograms[0])
     _, cell_of = _histogram_index(size, n)
-    keep = pf.table.ndim - 1
-    full_moved = pf.table[..., cell_of].reshape(pf.table.shape[:-1] + (size,) * n)
+    keep = table.ndim - 1
+    full_moved = table[..., cell_of].reshape(table.shape[:-1] + (size,) * n)
     return np.moveaxis(full_moved, list(range(keep, keep + n)), positions)
 
 
 def ground(pfg: ParfactorGraph) -> FactorGraph:
-    """Expand every parfactor back into its member factors."""
-    rvs = tuple(
-        RandomVariable(name, c.representative.range)
-        for c in pfg.rv_classes
-        for name in c.members
-    )
+    """Expand every group back into its member factors."""
     factors = []
-    for pf in pfg.parfactors:
-        table = expand_crv(pf)
-        for member, args in zip(pf.members, pf.member_args):
-            factors.append(Factor(member, args, table))
-    return FactorGraph(rvs, tuple(factors))
+    for members, table, crv in zip(pfg.groups(), pfg.tables, pfg.crvs):
+        table = expand_crv(table, crv)
+        for i in members:
+            factors.append(Factor(pfg.members[i], pfg.member_args[i], table))
+    return FactorGraph(pfg.rvs, tuple(factors))
 
 
 def pfg_equal(a: ParfactorGraph, b: ParfactorGraph) -> bool:
     """Structural equality with bit-exact tables."""
-    if a.rv_classes != b.rv_classes:
-        return False
-    if len(a.parfactors) != len(b.parfactors):
-        return False
-    for pa, pb in zip(a.parfactors, b.parfactors):
-        if (
-            pa.name != pb.name
-            or pa.args != pb.args
-            or pa.members != pb.members
-            or pa.member_args != pb.member_args
-            or pa.crv != pb.crv
-            or not np.array_equal(pa.table, pb.table)
-        ):
-            return False
-    return True
+    return (
+        a.rvs == b.rvs
+        and np.array_equal(a.class_ends, b.class_ends)
+        and a.members == b.members
+        and a.member_args == b.member_args
+        and np.array_equal(a.group_ends, b.group_ends)
+        and a.crvs == b.crvs
+        and all(np.array_equal(ta, tb) for ta, tb in zip(a.tables, b.tables))
+    )

@@ -74,14 +74,15 @@ def cmd_compress(args: argparse.Namespace) -> int:
     mprime_path = out / "m_prime.json"
     _write_bytes(pfg_path, save_pfg(result.pfg), make_parents=True)
     _write_bytes(mprime_path, save_fg(result.m_prime))
+    members = result.pfg.members
     groups = [
         {
             "index": gi,
-            "size": pf.count,
-            "members": list(pf.members),
+            "size": len(group),
+            "members": list(members[group.start : group.stop]),
             "max_rel_dev": dev,
         }
-        for gi, (pf, dev) in enumerate(zip(result.pfg.parfactors, result.deviations))
+        for gi, (group, dev) in enumerate(zip(result.pfg.groups(), result.deviations))
     ]
     n_factors = len(fg.factors)
     n_groups = result.n_groups()

@@ -94,10 +94,12 @@ class CompressionResult:
         position of each argument gives the alignment back.
         """
         factor = self.m_prime.factor
+        pfg = self.pfg
         groups = []
-        for pf in self.pfg.parfactors:
+        for members in pfg.groups():
             group = []
-            for name, frame_args in zip(pf.members, pf.member_args):
+            for i in members:
+                name, frame_args = pfg.members[i], pfg.member_args[i]
                 args = factor(name).args
                 if frame_args == args:
                     align = identity_alignment(len(args))
@@ -114,10 +116,10 @@ class CompressionResult:
 
     @property
     def rv_classes(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(c.members for c in self.pfg.rv_classes)
+        return tuple(tuple(rv.name for rv in rvs) for rvs in self.pfg.classes())
 
     def n_groups(self) -> int:
-        return len(self.pfg.parfactors)
+        return len(self.pfg.tables)
 
 
 def _phase3_update(

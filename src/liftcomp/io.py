@@ -35,7 +35,7 @@ from typing import Any, Callable, TypeVar
 
 import numpy as np
 
-from .acp import Parfactor, ParfactorGraph
+from .acp import ParfactorGraph
 from .errors import InvariantError, ModelFormatError
 from .model import Evidence, Factor, FactorGraph, RandomVariable
 
@@ -167,40 +167,34 @@ def save_fg(fg: FactorGraph) -> bytes:
     return _dump(doc)
 
 
-def _parfactor_to_json(pf: Parfactor) -> dict:
-    crv = None
-    if pf.crv is not None:
-        crv = {
-            "positions": list(pf.crv.positions),
-            "histograms": [list(cell) for cell in pf.crv.histograms],
-        }
-    return {
-        "representative": {
-            "name": pf.name,
-            "args": list(pf.args),
-            "table": _table_json(pf.table),
-        },
-        "count": pf.count,
-        "members": list(pf.members),
-        "member_args": [list(args) for args in pf.member_args],
-        "crv": crv,
-    }
-
-
 def pfg_to_json(pfg: ParfactorGraph) -> dict:
     """The parfactor-graph file's document, before encoding."""
+    parfactors = []
+    for group, table, crv in zip(pfg.groups(), pfg.tables, pfg.crvs):
+        rep = group.start
+        parfactors.append({
+            "representative": {
+                "name": pfg.members[rep],
+                "args": list(pfg.member_args[rep]),
+                "table": _table_json(table),
+            },
+            "count": len(group),
+            "members": list(pfg.members[group.start : group.stop]),
+            "member_args": [list(pfg.member_args[i]) for i in group],
+            "crv": None if crv is None else {
+                "positions": list(crv.positions),
+                "histograms": [list(cell) for cell in crv.histograms],
+            },
+        })
     return {
         "rv_classes": [
             {
-                "representative": {
-                    "name": cls.representative.name,
-                    "range": list(cls.representative.range),
-                },
-                "members": list(cls.members),
+                "representative": {"name": rvs[0].name, "range": list(rvs[0].range)},
+                "members": [rv.name for rv in rvs],
             }
-            for cls in pfg.rv_classes
+            for rvs in pfg.classes()
         ],
-        "parfactors": [_parfactor_to_json(pf) for pf in pfg.parfactors],
+        "parfactors": parfactors,
     }
 
 

@@ -272,12 +272,12 @@ def test_10_histogram_compaction_round_trip():
     with criterion(10, "symmetric factor compacts to the 6-row histogram and grounds back exactly"):
         fg = counting_model()
         res = run_eacp(fg, 0.0)
-        pf = res.pfg.parfactors[0]
-        assert pf.crv is not None
-        assert pf.crv.positions == (1, 2)
-        assert pf.crv.histograms == ((2, 0), (1, 1), (0, 2))
-        assert pf.table.shape == (2, 3)
-        assert pf.table.size == 6
-        assert np.array_equal(pf.table, np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+        crv, table = res.pfg.crvs[0], res.pfg.tables[0]
+        assert crv is not None
+        assert crv.positions == (1, 2)
+        assert crv.histograms == ((2, 0), (1, 1), (0, 2))
+        assert table.shape == (2, 3)
+        assert table.size == 6
+        assert np.array_equal(table, np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
         restored = ground(res.pfg)
         assert distance_exact(fg, restored).d_exact <= 1e-12

@@ -12,6 +12,7 @@ from liftcomp import (
     Grouping,
     GroupMember,
     InvariantError,
+    ParfactorGraph,
     RandomVariable,
     colour_pass,
     construct_pfg,
@@ -185,17 +186,16 @@ class TestColourPass:
 class TestCounting:
     def test_compaction_shape_and_cells(self, counting):
         res = run_acp(counting)
-        pf = res.pfg.parfactors[0]
-        assert pf.crv is not None
-        assert pf.crv.positions == (1, 2)
-        assert pf.crv.histograms == ((2, 0), (1, 1), (0, 2))
-        assert pf.table.shape == (2, 3)
-        assert pf.table.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+        crv, table = res.pfg.crvs[0], res.pfg.tables[0]
+        assert crv is not None
+        assert crv.positions == (1, 2)
+        assert crv.histograms == ((2, 0), (1, 1), (0, 2))
+        assert table.shape == (2, 3)
+        assert table.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
 
     def test_expand_round_trips(self, counting):
-        res = run_acp(counting)
-        pf = res.pfg.parfactors[0]
-        assert np.array_equal(expand_crv(pf), counting.factor("phi1").table)
+        pfg = run_acp(counting).pfg
+        assert np.array_equal(expand_crv(pfg.tables[0], pfg.crvs[0]), counting.factor("phi1").table)
 
     def test_ground_reproduces_model(self, counting):
         res = run_acp(counting)
@@ -208,7 +208,7 @@ class TestCounting:
         extra = Factor("only_a", ("ComA",), np.array([0.4, 0.6]))
         fg = FactorGraph(rvs, base.factors + (extra,))
         res = run_acp(fg)
-        assert all(pf.crv is None for pf in res.pfg.parfactors)
+        assert all(crv is None for crv in res.pfg.crvs)
 
     def test_no_compaction_when_not_exactly_invariant(self):
         rvs = (
@@ -224,11 +224,10 @@ class TestCounting:
         assert crv == {}
 
     def test_histogram_axis_is_last(self, counting):
-        res = run_acp(counting)
-        pf = res.pfg.parfactors[0]
+        pfg = run_acp(counting).pfg
         # non-counted axes keep their order; histogram cells index the last axis
-        assert pf.args[0] == "Rev"
-        assert pf.table.shape == (2, len(pf.crv.histograms))
+        assert pfg.member_args[0][0] == "Rev"
+        assert pfg.tables[0].shape == (2, len(pfg.crvs[0].histograms))
 
     @pytest.mark.parametrize("size", [2, 3, 4])
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -241,14 +240,14 @@ class TestCounting:
     def test_round_trip_three_labels_three_positions(self):
         fg, values = three_label_counting_model(np.random.default_rng(7))
         res = run_acp(fg)
-        pf = res.pfg.parfactors[0]
-        assert pf.crv.positions == (0, 2, 3)
-        assert len(pf.crv.histograms) == 10
-        assert pf.table.shape == (2, 10)
-        for c, cell in enumerate(pf.crv.histograms):
+        crv, table = res.pfg.crvs[0], res.pfg.tables[0]
+        assert crv.positions == (0, 2, 3)
+        assert len(crv.histograms) == 10
+        assert table.shape == (2, 10)
+        for c, cell in enumerate(crv.histograms):
             for x in range(2):
-                assert pf.table[x, c] == values[(cell, x)]
-        assert np.array_equal(expand_crv(pf), fg.factor("phi").table)
+                assert table[x, c] == values[(cell, x)]
+        assert np.array_equal(expand_crv(table, crv), fg.factor("phi").table)
         assert ground(res.pfg).factor("phi").table.tobytes() == fg.factor("phi").table.tobytes()
 
 
@@ -275,9 +274,10 @@ class TestConstructPfg:
                                                  "representative 'a'"):
             construct_pfg(fg, grouping, classes, {})
         fixed = replace_tables(fg, {"c": t, "d": t.T})
-        pf = construct_pfg(fixed, grouping, classes, {}).parfactors[0]
-        assert pf.members == ("a", "b", "c", "d", "e")
-        assert pf.member_args[1] == ("b2", "b1")
+        pfg = construct_pfg(fixed, grouping, classes, {})
+        assert pfg.members == ("a", "b", "c", "d", "e")
+        assert pfg.groups() == [range(5)]
+        assert pfg.member_args[1] == ("b2", "b1")
         fixed = replace_tables(fg, {"c": t})
         with pytest.raises(InvariantError, match="member 'd' table differs"):
             construct_pfg(fixed, grouping, classes, {})
@@ -312,26 +312,23 @@ class TestConstructPfg:
             construct_pfg(fg, grouping, (("X", "Y"),), {0: (0, 1)})
         symmetric = replace_tables(fg, {"f": np.array([[1.0, 2.0], [2.0, 4.0]])})
         pfg = construct_pfg(symmetric, grouping, (("X", "Y"),), {0: (0, 1)})
-        assert pfg.parfactors[0].table.tolist() == [1.0, 2.0, 4.0]
+        assert pfg.tables[0].tolist() == [1.0, 2.0, 4.0]
         assert fg_equal(ground(pfg), symmetric)
 
     def test_member_args_recorded(self, sales):
         res = run_acp(sales)
-        by_name = {pf.name: pf for pf in res.pfg.parfactors}
-        assert by_name["phi1"].member_args == (("SalA", "Rev"),)
+        args = dict(zip(res.pfg.members, res.pfg.member_args))
+        assert args["phi1"] == ("SalA", "Rev")
 
     def test_parfactor_count_validation(self):
-        from liftcomp import Parfactor
-
+        rvs = (RandomVariable("X", ("a", "b")), RandomVariable("Y", ("a", "b")))
         with pytest.raises(InvariantError, match="out of sync"):
-            Parfactor(
-                name="p",
-                args=("X",),
-                table=np.ones(2),
-                members=("a", "b"),
-                member_args=(("X",),),
-            )
-        assert Parfactor("p", ("X",), np.ones(2), ("a", "b"), (("X",), ("Y",))).count == 2
+            ParfactorGraph(rvs, [2], ("a", "b"), (("X",),), [2], (np.ones(2),), (None,))
+        with pytest.raises(InvariantError, match="group_ends must end at 2"):
+            ParfactorGraph(rvs, [2], ("a", "b"), (("X",), ("Y",)), [1], (np.ones(2),), (None,))
+        pfg = ParfactorGraph(rvs, [2], ("a", "b"), (("X",), ("Y",)), [2], (np.ones(2),), (None,))
+        assert [len(group) for group in pfg.groups()] == [2]
+        assert pfg.group_ends.tolist() == [2] and not pfg.group_ends.flags.writeable
 
 
 class TestGrounding:

@@ -238,7 +238,8 @@ class TestCommutativeHandOff:
             Factor("a", ("A1", "A2", "A3"), table),
             Factor("b", ("B1", "B2", "C"), table),
         ))
-        crv = {pf.name: pf.crv.positions for pf in run_acp(fg).pfg.parfactors}
+        pfg = run_acp(fg).pfg
+        crv = {pfg.members[g.start]: c.positions for g, c in zip(pfg.groups(), pfg.crvs)}
         assert crv == {"a": (0, 1, 2), "b": (0, 1)}
 
     def test_table_changed_by_mean_update_is_detected_again(self, monkeypatch):
@@ -254,7 +255,7 @@ class TestCommutativeHandOff:
         assert not np.array_equal(mean, a) and np.array_equal(mean, mean.T)
         assert (mean.shape, mean.tobytes(), (("t", "f"),) * 2) in keys
         assert len(keys) == len(set(keys))
-        assert {pf.crv.positions for pf in comp.pfg.parfactors} == {(0, 1)}
+        assert {crv.positions for crv in comp.pfg.crvs} == {(0, 1)}
 
     def test_known_blocks_change_no_result(self):
         for seed in range(60):
@@ -265,9 +266,9 @@ class TestCommutativeHandOff:
                     comp.m_prime, comp.grouping, comp.rv_classes, eps, known_blocks={}
                 )
                 counted = {
-                    gi: pf.crv.positions
-                    for gi, pf in enumerate(comp.pfg.parfactors)
-                    if pf.crv is not None
+                    gi: crv.positions
+                    for gi, crv in enumerate(comp.pfg.crvs)
+                    if crv is not None
                 }
                 assert counted == fresh
 

@@ -92,8 +92,7 @@ class TestRunEacp:
             assert np.max(np.abs(got - expected)) <= 4 * np.spacing(1.0)
         assert res.n_groups() == 1
         assert res.rv_classes == (("SalA", "SalB"), ("Rev",))
-        assert len(res.pfg.parfactors) == 1
-        assert res.pfg.parfactors[0].count == 2
+        assert res.pfg.groups() == [range(2)]
 
     def test_structure_preserved(self, sales):
         res = run_eacp(sales, 0.1)
@@ -212,7 +211,7 @@ class TestRunEacp:
             fg = worst_case_fg(m, 0.1)
             res = run_eacp(fg, 0.1)
             assert res.n_groups() == 1
-            assert res.pfg.parfactors[0].count == m
+            assert res.pfg.groups() == [range(m)]
 
 
 class TestRunAcp:
@@ -241,7 +240,7 @@ class TestRunAcp:
     def test_near_twins_are_not_exact_twins(self):
         res = run_acp(near_twin_star())
         assert group_names(res.grouping) == [["a"], ["b"]]
-        assert len(res.pfg.parfactors) == 2
+        assert len(res.pfg.tables) == 2
 
 
 class TestBaselineAgreement:
@@ -352,10 +351,34 @@ def _retained_bytes(fg, eps):
 
 class TestRetainedMemory:
     # bytes per input factor kept alive by one result, measured at 314
-    # (x = 1.0) and 175 (x = 0.1); the bounds are 20% above. A result that
+    # (x = 1.0) and 175 (x = 0.1) when the parfactor graph held one object
+    # per group and per RV class; the bounds are 20% above. A result that
     # copied each group's mean table into every member kept 466 and 352.
+    # With the columnar graph both are about 80.
     @pytest.mark.parametrize("x, bound", [(1.0, 377), (0.1, 210)])
     def test_result_stores_each_fact_once(self, x, bound):
         cfg = GenConfig(k=64, x=x, eps=0.1, seed=0)
         fg = perturb(generate_fg(cfg), cfg)
         assert _retained_bytes(fg, 0.1) / len(fg.factors) <= bound
+
+    def test_columns_share_the_model(self):
+        # the star-compress shape: every table perturbed, so nearly every
+        # group is a singleton and per-group bookkeeping is what a result
+        # keeps; one object per group and per RV class kept about 310 B
+        cfg = GenConfig(k=128, x=1.0, eps=0.1, seed=0)
+        fg = perturb(generate_fg(cfg), cfg)
+        assert _retained_bytes(fg, 0.1) <= 100 * len(fg.factors)
+        comp = run_eacp(fg, 0.1)
+        pfg, factor = comp.pfg, comp.m_prime.factor
+        own_args = own_tables = 0
+        for name, args in zip(pfg.members, pfg.member_args):
+            f = factor(name)
+            assert name is f.name
+            assert args is f.args or args != f.args
+            own_args += args is f.args
+        for group, table, crv in zip(pfg.groups(), pfg.tables, pfg.crvs):
+            rep = factor(pfg.members[group.start])
+            if crv is None and pfg.member_args[group.start] == rep.args:
+                assert table is rep.table
+                own_tables += 1
+        assert own_args > len(fg.factors) // 2 and own_tables > len(pfg.tables) // 2

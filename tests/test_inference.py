@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftcomp import (
     EnumerationCapError,
@@ -14,12 +17,10 @@ from liftcomp import (
     FactorGraph,
     GenConfig,
     InvariantError,
-    Parfactor,
     ParfactorGraph,
     Query,
     QueryResult,
     RandomVariable,
-    RvClass,
     UnsupportedTopologyError,
     generate_fg,
     ground,
@@ -29,6 +30,7 @@ from liftcomp import (
     query_ve,
     run_eacp,
 )
+from liftcomp import inference
 
 from conftest import mixed_range_model, random_model, star_model
 
@@ -168,6 +170,116 @@ class TestVariableElimination:
         assert a.distribution == b.distribution and a.ops == b.ops
 
 
+# -- reference: the elimination loops that scan every RV and item per step --
+
+
+def reference_min_degree_order(scopes, eliminable):
+    adjacency = {v: set() for v in eliminable}
+    for scope in scopes:
+        for u, w in itertools.combinations(scope, 2):
+            if u in adjacency:
+                adjacency[u].add(w)
+            if w in adjacency:
+                adjacency[w].add(u)
+    order = []
+    remaining = set(eliminable)
+    while remaining:
+        pick = min(remaining, key=lambda v: (len(adjacency[v]), v))
+        order.append(pick)
+        neighbours = adjacency[pick] & remaining
+        for u, w in itertools.combinations(sorted(neighbours), 2):
+            adjacency[u].add(w)
+            adjacency[w].add(u)
+        for v in remaining:
+            adjacency[v].discard(pick)
+        remaining.remove(pick)
+    return order
+
+
+def reference_eliminate(items, order, sizes, target):
+    ops = 0
+    for name in order:
+        bucket = [it for it in items if name in it[0]]
+        items = [it for it in items if name not in it[0]]
+        if not bucket:
+            continue
+        prod = bucket[0]
+        for other in bucket[1:]:
+            prod, cost = inference._multiply(prod, other, sizes)
+            ops += cost
+        marg, cost = inference._sum_out(prod, name)
+        ops += cost
+        items.append(marg)
+    result = ((), np.ones((), dtype=np.float64))
+    for item in items:
+        result, cost = inference._multiply(result, item, sizes)
+        ops += cost
+    args, table = result
+    if args == ():
+        return np.full(sizes[target], float(table)), ops
+    return table, ops
+
+
+@st.composite
+def ve_cases(draw):
+    """A model on up to 14 RVs, a target and at most one evidence atom.
+
+    Scopes of 1-4 RVs over few names tie on degree often, hold the target
+    next to eliminable RVs, leave some RVs in no scope, and make fill-in
+    raise a degree, which leaves a stale heap entry below the current one.
+    """
+    n = draw(st.integers(2, 14))
+    rvs = tuple(
+        RandomVariable(f"V{i}", ("a", "b", "c")[: draw(st.integers(2, 3))]) for i in range(n)
+    )
+    names = [rv.name for rv in rvs]
+    scopes = [
+        tuple(draw(st.permutations(names))[: draw(st.integers(1, 4))])
+        for _ in range(draw(st.integers(1, 16)))
+    ]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = {rv.name: rv.size for rv in rvs}
+    factors = tuple(
+        Factor(f"f{i}", scope, rng.uniform(0.1, 2.0, [sizes[a] for a in scope]))
+        for i, scope in enumerate(scopes)
+    )
+    target = draw(st.sampled_from(names))
+    evidence = Evidence()
+    if draw(st.booleans()):
+        observed = draw(st.sampled_from([v for v in names if v != target]))
+        evidence = Evidence(((observed, "b"),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # RVs in no scope are part of the sample
+        fg = FactorGraph(rvs, factors)
+    return fg, Query(target, evidence)
+
+
+class TestIndexedElimination:
+    @settings(max_examples=300, deadline=None)
+    @given(case=ve_cases())
+    def test_matches_reference_loops(self, case):
+        fg, q = case
+        items = inference._reduce_evidence(fg, q.evidence)
+        observed = q.evidence.as_dict()
+        eliminable = {rv.name for rv in fg.rvs if rv.name != q.target and rv.name not in observed}
+        scopes = [args for args, _ in items]
+        order = inference._min_degree_order(scopes, eliminable)
+        assert order == reference_min_degree_order(scopes, eliminable)
+        sizes = {rv.name: rv.size for rv in fg.rvs}
+        vector, ops = inference._eliminate(items, order, sizes, q.target)
+        ref_vector, ref_ops = reference_eliminate(items, order, sizes, q.target)
+        assert vector.tobytes() == ref_vector.tobytes()
+        assert ops == ref_ops
+
+    def test_order_on_a_star(self):
+        # every leaf has degree 1 and ties by name; the hub, not eliminable,
+        # counts as a neighbour, so the centre waits until its leaves are gone
+        scopes = [("Hub", "C"), ("C", "L2"), ("C", "L1"), ("C", "L3")]
+        assert inference._min_degree_order(scopes, {"C", "L1", "L2", "L3"}) == [
+            "L1", "L2", "L3", "C",
+        ]
+
+
 class TestLiftedStar:
     def pfg_for(self, k: int, depth: int, seed: int = 0):
         fg = star_model(k, depth, seed)
@@ -219,18 +331,15 @@ class TestLiftedStar:
     def test_answers_repeated_parfactor_in_branch(self):
         # one branch holds both members of g: Hub - X1 - X2
         table = np.array([[0.6, 0.4], [0.3, 0.7]])
-        pf = Parfactor(
-            name="g",
-            args=("Hub", "X1"),
-            table=table,
+        pfg = ParfactorGraph(
+            rvs=tuple(RandomVariable(n, TF) for n in ("Hub", "X1", "X2")),
+            class_ends=[1, 3],
             members=("g1", "g2"),
             member_args=(("Hub", "X1"), ("X1", "X2")),
+            group_ends=[2],
+            tables=(table,),
+            crvs=(None,),
         )
-        classes = (
-            RvClass(RandomVariable("Hub", TF), ("Hub",)),
-            RvClass(RandomVariable("X1", TF), ("X1", "X2")),
-        )
-        pfg = ParfactorGraph(classes, (pf,))
         lifted = query_lifted_star(pfg, "Hub", Query("Hub"))
         assert dist_close(lifted, query_ve(ground(pfg), Query("Hub")))
 
@@ -239,19 +348,15 @@ class TestLiftedStar:
         # two branches are not isomorphic and form two classes
         att = np.array([[0.6, 0.4], [0.3, 0.7]])
         link = np.array([[0.2, 0.8], [0.9, 0.1]])
-        p1 = Parfactor(
-            name="p1", args=("Hub", "X1"), table=att,
-            members=("a1", "a2"), member_args=(("Hub", "X1"), ("Hub", "Y1")),
+        pfg = ParfactorGraph(
+            rvs=tuple(RandomVariable(n, TF) for n in ("Hub", "X1", "X2", "Y1", "Y2")),
+            class_ends=[1, 5],
+            members=("a1", "a2", "c1", "c2"),
+            member_args=(("Hub", "X1"), ("Hub", "Y1"), ("X1", "X2"), ("Y2", "Y1")),
+            group_ends=[2, 4],
+            tables=(att, link),
+            crvs=(None, None),
         )
-        p2 = Parfactor(
-            name="p2", args=("X1", "X2"), table=link,
-            members=("c1", "c2"), member_args=(("X1", "X2"), ("Y2", "Y1")),
-        )
-        classes = (
-            RvClass(RandomVariable("Hub", TF), ("Hub",)),
-            RvClass(RandomVariable("X1", TF), ("X1", "X2", "Y1", "Y2")),
-        )
-        pfg = ParfactorGraph(classes, (p1, p2))
         lifted = query_lifted_star(pfg, "Hub", Query("Hub"))
         assert dist_close(lifted, query_ve(ground(pfg), Query("Hub")))
 
@@ -280,8 +385,8 @@ class TestLiftedStar:
         comp = run_eacp(perturb(generate_fg(cfg), cfg), 0.1)
         # a link's frame arguments (B<i>_<j>, B<i>_<j+1>) sort ascending
         assert any(
-            len({args[0] < args[1] for args in pf.member_args if "Hub" not in args}) == 2
-            for pf in comp.pfg.parfactors
+            len({args[0] < args[1] for args in links if "Hub" not in args}) == 2
+            for links in (comp.pfg.member_args[g.start : g.stop] for g in comp.pfg.groups())
         )
         lifted = query_lifted_star(comp.pfg, "Hub", Query("Hub"))
         reference = query_ve(comp.m_prime, Query("Hub"))
