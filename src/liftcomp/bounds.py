@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -43,15 +45,16 @@ __all__ = [
 
 
 def _check_m(m: int) -> int:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+    """m as an int, for an integral, non-bool m >= 1."""
+    if isinstance(m, bool) or not isinstance(m, Integral) or m < 1:
         raise InvariantError(f"modified-factor count must be a positive int, got {m!r}")
-    return m
+    return operator.index(m)
 
 
 def bound_general(m: int, eps: float) -> float:
     """m * (ln(1+eps) - ln(1-eps)): every entry ratio lies in [1-eps, 1+eps]."""
-    _check_m(m)
-    check_epsilon(eps)
+    m = _check_m(m)
+    eps = check_epsilon(eps)
     return m * (math.log1p(eps) - math.log1p(-eps))
 
 
@@ -64,8 +67,8 @@ def bound_tight(m: int, eps: float) -> float:
     alpha2 = 1+(m-1)/m*eps from above. At m = 1 the expression is 0: a
     lone factor can only be averaged with itself.
     """
-    _check_m(m)
-    check_epsilon(eps)
+    m = _check_m(m)
+    eps = check_epsilon(eps)
     inner = math.log1p((m - 1) / m * eps) + math.log1p(eps) - math.log1p(eps / m)
     return m * inner
 
@@ -93,8 +96,8 @@ class BoundSet:
 
 
 def bound_set(m: int, eps: float) -> BoundSet:
-    _check_m(m)
-    check_epsilon(eps)
+    m = _check_m(m)
+    eps = check_epsilon(eps)
     alpha1 = (1.0 + eps / m) / (1.0 + eps)
     alpha2 = 1.0 + (m - 1) / m * eps
     return BoundSet(m, eps, bound_general(m, eps), bound_tight(m, eps), alpha1, alpha2)
@@ -248,8 +251,8 @@ def worst_case_fg(m: int, eps: float) -> FactorGraph:
     one group whose mean realises the extreme per-state ratios on the
     diagonal (minimum) and shifted diagonal (maximum) simultaneously.
     """
-    _check_m(m)
-    check_epsilon(eps)
+    m = _check_m(m)
+    eps = check_epsilon(eps)
     if m < 2:
         raise InvariantError("adversarial construction needs at least 2 factors")
     labels = tuple(f"r{j}" for j in range(1, 2 * m + 1))

@@ -46,6 +46,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import permutations
+from numbers import Real
 from typing import Iterable
 
 import numpy as np
@@ -78,7 +79,10 @@ Alignment = tuple[int, ...]
 
 
 def check_epsilon(eps: float) -> float:
-    """Validate 0 <= eps < 1; the upper bound keeps (1-eps) positive."""
+    """eps as a float: a real, non-bool 0 <= eps < 1, which keeps (1-eps) positive."""
+    # a float skips the check against the Real ABC, which is slow
+    if type(eps) is not float and (isinstance(eps, bool) or not isinstance(eps, Real)):
+        raise InvariantError(f"epsilon must be a real number, got {eps!r}")
     eps = float(eps)
     if not 0.0 <= eps < 1.0:
         raise InvariantError(f"epsilon must satisfy 0 <= eps < 1, got {eps}")

@@ -13,6 +13,10 @@ an index of every RV's live factors. On models of bounded degree, such
 as stars of chains, that is near-linear in n and the table products
 dominate.
 
+Every product of two tables is one np.einsum over the union of their
+arguments, with no index summed, so each output cell is a single
+multiply; observed RVs are fixed by model.clamp, as in joint_table.
+
 QueryResult.ops counts table entries written by products plus entries
 read by marginalisations; it is a machine-independent proxy for work
 used by the benchmark harness. For the lifted evaluator the count covers
@@ -22,20 +26,16 @@ branches grows, while ground VE grows linearly.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, ParamSpec
 
 import numpy as np
 
 from .acp import ParfactorGraph, expand_crv
 from .errors import InvariantError, UnsupportedTopologyError
-from .model import Evidence, FactorGraph, joint_table
-
-P = ParamSpec("P")
+from .model import Evidence, FactorGraph, clamp, joint_table
 
 __all__ = [
     "Query",
@@ -67,16 +67,16 @@ class QueryResult:
 
     log_distribution holds log P per label. The evaluators take it from
     the unnormalised vector (log v_i - log sum v), so it stays finite
-    and accurate where P itself rounds to 0 or 1; without it, it is the
-    logarithm of distribution. The invariant: distribution sums to 1,
-    and the log-probabilities are finite with a log-sum-exp within 1e-12
-    of 0, which a zero entry or a lost unit of mass fails.
+    and accurate where P itself rounds to 0 or 1. The invariant:
+    distribution sums to 1, and the log-probabilities are finite with a
+    log-sum-exp within 1e-12 of 0, which a zero entry or a lost unit of
+    mass fails.
     """
 
     distribution: dict[str, float]
     method: str
-    ops: int = 0
-    log_distribution: dict[str, float] | None = None
+    ops: int
+    log_distribution: dict[str, float]
 
     def __post_init__(self) -> None:
         dist = self.distribution
@@ -84,10 +84,7 @@ class QueryResult:
         if abs(total - 1.0) > 1e-12:
             raise InvariantError(f"distribution sums to {total!r}, not 1")
         logs = self.log_distribution
-        if logs is None:
-            logs = {k: math.log(p) if p > 0.0 else -math.inf for k, p in dist.items()}
-            object.__setattr__(self, "log_distribution", logs)
-        elif logs.keys() != dist.keys():
+        if logs.keys() != dist.keys():
             raise InvariantError("log_distribution and distribution label different values")
         # a nan or +inf entry makes lse nan, which fails the comparison
         top = max(logs.values())
@@ -101,30 +98,14 @@ class QueryResult:
         return self.distribution[label]
 
 
-def _validate_query(fg: FactorGraph, q: Query) -> None:
+def _validate_query(fg: FactorGraph, q: Query) -> dict[str, int]:
+    """Check q against fg; returns the label index of each observed RV."""
     if not fg.has_rv(q.target):
         raise InvariantError(f"unknown query target {q.target!r}")
-    q.evidence.validate_against(fg)
+    held = q.evidence.validate_against(fg)
     if q.value is not None and q.value not in fg.rv(q.target).range:
-        raise InvariantError(
-            f"value {q.value!r} is not a label of {q.target!r}"
-        )
-
-
-def _float64_checked(evaluate: Callable[P, QueryResult]) -> Callable[P, QueryResult]:
-    """The evaluator with numpy's overflow and invalid-value warnings off.
-
-    A product or sum past the float64 range gives inf or nan, and the
-    query mass then fails _normalise's check, which raises the typed
-    error; numpy would otherwise warn ahead of it.
-    """
-
-    @functools.wraps(evaluate)
-    def checked(*args: P.args, **kwargs: P.kwargs) -> QueryResult:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return evaluate(*args, **kwargs)
-
-    return checked
+        raise InvariantError(f"value {q.value!r} is not a label of {q.target!r}")
+    return held
 
 
 def _normalise(vector: np.ndarray, labels: tuple[str, ...], method: str, ops: int) -> QueryResult:
@@ -148,67 +129,43 @@ def _normalise(vector: np.ndarray, labels: tuple[str, ...], method: str, ops: in
     return QueryResult(dist, method, ops, logs)
 
 
-@_float64_checked
+# A product or sum past the float64 range gives inf or nan, which fails
+# _normalise's check with the typed error; each evaluator's arithmetic
+# runs in an np.errstate block (the decorator form shares one saved state
+# between calls and threads on numpy 1.x) so that numpy does not warn first.
+
+
 def query_enumerate(fg: FactorGraph, q: Query) -> QueryResult:
-    """Oracle evaluator: build the joint, slice evidence, sum out the rest."""
-    _validate_query(fg, q)
-    joint = joint_table(fg)
-    ops = joint.size
-    observed = q.evidence.as_dict()
-    index: list[object] = [slice(None)] * len(fg.rvs)
-    for rv_name, label in observed.items():
-        pos = fg.rv_position(rv_name)
-        index[pos] = fg.rv(rv_name).index_of(label)
-    sliced = joint[tuple(index)]
-    remaining = [rv.name for rv in fg.rvs if rv.name not in observed]
-    target_axis = remaining.index(q.target)
-    other_axes = tuple(i for i in range(sliced.ndim) if i != target_axis)
-    vector = sliced.sum(axis=other_axes) if other_axes else sliced
-    return _normalise(vector, fg.rv(q.target).range, "enumerate", ops)
+    """Oracle evaluator: build the joint, clamp evidence, sum out the rest."""
+    held = _validate_query(fg, q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        joint = joint_table(fg)
+        remaining, sliced = clamp(tuple(rv.name for rv in fg.rvs), joint, held)
+        other_axes = tuple(i for i, name in enumerate(remaining) if name != q.target)
+        vector = sliced.sum(axis=other_axes) if other_axes else sliced
+        return _normalise(vector, fg.rv(q.target).range, "enumerate", joint.size)
 
 
 # intermediate factors are plain (args, table) pairs; tables may be 0-d
+Item = tuple[tuple[str, ...], np.ndarray]
 
 
-def _reduce_evidence(
-    fg: FactorGraph, evidence: Evidence
-) -> list[tuple[tuple[str, ...], np.ndarray]]:
-    observed = evidence.as_dict()
-    out: list[tuple[tuple[str, ...], np.ndarray]] = []
-    for f in fg.factors:
-        args = f.args
-        table = f.table
-        for name, label in observed.items():
-            if name in args:
-                axis = args.index(name)
-                table = np.take(table, fg.rv(name).index_of(label), axis=axis)
-                args = args[:axis] + args[axis + 1 :]
-        out.append((args, np.asarray(table, dtype=np.float64)))
-    return out
+def _multiply(a: Item, b: Item) -> tuple[Item, int]:
+    """The product over a's arguments, then those of b's that a lacks.
 
-
-def _multiply(
-    a: tuple[tuple[str, ...], np.ndarray],
-    b: tuple[tuple[str, ...], np.ndarray],
-    sizes: dict[str, int],
-) -> tuple[tuple[tuple[str, ...], np.ndarray], int]:
+    einsum numbers each axis by its argument's position in that tuple
+    and sums no index, so every output cell is a single multiply.
+    """
     args_a, tab_a = a
     args_b, tab_b = b
     args = args_a + tuple(v for v in args_b if v not in args_a)
-    shape = tuple(sizes[v] for v in args)
-    ta = tab_a.reshape(tab_a.shape + (1,) * (len(args) - len(args_a)))
-    order_b = tuple(args_b.index(v) for v in args if v in args_b)
-    tb_t = np.transpose(tab_b, order_b) if args_b else tab_b
-    expand_b = tuple(sizes[v] if v in args_b else 1 for v in args)
-    tb = tb_t.reshape(expand_b)
-    result = ta * tb
-    assert result.shape == shape
+    result = np.einsum(
+        tab_a, range(len(args_a)), tab_b, [args.index(v) for v in args_b], range(len(args))
+    )
     return (args, result), result.size
 
 
-def _sum_out(
-    item: tuple[tuple[str, ...], np.ndarray], name: str
-) -> tuple[tuple[tuple[str, ...], np.ndarray], int]:
+def _sum_out(item: Item, name: str) -> tuple[Item, int]:
     args, table = item
     axis = args.index(name)
     return (args[:axis] + args[axis + 1 :], table.sum(axis=axis)), table.size
@@ -263,15 +220,12 @@ def _min_degree_order(
 
 
 def _eliminate(
-    items: list[tuple[tuple[str, ...], np.ndarray]],
-    order: list[str],
-    sizes: dict[str, int],
-    target: str,
+    items: list[Item], order: list[str], target: str, n_labels: int
 ) -> tuple[np.ndarray, int]:
     """Bucket elimination of `order`, then the product of what is left.
 
-    Returns the unnormalised vector over `target` and the ops spent. A
-    0-d result (target in no remaining factor) becomes a constant vector.
+    Returns the unnormalised vector over `target` and the ops spent; a
+    0-d result (target in no remaining factor) becomes n_labels equal entries.
 
     Items are numbered in creation order (the inputs, then each message)
     and each RV keeps its live holders by number, so a bucket is its
@@ -279,11 +233,11 @@ def _eliminate(
     products run in that order, bucket by bucket and over the live items
     at the end, so results and ops do not depend on the index.
     """
-    live: dict[int, tuple[tuple[str, ...], np.ndarray]] = {}
+    live: dict[int, Item] = {}
     holders: dict[str, dict[int, None]] = {}
     numbers = itertools.count()
 
-    def add(item: tuple[tuple[str, ...], np.ndarray]) -> None:
+    def add(item: Item) -> None:
         key = next(numbers)
         live[key] = item
         for a in item[0]:
@@ -305,35 +259,32 @@ def _eliminate(
             continue
         prod = bucket[0]
         for other in bucket[1:]:
-            prod, cost = _multiply(prod, other, sizes)
+            prod, cost = _multiply(prod, other)
             ops += cost
         marg, cost = _sum_out(prod, name)
         ops += cost
         add(marg)
-    result: tuple[tuple[str, ...], np.ndarray] = ((), np.ones((), dtype=np.float64))
+    result: Item = ((), np.ones((), dtype=np.float64))
     for item in live.values():
-        result, cost = _multiply(result, item, sizes)
+        result, cost = _multiply(result, item)
         ops += cost
     args, table = result
     if args == ():
-        return np.full(sizes[target], float(table)), ops
+        return np.full(n_labels, float(table)), ops
     assert args == (target,)
     return table, ops
 
 
-@_float64_checked
 def query_ve(fg: FactorGraph, q: Query) -> QueryResult:
     """Variable elimination in greedy min-degree order, ties by name."""
-    _validate_query(fg, q)
-    observed = q.evidence.as_dict()
-    sizes = {rv.name: rv.size for rv in fg.rvs}
-    items = _reduce_evidence(fg, q.evidence)
-    eliminable = {
-        rv.name for rv in fg.rvs if rv.name != q.target and rv.name not in observed
-    }
+    held = _validate_query(fg, q)
+    items = [clamp(f.args, f.table, held) for f in fg.factors]
+    eliminable = {rv.name for rv in fg.rvs if rv.name != q.target and rv.name not in held}
     order = _min_degree_order([args for args, _ in items], eliminable)
-    vector, ops = _eliminate(items, order, sizes, q.target)
-    return _normalise(vector, fg.rv(q.target).range, "ve", ops)
+    labels = fg.rv(q.target).range
+    with np.errstate(over="ignore", invalid="ignore"):
+        vector, ops = _eliminate(items, order, q.target, len(labels))
+        return _normalise(vector, labels, "ve", ops)
 
 
 def _components(members: list[tuple[int, tuple[str, ...]]], hub: str) -> list[list[int]]:
@@ -368,7 +319,6 @@ def _components(members: list[tuple[int, tuple[str, ...]]], hub: str) -> list[li
     return list(buckets.values()) + solo
 
 
-@_float64_checked
 def query_lifted_star(pfg: ParfactorGraph, hub: str, q: Query) -> QueryResult:
     """Belief at the hub, one message per class of isomorphic components.
 
@@ -389,10 +339,9 @@ def query_lifted_star(pfg: ParfactorGraph, hub: str, q: Query) -> QueryResult:
         )
     if q.evidence:
         raise UnsupportedTopologyError("lifted evaluator does not accept evidence")
-    ranges = {rv.name: rv.range for rv in pfg.rvs}
-    if hub not in ranges:
+    hub_labels = next((rv.range for rv in pfg.rvs if rv.name == hub), None)
+    if hub_labels is None:
         raise InvariantError(f"unknown query target {hub!r}")
-    hub_labels = ranges[hub]
     if q.value is not None and q.value not in hub_labels:
         raise InvariantError(f"value {q.value!r} is not a label of {hub!r}")
 
@@ -409,14 +358,14 @@ def query_lifted_star(pfg: ParfactorGraph, hub: str, q: Query) -> QueryResult:
 
     ops = 0
     belief = np.ones(len(hub_labels), dtype=np.float64)
-    for group in classes.values():
-        rep = group[0]
-        sub_items = [(members[i][1], tables[members[i][0]]) for i in rep]
-        internal = {a for args, _ in sub_items for a in args if a != hub}
-        sizes = {a: len(ranges[a]) for a in (hub, *internal)}
-        order = _min_degree_order([args for args, _ in sub_items], internal)
-        vector, cost = _eliminate(sub_items, order, sizes, hub)
-        ops += cost
-        belief *= vector ** len(group)
-        ops += len(hub_labels)
-    return _normalise(belief, hub_labels, "lifted-star", ops)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for group in classes.values():
+            rep = group[0]
+            sub_items = [(members[i][1], tables[members[i][0]]) for i in rep]
+            internal = {a for args, _ in sub_items for a in args if a != hub}
+            order = _min_degree_order([args for args, _ in sub_items], internal)
+            vector, cost = _eliminate(sub_items, order, hub, len(hub_labels))
+            ops += cost
+            belief *= vector ** len(group)
+            ops += len(hub_labels)
+        return _normalise(belief, hub_labels, "lifted-star", ops)

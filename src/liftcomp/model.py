@@ -42,6 +42,7 @@ __all__ = [
     "FactorGraph",
     "Evidence",
     "resolve_cap",
+    "clamp",
     "joint_table",
     "fg_equal",
     "replace_tables",
@@ -252,10 +253,24 @@ class Evidence:
     def __bool__(self) -> bool:
         return bool(self.items)
 
-    def validate_against(self, fg: FactorGraph) -> None:
-        """Check every observed rv exists and every label is in range."""
-        for rv_name, label in self.items:
-            fg.rv(rv_name).index_of(label)
+    def validate_against(self, fg: FactorGraph) -> dict[str, int]:
+        """Check every observed rv and its label; returns each one's label index."""
+        return {rv_name: fg.rv(rv_name).index_of(label) for rv_name, label in self.items}
+
+
+def clamp(
+    args: tuple[str, ...], table: np.ndarray, held: Mapping[str, int]
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The arguments not in held, and a view of table with the held ones fixed.
+
+    held maps RV names to label indices; the view is 0-d when every
+    argument is held. With none held, args and table themselves return.
+    """
+    if held.keys().isdisjoint(args):
+        return args, table
+    free = tuple(a for a in args if a not in held)
+    # the trailing Ellipsis keeps a view when every argument is held
+    return free, table[tuple(held.get(a, slice(None)) for a in args) + (...,)]
 
 
 def joint_table(fg: FactorGraph, held: Mapping[str, int] | None = None) -> np.ndarray:
@@ -274,7 +289,7 @@ def joint_table(fg: FactorGraph, held: Mapping[str, int] | None = None) -> np.nd
 
     held maps RV names to label indices and returns one slab of the
     joint: the RVs it names are fixed there and dropped from the axes.
-    Each factor table is indexed at its held arguments before it
+    Each factor table is fixed at its held arguments by clamp before it
     multiplies in, and a factor whose arguments are all held multiplies
     in as a 0-d scalar at its place in the order, so the slab is
     bit-identical to the matching slice of the full joint and the
@@ -300,9 +315,8 @@ def joint_table(fg: FactorGraph, held: Mapping[str, int] | None = None) -> np.nd
     # as a typed error, with no numpy warning ahead of it
     with np.errstate(over="ignore", invalid="ignore"):
         for f in fg.factors:
-            # the trailing Ellipsis keeps a view, 0-d when every argument is held
-            table = f.table[tuple(held.get(arg, slice(None)) for arg in f.args) + (...,)]
-            axes = [fg.rv_position(arg) for arg in f.args if arg not in held]
+            args, table = clamp(f.args, f.table, held)
+            axes = [fg.rv_position(arg) for arg in args]
             order = sorted(range(len(axes)), key=axes.__getitem__)
             new_scope = sorted(set(scope).union(axes))
             out = (

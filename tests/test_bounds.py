@@ -82,6 +82,12 @@ class TestClosedForms:
 
 
 class TestBoundSet:
+    def test_integral_m(self):
+        assert bound_set(np.int64(2), 0.1) == bound_set(2, 0.1)
+        assert type(bound_set(np.int64(2), 0.1).m) is int
+        for m in (True, np.True_, 2.0, "2", 0, np.int64(-1)):
+            with pytest.raises(InvariantError, match="positive int"):
+                bound_set(m, 0.1)
     def test_alpha_values(self):
         bs = bound_set(4, 0.1)
         assert bs.alpha1 == pytest.approx((1 + 0.1 / 4) / 1.1, abs=1e-15)

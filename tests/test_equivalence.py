@@ -101,6 +101,13 @@ class TestPotentials:
             check_epsilon(1.0)
         assert check_epsilon(0.0) == 0.0
 
+    def test_eps_must_be_a_real_number(self):
+        for eps in (False, True, np.True_, "0.1", None, 0.1j):
+            with pytest.raises(InvariantError, match="real number"):
+                check_epsilon(eps)
+        for eps in (0, np.float32(0.5), np.float64(0.1), np.int64(0)):
+            assert check_epsilon(eps) == float(eps) and type(check_epsilon(eps)) is float
+
 
 class TestBandEdge:
     """Every form of the test gives one answer within 2 ulps of a band edge."""

@@ -29,6 +29,7 @@ from liftcomp import (
     save_fg,
     worst_case_fg,
 )
+from liftcomp.model import clamp
 
 from conftest import UNPARSEABLE_MODELS, free_star, mixed_range_model, random_model, sales_model
 
@@ -264,6 +265,18 @@ class TestJointEvaluation:
             all_held_factor += any(set(f.args) <= held.keys() for f in fg.factors)
             zero_d += slab.ndim == 0
         assert all_held_factor > 50 and zero_d > 10
+
+    def test_clamp_shares_what_it_does_not_fix(self, sales):
+        # with no argument held the caller's tuple and array come back,
+        # not a view; a held RV outside the arguments holds none of them
+        for held in ({}, {"Nope": 0}):
+            for f in sales.factors:
+                args, table = clamp(f.args, f.table, held)
+                assert args is f.args and table is f.table
+        f = sales.factors[0]
+        args, table = clamp(f.args, f.table, {f.args[0]: 1})
+        assert args == f.args[1:] and table.base is f.table
+        assert table.tobytes() == f.table[1].tobytes()
 
     def test_held_rvs_checked(self, sales):
         with pytest.raises(InvariantError):
