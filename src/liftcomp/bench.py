@@ -18,11 +18,13 @@ import io
 import math
 import time
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .bounds import bound_tight, distance_exact, modified_factor_count
 from .eacp import run_acp, run_eacp
+from .equivalence import check_epsilon, check_positive_int
 from .errors import EnumerationCapError, InvariantError
 from .inference import Query, query_lifted_star, query_ve
 from .model import Evidence, Factor, FactorGraph, RandomVariable, replace_tables
@@ -62,13 +64,13 @@ class GenConfig:
     free: bool = False
 
     def __post_init__(self) -> None:
+        check_positive_int(self.k, "k")
+        if isinstance(self.x, bool) or not isinstance(self.x, Real):
+            raise InvariantError(f"x must be a real number, got {self.x!r}")
+        check_epsilon(self.eps)
         if self.free:
-            if self.k < 1:
-                raise InvariantError(f"k must be positive, got {self.k!r}")
             if not 0.0 <= self.x <= 1.0:
                 raise InvariantError(f"x must lie in [0, 1], got {self.x!r}")
-            if not 0.0 <= self.eps < 1.0:
-                raise InvariantError(f"eps must lie in [0, 1), got {self.eps!r}")
             return
         if self.k not in K_DOMAIN:
             raise InvariantError(f"k={self.k!r} outside grid {K_DOMAIN}")

@@ -20,13 +20,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .equivalence import check_epsilon
+from .equivalence import check_epsilon, check_positive_int
 from .errors import InvariantError
 from .model import Factor, FactorGraph, RandomVariable, joint_table
 
@@ -44,16 +42,9 @@ __all__ = [
 ]
 
 
-def _check_m(m: int) -> int:
-    """m as an int, for an integral, non-bool m >= 1."""
-    if isinstance(m, bool) or not isinstance(m, Integral) or m < 1:
-        raise InvariantError(f"modified-factor count must be a positive int, got {m!r}")
-    return operator.index(m)
-
-
 def bound_general(m: int, eps: float) -> float:
     """m * (ln(1+eps) - ln(1-eps)): every entry ratio lies in [1-eps, 1+eps]."""
-    m = _check_m(m)
+    m = check_positive_int(m, "modified-factor count")
     eps = check_epsilon(eps)
     return m * (math.log1p(eps) - math.log1p(-eps))
 
@@ -67,7 +58,7 @@ def bound_tight(m: int, eps: float) -> float:
     alpha2 = 1+(m-1)/m*eps from above. At m = 1 the expression is 0: a
     lone factor can only be averaged with itself.
     """
-    m = _check_m(m)
+    m = check_positive_int(m, "modified-factor count")
     eps = check_epsilon(eps)
     inner = math.log1p((m - 1) / m * eps) + math.log1p(eps) - math.log1p(eps / m)
     return m * inner
@@ -96,7 +87,7 @@ class BoundSet:
 
 
 def bound_set(m: int, eps: float) -> BoundSet:
-    m = _check_m(m)
+    m = check_positive_int(m, "modified-factor count")
     eps = check_epsilon(eps)
     alpha1 = (1.0 + eps / m) / (1.0 + eps)
     alpha2 = 1.0 + (m - 1) / m * eps
@@ -234,10 +225,17 @@ def _prob_shift(p: float, t: float) -> float:
 
 
 def prob_envelope(p: float, d: float) -> tuple[float, float]:
-    """Interval containing the true probability when the model reports p."""
-    if not 0.0 < p < 1.0:
-        raise InvariantError(f"probability must lie in (0, 1), got {p!r}")
+    """Interval containing the true probability when the model reports p.
+
+    p lies in (0, 1]. A reported 1.0 is a marginal that rounded up to 1
+    (say 1 - 5.5e-19), so its interval runs from the envelope of the float
+    just below 1 up to 1.0.
+    """
+    if not 0.0 < p <= 1.0:
+        raise InvariantError(f"probability must lie in (0, 1], got {p!r}")
     _check_distance(d)
+    if p == 1.0:
+        return (_prob_shift(math.nextafter(1.0, 0.0), -d), 1.0)
     return (_prob_shift(p, -d), _prob_shift(p, d))
 
 
@@ -251,7 +249,7 @@ def worst_case_fg(m: int, eps: float) -> FactorGraph:
     one group whose mean realises the extreme per-state ratios on the
     diagonal (minimum) and shifted diagonal (maximum) simultaneously.
     """
-    m = _check_m(m)
+    m = check_positive_int(m, "modified-factor count")
     eps = check_epsilon(eps)
     if m < 2:
         raise InvariantError("adversarial construction needs at least 2 factors")

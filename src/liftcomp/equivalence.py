@@ -43,10 +43,11 @@ passes each class representative in its group frame).
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import permutations
-from numbers import Real
+from numbers import Integral, Real
 from typing import Iterable
 
 import numpy as np
@@ -87,6 +88,13 @@ def check_epsilon(eps: float) -> float:
     if not 0.0 <= eps < 1.0:
         raise InvariantError(f"epsilon must satisfy 0 <= eps < 1, got {eps}")
     return eps
+
+
+def check_positive_int(value: int, what: str) -> int:
+    """value as an int, for an integral, non-bool value >= 1."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise InvariantError(f"{what} must be a positive int, got {value!r}")
+    return operator.index(value)
 
 
 # alignments are cached so that the ones stored in groupings are shared

@@ -10,12 +10,13 @@ Variable elimination's bookkeeping costs O(sum of d^2 + n log n) for n
 eliminable RVs, each of degree d when eliminated: the order comes from a
 heap refreshed only at the picked RV's neighbours, and each bucket from
 an index of every RV's live factors. On models of bounded degree, such
-as stars of chains, that is near-linear in n and the table products
-dominate.
+as stars of chains, that is near-linear in n, and the fixed cost of each
+numpy call, not the arithmetic on small tables, dominates.
 
-Every product of two tables is one np.einsum over the union of their
-arguments, with no index summed, so each output cell is a single
-multiply; observed RVs are fixed by model.clamp, as in joint_table.
+Every product of two tables is one broadcast multiply, so each output
+cell is a single multiply; an operand whose axes are out of order is
+transposed as a view first. Observed RVs are fixed by model.clamp, as in
+joint_table.
 
 QueryResult.ops counts table entries written by products plus entries
 read by marginalisations; it is a machine-independent proxy for work
@@ -153,22 +154,34 @@ Item = tuple[tuple[str, ...], np.ndarray]
 def _multiply(a: Item, b: Item) -> tuple[Item, int]:
     """The product over a's arguments, then those of b's that a lacks.
 
-    einsum numbers each axis by its argument's position in that tuple
-    and sums no index, so every output cell is a single multiply.
+    The tables multiply by broadcasting, so every output cell is a single
+    multiply. When b's arguments are a's trailing ones, the common case,
+    nothing is reshaped; otherwise a takes a size-1 axis for each new
+    argument, and b's axes are transposed (as a view) into the result's
+    order and given a size-1 axis wherever b lacks one of its arguments.
     """
     args_a, tab_a = a
     args_b, tab_b = b
+    if args_b == args_a[len(args_a) - len(args_b) :]:
+        result = tab_a * tab_b
+        return (args_a, result), result.size
     args = args_a + tuple(v for v in args_b if v not in args_a)
-    result = np.einsum(
-        tab_a, range(len(args_a)), tab_b, [args.index(v) for v in args_b], range(len(args))
-    )
+    axes = [args.index(v) for v in args_b]
+    if axes != sorted(axes):
+        tab_b = tab_b.transpose(sorted(range(len(axes)), key=axes.__getitem__))
+        axes.sort()
+    shape = [1] * len(args)
+    for axis, n in zip(axes, tab_b.shape):
+        shape[axis] = n
+    widened = tab_a.reshape(tab_a.shape + (1,) * (len(args) - len(args_a)))
+    result = widened * tab_b.reshape(shape)
     return (args, result), result.size
 
 
 def _sum_out(item: Item, name: str) -> tuple[Item, int]:
     args, table = item
     axis = args.index(name)
-    return (args[:axis] + args[axis + 1 :], table.sum(axis=axis)), table.size
+    return (args[:axis] + args[axis + 1 :], np.add.reduce(table, axis)), table.size
 
 
 def _min_degree_order(

@@ -45,6 +45,19 @@ class TestGenConfig:
         with pytest.raises(InvariantError):
             GenConfig(k=2, x=0.5, eps=1.0, seed=0, free=True)
 
+    @pytest.mark.parametrize("free", [False, True])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("k", True), ("k", 2.5), ("k", "2"), ("x", True), ("x", "0.5"),
+         ("eps", "0.1"), ("eps", True), ("eps", None)],
+    )
+    def test_field_types_checked(self, free, field, value):
+        fields = dict(k=2, x=0.5, eps=0.1, seed=0, free=free)
+        GenConfig(**fields)
+        fields[field] = value
+        with pytest.raises(InvariantError):
+            GenConfig(**fields)
+
     def test_domains_exported(self):
         assert 16 in K_DOMAIN
         assert 0.3 in X_DOMAIN

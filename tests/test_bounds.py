@@ -170,6 +170,38 @@ class TestEnvelopes:
             for d in ds:
                 assert prob_envelope(float(p), float(d)) == (shift(p, -d), shift(p, d))
 
+    def test_prob_envelope_at_one(self):
+        # a reported 1.0 covers the float just below 1 and reaches 1.0
+        below = math.nextafter(1.0, 0.0)
+        assert prob_envelope(1.0, 0.0) == (below, 1.0)
+        for d in (1e-12, 0.1, 1.0, 30.0, 709.78, 800.0):
+            lo, hi = prob_envelope(1.0, d)
+            assert (lo, hi) == (prob_envelope(below, d)[0], 1.0)
+            assert 0.0 <= lo <= below
+
+    @pytest.mark.parametrize("p", [0.0, -0.5, 1.0 + 2**-52, 2.0, math.nan, math.inf])
+    def test_prob_envelope_outside_domain_rejected(self, p):
+        with pytest.raises(InvariantError, match=r"\(0, 1\]"):
+            prob_envelope(p, 0.1)
+
+    def test_saturated_hub_envelope_holds_ground_answer(self):
+        # P(Hub=false) = 1 - 5.5e-19 on this star, which rounds to 1.0
+        from liftcomp import GenConfig, Query, generate_fg, perturb, query_lifted_star, query_ve
+
+        cfg = GenConfig(128, 0.1, 0.1, seed=120122616)
+        fg = perturb(generate_fg(cfg), cfg)
+        res = run_eacp(fg, cfg.eps)
+        q = Query("Hub", value="false")
+        p = query_lifted_star(res.pfg, "Hub", q)["false"]
+        assert p == 1.0
+        d = bound_set(modified_factor_count(fg, res.m_prime), cfg.eps).d_tight
+        lo, hi = prob_envelope(p, d)
+        ground = query_ve(fg, q)
+        assert ground["false"] <= hi
+        # ground["false"] rounds to 1.0 too, so the lower end is checked on
+        # the complement, which the ground answer carries exactly
+        assert 0.0 < ground.distribution["true"] <= 1.0 - lo
+
 
 class TestDistanceExact:
     def test_identical_models(self, sales):

@@ -343,6 +343,51 @@ class TestIndexedElimination:
         ]
 
 
+# (a's arguments, b's arguments) for each relation of b's scope to a's
+SCOPE_RELATIONS = {
+    "equal": (("A", "B", "C"), ("A", "B", "C")),
+    "suffix": (("A", "B", "C"), ("B", "C")),
+    "ordered subsequence": (("A", "B", "C"), ("A", "C")),
+    "out-of-order subset": (("A", "B", "C"), ("C", "A")),
+    "widening": (("A", "B"), ("B", "C")),
+    "widening out of order": (("B", "C"), ("A", "B")),
+    "0-d left": ((), ("A", "B")),
+    "0-d right": (("A", "B"), ()),
+}
+
+
+def operand(args, sizes, rng, clamped):
+    """A table over args; clamped, a view with an extra held axis at the end."""
+    shape = [sizes[a] for a in args]
+    if not clamped:
+        return args, rng.uniform(0.1, 2.0, shape)
+    return clamp(args + ("H",), rng.uniform(0.1, 2.0, shape + [3]), {"H": 1})
+
+
+class TestMultiply:
+    @pytest.mark.parametrize("wide", [None, "A", "B", "C"])
+    @pytest.mark.parametrize("clamped", [False, True], ids=["contiguous", "clamped"])
+    @pytest.mark.parametrize("relation", list(SCOPE_RELATIONS))
+    def test_matches_reference(self, relation, clamped, wide):
+        # an 8-label axis is summed pairwise where it is innermost in memory,
+        # so every sum of the product also checks its layout
+        sizes = {"A": 2, "B": 3, "C": 2}
+        if wide:
+            sizes[wide] = 8
+        rng = np.random.default_rng(0)
+        args_a, args_b = SCOPE_RELATIONS[relation]
+        a = operand(args_a, sizes, rng, clamped)
+        b = operand(args_b, sizes, rng, clamped)
+        (args, table), ops = inference._multiply(a, b)
+        (ref_args, ref_table), ref_ops = reference_multiply(a, b, sizes)
+        assert (args, ops) == (ref_args, ref_ops)
+        assert table.tobytes() == ref_table.tobytes()
+        for name in args:
+            (_, summed), _ = inference._sum_out((args, table), name)
+            (_, ref_summed), _ = inference._sum_out((ref_args, ref_table), name)
+            assert summed.tobytes() == ref_summed.tobytes()
+
+
 class TestLiftedStar:
     def pfg_for(self, k: int, depth: int, seed: int = 0):
         fg = star_model(k, depth, seed)

@@ -56,6 +56,15 @@ def test_harness_installs_and_restores(run):
             assert after[attr] is obj, f"liftcomp.{name}.{attr} not restored"
 
 
+def _models(run, lc, workload: str, seed: int) -> list:
+    # what run.main does before measuring, without writing .bench_out/
+    models = run.build_models(lc, workload, seed)
+    for i, model in enumerate(models):
+        model.fg = lc.io.load_fg(model.data)
+        model.queries = run.sample_queries(lc, model, seed, i, workload)
+    return models
+
+
 # seed-1 output digests (groupings, alignments, m_prime tables) of the
 # benchmark's workloads: a change that claims identical outputs keeps them
 DIGESTS = {
@@ -67,14 +76,9 @@ DIGESTS = {
 
 @pytest.mark.parametrize("workload", ["certify", "star-compress", "star-query"])
 def test_one_untraced_pass(run, workload):
-    # what run.main does before measuring, without writing .bench_out/:
     # a library change that breaks the harness fails here
     lc = _liftcomp(run)
-    models = run.build_models(lc, workload, 1)
-    for i, model in enumerate(models):
-        model.fg = lc.io.load_fg(model.data)
-        model.queries = run.sample_queries(lc, model, 1, i, workload)
-    bench_run = run.Run(lc, models, workload, run.Speed())
+    bench_run = run.Run(lc, _models(run, lc, workload, 1), workload, run.Speed())
     result = bench_run.run_pass()
     assert bench_run.problems == []
     assert bench_run.digest() == DIGESTS[workload]
@@ -84,16 +88,22 @@ def test_one_untraced_pass(run, workload):
         assert result.failed == 0, dict(result.errors)
 
 
+def test_saturated_hub_answers_are_certified(run):
+    # on seed 6, two star-query hub answers round to P = 1.0; each still
+    # gets an envelope, and no operation fails
+    lc = _liftcomp(run)
+    bench_run = run.Run(lc, _models(run, lc, "star-query", 6), "star-query", run.Speed())
+    result = bench_run.run_pass()
+    assert bench_run.problems == []
+    assert result.failed == 0, dict(result.errors)
+
+
 def test_one_traced_pass(run):
     # what run.traced_run does for one traced pass: a change to what a traced
     # function returns, or to a name it is looked up by, fails here
     spans = importlib.import_module("spans")
     lc = _liftcomp(run)
-    models = run.build_models(lc, "star-compress", 1)
-    for i, model in enumerate(models):
-        model.fg = lc.io.load_fg(model.data)
-        model.queries = run.sample_queries(lc, model, 1, i, "star-compress")
-    bench_run = run.Run(lc, models, "star-compress", run.Speed())
+    bench_run = run.Run(lc, _models(run, lc, "star-compress", 1), "star-compress", run.Speed())
     tracer = spans.Tracer()
     run.install(tracer, lc)
     bench_run.tracer = tracer
