@@ -30,11 +30,10 @@ initial_factor_colours_exact (bit-identical tables).
 
 Commutativity is detected by equivalence.commutative_blocks on a
 factor's table viewed in its group frame, with that frame's range
-labels, once per distinct (shape, table bytes, range labels) within one
-compression (_frame_blocks): colour_pass detects it on each class
-representative and hands its results on, and exact_crv_positions
-detects it again only for representative tables it has not seen, such
-as the ones the mean update changed.
+labels, by the stage that uses it: colour_pass on each initial class
+representative, and exact_crv_positions on the updated representative
+of each final group whose arguments hold two RVs of one class, the only
+groups in which a block can be counted.
 
 construct_pfg turns the final grouping into a parfactor graph: per
 group, its members in the representative's frame, one table and an
@@ -87,10 +86,6 @@ __all__ = [
 ]
 
 
-# (frame shape, frame table bytes, frame range labels) -> commutative blocks
-BlocksKey = tuple[tuple[int, ...], bytes, tuple[tuple[str, ...], ...]]
-
-
 @dataclass(frozen=True)
 class ColourState:
     """Final colours per node plus the number of refinement rounds used."""
@@ -102,12 +97,11 @@ class ColourState:
 
 @dataclass(frozen=True)
 class ColourPassResult:
-    """Final grouping and RV classes; blocks holds every commutativity detection made."""
+    """Final grouping, RV classes and colour state."""
 
     grouping: Grouping
     rv_classes: tuple[tuple[str, ...], ...]
     state: ColourState
-    blocks: Mapping[BlocksKey, tuple[tuple[int, ...], ...]]
 
 
 def initial_rv_colours(fg: FactorGraph, evidence: Evidence) -> dict[str, int]:
@@ -167,27 +161,6 @@ def _exact_match(
         if colour is not None:
             return colour, perm
     return None
-
-
-def _frame_blocks(
-    fg: FactorGraph,
-    table: np.ndarray,
-    args: tuple[str, ...],
-    eps: float,
-    known: dict[BlocksKey, tuple[tuple[int, ...], ...]],
-) -> tuple[tuple[int, ...], ...]:
-    """Commutative blocks of a factor's table and arguments in its group frame.
-
-    Equal frame tables with equal range labels have equal blocks, so a key
-    already in `known` is answered from it; a new key is detected and
-    added.
-    """
-    ranges = tuple(fg.rv(a).range for a in args)
-    key = (table.shape, table.tobytes(), ranges)
-    blocks = known.get(key)
-    if blocks is None:
-        blocks = known[key] = commutative_blocks(table, eps, ranges)
-    return blocks
 
 
 def _class_sizes(labels: list[int]) -> list[int]:
@@ -252,12 +225,10 @@ def colour_pass(
     arguments and the blocks to sort, and each RV holds its (factor,
     position) slots. Each round signs only the frontier (module
     docstring); colours are renumbered in first-seen order over that
-    numbering at the end. The result carries the commutative blocks it
-    detected, for exact_crv_positions.
+    numbering at the end.
     """
     eps = check_epsilon(eps)
     rv_index = {rv.name: i for i, rv in enumerate(fg.rvs)}.__getitem__
-    known: dict[BlocksKey, tuple[tuple[int, ...], ...]] = {}
     # per initial class: blocks to sort, and the position each slot sends
     class_slots: dict[int, tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = {}
     f_perms: list[Alignment] = []
@@ -275,7 +246,9 @@ def colour_pass(
         frame_args = aligned_args(f.args, perm)
         if colour not in class_slots:
             # the class representative, its first factor, decides the blocks
-            blocks = _frame_blocks(fg, aligned_table(f.table, perm), frame_args, eps, known)
+            blocks = commutative_blocks(
+                aligned_table(f.table, perm), eps, tuple(fg.rv(a).range for a in frame_args)
+            )
             sorts = tuple(b for b in blocks if len(b) >= 2)
             counted = {p for b in sorts for p in b}
             positions = tuple(0 if j in counted else j + 1 for j in range(f.arity))
@@ -350,7 +323,7 @@ def colour_pass(
         {f.name: c for f, c in zip(fg.factors, f_col)},
         iteration,
     )
-    return ColourPassResult(grouping, classes, state, known)
+    return ColourPassResult(grouping, classes, state)
 
 
 @dataclass(frozen=True)
@@ -463,41 +436,49 @@ def _counted_table(
     return out, CrvSpec(positions, cells)
 
 
+def _class_index(fg: FactorGraph, rv_classes: Sequence[Sequence[str]]) -> dict[str, int]:
+    """Each RV's class number; the classes must partition fg's RVs, one range per class."""
+    names = [name for members in rv_classes for name in members]
+    if sorted(names) != sorted(rv.name for rv in fg.rvs):
+        raise InvariantError("rv classes must partition the model's RVs")
+    for members in rv_classes:
+        if len({fg.rv(name).range for name in members}) > 1:
+            raise InvariantError(f"rv class of {members[0]!r} mixes ranges")
+    return {name: ci for ci, members in enumerate(rv_classes) for name in members}
+
+
 def exact_crv_positions(
     fg: FactorGraph,
     grouping: Grouping,
     rv_classes: Sequence[Sequence[str]],
     eps: float,
-    *,
-    known_blocks: Mapping[BlocksKey, tuple[tuple[int, ...], ...]],
 ) -> dict[int, tuple[int, ...]]:
     """Counting candidates that compact losslessly, per group index.
 
-    A block qualifies when it was detected commutative at eps on the
-    group representative, the updated representative table is EXACTLY
-    invariant under the block's permutations (each histogram cell holds
-    one value, so grounding round-trips bit-exactly), and all counted
-    argument slots hold RVs of one class. One block per group, the
-    largest, earliest on ties.
+    A block qualifies when it is commutative at eps on the group
+    representative's table in fg (equivalence.commutative_blocks), that
+    table is EXACTLY invariant under the block's permutations (each
+    histogram cell holds one value, so grounding round-trips
+    bit-exactly), and all counted argument slots hold RVs of one class.
+    One block per group, the largest, earliest on ties.
 
-    known_blocks holds the detections of a colour pass at the same eps
-    (ColourPassResult.blocks), or is empty: a representative whose frame
-    table and range labels are already there is not tested again, and a
-    table the mean update changed has other bytes, so it is.
+    A block has two positions or more, all of one class, so a
+    representative whose arguments hold no two RVs of one class is
+    skipped without a detection. Every other one is detected here, even
+    when colour_pass detected the same frame table: one detection more
+    per such group, in exchange for no state passed between the stages.
     """
     eps = check_epsilon(eps)
-    known = dict(known_blocks)
-    class_of: dict[str, int] = {}
-    for ci, members in enumerate(rv_classes):
-        for name in members:
-            class_of[name] = ci
+    class_of = _class_index(fg, rv_classes)
     out: dict[int, tuple[int, ...]] = {}
     for gi, group in enumerate(grouping.groups):
         rep = group[0]
         f = fg.factor(rep.factor)
+        if len({class_of[a] for a in f.args}) == f.arity:
+            continue
         args = aligned_args(f.args, rep.align)
         table = aligned_table(f.table, rep.align)
-        blocks = _frame_blocks(fg, table, args, eps, known)
+        blocks = commutative_blocks(table, eps, tuple(fg.rv(a).range for a in args))
         candidates = [
             block for block in blocks
             if len(block) >= 2
@@ -548,12 +529,8 @@ def construct_pfg(
     exactly invariant under them (see exact_crv_positions), otherwise
     InvariantError.
     """
+    _class_index(fg_updated, rv_classes)
     rvs = tuple(fg_updated.rv(name) for names in rv_classes for name in names)
-    if sorted(rv.name for rv in rvs) != sorted(rv.name for rv in fg_updated.rvs):
-        raise InvariantError("rv classes must partition the model's RVs")
-    for names in rv_classes:
-        if len({fg_updated.rv(name).range for name in names}) > 1:
-            raise InvariantError(f"rv class of {names[0]!r} mixes ranges")
 
     members: list[str] = []
     member_args: list[tuple[str, ...]] = []

@@ -18,7 +18,7 @@ import io
 import math
 import time
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -168,11 +168,17 @@ def _sample_queries(
     return queries
 
 
+def _check_query_count(n_queries: int) -> None:
+    if isinstance(n_queries, bool) or not isinstance(n_queries, Integral) or n_queries < 0:
+        raise InvariantError(f"query count must be a non-negative int, got {n_queries!r}")
+
+
 def run_experiment(
     cfg: GenConfig,
     n_queries: int = 5,
     skip_exact: bool = False,
 ) -> ExperimentRecord:
+    _check_query_count(n_queries)
     base = generate_fg(cfg)
     m = perturb(base, cfg)
 
@@ -252,6 +258,10 @@ def run_grid(
     skip_exact: bool = False,
     jobs: int | None = None,
 ) -> list[ExperimentRecord]:
+    """One record per config; jobs > 1 runs them in that many worker processes."""
+    _check_query_count(n_queries)
+    if jobs is not None:
+        jobs = check_positive_int(jobs, "job count")
     tasks = [(cfg, n_queries, skip_exact) for cfg in configs]
     if jobs is not None and jobs > 1:
         # imported here: the process pool machinery costs ~2 MB of memory

@@ -220,7 +220,7 @@ class TestCounting:
         fg = FactorGraph(rvs, (Factor("phi1", ("Rev", "ComA", "ComB"), t),))
         ph = phase1_group(fg.factors, 0.1)
         res = colour_pass(fg, ph.group_index(), Evidence(), alignments=ph.alignments(), eps=0.1)
-        crv = exact_crv_positions(fg, res.grouping, res.rv_classes, 0.1, known_blocks={})
+        crv = exact_crv_positions(fg, res.grouping, res.rv_classes, 0.1)
         assert crv == {}
 
     def test_histogram_axis_is_last(self, counting):
@@ -329,6 +329,33 @@ class TestConstructPfg:
         pfg = ParfactorGraph(rvs, [2], ("a", "b"), (("X",), ("Y",)), [2], (np.ones(2),), (None,))
         assert [len(group) for group in pfg.groups()] == [2]
         assert pfg.group_ends.tolist() == [2] and not pfg.group_ends.flags.writeable
+
+
+class TestRvClassCheck:
+    """Both readers of rv classes reject one that is not a partition by range."""
+
+    STAGES = {
+        "exact_crv_positions": lambda fg, g, classes: exact_crv_positions(fg, g, classes, 0.0),
+        "construct_pfg": lambda fg, g, classes: construct_pfg(fg, g, classes, {}),
+    }
+
+    @pytest.mark.parametrize("stage", STAGES)
+    @pytest.mark.parametrize("classes, match", [
+        ((("A",),), "partition"),
+        ((("A", "B"), ("B",)), "partition"),
+        ((("A", "B", "C"),), "mixes ranges"),
+    ])
+    def test_rejects_bad_classes(self, stage, classes, match):
+        # a symmetric factor over A and B, so counting reads both classes
+        hl = ("high", "low")
+        rvs = (RandomVariable("A", hl), RandomVariable("B", hl), RandomVariable("C", ("a", "b")))
+        fg = FactorGraph(rvs, (
+            Factor("f", ("A", "B"), np.array([[1.0, 2.0], [2.0, 3.0]])),
+            Factor("g", ("C",), np.array([1.0, 2.0])),
+        ))
+        grouping = Grouping(((GroupMember("f", (0, 1)),), (GroupMember("g", (0,)),)))
+        with pytest.raises(InvariantError, match=match):
+            self.STAGES[stage](fg, grouping, classes)
 
 
 class TestGrounding:

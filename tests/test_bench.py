@@ -218,6 +218,24 @@ class TestGridAndCsv:
             assert a.queries == b.queries
             assert a.n_groups == b.n_groups
 
+    @pytest.mark.parametrize("jobs", [0, -2, 1.5, True])
+    def test_grid_rejects_bad_job_count(self, jobs):
+        with pytest.raises(InvariantError, match="job count"):
+            run_grid([GenConfig(k=2, x=0.5, eps=0.1, seed=0)], n_queries=1, jobs=jobs)
+
+    @pytest.mark.parametrize("n_queries", [-3, -1, 1.5, 2.0, True, "2"])
+    def test_rejects_bad_query_count(self, n_queries):
+        cfg = GenConfig(k=2, x=0.5, eps=0.1, seed=0)
+        with pytest.raises(InvariantError, match="query count"):
+            run_grid([cfg], n_queries=n_queries)
+        with pytest.raises(InvariantError, match="query count"):
+            run_experiment(cfg, n_queries=n_queries)
+
+    def test_grid_with_no_queries(self):
+        configs = [GenConfig(k=2, x=0.5, eps=0.1, seed=0)]
+        records = run_grid(configs, n_queries=0, skip_exact=True, jobs=1)
+        assert records[0].queries == ()
+
     def test_csv_header_only_for_empty(self):
         data = emit_csv([])
         assert data.decode("utf-8") == ",".join(CSV_COLUMNS) + "\n"

@@ -357,6 +357,28 @@ class TestBench:
         assert code == 0
         assert out.startswith(",".join(CSV_COLUMNS))
 
+    @pytest.mark.parametrize("flags, what", [
+        (("--queries", "-3"), "query count"),
+        (("--jobs", "0"), "job count"),
+        (("--jobs", "-2"), "job count"),
+    ])
+    def test_bad_counts_exit_2(self, capsys, flags, what):
+        code, out, err = run_cli(
+            capsys, "bench", "--k", "2", "--x", "0.5", "--eps", "0.1", "--skip-exact", *flags,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and what in err
+
+    def test_zero_queries_emit_one_row(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bench", "--k", "2", "--x", "0.5", "--eps", "0.1",
+            "--queries", "0", "--skip-exact",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert len(rows) == 1 and rows[0]["query_index"] == ""
+
     def test_off_grid_rejected_without_free(self, capsys):
         code, _, _ = run_cli(
             capsys, "bench", "--k", "3", "--x", "0.5", "--eps", "0.1",

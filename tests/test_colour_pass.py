@@ -1,6 +1,8 @@
-"""Colour passing against a name-keyed reference loop; commutativity detected once per call."""
+"""Colour passing and counting detection against name-keyed reference loops."""
 
 from __future__ import annotations
+
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -168,14 +170,17 @@ def _seedings(fg, eps):
 
 class TestAgainstReference:
     @pytest.mark.parametrize("eps", [0.0, 0.1])
-    def test_generated_models(self, eps):
+    def test_generated_models(self, eps, monkeypatch):
+        detections = _record_detections(monkeypatch)
         permuted = symmetric = one_colour = 0
         for seed in range(150):
             fg, evidence = generated_model(seed)
             # every RV starts with one colour: round 1 signs no factor
             one_colour += len(set(initial_rv_colours(fg, evidence).values())) == 1
             for colours, alignments, seed_eps in _seedings(fg, eps).values():
+                detections.clear()
                 got = colour_pass(fg, colours, evidence, alignments=alignments, eps=seed_eps)
+                symmetric += any(len(b) >= 2 for _, blocks in detections for b in blocks)
                 grouping, rv_classes, rv_col, f_col, rounds = reference_colour_pass(
                     fg, colours, evidence, alignments, seed_eps
                 )
@@ -185,7 +190,6 @@ class TestAgainstReference:
                 assert list(got.state.factor_colours.items()) == list(f_col.items())
                 assert got.state.iteration == rounds
                 permuted += any(a != identity_alignment(len(a)) for a in alignments.values())
-                symmetric += any(len(b) >= 2 for b in got.blocks.values())
         # the corpus exercises non-identity alignments, commutative blocks
         # and models without evidence
         assert permuted > 50 and symmetric > 50 and one_colour > 20
@@ -212,21 +216,49 @@ class TestAgainstReference:
         assert max(rounds) > depth
 
 
-# -- commutativity: one detection per distinct frame table and ranges --------
+# -- commutativity: detected by each stage that uses it ---------------------
 
 
 def _record_detections(monkeypatch):
-    keys = []
+    """Every commutative_blocks call acp makes, as ((shape, bytes, ranges), blocks)."""
+    calls = []
 
     def recording(table, eps, ranges):
-        keys.append((table.shape, table.tobytes(), ranges))
-        return commutative_blocks(table, eps, ranges)
+        blocks = commutative_blocks(table, eps, ranges)
+        calls.append(((table.shape, table.tobytes(), ranges), blocks))
+        return blocks
 
     monkeypatch.setattr(acp, "commutative_blocks", recording)
-    return keys
+    return calls
 
 
-class TestCommutativeHandOff:
+def reference_crv_positions(fg, grouping, rv_classes, eps):
+    """Counted positions per group, every representative detected, invariance by transposes."""
+    class_of = {name: ci for ci, members in enumerate(rv_classes) for name in members}
+    out = {}
+    for gi, group in enumerate(grouping.groups):
+        rep = group[0]
+        f = fg.factor(rep.factor)
+        args = aligned_args(f.args, rep.align)
+        table = aligned_table(f.table, rep.align)
+        candidates = []
+        for block in commutative_blocks(table, eps, tuple(fg.rv(a).range for a in args)):
+            if len(block) < 2 or len({class_of[args[p]] for p in block}) > 1:
+                continue
+            axes = list(range(table.ndim))
+            invariant = True
+            for perm in permutations(block):
+                for p, q in zip(block, perm):
+                    axes[p] = q
+                invariant = invariant and np.array_equal(table, np.transpose(table, axes))
+            if invariant:
+                candidates.append(block)
+        if candidates:
+            out[gi] = max(candidates, key=len)
+    return out
+
+
+class TestCommutativeDetection:
     def test_same_bytes_other_ranges_count_other_positions(self):
         # fully symmetric table; b's last argument has other labels, so only
         # its first two positions form a block
@@ -249,22 +281,21 @@ class TestCommutativeHandOff:
         a = np.array([[1.0, 1.04], [1.0, 2.0]])
         b = np.array([[1.0, 1.0], [1.04, 2.0]])
         fg = FactorGraph(rvs, (Factor("a", ("X1", "X2"), a), Factor("b", ("Y1", "Y2"), b)))
-        keys = _record_detections(monkeypatch)
+        detections = _record_detections(monkeypatch)
         comp = run_eacp(fg, 0.1)
         mean = comp.m_prime.factor("a").table
         assert not np.array_equal(mean, a) and np.array_equal(mean, mean.T)
-        assert (mean.shape, mean.tobytes(), (("t", "f"),) * 2) in keys
-        assert len(keys) == len(set(keys))
+        keys = [key for key, _ in detections]
+        assert keys == [(a.shape, a.tobytes(), (("t", "f"),) * 2),
+                        (mean.shape, mean.tobytes(), (("t", "f"),) * 2)]
         assert {crv.positions for crv in comp.pfg.crvs} == {(0, 1)}
 
-    def test_known_blocks_change_no_result(self):
+    def test_pipeline_counts_what_a_direct_call_counts(self):
         for seed in range(60):
             fg, evidence = generated_model(seed)
             for eps in (0.0, 0.1):
                 comp = run_eacp(fg, eps, evidence)
-                fresh = exact_crv_positions(
-                    comp.m_prime, comp.grouping, comp.rv_classes, eps, known_blocks={}
-                )
+                fresh = exact_crv_positions(comp.m_prime, comp.grouping, comp.rv_classes, eps)
                 counted = {
                     gi: crv.positions
                     for gi, crv in enumerate(comp.pfg.crvs)
@@ -272,10 +303,43 @@ class TestCommutativeHandOff:
                 }
                 assert counted == fresh
 
+    def test_matches_reference_on_generated_models(self):
+        # the pipeline's final stage, and the colour pass's starting one:
+        # phase-1 groups over the initial RV colours, where symmetric
+        # factors share a class and count
+        counted = 0
+        for seed in range(150):
+            fg, evidence = generated_model(seed)
+            start = initial_rv_colours(fg, evidence)
+            initial_classes = {}
+            for name, colour in start.items():
+                initial_classes.setdefault(colour, []).append(name)
+            for eps in (0.0, 0.1):
+                comp = run_eacp(fg, eps, evidence)
+                for stage in (
+                    (comp.m_prime, comp.grouping, comp.rv_classes),
+                    (fg, phase1_group(fg.factors, eps), list(initial_classes.values())),
+                ):
+                    got = exact_crv_positions(*stage, eps)
+                    assert got == reference_crv_positions(*stage, eps)
+                    counted += len(got)
+        assert counted > 20
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_one_detection_per_initial_class_on_stars(self, monkeypatch, perturbed):
+        fg = deep_star(16, 3, seed=1) if perturbed else star_model(16, 3, seed=1)
+        detections = _record_detections(monkeypatch)
+        comp = run_eacp(fg, 0.1)
+        assert len(detections) == len(phase1_group(fg.factors, 0.1).groups)
+        detections.clear()
+        assert exact_crv_positions(comp.m_prime, comp.grouping, comp.rv_classes, 0.1) == {}
+        assert detections == []
+
     def test_one_detection_per_key_on_an_acp_star(self, monkeypatch):
         fg = star_model(16, 3, seed=2)
-        keys = _record_detections(monkeypatch)
+        detections = _record_detections(monkeypatch)
         run_acp(fg)
         # three distinct tables, each detected once for colour passing and
-        # never again for counting
+        # never for counting
+        keys = [key for key, _ in detections]
         assert len(keys) == len(set(keys)) == 3
