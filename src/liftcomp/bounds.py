@@ -227,15 +227,19 @@ def _prob_shift(p: float, t: float) -> float:
 def prob_envelope(p: float, d: float) -> tuple[float, float]:
     """Interval containing the true probability when the model reports p.
 
-    p lies in (0, 1]. A reported 1.0 is a marginal that rounded up to 1
+    p lies in [0, 1]. A reported 1.0 is a marginal that rounded up to 1
     (say 1 - 5.5e-19), so its interval runs from the envelope of the float
-    just below 1 up to 1.0.
+    just below 1 up to 1.0. Likewise a reported 0.0 is a marginal that
+    rounded down to 0 (say e^-921), so its interval runs from 0.0 up to
+    the envelope of the smallest positive float.
     """
-    if not 0.0 < p <= 1.0:
-        raise InvariantError(f"probability must lie in (0, 1], got {p!r}")
+    if not 0.0 <= p <= 1.0:
+        raise InvariantError(f"probability must lie in [0, 1], got {p!r}")
     _check_distance(d)
     if p == 1.0:
         return (_prob_shift(math.nextafter(1.0, 0.0), -d), 1.0)
+    if p == 0.0:
+        return (0.0, _prob_shift(math.nextafter(0.0, 1.0), d))
     return (_prob_shift(p, -d), _prob_shift(p, d))
 
 

@@ -13,10 +13,19 @@ an index of every RV's live factors. On models of bounded degree, such
 as stars of chains, that is near-linear in n, and the fixed cost of each
 numpy call, not the arithmetic on small tables, dominates.
 
-Every product of two tables is one broadcast multiply, so each output
-cell is a single multiply; an operand whose axes are out of order is
-transposed as a view first. Observed RVs are fixed by model.clamp, as in
-joint_table.
+So _eliminate plans, then executes. The plan walks the order without
+arithmetic and sorts the buckets into batches of like buckets (the same
+table shapes and the same argument wiring, up to renaming). The
+executor runs a batch as stacked arrays, one row per bucket: one
+broadcast multiply per bucket position, one np.multiply.reduce fold per
+run of like items, and one np.add.reduce. Alike branches of a star then
+share their numpy calls, so the number of calls stays flat as branches
+are added, and every output cell still gets the same multiplies and
+sums in the same order: results and ops are bit-identical to one bucket
+at a time. Eliminations too short to share much skip the plan and run
+each bucket as it forms. Every product of two tables is one broadcast
+multiply; an operand whose axes are out of order is transposed as a
+view first. Observed RVs are fixed by model.clamp, as in joint_table.
 
 QueryResult.ops counts table entries written by products plus entries
 read by marginalisations; it is a machine-independent proxy for work
@@ -30,6 +39,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,41 +157,59 @@ def query_enumerate(fg: FactorGraph, q: Query) -> QueryResult:
         return _normalise(vector, fg.rv(q.target).range, "enumerate", joint.size)
 
 
-# intermediate factors are plain (args, table) pairs; tables may be 0-d
+# intermediate factors are plain (args, table) pairs; tables may be 0-d.
+# _eliminate stacks a batch of buckets along one leading axis beyond the
+# arguments: row b belongs to the batch's b-th bucket.
 Item = tuple[tuple[str, ...], np.ndarray]
 
 
-def _multiply(a: Item, b: Item) -> tuple[Item, int]:
+def _multiply(a: Item, b: Item, lead: int = 0) -> tuple[Item, int]:
     """The product over a's arguments, then those of b's that a lacks.
 
     The tables multiply by broadcasting, so every output cell is a single
     multiply. When b's arguments are a's trailing ones, the common case,
-    nothing is reshaped; otherwise a takes a size-1 axis for each new
-    argument, and b's axes are transposed (as a view) into the result's
-    order and given a size-1 axis wherever b lacks one of its arguments.
+    only size-1 axes are inserted; otherwise a takes a size-1 axis for
+    each new argument, and b's axes are transposed (as a view) into the
+    result's order and given a size-1 axis wherever b lacks one of its
+    arguments. Both tables may carry `lead` leading batch axes beyond
+    their arguments, which pair up row by row.
     """
     args_a, tab_a = a
     args_b, tab_b = b
-    if args_b == args_a[len(args_a) - len(args_b) :]:
+    gap = len(args_a) - len(args_b)
+    if args_b == args_a[gap:]:
+        if lead and gap:
+            tab_b = tab_b.reshape(tab_b.shape[:lead] + (1,) * gap + tab_b.shape[lead:])
         result = tab_a * tab_b
         return (args_a, result), result.size
     args = args_a + tuple(v for v in args_b if v not in args_a)
     axes = [args.index(v) for v in args_b]
     if axes != sorted(axes):
-        tab_b = tab_b.transpose(sorted(range(len(axes)), key=axes.__getitem__))
+        order = sorted(range(len(axes)), key=axes.__getitem__)
+        tab_b = tab_b.transpose([*range(lead), *(lead + i for i in order)])
         axes.sort()
-    shape = [1] * len(args)
-    for axis, n in zip(axes, tab_b.shape):
-        shape[axis] = n
+    shape = [*tab_b.shape[:lead], *[1] * len(args)]
+    for axis, n in zip(axes, tab_b.shape[lead:]):
+        shape[lead + axis] = n
     widened = tab_a.reshape(tab_a.shape + (1,) * (len(args) - len(args_a)))
     result = widened * tab_b.reshape(shape)
     return (args, result), result.size
 
 
-def _sum_out(item: Item, name: str) -> tuple[Item, int]:
+def _fold(args: tuple[str, ...], stack: np.ndarray) -> tuple[Item, int]:
+    """The rows of stack along the axis before args, multiplied in turn.
+
+    One np.multiply.reduce: a strict left fold, so each cell gets the
+    multiplies that _multiply would make one row at a time.
+    """
+    result = np.multiply.reduce(stack, axis=stack.ndim - len(args) - 1)
+    return (args, result), stack.size - result.size
+
+
+def _sum_out(item: Item, name: str, lead: int = 0) -> tuple[Item, int]:
     args, table = item
     axis = args.index(name)
-    return (args[:axis] + args[axis + 1 :], np.add.reduce(table, axis)), table.size
+    return (args[:axis] + args[axis + 1 :], np.add.reduce(table, lead + axis)), table.size
 
 
 def _min_degree_order(
@@ -232,6 +260,148 @@ def _min_degree_order(
     return order
 
 
+def _stack(tables: list[np.ndarray]) -> np.ndarray:
+    """Tables of one shape and strides along a new leading axis.
+
+    The stack keeps the tables' memory order of axes, so numpy lays out
+    every product and sum of it as it would those of each table alone.
+    """
+    first = tables[0]
+    if len(tables) == 1:
+        return first[None]
+    strides = first.strides
+    if first.flags.c_contiguous or list(strides) == sorted(strides, reverse=True):
+        return np.array(tables)
+    order = sorted(range(first.ndim), key=lambda a: -strides[a])
+    stack = np.array([t.transpose(order) for t in tables])
+    return stack.transpose([0, *(1 + order.index(a) for a in range(first.ndim))])
+
+
+def _c_ordered(table: np.ndarray) -> bool:
+    """Axes longer than 1 lie in memory in their logical order."""
+    strides = [s for s, n in zip(table.strides, table.shape) if n > 1]
+    return all(s >= t for s, t in zip(strides, strides[1:]))
+
+
+# a run of fewer like items costs fewer numpy calls as single multiplies
+_MIN_RUN = 8
+# an elimination of fewer RVs runs each bucket as it forms: planning costs
+# about a microsecond a bucket, more than batching saves when few buckets
+# can share a batch (the certify models eliminate 1-20 RVs, and the
+# benchmark's stars 47 or more)
+_MIN_PLAN = 32
+_FIRST = operator.itemgetter(0)
+_SECOND = operator.itemgetter(1)
+_SHAPE = operator.attrgetter("shape")
+_STRIDES = operator.attrgetter("strides")
+
+
+class _Store:
+    """Every item of one elimination, and each executed batch's messages.
+
+    Items are numbered in creation order, inputs first. An input's source
+    is its table and its kind its (shape, strides); a message's source is
+    its row in its batch's stack and its kind the batch's number. Items of
+    one kind stack into arrays of one layout. A batch of one bucket keeps
+    its message unstacked, in a list of one, and a message made as its
+    bucket formed has its table as source and no kind.
+    """
+
+    __slots__ = ("args", "source", "kind", "stacks")
+
+    def __init__(self, args: list, source: list, kind: list) -> None:
+        self.args = args
+        self.source = source
+        self.kind = kind
+        self.stacks: list = []
+
+    def table(self, number: int) -> np.ndarray:
+        """One item's table, unstacked."""
+        kind = self.kind[number]
+        if type(kind) is int:
+            return self.stacks[kind][self.source[number]]
+        return self.source[number]
+
+    def gather(self, numbers: list[int]) -> np.ndarray:
+        """Items of one kind, stacked along a new leading axis."""
+        kind = self.kind[numbers[0]]
+        rows = list(map(self.source.__getitem__, numbers))
+        if type(kind) is not int:
+            return _stack(rows)
+        stack = self.stacks[kind]
+        if type(stack) is list:
+            return _stack(list(map(stack.__getitem__, rows)))
+        if len(rows) == len(stack) and rows == list(range(len(stack))):
+            return stack
+        # fancy indexing keeps the stack's memory order of axes
+        return stack[rows]
+
+    def product(self, acc: Item, members: list[list[int]], start: int) -> tuple[Item, int]:
+        """acc times each bucket's items from position `start` on, in order.
+
+        Buckets are alike, so the first one names every position's
+        arguments. With one bucket, tables stay unstacked; with more, acc
+        and each operand hold one row per bucket. A run of _MIN_RUN or
+        more positions that add no argument to a C-ordered acc is one
+        _fold of acc and those items broadcast to its shape, gathered once
+        per kind; every other position is one _multiply.
+        """
+        rep = members[0]
+        args_of = self.args
+        ops = 0
+        if len(members) == 1 and len(rep) - start < _MIN_RUN:
+            for i in rep[start:]:
+                acc, cost = _multiply(acc, (args_of[i], self.table(i)))
+                ops += cost
+            return acc, ops
+        lead = 0 if len(members) == 1 else 1
+        j = start
+        while j < len(rep):
+            end = j
+            if len(rep) - j >= _MIN_RUN and _c_ordered(acc[1]):
+                scope = set(acc[0])
+                while end < len(rep) and scope.issuperset(args_of[rep[end]]):
+                    end += 1
+            if end - j >= _MIN_RUN:
+                acc, cost = self._run(acc, members, j, end)
+                j = end
+            else:
+                if len(members) == 1:
+                    operand = self.table(rep[j])
+                else:
+                    operand = self.gather(list(map(operator.itemgetter(j), members)))
+                acc, cost = _multiply(acc, (args_of[rep[j]], operand), lead)
+                j += 1
+            ops += cost
+        return acc, ops
+
+    def _run(self, acc: Item, members: list[list[int]], start: int, end: int) -> tuple[Item, int]:
+        """acc times positions start..end-1, which add no argument to it."""
+        args, table = acc
+        lead = table.ndim - len(args)
+        rows = (slice(None),) * lead
+        stack = np.empty(table.shape[:lead] + (1 + end - start,) + table.shape[lead:])
+        stack[rows + (0,)] = table
+        rep = members[0]
+        groups: dict[tuple, list[int]] = {}
+        for j in range(start, end):
+            groups.setdefault((self.kind[rep[j]], self.args[rep[j]]), []).append(j)
+        for (_, item_args), columns in groups.items():
+            block = self.gather([bucket[j] for bucket in members for j in columns])
+            axes = [args.index(v) for v in item_args]
+            order = sorted(range(len(axes)), key=axes.__getitem__)
+            shape = [*table.shape[:lead], len(columns), *[1] * len(args)]
+            for o in order:
+                shape[lead + 1 + axes[o]] = block.shape[1 + o]
+            block = block.transpose([0, *(1 + o for o in order)]).reshape(shape)
+            if len(columns) == columns[-1] - columns[0] + 1:
+                where = slice(1 + columns[0] - start, 2 + columns[-1] - start)
+            else:
+                where = [1 + j - start for j in columns]
+            stack[rows + (where,)] = block
+        return _fold(args, stack)
+
+
 def _eliminate(
     items: list[Item], order: list[str], target: str, n_labels: int
 ) -> tuple[np.ndarray, int]:
@@ -240,48 +410,122 @@ def _eliminate(
     Returns the unnormalised vector over `target` and the ops spent; a
     0-d result (target in no remaining factor) becomes n_labels equal entries.
 
-    Items are numbered in creation order (the inputs, then each message)
-    and each RV keeps its live holders by number, so a bucket is its
-    RV's holders in creation order and costs its own size to find. The
-    products run in that order, bucket by bucket and over the live items
-    at the end, so results and ops do not depend on the index.
+    Plan (symbolic): items are numbered in creation order (the inputs,
+    then each message) and each RV keeps its holders by number, so a
+    bucket is its RV's live holders in creation order and costs its own
+    size to find. A bucket's signature is each item's kind (an input's
+    shape and strides, or the batch that made a message) and its items'
+    arguments numbered by first occurrence from the eliminated RV;
+    buckets of one signature form one batch. A batch's signature names
+    the batches it reads, so they all formed before it: running batches
+    in the order they formed respects every dependency, and all buckets
+    of a batch sit at one depth.
+
+    Execute (numeric): a batch stacks each bucket position's items along
+    a new leading axis, makes one broadcast multiply per position (one
+    fold per run of positions that add no argument) and one np.add.reduce.
+    Every output cell gets the products and the sum it would get bucket
+    by bucket, in the same order, and the stacks keep each operand's
+    memory order of axes, so numpy picks the same layout and the same
+    summation (pairwise along an innermost axis of 8 or more labels) for
+    each: vectors and ops are bit-identical to one bucket at a time. A
+    batch of one bucket multiplies its tables as they are. The product of
+    what is left is one more such product, from its first item (1 * x is
+    x), over tables of at most one axis, whose layout is moot.
+
+    An elimination of fewer than _MIN_PLAN RVs skips the plan: each bucket
+    is multiplied and summed as it forms, as one batch of one would be.
     """
-    live: dict[int, Item] = {}
-    holders: dict[str, dict[int, None]] = {}
-    numbers = itertools.count()
-
-    def add(item: Item) -> None:
-        key = next(numbers)
-        live[key] = item
-        for a in item[0]:
-            holders.setdefault(a, {})[key] = None
-
-    for item in items:
-        add(item)
+    args_of = list(map(_FIRST, items))
+    source = list(map(_SECOND, items))
+    kind = list(zip(map(_SHAPE, source), map(_STRIDES, source)))
+    holders: dict[str, list[int]] = {}
+    for number, args in enumerate(args_of):
+        for a in args:
+            if a in holders:
+                holders[a].append(number)
+            else:
+                holders[a] = [number]
+    # every bucket makes one message
+    live = [True] * (len(items) + len(order))
+    store = _Store(args_of, source, kind)
     ops = 0
+    eager = len(order) < _MIN_PLAN
+    batch_of: dict[tuple, int] = {}
+    batches: list[list[list[int]]] = []
+    names: list[str] = []
     for name in order:
-        bucket = []
-        for key in holders.pop(name, ()):
-            item = live.pop(key)
-            for a in item[0]:
-                if a != name:
-                    del holders[a][key]
-            bucket.append(item)
+        bucket = list(filter(live.__getitem__, holders.pop(name, ())))
         if not bucket:
             # disconnected rv: its sum is a constant that normalisation removes
             continue
-        prod = bucket[0]
-        for other in bucket[1:]:
-            prod, cost = _multiply(prod, other)
+        if eager:
+            for i in bucket:
+                live[i] = False
+            prod = (args_of[bucket[0]], store.table(bucket[0]))
+            for i in bucket[1:]:
+                prod, cost = _multiply(prod, (args_of[i], store.table(i)))
+                ops += cost
+            (message, marg), cost = _sum_out(prod, name)
             ops += cost
-        marg, cost = _sum_out(prod, name)
-        ops += cost
-        add(marg)
-    result: Item = ((), np.ones((), dtype=np.float64))
-    for item in live.values():
-        result, cost = _multiply(result, item)
-        ops += cost
-    args, table = result
+            for a in message:
+                holders[a].append(len(args_of))
+            args_of.append(message)
+            source.append(marg)
+            kind.append(None)
+            continue
+        if len(bucket) == 1:
+            i = bucket[0]
+            live[i] = False
+            args = args_of[i]
+            axis = args.index(name)
+            # distinct arguments: the kind's rank and the axis fix the wiring
+            signature: tuple = (kind[i], axis)
+            message = args[:axis] + args[axis + 1 :]
+        else:
+            flat = (name,)
+            for i in bucket:
+                live[i] = False
+                flat += args_of[i]
+            # arguments numbered by first occurrence, the eliminated rv as 0
+            signature = (len(bucket), *map(kind.__getitem__, bucket), *map(flat.index, flat))
+            scope = dict.fromkeys(flat)
+            del scope[name]
+            message = tuple(scope)
+        number = batch_of.get(signature)
+        if number is None:
+            number = batch_of[signature] = len(batches)
+            batches.append([])
+            names.append(name)
+        for a in message:
+            holders[a].append(len(args_of))
+        members = batches[number]
+        args_of.append(message)
+        source.append(len(members))
+        kind.append(number)
+        members.append(bucket)
+
+    stacks = store.stacks
+    for members, name in zip(batches, names):
+        rep = members[0]
+        if len(members) == 1:
+            # one bucket: its tables as they are
+            prod = (args_of[rep[0]], store.table(rep[0]))
+            prod, cost = store.product(prod, members, 1)
+            (_, marg), cost_sum = _sum_out(prod, name)
+            stacks.append([marg])
+        else:
+            prod = (args_of[rep[0]], store.gather(list(map(_FIRST, members))))
+            prod, cost = store.product(prod, members, 1)
+            (_, marg), cost_sum = _sum_out(prod, name, 1)
+            stacks.append(marg)
+        ops += cost + cost_sum
+    rest = list(filter(live.__getitem__, range(len(args_of))))
+    if not rest:
+        return np.ones(n_labels), ops
+    first = store.table(rest[0])
+    (args, table), cost = store.product((args_of[rest[0]], first), [rest], 1)
+    ops += first.size + cost
     if args == ():
         return np.full(n_labels, float(table)), ops
     assert args == (target,)

@@ -129,6 +129,39 @@ def star_model(k: int, depth: int, seed: int = 0) -> FactorGraph:
     return FactorGraph(tuple(rvs), tuple(factors))
 
 
+def counted_star(k: int, noise: float = 0.0, seed: int = 0) -> FactorGraph:
+    """Hub with k branches Hub-A_i, Hub-B_i (one shared table) and A_i-B_i.
+
+    The A_i-B_i table is symmetric, so A_i and B_i share a colour and the
+    group of those tables compacts to a histogram over both positions
+    (CrvSpec(positions=(0, 1))). noise > 0 rescales every entry by
+    U[1-noise, 1+noise] (the A_i-B_i tables re-symmetrised), which stays
+    within eps = 0.1 for noise up to about 0.04. The Hub-A table is near
+    [[x, y], [y, x]] and the A-B table near [[p, q], [q, p]], so each
+    branch sends the hub a near-even message and the hub marginal stays
+    well inside (0, 1) up to k = 128; the two tables lie on different
+    scales, so eps-grouping never mixes them.
+    """
+    rng = np.random.default_rng(seed)
+    x, y = rng.uniform(0.2, 0.8, size=2)
+    att = np.array([[x, y], [y, x * rng.uniform(0.99, 1.01)]])
+    p, q = rng.uniform(2.0, 4.0, size=2)
+    link = np.array([[p, q], [q, p]])
+
+    def jitter(table: np.ndarray) -> np.ndarray:
+        return table * rng.uniform(1 - noise, 1 + noise, size=table.shape) if noise else table
+
+    rvs = [RandomVariable("Hub", ("t", "f"))]
+    factors = []
+    for i in range(1, k + 1):
+        rvs += [RandomVariable(f"A{i}", ("t", "f")), RandomVariable(f"B{i}", ("t", "f"))]
+        factors.append(Factor(f"ha{i}", ("Hub", f"A{i}"), jitter(att)))
+        factors.append(Factor(f"hb{i}", ("Hub", f"B{i}"), jitter(att)))
+        pair = jitter(link)
+        factors.append(Factor(f"ab{i}", (f"A{i}", f"B{i}"), (pair + pair.T) / 2))
+    return FactorGraph(tuple(rvs), tuple(factors))
+
+
 def free_star(k: int, depth: int, eps: float = 0.1) -> FactorGraph:
     """Perturbed free star (x = 0.1) from the first seed whose chains have `depth` links.
 

@@ -179,9 +179,34 @@ class TestEnvelopes:
             assert (lo, hi) == (prob_envelope(below, d)[0], 1.0)
             assert 0.0 <= lo <= below
 
-    @pytest.mark.parametrize("p", [0.0, -0.5, 1.0 + 2**-52, 2.0, math.nan, math.inf])
+    def test_prob_envelope_at_zero(self):
+        # a reported 0.0 covers the smallest positive float and reaches 0.0
+        tiny = math.nextafter(0.0, 1.0)
+        assert prob_envelope(0.0, 0.0) == (0.0, tiny)
+        for d in (1e-12, 0.1, 1.0, 30.0, 709.78, 800.0):
+            lo, hi = prob_envelope(0.0, d)
+            assert (lo, hi) == (0.0, prob_envelope(tiny, d)[1])
+            assert tiny <= hi <= 1.0
+
+    def test_underflowed_marginal_envelope_holds_its_log(self):
+        # P(a0) = 1e-200 / (1e-200 + 1e200) = e^-921.03 rounds to 0.0, and
+        # its finite log-probability lies inside the envelope of 0.0
+        from liftcomp import Factor, FactorGraph, Query, RandomVariable, query_ve
+
+        fg = FactorGraph(
+            (RandomVariable("A", ("a0", "a1")),),
+            (Factor("f", ("A",), [1e-200, 1e200]),),
+        )
+        res = query_ve(fg, Query("A"))
+        assert res["a0"] == 0.0
+        assert res.log_distribution["a0"] == pytest.approx(-400 * math.log(10), rel=1e-12)
+        lo, hi = prob_envelope(res["a0"], 0.1)
+        assert lo == 0.0
+        assert math.log(hi) >= res.log_distribution["a0"]
+
+    @pytest.mark.parametrize("p", [-0.5, 1.0 + 2**-52, 2.0, math.nan, math.inf])
     def test_prob_envelope_outside_domain_rejected(self, p):
-        with pytest.raises(InvariantError, match=r"\(0, 1\]"):
+        with pytest.raises(InvariantError, match=r"\[0, 1\]"):
             prob_envelope(p, 0.1)
 
     def test_saturated_hub_envelope_holds_ground_answer(self):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from liftcomp import (
 from liftcomp import inference
 from liftcomp.model import clamp
 
-from conftest import mixed_range_model, random_model, star_model
+from conftest import counted_star, mixed_range_model, random_model, star_model
 
 TF = ("t", "f")
 
@@ -251,7 +253,7 @@ def reference_eliminate(items, order, sizes, target):
 
 
 @st.composite
-def ve_cases(draw):
+def ve_cases(draw, star=False):
     """A model on up to 14 RVs, a target and at most one evidence atom.
 
     Scopes of 1-4 RVs over few names tie on degree often, hold the target
@@ -260,7 +262,12 @@ def ve_cases(draw):
     At most one RV has 8 labels: numpy sums an axis of 8 or more pairwise
     when it is the innermost in memory, so only such sums show a product
     laid out in memory unlike the reference's.
+
+    With star=True the model is a star (star_ve_case), whose alike
+    branches make VE batch many buckets.
     """
+    if star:
+        return draw(star_ve_case())
     n = draw(st.integers(2, 14))
     wide = draw(st.integers(-1, n - 1))
     rvs = tuple(
@@ -291,6 +298,61 @@ def ve_cases(draw):
     return fg, Query(target, evidence)
 
 
+@st.composite
+def star_ve_case(draw):
+    """A hub with 2-24 chains drawn from 1-3 templates, a target, evidence.
+
+    Chains of one template have the same depth, label counts and argument
+    orders, and often the very same tables, so their buckets batch; with
+    the hub or a leaf as the target, the hub's bucket or the final product
+    holds one message per chain, a run of like items longer than a fold
+    needs. A template may put 9 unary factors on its leaf, a run inside
+    every one of its chains' leaf buckets, and may give one RV 8 labels,
+    which numpy sums pairwise. Evidence holds up to two RVs; holding both
+    ends of a link clamps that factor to a 0-d table.
+    """
+    hub_size = draw(st.integers(2, 3))
+    templates = []
+    for _ in range(draw(st.integers(1, 3))):
+        depth = draw(st.integers(1, 3))
+        sizes = [draw(st.sampled_from([2, 2, 3, 8])) for _ in range(depth)]
+        flips = [draw(st.booleans()) for _ in range(depth)]
+        unary = draw(st.sampled_from([0, 1, 9]))
+        templates.append((depth, sizes, flips, unary))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shared = [
+        [rng.uniform(0.5, 1.5, (hub_size if d == 0 else sizes[d - 1], sizes[d]))
+         for d in range(depth)]
+        for depth, sizes, _, _ in templates
+    ]
+    rvs = [RandomVariable("H", tuple("abcdefgh")[:hub_size])]
+    factors = []
+    for c in range(draw(st.integers(2, 24))):
+        t = draw(st.integers(0, len(templates) - 1))
+        depth, sizes, flips, unary = templates[t]
+        own = draw(st.booleans())
+        chain = ["H"] + [f"B{c}_{d}" for d in range(depth)]
+        rvs += [RandomVariable(name, tuple("abcdefgh")[:n]) for name, n in zip(chain[1:], sizes)]
+        for d in range(depth):
+            table = shared[t][d] * (rng.uniform(0.9, 1.1, shared[t][d].shape) if own else 1.0)
+            args = (chain[d], chain[d + 1])
+            if flips[d]:
+                args, table = args[::-1], table.T
+            factors.append(Factor(f"f{c}_{d}", args, table))
+        for u in range(unary):
+            factors.append(Factor(f"u{c}_{u}", (chain[-1],), rng.uniform(0.5, 1.5, sizes[-1])))
+    names = [rv.name for rv in rvs]
+    target = draw(st.sampled_from(["H", names[-1], draw(st.sampled_from(names))]))
+    others = [v for v in names if v != target]
+    held = draw(st.lists(st.sampled_from(others), max_size=2, unique=True))
+    if len(held) == 2 and draw(st.booleans()):
+        # both ends of one link, so that factor clamps to a 0-d table
+        link = [f for f in factors if len(f.args) == 2 and target not in f.args]
+        held = list(draw(st.sampled_from(link)).args) if link else held
+    fg = FactorGraph(tuple(rvs), tuple(factors))
+    return fg, Query(target, Evidence(tuple((v, "b") for v in held)))
+
+
 def check_against_reference(fg, q):
     """VE's clamped items, order, vector and ops equal the reference loops'."""
     held = {name: fg.rv(name).index_of(label) for name, label in q.evidence.items}
@@ -315,11 +377,96 @@ def check_against_reference(fg, q):
     return items
 
 
+@contextmanager
+def regime(planned):
+    """VE plans every elimination in batches, or runs every bucket as it forms."""
+    with mock.patch.object(inference, "_MIN_PLAN", 0 if planned else 10**9):
+        yield
+
+
 class TestIndexedElimination:
     @settings(max_examples=300, deadline=None)
     @given(case=ve_cases())
     def test_matches_reference_loops(self, case):
-        check_against_reference(*case)
+        for planned in (False, True):
+            with regime(planned):
+                check_against_reference(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=ve_cases(star=True))
+    def test_stars_match_reference_loops(self, case):
+        for planned in (False, True):
+            with regime(planned):
+                check_against_reference(*case)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_transposed_inputs_keep_their_layout(self, seed):
+        # the lifted evaluator passes tables that are transposed views; a
+        # batch stacks them in their own memory order, so every sum is the
+        # one the reference loops make, 8-label axes included
+        rng = np.random.default_rng(seed)
+        sizes = {"H": 3}
+        items = []
+        for c in range(12):
+            a, b = f"A{c}", f"B{c}"
+            sizes[a], sizes[b] = 8, 3
+            for x, y in (("H", a), (a, b)):
+                table = rng.uniform(0.5, 1.5, (sizes[y], sizes[x]))
+                items.append(((x, y), table.T) if c % 3 else ((y, x), table))
+            items.append(((b,), rng.uniform(0.5, 1.5, (3,))))
+        for target in ("H", "B0"):
+            scopes = [args for args, _ in items]
+            order = inference._min_degree_order(scopes, set(sizes) - {target})
+            with regime(planned=True):
+                vector, ops = inference._eliminate(items, order, target, sizes[target])
+            ref_vector, ref_ops = reference_eliminate(items, order, sizes, target)
+            assert (vector.tobytes(), ops) == (ref_vector.tobytes(), ref_ops)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("orient", [0, 1])
+    def test_gathered_messages_keep_their_layout(self, seed, orient):
+        # each A<c> bucket sums a transposed 3-d view, leaving a (P, Q)
+        # message laid out Q-major; P<c>'s hub factors alternate argument
+        # order, so each P batch gathers every other message, and summing
+        # an 8-label P shows any change to the gathered layout
+        rng = np.random.default_rng(seed)
+        sizes = {"H": 2}
+        items = []
+        for c in range(16):
+            a, p, q = f"A{c}", f"P{c}", f"Q{c}"
+            sizes[a], sizes[p], sizes[q] = 2, 8, 8
+            items.append(((a, p, q), rng.uniform(0.5, 1.5, (8, 8, 2)).T))
+            if c % 2 == orient:
+                items.append(((p, "H"), rng.uniform(0.5, 1.5, (8, 2))))
+            else:
+                items.append((("H", p), rng.uniform(0.5, 1.5, (2, 8))))
+            items.append(((q, "H"), rng.uniform(0.5, 1.5, (8, 2))))
+        order = inference._min_degree_order([args for args, _ in items], set(sizes) - {"H"})
+        with regime(planned=True):
+            vector, ops = inference._eliminate(items, order, "H", 2)
+        ref_vector, ref_ops = reference_eliminate(items, order, sizes, "H")
+        assert (vector.tobytes(), ops) == (ref_vector.tobytes(), ref_ops)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_run_after_a_transposed_factor(self, seed, transposed):
+        # each X<c> bucket is a hub factor then 9 unary factors, a run; when
+        # the hub factor is a transposed view, one multiply at a time keeps
+        # its X-minor layout, so the run must not become one fold
+        rng = np.random.default_rng(seed)
+        sizes = {"H": 3}
+        items = []
+        for c in range(4):
+            x = f"X{c}"
+            sizes[x] = 8
+            table = rng.uniform(0.5, 1.5, (3, 8))
+            items.append(((x, "H"), table.T) if transposed else (("H", x), table))
+            items += [((x,), rng.uniform(0.5, 1.5, 8)) for _ in range(9)]
+        order = inference._min_degree_order([args for args, _ in items], set(sizes) - {"H"})
+        with regime(planned=True):
+            vector, ops = inference._eliminate(items, order, "H", 3)
+        ref_vector, ref_ops = reference_eliminate(items, order, sizes, "H")
+        assert (vector.tobytes(), ops) == (ref_vector.tobytes(), ref_ops)
 
     def test_fully_held_factor(self):
         # evidence holds both arguments of f1, which clamps to a 0-d table
@@ -331,6 +478,8 @@ class TestIndexedElimination:
         )
         fg = FactorGraph(rvs, factors)
         q = Query("V0", Evidence((("V1", "c"), ("V2", "b"))))
+        with regime(planned=True):
+            check_against_reference(fg, q)
         items = check_against_reference(fg, q)
         assert items[1][0] == () and items[1][1].ndim == 0
 
@@ -341,6 +490,73 @@ class TestIndexedElimination:
         assert inference._min_degree_order(scopes, {"C", "L1", "L2", "L3"}) == [
             "L1", "L2", "L3", "C",
         ]
+
+
+class TestBatchedElimination:
+    QUERIES = [
+        Query("Hub"),
+        Query("B1_3"),
+        Query("B1_1"),
+        Query("Hub", Evidence((("B2_2", "t"),))),
+        Query("B3_2", Evidence((("B1_1", "f"),))),
+    ]
+
+    @pytest.mark.parametrize("q", QUERIES, ids=lambda q: f"{q.target}|{q.evidence.items}")
+    def test_numpy_calls_flat_in_branch_count(self, q, monkeypatch):
+        # every product goes through _multiply or _fold and every sum
+        # through _sum_out; alike branches share those calls, so their
+        # number does not grow from 16 branches to 128
+        counts = {}
+        for name in ("_multiply", "_fold", "_sum_out"):
+            def counted(*args, _call=getattr(inference, name), _name=name):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _call(*args)
+
+            monkeypatch.setattr(inference, name, counted)
+        calls = []
+        for k in (16, 128):
+            counts.clear()
+            query_ve(star_model(k, 3), q)
+            calls.append(dict(counts))
+        assert calls[0] == calls[1]
+        assert calls[0]["_fold"] == 1   # the one message per branch is a run
+
+
+    def test_short_eliminations_run_bucket_by_bucket(self, monkeypatch):
+        # below _MIN_PLAN eliminated RVs every bucket is summed as it forms;
+        # from there on alike buckets share their calls
+        sums = []
+
+        def counted(*args, _call=inference._sum_out):
+            sums.append(args[1])
+            return _call(*args)
+
+        monkeypatch.setattr(inference, "_sum_out", counted)
+        for k, expected in ((2, 6), (16, 3)):
+            sums.clear()
+            query_ve(star_model(k, 3), Query("Hub"))
+            assert len(sums) == expected
+        assert 6 < inference._MIN_PLAN <= 48
+
+
+class TestCountedStar:
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_branch_pair_is_counted(self, eps):
+        res = run_eacp(counted_star(8), eps)
+        assert [crv.positions for crv in res.pfg.crvs if crv is not None] == [(0, 1)]
+
+    @pytest.mark.parametrize("noise, eps", [(0.0, 0.0), (0.0, 0.1), (0.03, 0.1)],
+                             ids=["exact-eps0", "exact", "perturbed"])
+    @pytest.mark.parametrize("k", [2, 16, 128])
+    def test_lifted_hub_matches_ve(self, k, noise, eps):
+        fg = counted_star(k, noise, seed=k)
+        res = run_eacp(fg, eps)
+        assert any(crv is not None for crv in res.pfg.crvs)
+        lifted = query_lifted_star(res.pfg, "Hub", Query("Hub"))
+        reference = query_ve(res.m_prime, Query("Hub"))
+        assert dist_close(lifted, reference)
+        for label, lp in reference.log_distribution.items():
+            assert lifted.log_distribution[label] == pytest.approx(lp, abs=1e-10)
 
 
 # (a's arguments, b's arguments) for each relation of b's scope to a's
