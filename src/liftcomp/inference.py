@@ -6,26 +6,24 @@ evaluator for the hub marginal of a compressed model that computes one
 message per class of isomorphic branches and raises it to the class
 size instead of repeating identical eliminations.
 
-Variable elimination's bookkeeping costs O(sum of d^2 + n log n) for n
-eliminable RVs, each of degree d when eliminated: the order comes from a
-heap refreshed only at the picked RV's neighbours, and each bucket from
-an index of every RV's live factors. On models of bounded degree, such
-as stars of chains, that is near-linear in n, and the fixed cost of each
-numpy call, not the arithmetic on small tables, dominates.
+Variable elimination works on the RV numbers of the model's _Index,
+built once with the FactorGraph. Its bookkeeping costs one O(model) copy
+of the index's holder lists and neighbour sets per query, plus one walk
+of O(sum of d^2 + n log n) for n eliminable RVs of degree d when
+eliminated: it pops the RV of least degree from a heap and forms that
+RV's bucket on the spot. On stars of chains that is near-linear in n,
+and the fixed cost of each numpy call, not arithmetic, dominates.
 
-So _eliminate plans, then executes. The plan walks the order without
-arithmetic and sorts the buckets into batches of like buckets (the same
-table shapes and the same argument wiring, up to renaming). The
-executor runs a batch as stacked arrays, one row per bucket: one
+So the walk plans, sorting buckets into batches of like buckets (the
+same table shapes and argument wiring, up to renaming), and _eliminate
+then executes each batch as stacked arrays, one row per bucket: one
 broadcast multiply per bucket position, one np.multiply.reduce fold per
-run of like items, and one np.add.reduce. Alike branches of a star then
-share their numpy calls, so the number of calls stays flat as branches
-are added, and every output cell still gets the same multiplies and
-sums in the same order: results and ops are bit-identical to one bucket
-at a time. Eliminations too short to share much skip the plan and run
-each bucket as it forms. Every product of two tables is one broadcast
-multiply; an operand whose axes are out of order is transposed as a
-view first. Observed RVs are fixed by model.clamp, as in joint_table.
+run of like items, and one np.add.reduce. Alike branches of a star share
+their numpy calls, so the number of calls stays flat as branches are
+added, and every output cell gets the same multiplies and sums in the
+same order: results and ops are bit-identical to one bucket at a time.
+Eliminations too short to share much run each bucket as it forms.
+Observed RVs are fixed by model.clamp, as in joint_table.
 
 QueryResult.ops counts table entries written by products plus entries
 read by marginalisations; it is a machine-independent proxy for work
@@ -41,12 +39,13 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import Collection
 
 import numpy as np
 
 from .acp import ParfactorGraph, expand_crv
 from .errors import InvariantError, UnsupportedTopologyError
-from .model import Evidence, FactorGraph, clamp, joint_table
+from .model import Evidence, FactorGraph, _Index, _index_scopes, clamp, joint_table
 
 __all__ = [
     "Query",
@@ -157,10 +156,11 @@ def query_enumerate(fg: FactorGraph, q: Query) -> QueryResult:
         return _normalise(vector, fg.rv(q.target).range, "enumerate", joint.size)
 
 
-# intermediate factors are plain (args, table) pairs; tables may be 0-d.
+# intermediate factors are plain (args, table) pairs, args as RV numbers
+# of an _Index; tables may be 0-d.
 # _eliminate stacks a batch of buckets along one leading axis beyond the
 # arguments: row b belongs to the batch's b-th bucket.
-Item = tuple[tuple[str, ...], np.ndarray]
+Item = tuple[tuple[int, ...], np.ndarray]
 
 
 def _multiply(a: Item, b: Item, lead: int = 0) -> tuple[Item, int]:
@@ -196,7 +196,7 @@ def _multiply(a: Item, b: Item, lead: int = 0) -> tuple[Item, int]:
     return (args, result), result.size
 
 
-def _fold(args: tuple[str, ...], stack: np.ndarray) -> tuple[Item, int]:
+def _fold(args: tuple[int, ...], stack: np.ndarray) -> tuple[Item, int]:
     """The rows of stack along the axis before args, multiplied in turn.
 
     One np.multiply.reduce: a strict left fold, so each cell gets the
@@ -206,58 +206,10 @@ def _fold(args: tuple[str, ...], stack: np.ndarray) -> tuple[Item, int]:
     return (args, result), stack.size - result.size
 
 
-def _sum_out(item: Item, name: str, lead: int = 0) -> tuple[Item, int]:
+def _sum_out(item: Item, name: int, lead: int = 0) -> tuple[Item, int]:
     args, table = item
     axis = args.index(name)
     return (args[:axis] + args[axis + 1 :], np.add.reduce(table, lead + axis)), table.size
-
-
-def _min_degree_order(
-    scopes: list[tuple[str, ...]], eliminable: set[str]
-) -> list[str]:
-    """Greedy min-degree elimination order of `eliminable`, ties by name.
-
-    Two RVs are neighbours when some scope holds both. An RV's degree is
-    the number of its neighbours not yet eliminated, eliminable or not:
-    the query target and the hub count too. Each step picks the RV left
-    with the least (degree, name), adds a fill-in edge between every two
-    of its neighbours that are eliminable and not yet eliminated, and
-    eliminates it. Fill-in never joins an RV that is not eliminable, so
-    no RV gains the target or the hub as a neighbour by fill-in.
-
-    Only the picked RV's neighbours change degree, so a heap holds
-    (degree, name) entries and each step pushes fresh entries for those
-    neighbours alone; a popped entry whose RV is gone or whose degree is
-    no longer current is stale and skipped. With d the largest degree, a
-    step costs O(d^2 + d log n) instead of a sweep over all n RVs.
-    """
-    adjacency: dict[str, set[str]] = {v: set() for v in eliminable}
-    for scope in scopes:
-        for u, w in itertools.combinations(scope, 2):
-            if u in adjacency:
-                adjacency[u].add(w)
-            if w in adjacency:
-                adjacency[w].add(u)
-    heap = [(len(neighbours), v) for v, neighbours in adjacency.items()]
-    heapq.heapify(heap)
-    order: list[str] = []
-    remaining = set(eliminable)
-    while remaining:
-        degree, pick = heapq.heappop(heap)
-        if pick not in remaining or degree != len(adjacency[pick]):
-            continue
-        order.append(pick)
-        remaining.remove(pick)
-        # adjacency is symmetric among eliminable RVs, so these are the
-        # only sets left that hold pick
-        neighbours = adjacency[pick] & remaining
-        for u, w in itertools.combinations(neighbours, 2):
-            adjacency[u].add(w)
-            adjacency[w].add(u)
-        for u in neighbours:
-            adjacency[u].discard(pick)
-            heapq.heappush(heap, (len(adjacency[u]), u))
-    return order
 
 
 def _stack(tables: list[np.ndarray]) -> np.ndarray:
@@ -292,6 +244,7 @@ _MIN_RUN = 8
 _MIN_PLAN = 32
 _FIRST = operator.itemgetter(0)
 _SECOND = operator.itemgetter(1)
+_TABLE = operator.attrgetter("table")
 _SHAPE = operator.attrgetter("shape")
 _STRIDES = operator.attrgetter("strides")
 
@@ -403,35 +356,43 @@ class _Store:
 
 
 def _eliminate(
-    items: list[Item], order: list[str], target: str, n_labels: int
-) -> tuple[np.ndarray, int]:
-    """Bucket elimination of `order`, then the product of what is left.
+    items: list[Item], index: _Index, target: int, held: Collection[int], n_labels: int
+) -> tuple[np.ndarray, int, list[int]]:
+    """Bucket elimination in greedy min-degree order, then the product of what is left.
 
-    Returns the unnormalised vector over `target` and the ops spent; a
-    0-d result (target in no remaining factor) becomes n_labels equal entries.
+    items[i] is index's scope i with the held RVs fixed, as (argument
+    numbers, table). Every RV but the target and the held ones is
+    eliminated. Returns the unnormalised vector over `target`, the ops
+    spent and the order; a 0-d result (target in no remaining factor)
+    becomes n_labels equal entries.
 
-    Plan (symbolic): items are numbered in creation order (the inputs,
-    then each message) and each RV keeps its holders by number, so a
-    bucket is its RV's live holders in creation order and costs its own
-    size to find. A bucket's signature is each item's kind (an input's
+    Order: two RVs are neighbours when some scope holds both; an RV's
+    degree counts its neighbours not yet eliminated, the target included.
+    Each step pops the RV of least (degree, number), which ties by name,
+    joins every two of its neighbours left to eliminate by a fill-in edge
+    (never the target) and eliminates it. Only its neighbours change
+    degree, so only they get fresh heap entries; a popped entry whose RV
+    is gone or whose degree is stale is skipped. A step costs
+    O(d^2 + d log n) for degree d.
+
+    Plan, in the same walk: items are numbered in creation order (the
+    inputs, then each message), so the picked RV's bucket is its live
+    holders in order. A bucket's signature is each item's kind (an input's
     shape and strides, or the batch that made a message) and its items'
-    arguments numbered by first occurrence from the eliminated RV;
-    buckets of one signature form one batch. A batch's signature names
-    the batches it reads, so they all formed before it: running batches
-    in the order they formed respects every dependency, and all buckets
-    of a batch sit at one depth.
+    arguments numbered by first occurrence from the eliminated RV; buckets
+    of one signature form one batch. A batch's signature names the
+    batches it reads, so running batches in the order they formed
+    respects every dependency.
 
-    Execute (numeric): a batch stacks each bucket position's items along
-    a new leading axis, makes one broadcast multiply per position (one
-    fold per run of positions that add no argument) and one np.add.reduce.
-    Every output cell gets the products and the sum it would get bucket
-    by bucket, in the same order, and the stacks keep each operand's
-    memory order of axes, so numpy picks the same layout and the same
-    summation (pairwise along an innermost axis of 8 or more labels) for
-    each: vectors and ops are bit-identical to one bucket at a time. A
-    batch of one bucket multiplies its tables as they are. The product of
-    what is left is one more such product, from its first item (1 * x is
-    x), over tables of at most one axis, whose layout is moot.
+    Execute: a batch stacks each bucket position's items along a new
+    leading axis, makes one broadcast multiply per position (one fold per
+    run of positions that add no argument) and one np.add.reduce. The
+    stacks keep each operand's memory order of axes, so numpy picks the
+    layout and the summation (pairwise along an innermost axis of 8 or
+    more labels) it would pick for each bucket alone: vectors and ops are
+    bit-identical to one bucket at a time. The product of what is left is
+    one more such product, from its first item (1 * x is x), over tables
+    of at most one axis.
 
     An elimination of fewer than _MIN_PLAN RVs skips the plan: each bucket
     is multiplied and summed as it forms, as one batch of one would be.
@@ -439,23 +400,48 @@ def _eliminate(
     args_of = list(map(_FIRST, items))
     source = list(map(_SECOND, items))
     kind = list(zip(map(_SHAPE, source), map(_STRIDES, source)))
-    holders: dict[str, list[int]] = {}
-    for number, args in enumerate(args_of):
-        for a in args:
-            if a in holders:
-                holders[a].append(number)
-            else:
-                holders[a] = [number]
+    # the index is shared: this walk changes copies of its lists
+    holders = list(map(list, index.holders))
+    adjacency = list(map(set, index.neighbours))
+    # open: left to eliminate
+    open_ = [True] * len(adjacency)
+    open_[target] = False
+    for v in held:
+        open_[v] = False
+        for u in index.neighbours[v]:
+            adjacency[u].discard(v)
+    # (degree, number) as one int, degree * n + number, which orders alike
+    n = len(open_)
+    heap = [len(adjacency[v]) * n + v for v in range(n) if open_[v]]
+    heapq.heapify(heap)
+    left = len(heap)
     # every bucket makes one message
-    live = [True] * (len(items) + len(order))
+    live = [True] * (len(items) + left)
     store = _Store(args_of, source, kind)
     ops = 0
-    eager = len(order) < _MIN_PLAN
+    eager = left < _MIN_PLAN
     batch_of: dict[tuple, int] = {}
     batches: list[list[list[int]]] = []
-    names: list[str] = []
-    for name in order:
-        bucket = list(filter(live.__getitem__, holders.pop(name, ())))
+    names: list[int] = []
+    order: list[int] = []
+    while left:
+        key = heapq.heappop(heap)
+        name = key % n
+        if not open_[name] or key != len(adjacency[name]) * n + name:
+            continue
+        open_[name] = False
+        left -= 1
+        order.append(name)
+        # the picked RV's set holds only RVs left to eliminate and the target
+        neighbours = adjacency[name]
+        neighbours.discard(target)
+        for u, w in itertools.combinations(neighbours, 2):
+            adjacency[u].add(w)
+            adjacency[w].add(u)
+        for u in neighbours:
+            adjacency[u].discard(name)
+            heapq.heappush(heap, len(adjacency[u]) * n + u)
+        bucket = list(filter(live.__getitem__, holders[name]))
         if not bucket:
             # disconnected rv: its sum is a constant that normalisation removes
             continue
@@ -522,25 +508,33 @@ def _eliminate(
         ops += cost + cost_sum
     rest = list(filter(live.__getitem__, range(len(args_of))))
     if not rest:
-        return np.ones(n_labels), ops
+        return np.ones(n_labels), ops, order
     first = store.table(rest[0])
     (args, table), cost = store.product((args_of[rest[0]], first), [rest], 1)
     ops += first.size + cost
     if args == ():
-        return np.full(n_labels, float(table)), ops
+        return np.full(n_labels, float(table)), ops, order
     assert args == (target,)
-    return table, ops
+    return table, ops, order
 
 
 def query_ve(fg: FactorGraph, q: Query) -> QueryResult:
-    """Variable elimination in greedy min-degree order, ties by name."""
+    """Variable elimination in greedy min-degree order, ties by name.
+
+    The items are the model's tables over its index's argument numbers;
+    only the factors that hold an observed RV are clamped.
+    """
     held = _validate_query(fg, q)
-    items = [clamp(f.args, f.table, held) for f in fg.factors]
-    eliminable = {rv.name for rv in fg.rvs if rv.name != q.target and rv.name not in held}
-    order = _min_degree_order([args for args, _ in items], eliminable)
+    index = fg._index  # type: ignore[attr-defined]
+    number = index.number
+    items = list(zip(index.args, map(_TABLE, fg.factors)))
+    if held:
+        held = {number[name]: k for name, k in held.items()}
+        for i in set(itertools.chain.from_iterable(map(index.holders.__getitem__, held))):
+            items[i] = clamp(*items[i], held)
     labels = fg.rv(q.target).range
     with np.errstate(over="ignore", invalid="ignore"):
-        vector, ops = _eliminate(items, order, q.target, len(labels))
+        vector, ops, _ = _eliminate(items, index, number[q.target], held, len(labels))
         return _normalise(vector, labels, "ve", ops)
 
 
@@ -618,10 +612,10 @@ def query_lifted_star(pfg: ParfactorGraph, hub: str, q: Query) -> QueryResult:
     with np.errstate(over="ignore", invalid="ignore"):
         for group in classes.values():
             rep = group[0]
-            sub_items = [(members[i][1], tables[members[i][0]]) for i in rep]
-            internal = {a for args, _ in sub_items for a in args if a != hub}
-            order = _min_degree_order([args for args, _ in sub_items], internal)
-            vector, cost = _eliminate(sub_items, order, hub, len(hub_labels))
+            scopes = [members[i][1] for i in rep]
+            index = _index_scopes({hub}.union(*scopes), scopes)
+            items = list(zip(index.args, [tables[members[i][0]] for i in rep]))
+            vector, cost, _ = _eliminate(items, index, index.number[hub], (), len(hub_labels))
             ops += cost
             belief *= vector ** len(group)
             ops += len(hub_labels)

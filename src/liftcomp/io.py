@@ -76,12 +76,26 @@ def _parse_json(data: bytes | str, what: str) -> Any:
         raise ModelFormatError(f"{what}: invalid JSON ({exc})") from None
 
 
-def _build(path: str, make: Callable[..., T], *args: Any) -> T:
-    """make(*args), with the model's InvariantError reported at `path`."""
+def _build(path: str, make: Callable[..., T], *args: Any, at: int | None = None) -> T:
+    """make(*args), with the model's InvariantError reported at `path`, or path[at]."""
     try:
         return make(*args)
     except InvariantError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from None
+        where = path if at is None else f"{path}[{at}]"
+        raise ModelFormatError(f"{where}: {exc}") from None
+
+
+def _table_entries(table_raw: list, path: str) -> list[float]:
+    """The entries as floats, checked one by one to name a faulty entry."""
+    values = []
+    for j, v in enumerate(table_raw):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            _fail(f"{path}[{j}]", "expected a number")
+        try:
+            values.append(float(v))
+        except OverflowError:
+            _fail(f"{path}[{j}]", "number outside the float64 range")
+    return values
 
 
 def load_fg(data: bytes | str) -> FactorGraph:
@@ -94,15 +108,22 @@ def load_fg(data: bytes | str) -> FactorGraph:
     rvs_raw = _expect(doc["rvs"], list, "rvs", "an array")
     factors_raw = _expect(doc["factors"], list, "factors", "an array")
 
+    # fields are checked inline; a path is formatted only for a failing one
     rvs: list[RandomVariable] = []
     sizes: dict[str, int] = {}
     for i, entry in enumerate(rvs_raw):
-        path = f"rvs[{i}]"
-        _expect(entry, dict, path, "an object")
-        name = _expect_str(entry.get("name"), f"{path}.name")
-        range_raw = _expect(entry.get("range"), list, f"{path}.range", "an array")
-        labels = tuple(_expect_str(lbl, f"{path}.range[{j}]") for j, lbl in enumerate(range_raw))
-        rv = _build(path, RandomVariable, name, labels)
+        if type(entry) is not dict:
+            _expect(entry, dict, f"rvs[{i}]", "an object")
+        name = entry.get("name")
+        if type(name) is not str or not name:
+            _expect_str(name, f"rvs[{i}].name")
+        labels = entry.get("range")
+        if type(labels) is not list:
+            _expect(labels, list, f"rvs[{i}].range", "an array")
+        if not {str}.issuperset(map(type, labels)) or "" in labels:
+            for j, label in enumerate(labels):
+                _expect_str(label, f"rvs[{i}].range[{j}]")
+        rv = _build("rvs", RandomVariable, name, tuple(labels), at=i)
         if name in sizes:
             _fail("$", f"duplicate rv name {name!r}")
         sizes[name] = rv.size
@@ -110,38 +131,47 @@ def load_fg(data: bytes | str) -> FactorGraph:
 
     factors: list[Factor] = []
     for i, entry in enumerate(factors_raw):
-        path = f"factors[{i}]"
-        _expect(entry, dict, path, "an object")
-        name = _expect_str(entry.get("name"), f"{path}.name")
-        args_raw = _expect(entry.get("args"), list, f"{path}.args", "an array")
-        args = tuple(_expect_str(a, f"{path}.args[{j}]") for j, a in enumerate(args_raw))
-        shape = []
-        for j, a in enumerate(args):
-            if a not in sizes:
-                _fail(f"{path}.args[{j}]", f"undeclared rv {a!r}")
-            shape.append(sizes[a])
-        table_raw = _expect(entry.get("table"), list, f"{path}.table", "an array")
+        if type(entry) is not dict:
+            _expect(entry, dict, f"factors[{i}]", "an object")
+        name = entry.get("name")
+        if type(name) is not str or not name:
+            _expect_str(name, f"factors[{i}].name")
+        args = entry.get("args")
+        if type(args) is not list:
+            _expect(args, list, f"factors[{i}].args", "an array")
+        try:
+            shape = [sizes[a] for a in args]
+        except (KeyError, TypeError):
+            shape = None
+        if shape is None:
+            # every argument is a string before any is looked up
+            for j, a in enumerate(args):
+                _expect_str(a, f"factors[{i}].args[{j}]")
+            j = next(j for j, a in enumerate(args) if a not in sizes)
+            _fail(f"factors[{i}].args[{j}]", f"undeclared rv {args[j]!r}")
+        table_raw = entry.get("table")
+        if type(table_raw) is not list:
+            _expect(table_raw, list, f"factors[{i}].table", "an array")
         expected_len = math.prod(shape)
         if len(table_raw) != expected_len:
             _fail(
-                f"{path}.table",
+                f"factors[{i}].table",
                 f"length {len(table_raw)} != expected {expected_len} "
                 f"(product of argument range sizes)",
             )
-        values = []
-        for j, v in enumerate(table_raw):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                _fail(f"{path}.table[{j}]", "expected a number")
-            try:
-                values.append(float(v))
-            except OverflowError:
-                _fail(f"{path}.table[{j}]", "number outside the float64 range")
+        # numpy would convert a bool, a numeric string or None too, so it
+        # converts only tables of numbers; an int past float64 overflows
+        try:
+            if not {int, float}.issuperset(map(type, table_raw)):
+                raise TypeError("a table entry is not a number")
+            table = np.array(table_raw, dtype=np.float64)
+        except (TypeError, OverflowError):
+            table = np.array(_table_entries(table_raw, f"factors[{i}].table"))
         # shaped in place, the array still owns its data: once frozen,
         # Factor keeps it without a second copy
-        table = np.fromiter(values, dtype=np.float64, count=expected_len)
         table.shape = shape
         table.flags.writeable = False
-        factors.append(_build(path, Factor, name, args, table))
+        factors.append(_build("factors", Factor, name, args, table, at=i))
 
     return _build("$", FactorGraph, tuple(rvs), tuple(factors))
 

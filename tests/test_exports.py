@@ -94,3 +94,24 @@ def test_noqa_import_check_catches_one():
     source = "import os  # noqa: F401\nfrom typing import Any, Mapping  # noqa: F401\n"
     assert noqa_imports(source) == ["os", "Any", "Mapping"]
     assert noqa_imports("import os\n") == []
+
+
+def test_one_min_degree_walk():
+    # variable elimination orders and plans in one walk over the model's
+    # index: one heap loop in inference.py, and no separate order pass
+    calls = {
+        p.stem: sum(
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "heappop"
+            for node in ast.walk(ast.parse(p.read_text()))
+        )
+        for p in SOURCES
+    }
+    assert {name: n for name, n in calls.items() if n} == {"inference": 1}
+    assert not [p.name for p in SOURCES if "_min_degree_order" in p.read_text()]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_index_is_not_exported(name):
+    exported = getattr(importlib.import_module(name), "__all__", [])
+    assert not {"_Index", "_index_scopes"}.intersection(exported)

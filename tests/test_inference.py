@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 import warnings
 from contextlib import contextmanager
 from unittest import mock
@@ -33,7 +34,7 @@ from liftcomp import (
     run_eacp,
 )
 from liftcomp import inference
-from liftcomp.model import clamp
+from liftcomp.model import _index_scopes, clamp
 
 from conftest import counted_star, mixed_range_model, random_model, star_model
 
@@ -171,6 +172,32 @@ class TestVariableElimination:
         a = query_ve(sales_three, q)
         b = query_ve(sales_three, q)
         assert a.distribution == b.distribution and a.ops == b.ops
+
+
+class TestModelIndex:
+    def test_queries_leave_the_index_unchanged(self):
+        # the index is shared by every graph replace_tables makes, so a
+        # query must not change it
+        fg = star_model(16, 3)
+        before = pickle.dumps(fg._index)
+        query_ve(fg, Query("Hub", Evidence((("B2_2", "t"),))))
+        query_ve(fg, Query("B3_2", Evidence((("B1_1", "f"), ("Hub", "t")))))
+        assert pickle.dumps(fg._index) == before
+
+    @pytest.mark.parametrize("observed", [(), ("B2_2",), ("Hub", "B1_1")])
+    def test_clamps_only_factors_that_hold_evidence(self, observed, monkeypatch):
+        calls = []
+
+        def counted(args, table, held):
+            calls.append(args)
+            return clamp(args, table, held)
+
+        monkeypatch.setattr(inference, "clamp", counted)
+        fg = star_model(4, 3)
+        query_ve(fg, Query("B3_3", Evidence(tuple((v, "t") for v in observed))))
+        holding = [f for f in fg.factors if set(observed).intersection(f.args)]
+        assert len(calls) == len(holding)
+        assert sorted(calls) == sorted(fg._index.args[fg._factor_pos[f.name]] for f in holding)
 
 
 # -- reference: the elimination loops that scan every RV and item per step,
@@ -353,6 +380,30 @@ def star_ve_case(draw):
     return fg, Query(target, Evidence(tuple((v, "b") for v in held)))
 
 
+def walk(items, sizes, target, held=()):
+    """VE's walk over items whose arguments are names: order, vector and ops.
+
+    The index is built over the items' scopes as query_lifted_star builds
+    it, the RVs being those of sizes; every RV but the target and the held
+    ones is eliminated, and the order must be the reference loop's.
+    """
+    scopes = [args for args, _ in items]
+    index = _index_scopes(sizes, scopes)
+    number = index.number
+    vector, ops, order = inference._eliminate(
+        list(zip(index.args, [table for _, table in items])),
+        index,
+        number[target],
+        [number[v] for v in held],
+        sizes[target],
+    )
+    names = sorted(sizes)
+    order = [names[v] for v in order]
+    eliminable = set(sizes) - {target} - set(held)
+    assert order == reference_min_degree_order(scopes, eliminable)
+    return order, vector, ops
+
+
 def check_against_reference(fg, q):
     """VE's clamped items, order, vector and ops equal the reference loops'."""
     held = {name: fg.rv(name).index_of(label) for name, label in q.evidence.items}
@@ -360,12 +411,8 @@ def check_against_reference(fg, q):
     ref_items = reference_reduce_evidence(fg, q.evidence)
     assert [args for args, _ in items] == [args for args, _ in ref_items]
     assert [t.tobytes() for _, t in items] == [t.tobytes() for _, t in ref_items]
-    eliminable = {rv.name for rv in fg.rvs if rv.name != q.target and rv.name not in held}
-    scopes = [args for args, _ in items]
-    order = inference._min_degree_order(scopes, eliminable)
-    assert order == reference_min_degree_order(scopes, eliminable)
     sizes = {rv.name: rv.size for rv in fg.rvs}
-    vector, ops = inference._eliminate(items, order, q.target, sizes[q.target])
+    order, vector, ops = walk(items, sizes, q.target, held)
     ref_vector, ref_ops = reference_eliminate(ref_items, order, sizes, q.target)
     assert vector.tobytes() == ref_vector.tobytes()
     assert ops == ref_ops
@@ -415,10 +462,8 @@ class TestIndexedElimination:
                 items.append(((x, y), table.T) if c % 3 else ((y, x), table))
             items.append(((b,), rng.uniform(0.5, 1.5, (3,))))
         for target in ("H", "B0"):
-            scopes = [args for args, _ in items]
-            order = inference._min_degree_order(scopes, set(sizes) - {target})
             with regime(planned=True):
-                vector, ops = inference._eliminate(items, order, target, sizes[target])
+                order, vector, ops = walk(items, sizes, target)
             ref_vector, ref_ops = reference_eliminate(items, order, sizes, target)
             assert (vector.tobytes(), ops) == (ref_vector.tobytes(), ref_ops)
 
@@ -441,9 +486,8 @@ class TestIndexedElimination:
             else:
                 items.append((("H", p), rng.uniform(0.5, 1.5, (2, 8))))
             items.append(((q, "H"), rng.uniform(0.5, 1.5, (8, 2))))
-        order = inference._min_degree_order([args for args, _ in items], set(sizes) - {"H"})
         with regime(planned=True):
-            vector, ops = inference._eliminate(items, order, "H", 2)
+            order, vector, ops = walk(items, sizes, "H")
         ref_vector, ref_ops = reference_eliminate(items, order, sizes, "H")
         assert (vector.tobytes(), ops) == (ref_vector.tobytes(), ref_ops)
 
@@ -462,9 +506,8 @@ class TestIndexedElimination:
             table = rng.uniform(0.5, 1.5, (3, 8))
             items.append(((x, "H"), table.T) if transposed else (("H", x), table))
             items += [((x,), rng.uniform(0.5, 1.5, 8)) for _ in range(9)]
-        order = inference._min_degree_order([args for args, _ in items], set(sizes) - {"H"})
         with regime(planned=True):
-            vector, ops = inference._eliminate(items, order, "H", 3)
+            order, vector, ops = walk(items, sizes, "H")
         ref_vector, ref_ops = reference_eliminate(items, order, sizes, "H")
         assert (vector.tobytes(), ops) == (ref_vector.tobytes(), ref_ops)
 
@@ -487,9 +530,12 @@ class TestIndexedElimination:
         # every leaf has degree 1 and ties by name; the hub, not eliminable,
         # counts as a neighbour, so the centre waits until its leaves are gone
         scopes = [("Hub", "C"), ("C", "L2"), ("C", "L1"), ("C", "L3")]
-        assert inference._min_degree_order(scopes, {"C", "L1", "L2", "L3"}) == [
-            "L1", "L2", "L3", "C",
-        ]
+        items = [(scope, np.ones((2, 2))) for scope in scopes]
+        sizes = dict.fromkeys(["Hub", "C", "L1", "L2", "L3"], 2)
+        for planned in (False, True):
+            with regime(planned):
+                order, _, _ = walk(items, sizes, "Hub")
+            assert order == ["L1", "L2", "L3", "C"]
 
 
 class TestBatchedElimination:

@@ -344,6 +344,38 @@ class TestEvidence:
         assert Evidence((("X", "a"),))
 
 
+class TestIndex:
+    def model(self):
+        # declared out of name order; "D" is in no scope
+        rvs = tuple(RandomVariable(n, ("a", "b")) for n in ("C", "A", "D", "B"))
+        factors = (
+            Factor("f0", ("C", "A"), np.ones((2, 2))),
+            Factor("f1", ("B",), np.ones(2)),
+            Factor("f2", ("A", "B", "C"), np.ones((2, 2, 2))),
+        )
+        with pytest.warns(UserWarning, match="isolated rvs"):
+            return FactorGraph(rvs, factors)
+
+    def test_numbers_follow_sorted_names(self):
+        index = self.model()._index
+        assert index.number == {"A": 0, "B": 1, "C": 2, "D": 3}
+        assert index.args == ((2, 0), (1,), (0, 1, 2))
+
+    def test_holders_follow_declaration_order(self):
+        index = self.model()._index
+        assert index.holders == ((0, 2), (1, 2), (0, 2), ())
+        assert [sorted(nb) for nb in index.neighbours] == [[1, 2], [0, 2], [0, 1], []]
+
+    def test_isolated_rv_has_no_holders(self):
+        fg = self.model()
+        assert fg._index.holders[fg._index.number["D"]] == ()
+        assert fg._index.neighbours[fg._index.number["D"]] == ()
+
+    def test_replace_tables_shares_the_index(self, sales):
+        new = replace_tables(sales, {"phi1": np.full((2, 2), 0.5)})
+        assert new._index is sales._index
+
+
 class TestReplaceTables:
     def test_structure_preserved(self, sales):
         new = replace_tables(sales, {"phi1": np.full((2, 2), 0.5)})
@@ -390,6 +422,218 @@ _X = {"name": "X", "range": ["a", "b"]}
 _F = {"name": "f", "args": ["X"], "table": [1.0, 2.0]}
 
 
+_RV = '{"name": "X", "range": ["a", "b"]}'
+
+
+def _model(rvs: list[str], factors: list[str]) -> str:
+    """A model file from JSON fragments, which may hold NaN, Infinity or huge ints."""
+    return '{"rvs": [%s], "factors": [%s]}' % (", ".join(rvs), ", ".join(factors))
+
+
+def _fac(table: str, args: str = '["X"]', name: str = '"f"') -> str:
+    return '{"name": %s, "args": %s, "table": %s}' % (name, args, table)
+
+
+# each malformed file and load_fg's exact message for it
+MALFORMED_MODELS = [
+    pytest.param(
+        _model([_RV], [_fac("[1.0, true]")]),
+        'factors[0].table[1]: expected a number',
+        id='table-bool',
+    ),
+    pytest.param(
+        _model([_RV], [_fac('[1.0, "2"]')]),
+        'factors[0].table[1]: expected a number',
+        id='table-string',
+    ),
+    pytest.param(
+        _model([_RV], [_fac("[null, 1.0]")]),
+        'factors[0].table[0]: expected a number',
+        id='table-null',
+    ),
+    pytest.param(
+        _model([_RV], [_fac("[[1.0], 2.0]")]),
+        'factors[0].table[0]: expected a number',
+        id='table-nested',
+    ),
+    pytest.param(
+        _model([_RV], [_fac("[1.0, 1" + "0" * 400 + "]")]),
+        'factors[0].table[1]: number outside the float64 range',
+        id='table-huge-int',
+    ),
+    pytest.param(
+        _model([_RV], [_fac("[1" + "0" * 400 + ", false]")]),
+        'factors[0].table[0]: number outside the float64 range',
+        id='table-huge-int-then-bool',
+    ),
+    pytest.param(
+        _model([_RV], [_fac("[NaN, 1.0]")]),
+        "factors[0]: factor 'f': table entries must be strictly positive and finite",
+        id='table-nan',
+    ),
+    pytest.param(
+        _model([_RV], [_fac("[1.0, Infinity]")]),
+        "factors[0]: factor 'f': table entries must be strictly positive and finite",
+        id='table-infinity',
+    ),
+    pytest.param(
+        _model([_RV], [_fac("[-Infinity, 1.0]")]),
+        "factors[0]: factor 'f': table entries must be strictly positive and finite",
+        id='table-minus-infinity',
+    ),
+    pytest.param(
+        _model([_RV], [_fac("[0, 1.0]")]),
+        "factors[0]: factor 'f': table entries must be strictly positive and finite",
+        id='table-zero',
+    ),
+    pytest.param(
+        _model([_RV], [_fac("1.0")]),
+        'factors[0].table: expected an array, got float',
+        id='table-not-array',
+    ),
+    pytest.param(
+        _model([_RV], ['{"name": "f", "args": ["X"]}']),
+        'factors[0].table: expected an array, got NoneType',
+        id='table-missing',
+    ),
+    pytest.param(
+        _model([_RV], [_fac("[1.0, 2.0, 3.0]")]),
+        'factors[0].table: length 3 != expected 2 (product of argument range sizes)',
+        id='table-too-long',
+    ),
+    pytest.param(
+        _model([_RV], [_fac("[1.0]")]),
+        'factors[0].table: length 1 != expected 2 (product of argument range sizes)',
+        id='table-too-short',
+    ),
+    pytest.param(
+        _model([_RV], [_fac("[2.0]", args="[]")]),
+        "factors[0]: factor 'f': needs at least one argument",
+        id='args-empty',
+    ),
+    pytest.param(
+        _model([_RV], [_fac("[1.0, 2.0]", args='[""]')]),
+        'factors[0].args[0]: must be non-empty',
+        id='args-empty-string',
+    ),
+    pytest.param(
+        _model([_RV], [_fac("[1.0, 2.0]", args="[1]")]),
+        'factors[0].args[0]: expected a string, got int',
+        id='args-non-string',
+    ),
+    pytest.param(
+        _model([_RV], [_fac("[1.0, 2.0]", args='["Y"]')]),
+        "factors[0].args[0]: undeclared rv 'Y'",
+        id='args-undeclared',
+    ),
+    pytest.param(
+        _model([_RV], [_fac("[1.0, 2.0]", args='["Y", 1]')]),
+        'factors[0].args[1]: expected a string, got int',
+        id='args-undeclared-then-non-string',
+    ),
+    pytest.param(
+        _model([_RV], [_fac("[1.0, 2.0]", args='[["X"]]')]),
+        'factors[0].args[0]: expected a string, got list',
+        id='args-nested',
+    ),
+    pytest.param(
+        _model([_RV], [_fac("[true]", args='["Y"]')]),
+        "factors[0].args[0]: undeclared rv 'Y'",
+        id='args-undeclared-bad-table',
+    ),
+    pytest.param(
+        _model(['{"name": "X", "range": ["a", ""]}'], []),
+        'rvs[0].range[1]: must be non-empty',
+        id='rv-label-empty',
+    ),
+    pytest.param(
+        _model([_RV], [_fac("[1.0, 2.0]", args='"X"')]),
+        'factors[0].args: expected an array, got str',
+        id='args-not-array',
+    ),
+    pytest.param(
+        _model([_RV], [_fac("[1, 2, 3, 4]", args='["X", "X"]')]),
+        "factors[0]: factor 'f': argument RVs are not distinct",
+        id='args-repeated',
+    ),
+    pytest.param(
+        _model([_RV], ['{"args": ["X"], "table": [1.0, 2.0]}']),
+        'factors[0].name: expected a string, got NoneType',
+        id='factor-name-missing',
+    ),
+    pytest.param(
+        _model([_RV], [_fac("[1.0, 2.0]", name='""')]),
+        'factors[0].name: must be non-empty',
+        id='factor-name-empty',
+    ),
+    pytest.param(
+        _model([_RV], ['["f"]']),
+        'factors[0]: expected an object, got list',
+        id='factor-not-object',
+    ),
+    pytest.param(
+        _model([_RV], [_fac("[1.0, 2.0]"), _fac("[1.0, 2.0]")]),
+        "$: duplicate factor name 'f'",
+        id='duplicate-factor',
+    ),
+    pytest.param(
+        _model([_RV, _RV], [_fac("[1.0, 2.0]")]),
+        "$: duplicate rv name 'X'",
+        id='duplicate-rv',
+    ),
+    pytest.param(
+        _model(['"X"'], []),
+        'rvs[0]: expected an object, got str',
+        id='rv-not-object',
+    ),
+    pytest.param(
+        _model(['{"name": 3, "range": ["a", "b"]}'], []),
+        'rvs[0].name: expected a string, got int',
+        id='rv-name-non-string',
+    ),
+    pytest.param(
+        _model(['{"name": "", "range": ["a", "b"]}'], []),
+        'rvs[0].name: must be non-empty',
+        id='rv-name-empty',
+    ),
+    pytest.param(
+        _model(['{"name": "X", "range": "ab"}'], []),
+        'rvs[0].range: expected an array, got str',
+        id='rv-range-not-array',
+    ),
+    pytest.param(
+        _model(['{"name": "X", "range": ["a", 2]}'], []),
+        'rvs[0].range[1]: expected a string, got int',
+        id='rv-label-non-string',
+    ),
+    pytest.param(
+        _model(['{"name": "X", "range": ["a"]}'], []),
+        "rvs[0]: rv 'X': range needs at least 2 labels, got 1",
+        id='rv-one-label',
+    ),
+    pytest.param(
+        _model(['{"name": "X", "range": ["a", "a"]}'], []),
+        "rvs[0]: rv 'X': range labels are not distinct",
+        id='rv-repeated-labels',
+    ),
+    pytest.param(
+        "[]",
+        '$: expected an object, got list',
+        id='doc-not-object',
+    ),
+    pytest.param(
+        '{"rvs": {}, "factors": []}',
+        'rvs: expected an array, got dict',
+        id='rvs-not-array',
+    ),
+    pytest.param(
+        '{"rvs": []}',
+        "$: missing key 'factors'",
+        id='factors-missing',
+    ),
+]
+
+
 class TestIo:
     def test_round_trip(self, sales):
         data = save_fg(sales)
@@ -433,6 +677,12 @@ class TestIo:
         }
         with pytest.raises(ModelFormatError):
             load_fg(json.dumps(doc))
+
+    @pytest.mark.parametrize("data, message", MALFORMED_MODELS)
+    def test_malformed_model_message(self, data, message):
+        with pytest.raises(ModelFormatError) as caught:
+            load_fg(data)
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize("name", sorted(UNPARSEABLE_MODELS))
     def test_unparseable_numbers_and_nesting(self, name):
