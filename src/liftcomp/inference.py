@@ -4,7 +4,10 @@ Three evaluators over the same Query contract: full enumeration (the
 oracle), variable elimination with a min-degree order, and a lifted
 evaluator for the hub marginal of a compressed model that computes one
 message per class of isomorphic branches and raises it to the class
-size instead of repeating identical eliminations.
+size instead of repeating identical eliminations: one pass over the
+members, then one batched elimination over one branch per class. That
+beats ground VE when there are fewer classes than branches; when every
+branch is a class of its own it costs about ground VE plus the class finding.
 
 Variable elimination works on the RV numbers of the model's _Index,
 built once with the FactorGraph. Its bookkeeping costs one O(model) copy
@@ -38,6 +41,7 @@ import heapq
 import itertools
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Collection
 
@@ -328,6 +332,15 @@ class _Store:
             ops += cost
         return acc, ops
 
+    def result(self, rest: list[int], n_labels: int) -> tuple[np.ndarray, int]:
+        """The product of items of at most one axis, over n_labels entries, and its ops."""
+        if not rest:
+            return np.ones(n_labels), 0
+        first = self.table(rest[0])
+        (args, table), cost = self.product((self.args[rest[0]], first), [rest], 1)
+        assert len(args) <= 1, args
+        return (np.full(n_labels, float(table)) if args == () else table), first.size + cost
+
     def _run(self, acc: Item, members: list[list[int]], start: int, end: int) -> tuple[Item, int]:
         """acc times positions start..end-1, which add no argument to it."""
         args, table = acc
@@ -356,15 +369,15 @@ class _Store:
 
 
 def _eliminate(
-    items: list[Item], index: _Index, target: int, held: Collection[int], n_labels: int
-) -> tuple[np.ndarray, int, list[int]]:
-    """Bucket elimination in greedy min-degree order, then the product of what is left.
+    items: list[Item], index: _Index, target: int, held: Collection[int]
+) -> tuple[_Store, list[int], int, list[int]]:
+    """Bucket elimination in greedy min-degree order.
 
     items[i] is index's scope i with the held RVs fixed, as (argument
     numbers, table). Every RV but the target and the held ones is
-    eliminated. Returns the unnormalised vector over `target`, the ops
-    spent and the order; a 0-d result (target in no remaining factor)
-    becomes n_labels equal entries.
+    eliminated. Returns the store, the numbers of the items left (each
+    over the target or 0-d, in creation order), the ops spent and the
+    order; the store's result() is their product.
 
     Order: two RVs are neighbours when some scope holds both; an RV's
     degree counts its neighbours not yet eliminated, the target included.
@@ -390,9 +403,7 @@ def _eliminate(
     stacks keep each operand's memory order of axes, so numpy picks the
     layout and the summation (pairwise along an innermost axis of 8 or
     more labels) it would pick for each bucket alone: vectors and ops are
-    bit-identical to one bucket at a time. The product of what is left is
-    one more such product, from its first item (1 * x is x), over tables
-    of at most one axis.
+    bit-identical to one bucket at a time.
 
     An elimination of fewer than _MIN_PLAN RVs skips the plan: each bucket
     is multiplied and summed as it forms, as one batch of one would be.
@@ -506,16 +517,7 @@ def _eliminate(
             (_, marg), cost_sum = _sum_out(prod, name, 1)
             stacks.append(marg)
         ops += cost + cost_sum
-    rest = list(filter(live.__getitem__, range(len(args_of))))
-    if not rest:
-        return np.ones(n_labels), ops, order
-    first = store.table(rest[0])
-    (args, table), cost = store.product((args_of[rest[0]], first), [rest], 1)
-    ops += first.size + cost
-    if args == ():
-        return np.full(n_labels, float(table)), ops, order
-    assert args == (target,)
-    return table, ops, order
+    return store, list(filter(live.__getitem__, range(len(args_of)))), ops, order
 
 
 def query_ve(fg: FactorGraph, q: Query) -> QueryResult:
@@ -534,55 +536,25 @@ def query_ve(fg: FactorGraph, q: Query) -> QueryResult:
             items[i] = clamp(*items[i], held)
     labels = fg.rv(q.target).range
     with np.errstate(over="ignore", invalid="ignore"):
-        vector, ops, _ = _eliminate(items, index, number[q.target], held, len(labels))
-        return _normalise(vector, labels, "ve", ops)
-
-
-def _components(members: list[tuple[int, tuple[str, ...]]], hub: str) -> list[list[int]]:
-    """Group member factors by connectivity through non-hub arguments."""
-    parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    def union(x: str, y: str) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for _, args in members:
-        internal = [a for a in args if a != hub]
-        for a in internal:
-            parent.setdefault(a, a)
-        for a, b in zip(internal, internal[1:]):
-            union(a, b)
-    buckets: dict[str, list[int]] = {}
-    solo: list[list[int]] = []
-    for idx, (_, args) in enumerate(members):
-        internal = [a for a in args if a != hub]
-        if not internal:
-            solo.append([idx])
-        else:
-            buckets.setdefault(find(internal[0]), []).append(idx)
-    return list(buckets.values()) + solo
+        store, rest, ops, _ = _eliminate(items, index, number[q.target], held)
+        vector, cost = store.result(rest, len(labels))
+        return _normalise(vector, labels, "ve", ops + cost)
 
 
 def query_lifted_star(pfg: ParfactorGraph, hub: str, q: Query) -> QueryResult:
     """Belief at the hub, one message per class of isomorphic components.
 
-    The member factors split into components connected through non-hub
-    arguments, which share only the hub. A component's key is, in member
-    order, each member's parfactor index and its arguments numbered by
-    first occurrence, the hub as 0; components with equal keys are
-    copies up to renaming, so the first one of each class is eliminated
-    and its message raised to the class size, and every further copy
-    costs O(1) numeric work (Taghipour et al. 2013, lifted variable
-    elimination). Every component is eliminated exactly, so the answer
-    is the hub marginal of any parfactor graph. A non-hub target and
-    evidence raise UnsupportedTopologyError.
+    One walk over the members splits them into components connected
+    through non-hub arguments, which share only the hub (members sorted,
+    components by first member, hub-only members last). A component's key
+    is its members' parfactor indices and their arguments numbered by
+    first occurrence, the hub as 0; components with equal keys are copies
+    up to renaming. One batched _eliminate call towards the hub runs over
+    the first component of every class: each gets the order, buckets and
+    messages it would get alone and ends in one message, over the hub or
+    0-d, raised to the class size (Taghipour et al. 2013, lifted variable
+    elimination). The answer is the exact hub marginal of any parfactor
+    graph; a non-hub target and evidence raise UnsupportedTopologyError.
     """
     if q.target != hub:
         raise UnsupportedTopologyError(
@@ -596,27 +568,54 @@ def query_lifted_star(pfg: ParfactorGraph, hub: str, q: Query) -> QueryResult:
     if q.value is not None and q.value not in hub_labels:
         raise InvariantError(f"value {q.value!r} is not a label of {hub!r}")
 
-    tables = [expand_crv(table, crv) for table, crv in zip(pfg.tables, pfg.crvs)]
-    members = [(gi, pfg.member_args[i]) for gi, group in enumerate(pfg.groups()) for i in group]
-    classes: dict[tuple[tuple[int, tuple[int, ...]], ...], list[list[int]]] = {}
-    for comp in _components(members, hub):
-        number = {hub: 0}
-        key = tuple(
-            (members[i][0], tuple(number.setdefault(a, len(number)) for a in members[i][1]))
-            for i in comp
-        )
-        classes.setdefault(key, []).append(comp)
+    args_of = pfg.member_args
+    group_of = [g for g, span in enumerate(pfg.groups()) for _ in span]
+    held_by: dict[str, list[int]] = {}
+    for i, args in enumerate(args_of):
+        for a in args:
+            held_by.setdefault(a, []).append(i)
+    held_by.pop(hub, None)
+    components: list[list[int]] = []
+    solo: list[list[int]] = []
+    placed = [False] * len(args_of)
+    for i, args in enumerate(args_of):
+        if placed[i]:
+            continue
+        # the RVs reached and not yet walked; each RV's members are taken once
+        stack, component = list(args), []
+        while stack:
+            for j in held_by.pop(stack.pop(), ()):
+                if not placed[j]:
+                    placed[j] = True
+                    component.append(j)
+                    stack += args_of[j]
+        if component:
+            components.append(sorted(component))
+        else:
+            solo.append([i])
+    classes: dict[tuple, list[list[int]]] = {}
+    for component in components + solo:
+        number = defaultdict(itertools.count(1).__next__, {hub: 0})
+        flat = itertools.chain.from_iterable(map(args_of.__getitem__, component))
+        key = (tuple(map(group_of.__getitem__, component)), tuple(map(number.__getitem__, flat)))
+        classes.setdefault(key, []).append(component)
 
-    ops = 0
+    reps = [group[0] for group in classes.values()]
+    groups = [group_of[i] for rep in reps for i in rep]
+    tables = {g: expand_crv(pfg.tables[g], pfg.crvs[g]) for g in set(groups)}
+    scopes = [args_of[i] for rep in reps for i in rep]
+    index = _index_scopes({hub}.union(*scopes), scopes)
     belief = np.ones(len(hub_labels), dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        for group in classes.values():
-            rep = group[0]
-            scopes = [members[i][1] for i in rep]
-            index = _index_scopes({hub}.union(*scopes), scopes)
-            items = list(zip(index.args, [tables[members[i][0]] for i in rep]))
-            vector, cost, _ = _eliminate(items, index, index.number[hub], (), len(hub_labels))
-            ops += cost
+        items = list(zip(index.args, map(tables.__getitem__, groups)))
+        store, rest, ops, order = _eliminate(items, index, index.number[hub], ())
+        # each item's class; each eliminated RV had a live holder, so the j-th
+        # one made item len(items) + j, of its first holder's class
+        owner = [c for c, rep in enumerate(reps) for _ in rep]
+        owner += [owner[index.holders[v][0]] for v in order]
+        last = dict(zip(map(owner.__getitem__, rest), rest))
+        for c, group in enumerate(classes.values()):
+            vector, cost = store.result([last[c]], len(hub_labels))
             belief *= vector ** len(group)
-            ops += len(hub_labels)
+            ops += cost + len(hub_labels)
         return _normalise(belief, hub_labels, "lifted-star", ops)

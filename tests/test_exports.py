@@ -115,3 +115,25 @@ def test_one_min_degree_walk():
 def test_index_is_not_exported(name):
     exported = getattr(importlib.import_module(name), "__all__", [])
     assert not {"_Index", "_index_scopes"}.intersection(exported)
+
+
+def test_lifted_query_eliminates_once():
+    # the lifted hub query finds its classes in one walk and eliminates
+    # every class representative in one _eliminate call, outside any loop
+    assert not [p.name for p in SOURCES if "_components" in p.read_text()]
+    tree = ast.parse((Path(liftcomp.__file__).parent / "inference.py").read_text())
+    (func,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "query_lifted_star"
+    ]
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    eliminations = [
+        node for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "_eliminate"
+    ]
+    assert len(eliminations) == 1
+    assert not [
+        loop for loop in ast.walk(func)
+        if isinstance(loop, loops) and eliminations[0] in ast.walk(loop)
+    ]

@@ -20,6 +20,7 @@ from liftcomp import (
     FactorGraph,
     GenConfig,
     InvariantError,
+    LiftcompError,
     ParfactorGraph,
     Query,
     QueryResult,
@@ -34,6 +35,7 @@ from liftcomp import (
     run_eacp,
 )
 from liftcomp import inference
+from liftcomp.acp import expand_crv
 from liftcomp.model import _index_scopes, clamp
 
 from conftest import counted_star, mixed_range_model, random_model, star_model
@@ -390,13 +392,14 @@ def walk(items, sizes, target, held=()):
     scopes = [args for args, _ in items]
     index = _index_scopes(sizes, scopes)
     number = index.number
-    vector, ops, order = inference._eliminate(
+    store, rest, ops, order = inference._eliminate(
         list(zip(index.args, [table for _, table in items])),
         index,
         number[target],
         [number[v] for v in held],
-        sizes[target],
     )
+    vector, cost = store.result(rest, sizes[target])
+    ops += cost
     names = sorted(sizes)
     order = [names[v] for v in order]
     eliminable = set(sizes) - {target} - set(held)
@@ -650,6 +653,164 @@ class TestMultiply:
             assert summed.tobytes() == ref_summed.tobytes()
 
 
+def reference_components(members, hub):
+    """Group member factors by connectivity through non-hub arguments (union-find)."""
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            parent[x] = parent.get(parent[x], parent[x])
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+
+    for _, args in members:
+        internal = [a for a in args if a != hub]
+        for a in internal:
+            parent.setdefault(a, a)
+        for a, b in zip(internal, internal[1:]):
+            union(a, b)
+    buckets = {}
+    solo = []
+    for idx, (_, args) in enumerate(members):
+        internal = [a for a in args if a != hub]
+        if not internal:
+            solo.append([idx])
+        else:
+            buckets.setdefault(find(internal[0]), []).append(idx)
+    return list(buckets.values()) + solo
+
+
+def reference_lifted_star(pfg, hub, q):
+    """The lifted hub query class by class: one index and one elimination per class."""
+    if q.target != hub:
+        raise UnsupportedTopologyError(
+            f"lifted evaluator answers only the hub {hub!r}, got target {q.target!r}"
+        )
+    if q.evidence:
+        raise UnsupportedTopologyError("lifted evaluator does not accept evidence")
+    hub_labels = next((rv.range for rv in pfg.rvs if rv.name == hub), None)
+    if hub_labels is None:
+        raise InvariantError(f"unknown query target {hub!r}")
+    if q.value is not None and q.value not in hub_labels:
+        raise InvariantError(f"value {q.value!r} is not a label of {hub!r}")
+    tables = [expand_crv(table, crv) for table, crv in zip(pfg.tables, pfg.crvs)]
+    members = [(gi, pfg.member_args[i]) for gi, group in enumerate(pfg.groups()) for i in group]
+    classes = {}
+    for comp in reference_components(members, hub):
+        number = {hub: 0}
+        key = tuple(
+            (members[i][0], tuple(number.setdefault(a, len(number)) for a in members[i][1]))
+            for i in comp
+        )
+        classes.setdefault(key, []).append(comp)
+    ops = 0
+    belief = np.ones(len(hub_labels), dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for group in classes.values():
+            rep = group[0]
+            scopes = [members[i][1] for i in rep]
+            index = _index_scopes({hub}.union(*scopes), scopes)
+            items = list(zip(index.args, [tables[members[i][0]] for i in rep]))
+            store, rest, cost, _ = inference._eliminate(items, index, index.number[hub], ())
+            vector, cost_rest = store.result(rest, len(hub_labels))
+            ops += cost + cost_rest
+            belief *= vector ** len(group)
+            ops += len(hub_labels)
+        return inference._normalise(belief, hub_labels, "lifted-star", ops)
+
+
+def answer(evaluator, *args):
+    """Everything an evaluator reports: the answer, or its error's type and text."""
+    try:
+        res = evaluator(*args)
+    except LiftcompError as exc:
+        return type(exc), str(exc)
+    return res.method, res.distribution, res.log_distribution, res.ops
+
+
+def any_rv_corpus():
+    """Compressed random models, at eps 0 and 0.1, whose groups hold permuted copies."""
+    rng = np.random.default_rng(71)
+    models = [random_model(rng, copy_prob=0.8, copy_noise=0.0) for _ in range(60)]
+    models += [random_model(rng, copy_prob=0.8, copy_noise=0.05) for _ in range(60)]
+    models += [mixed_range_model(rng) for _ in range(30)]
+    return [run_eacp(fg, eps).pfg for fg in models for eps in (0.0, 0.1)]
+
+
+def hand_pfg(names, member_args, group_ends, tables):
+    """A ParfactorGraph over Boolean RVs, every RV its own class, no counting."""
+    return ParfactorGraph(
+        rvs=tuple(RandomVariable(n, TF) for n in names),
+        class_ends=range(1, len(names) + 1),
+        members=tuple(f"f{i}" for i in range(len(member_args))),
+        member_args=member_args,
+        group_ends=group_ends,
+        tables=tables,
+        crvs=(None,) * len(tables),
+    )
+
+
+ATT = np.array([[0.6, 0.4], [0.3, 0.7]])
+LINK = np.array([[0.2, 0.8], [0.9, 0.1]])
+HAND_BUILT = {
+    # one branch holds both members of g: Hub - X1 - X2
+    "repeated parfactor in one branch": lambda: hand_pfg(
+        ("Hub", "X1", "X2"), (("Hub", "X1"), ("X1", "X2")), [2], (ATT,),
+    ),
+    # equal parfactor sets, link members in opposite orientations: the
+    # two branches are not isomorphic and form two classes
+    "cross-wired branches": lambda: hand_pfg(
+        ("Hub", "X1", "X2", "Y1", "Y2"),
+        (("Hub", "X1"), ("Hub", "Y1"), ("X1", "X2"), ("Y2", "Y1")),
+        [2, 4], (ATT, LINK),
+    ),
+    # Z1 - Z2 and W1 - W2 never reach the hub: two 0-d messages of one class
+    "hub-free component": lambda: hand_pfg(
+        ("Hub", "X1", "Z1", "Z2", "W1", "W2"),
+        (("Hub", "X1"), ("Z1", "Z2"), ("W2", "W1")),
+        [1, 3], (ATT, LINK),
+    ),
+    # unary hub members before and after the branches: each is a component
+    # of its own, and they come after the branches
+    "hub-only member": lambda: hand_pfg(
+        ("Hub", "X1", "Y1"),
+        (("Hub",), ("Hub", "X1"), ("Hub", "Y1"), ("Hub",)),
+        [1, 3, 4], (np.array([0.3, 0.9]), ATT, np.array([0.8, 0.5])),
+    ),
+    # one class of two branches whose leaves tie on degree, broken by name:
+    # the first branch, its representative, eliminates the g1 leaf first,
+    # the second one the g2 leaf, which rounds the hub marginal differently
+    "representative sets the tie order": lambda: hand_pfg(
+        ("Hub", "X", "Y1", "Y2", "P", "Q1", "Q2"),
+        (("Hub", "X"), ("Hub", "P"), ("X", "Y1"), ("P", "Q2"), ("X", "Y2"), ("P", "Q1")),
+        [2, 4, 6],
+        (ATT, np.array([[0.18, 0.31], [0.82, 0.62]]), np.array([[0.18, 0.49], [0.53, 0.24]])),
+    ),
+    # each branch sends [2e200, 2e200]; its square leaves float64
+    "class message overflow": lambda: hand_pfg(
+        ("Hub", "B1", "B2"), (("Hub", "B1"), ("Hub", "B2")), [2], (np.full((2, 2), 1e200),),
+    ),
+}
+
+
+def ungrouped(fg):
+    """fg as a ParfactorGraph with every factor its own group."""
+    return ParfactorGraph(
+        rvs=fg.rvs,
+        class_ends=[len(fg.rvs)],
+        members=tuple(f.name for f in fg.factors),
+        member_args=tuple(f.args for f in fg.factors),
+        group_ends=range(1, len(fg.factors) + 1),
+        tables=tuple(f.table for f in fg.factors),
+        crvs=(None,) * len(fg.factors),
+    )
+
+
 class TestLiftedStar:
     def pfg_for(self, k: int, depth: int, seed: int = 0):
         fg = star_model(k, depth, seed)
@@ -699,54 +860,76 @@ class TestLiftedStar:
             query_lifted_star(pfg, "Hub", Query("Hub", Evidence((("B1_1", "t"),))))
 
     def test_answers_repeated_parfactor_in_branch(self):
-        # one branch holds both members of g: Hub - X1 - X2
-        table = np.array([[0.6, 0.4], [0.3, 0.7]])
-        pfg = ParfactorGraph(
-            rvs=tuple(RandomVariable(n, TF) for n in ("Hub", "X1", "X2")),
-            class_ends=[1, 3],
-            members=("g1", "g2"),
-            member_args=(("Hub", "X1"), ("X1", "X2")),
-            group_ends=[2],
-            tables=(table,),
-            crvs=(None,),
-        )
+        pfg = HAND_BUILT["repeated parfactor in one branch"]()
         lifted = query_lifted_star(pfg, "Hub", Query("Hub"))
         assert dist_close(lifted, query_ve(ground(pfg), Query("Hub")))
 
     def test_answers_cross_wired_branches(self):
-        # equal parfactor sets, link members in opposite orientations: the
-        # two branches are not isomorphic and form two classes
-        att = np.array([[0.6, 0.4], [0.3, 0.7]])
-        link = np.array([[0.2, 0.8], [0.9, 0.1]])
-        pfg = ParfactorGraph(
-            rvs=tuple(RandomVariable(n, TF) for n in ("Hub", "X1", "X2", "Y1", "Y2")),
-            class_ends=[1, 5],
-            members=("a1", "a2", "c1", "c2"),
-            member_args=(("Hub", "X1"), ("Hub", "Y1"), ("X1", "X2"), ("Y2", "Y1")),
-            group_ends=[2, 4],
-            tables=(att, link),
-            crvs=(None, None),
-        )
+        pfg = HAND_BUILT["cross-wired branches"]()
         lifted = query_lifted_star(pfg, "Hub", Query("Hub"))
         assert dist_close(lifted, query_ve(ground(pfg), Query("Hub")))
 
     def test_answers_any_rv_of_any_model(self):
         # the hub marginal of every RV, on general graphs whose groups hold
         # argument-permuted (for 2-ary tables: transposed) copies
-        rng = np.random.default_rng(71)
-        models = [random_model(rng, copy_prob=0.8, copy_noise=0.0) for _ in range(60)]
-        models += [random_model(rng, copy_prob=0.8, copy_noise=0.05) for _ in range(60)]
-        models += [mixed_range_model(rng) for _ in range(30)]
-        for fg in models:
-            for eps in (0.0, 0.1):
-                pfg = run_eacp(fg, eps).pfg
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")   # isolated RVs stay in the sample
-                    grounded = ground(pfg)
-                for rv in grounded.rvs:
-                    q = Query(rv.name)
-                    lifted = query_lifted_star(pfg, rv.name, q)
-                    assert dist_close(lifted, query_ve(grounded, q))
+        for pfg in any_rv_corpus():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")   # isolated RVs stay in the sample
+                grounded = ground(pfg)
+            for rv in grounded.rvs:
+                q = Query(rv.name)
+                lifted = query_lifted_star(pfg, rv.name, q)
+                assert dist_close(lifted, query_ve(grounded, q))
+
+    def test_equals_reference_on_any_rv_corpus(self):
+        for pfg in any_rv_corpus():
+            for rv in pfg.rvs:
+                q = Query(rv.name)
+                expected = answer(reference_lifted_star, pfg, rv.name, q)
+                assert answer(query_lifted_star, pfg, rv.name, q) == expected
+
+    @pytest.mark.parametrize("k", [2, 16, 128])
+    def test_equals_reference_on_counted_star(self, k):
+        for noise, eps in ((0.0, 0.0), (0.0, 0.1), (0.03, 0.1)):
+            pfg = run_eacp(counted_star(k, noise, seed=k), eps).pfg
+            for q in (Query("Hub"), Query("A1"), Query("Hub", Evidence((("A1", "t"),)))):
+                expected = answer(reference_lifted_star, pfg, "Hub", q)
+                assert answer(query_lifted_star, pfg, "Hub", q) == expected
+
+    @pytest.mark.parametrize("name", list(HAND_BUILT))
+    def test_equals_reference_on_hand_built(self, name):
+        pfg = HAND_BUILT[name]()
+        queries = [Query("Hub"), Query("Hub", value="f"), Query("Hub", value="x"), Query("X1")]
+        cases = [("Hub", q) for q in queries] + [("Nope", Query("Nope"))]
+        for hub, q in cases:
+            expected = answer(reference_lifted_star, pfg, hub, q)
+            assert answer(query_lifted_star, pfg, hub, q) == expected
+        lifted = answer(query_lifted_star, pfg, "Hub", Query("Hub"))
+        assert (lifted[0] is InvariantError) == (name == "class message overflow")
+        if lifted[0] == "lifted-star":
+            reference = query_ve(ground(pfg), Query("Hub"))
+            assert all(abs(lifted[1][k] - v) <= 1e-10 for k, v in reference.distribution.items())
+
+    def test_one_batched_elimination(self, monkeypatch):
+        # one index and one elimination over every class representative;
+        # alike classes share their numpy calls, so their number does not
+        # grow from 16 branches to 128, be they one class or 16 and 128
+        counts = {}
+        for name in ("_eliminate", "_index_scopes", "_multiply", "_fold", "_sum_out"):
+            def counted(*args, _call=getattr(inference, name), _name=name):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _call(*args)
+
+            monkeypatch.setattr(inference, name, counted)
+        for pfg_of in (lambda fg: run_eacp(fg, 0.0).pfg, ungrouped):
+            calls = []
+            for k in (16, 128):
+                pfg = pfg_of(star_model(k, 3))
+                counts.clear()
+                query_lifted_star(pfg, "Hub", Query("Hub"))
+                calls.append(dict(counts))
+            assert calls[0] == calls[1]
+            assert calls[0]["_eliminate"] == calls[0]["_index_scopes"] == 1
 
     def test_answers_mixed_orientation_links(self):
         # phase 1 puts a Boolean link table and its transpose in one group,
