@@ -19,9 +19,9 @@ signature can have changed ("process what changed": Paige & Tarjan
 never signed, as a class of one cannot split. A class that splits
 keeps its label on its members that were not signed again, or on its
 largest part when all were, so a node takes a new label only when its
-class split. Colours are renumbered densely in first-seen order once,
-at the end; colours, classes and the round count are those of signing
-every node in every round. The loop runs on integer slots (RV numbers
+class split. The groups and classes are read off the final labels in
+first-member order; they and the round count are those of signing every
+node in every round. The loop runs on integer slots (RV numbers
 per factor, (factor, position) pairs per RV) built once before it; at
 the benchmark's sizes plain Python on these slots beats numpy, whose
 per-call cost exceeds the work. Initial factor colours are injected by
@@ -88,10 +88,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ColourState:
-    """Final colours per node plus the number of refinement rounds used."""
+    """The number of refinement rounds used."""
 
-    rv_colours: dict[str, int]
-    factor_colours: dict[str, int]
     iteration: int
 
 
@@ -199,12 +197,6 @@ def _split(parts: Mapping[tuple, list[int]], labels: list[int], sizes: list[int]
     return changed
 
 
-def _first_seen(labels: list[int]) -> list[int]:
-    """Labels renumbered 0, 1, ... in order of first occurrence."""
-    ids: dict[int, int] = {}
-    return [ids.setdefault(c, len(ids)) for c in labels]
-
-
 def colour_pass(
     fg: FactorGraph,
     initial_factor_colours: Mapping[str, int],
@@ -224,25 +216,29 @@ def colour_pass(
     in model order, each factor holds the RV numbers of its group-frame
     arguments and the blocks to sort, and each RV holds its (factor,
     position) slots. Each round signs only the frontier (module
-    docstring); colours are renumbered in first-seen order over that
-    numbering at the end.
+    docstring). Groups and classes list their members in model order and
+    come in the order of their first members.
     """
     eps = check_epsilon(eps)
-    rv_index = {rv.name: i for i, rv in enumerate(fg.rvs)}.__getitem__
+    rv_index = fg._rv_pos.__getitem__  # type: ignore[attr-defined]
     # per initial class: blocks to sort, and the position each slot sends
     class_slots: dict[int, tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = {}
     f_perms: list[Alignment] = []
     f_args: list[tuple[int, ...]] = []
     f_sorts: list[tuple[tuple[int, ...], ...]] = []
     slots: list[list[tuple[int, int]]] = [[] for _ in fg.rvs]
-    initial: list[int] = []
+    # colours are class labels, the initial ones numbered 0, 1, ... in
+    # first-seen order, each kept by the part of its class that does not
+    # move when it splits
+    dense: dict[int, int] = {}
+    f_col: list[int] = []
     for fi, f in enumerate(fg.factors):
         if f.name not in initial_factor_colours:
             raise InvariantError(f"no initial colour for factor {f.name!r}")
         if f.name not in alignments:
             raise InvariantError(f"no alignment for factor {f.name!r}")
         perm = alignments[f.name]
-        colour = initial_factor_colours[f.name]
+        colour = dense.setdefault(initial_factor_colours[f.name], len(dense))
         frame_args = aligned_args(f.args, perm)
         if colour not in class_slots:
             # the class representative, its first factor, decides the blocks
@@ -260,13 +256,8 @@ def colour_pass(
         f_perms.append(perm)
         f_args.append(args)
         f_sorts.append(sorts)
-        initial.append(colour)
-    start_rv = initial_rv_colours(fg, evidence)
-
-    # colours below are class labels, numbered 0, 1, ... at the start and
-    # kept by the part of a class that does not move when it splits
-    f_col = _first_seen(initial)
-    rv_col = [start_rv[rv.name] for rv in fg.rvs]
+        f_col.append(colour)
+    rv_col = list(initial_rv_colours(fg, evidence).values())   # in model order
     f_sizes = _class_sizes(f_col)
     rv_sizes = _class_sizes(rv_col)
     # round 1 signs every node, except the factors while every RV has one
@@ -307,23 +298,19 @@ def colour_pass(
         if not f_changed and not rv_changed:
             break
         f_frontier = {fi for a in rv_changed for fi, _ in slots[a]}
-    f_col = _first_seen(f_col)
-    rv_col = _first_seen(rv_col)
 
+    # dicts keep insertion order: parts come in the order of their first members
     factor_groups: dict[int, list[GroupMember]] = {}
     for f, perm, colour in zip(fg.factors, f_perms, f_col):
         factor_groups.setdefault(colour, []).append(GroupMember(f.name, perm))
-    grouping = Grouping(tuple(tuple(factor_groups[c]) for c in sorted(factor_groups)))
     rv_classes: dict[int, list[str]] = {}
     for rv, colour in zip(fg.rvs, rv_col):
         rv_classes.setdefault(colour, []).append(rv.name)
-    classes = tuple(tuple(rv_classes[c]) for c in sorted(rv_classes))
-    state = ColourState(
-        {rv.name: c for rv, c in zip(fg.rvs, rv_col)},
-        {f.name: c for f, c in zip(fg.factors, f_col)},
-        iteration,
+    return ColourPassResult(
+        Grouping(tuple(map(tuple, factor_groups.values()))),
+        tuple(map(tuple, rv_classes.values())),
+        ColourState(iteration),
     )
-    return ColourPassResult(grouping, classes, state)
 
 
 @dataclass(frozen=True)
@@ -588,7 +575,14 @@ def expand_crv(table: np.ndarray, crv: CrvSpec | None) -> np.ndarray:
 
 
 def ground(pfg: ParfactorGraph) -> FactorGraph:
-    """Expand every group back into its member factors."""
+    """Expand every group back into its member factors.
+
+    Each member is rebuilt over its group-frame arguments with the
+    group's table, and the RVs come class by class. The result has the
+    potential of the model the graph was built from, not always its
+    declaration: a member whose frame permutes its own arguments keeps
+    the frame's order.
+    """
     factors = []
     for members, table, crv in zip(pfg.groups(), pfg.tables, pfg.crvs):
         table = expand_crv(table, crv)

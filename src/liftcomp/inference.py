@@ -182,6 +182,7 @@ def _multiply(a: Item, b: Item, lead: int = 0) -> tuple[Item, int]:
     args_b, tab_b = b
     gap = len(args_a) - len(args_b)
     if args_b == args_a[gap:]:
+        # no index bookkeeping: without this path certify ground queries ran 25% slower
         if lead and gap:
             tab_b = tab_b.reshape(tab_b.shape[:lead] + (1,) * gap + tab_b.shape[lead:])
         result = tab_a * tab_b
@@ -244,7 +245,8 @@ _MIN_RUN = 8
 # an elimination of fewer RVs runs each bucket as it forms: planning costs
 # about a microsecond a bucket, more than batching saves when few buckets
 # can share a batch (the certify models eliminate 1-20 RVs, and the
-# benchmark's stars 47 or more)
+# benchmark's stars 47 or more). Planning every elimination made certify
+# query_p50_ms 4-8% and query_p90_ms up to 20% slower, so the switch stays.
 _MIN_PLAN = 32
 _FIRST = operator.itemgetter(0)
 _SECOND = operator.itemgetter(1)
@@ -259,9 +261,9 @@ class _Store:
     Items are numbered in creation order, inputs first. An input's source
     is its table and its kind its (shape, strides); a message's source is
     its row in its batch's stack and its kind the batch's number. Items of
-    one kind stack into arrays of one layout. A batch of one bucket keeps
-    its message unstacked, in a list of one, and a message made as its
-    bucket formed has its table as source and no kind.
+    one kind stack into arrays of one layout; a batch of one bucket stacks
+    its message as one row. A message made as its bucket formed has its
+    table as source and no kind.
     """
 
     __slots__ = ("args", "source", "kind", "stacks")
@@ -286,8 +288,6 @@ class _Store:
         if type(kind) is not int:
             return _stack(rows)
         stack = self.stacks[kind]
-        if type(stack) is list:
-            return _stack(list(map(stack.__getitem__, rows)))
         if len(rows) == len(stack) and rows == list(range(len(stack))):
             return stack
         # fancy indexing keeps the stack's memory order of axes
@@ -510,7 +510,7 @@ def _eliminate(
             prod = (args_of[rep[0]], store.table(rep[0]))
             prod, cost = store.product(prod, members, 1)
             (_, marg), cost_sum = _sum_out(prod, name)
-            stacks.append([marg])
+            stacks.append(marg[None])
         else:
             prod = (args_of[rep[0]], store.gather(list(map(_FIRST, members))))
             prod, cost = store.product(prod, members, 1)

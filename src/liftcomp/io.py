@@ -10,8 +10,10 @@ with tables listed flat in row-major order, last argument fastest.
 Evidence files are {"evidence": [{"rv": "Rev", "value": "high"}, ...]}.
 
 Parfactor-graph files list tables the same way. member_args carries each
-member's own argument tuple, so the ground model can be rebuilt from the
-file alone; crv is null for a parfactor without counted positions.
+member's arguments in its group's frame, the order that reads the
+parfactor's table, so a ground model with the same potential can be
+rebuilt from the file alone (acp.ground); crv is null for a parfactor
+without counted positions.
 
 Floats are emitted via Python's shortest round-trip repr, so
 load(save(fg)) reproduces every table bit-exactly.

@@ -161,7 +161,7 @@ def _frozen(table: object) -> bool:
 class FactorGraph:
     """Immutable factor graph; edges are implicit in factor argument lists.
 
-    Factors are indexed by name -> position, and the structure by an
+    RVs and factors are indexed by name -> position, and the structure by an
     _Index built here once: each RV's number (its rank by name), each
     factor's argument numbers, each RV's holders (factor numbers in
     declaration order) and neighbours, all in tuples. On stars of chains
@@ -175,47 +175,41 @@ class FactorGraph:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rvs", tuple(self.rvs))
         object.__setattr__(self, "factors", tuple(self.factors))
-        rv_index: dict[str, RandomVariable] = {}
+        rv_pos: dict[str, int] = {}
         for rv in self.rvs:
-            if rv.name in rv_index:
+            if rv.name in rv_pos:
                 raise InvariantError(f"duplicate rv name {rv.name!r}")
-            rv_index[rv.name] = rv
+            rv_pos[rv.name] = len(rv_pos)
         factor_pos: dict[str, int] = {}
         for f in self.factors:
             if f.name in factor_pos:
                 raise InvariantError(f"duplicate factor name {f.name!r}")
             expected = []
             for arg in f.args:
-                if arg not in rv_index:
+                if arg not in rv_pos:
                     raise InvariantError(
                         f"factor {f.name!r} references undeclared rv {arg!r}"
                     )
-                expected.append(rv_index[arg].size)
+                expected.append(self.rvs[rv_pos[arg]].size)
             if f.table.shape != tuple(expected):
                 raise InvariantError(
                     f"factor {f.name!r}: table shape {f.table.shape} does not match "
                     f"argument range sizes {tuple(expected)}"
                 )
             factor_pos[f.name] = len(factor_pos)
-        index = _index_scopes(rv_index, [f.args for f in self.factors])
+        index = _index_scopes(rv_pos, [f.args for f in self.factors])
         isolated = [rv.name for rv in self.rvs if not index.holders[index.number[rv.name]]]
         if isolated:
             warnings.warn(
                 f"isolated rvs (uniform marginal): {', '.join(isolated)}",
                 stacklevel=2,
             )
-        object.__setattr__(self, "_rv_index", rv_index)
+        object.__setattr__(self, "_rv_pos", rv_pos)
         object.__setattr__(self, "_factor_pos", factor_pos)
-        object.__setattr__(
-            self, "_rv_pos", {rv.name: i for i, rv in enumerate(self.rvs)}
-        )
         object.__setattr__(self, "_index", index)
 
     def rv(self, name: str) -> RandomVariable:
-        try:
-            return self._rv_index[name]  # type: ignore[attr-defined]
-        except KeyError:
-            raise InvariantError(f"unknown rv {name!r}") from None
+        return self.rvs[self.rv_position(name)]
 
     def factor(self, name: str) -> Factor:
         try:
@@ -224,11 +218,13 @@ class FactorGraph:
             raise InvariantError(f"unknown factor {name!r}") from None
 
     def has_rv(self, name: str) -> bool:
-        return name in self._rv_index  # type: ignore[attr-defined]
+        return name in self._rv_pos  # type: ignore[attr-defined]
 
     def rv_position(self, name: str) -> int:
-        self.rv(name)
-        return self._rv_pos[name]  # type: ignore[attr-defined]
+        try:
+            return self._rv_pos[name]  # type: ignore[attr-defined]
+        except KeyError:
+            raise InvariantError(f"unknown rv {name!r}") from None
 
     @property
     def shape(self) -> tuple[int, ...]:

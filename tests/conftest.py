@@ -177,6 +177,19 @@ def free_star(k: int, depth: int, eps: float = 0.1) -> FactorGraph:
         seed += 1
 
 
+def partition_colours(fg: FactorGraph, result) -> tuple[list, list]:
+    """(rv, class number) and (factor, group number) pairs of a colour pass, in model order.
+
+    Colour c is group or class c, numbered in first-member order.
+    """
+    class_of = {name: c for c, names in enumerate(result.rv_classes) for name in names}
+    group_of = {m.factor: g for g, group in enumerate(result.grouping.groups) for m in group}
+    return (
+        [(rv.name, class_of[rv.name]) for rv in fg.rvs],
+        [(f.name, group_of[f.name]) for f in fg.factors],
+    )
+
+
 def _one_table(entries: str) -> str:
     return (
         '{"rvs": [{"name": "X", "range": ["a", "b"]}], '

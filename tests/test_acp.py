@@ -16,6 +16,7 @@ from liftcomp import (
     RandomVariable,
     colour_pass,
     construct_pfg,
+    distance_exact,
     expand_crv,
     fg_equal,
     ground,
@@ -23,6 +24,7 @@ from liftcomp import (
     phase1_group,
     replace_tables,
     run_acp,
+    run_eacp,
 )
 from liftcomp.acp import (
     _histogram_index,
@@ -30,6 +32,7 @@ from liftcomp.acp import (
     initial_factor_colours_exact,
     initial_rv_colours,
 )
+from liftcomp.io import pfg_to_json
 
 from conftest import counting_model, random_model, sales_model
 
@@ -319,6 +322,21 @@ class TestConstructPfg:
         res = run_acp(sales)
         args = dict(zip(res.pfg.members, res.pfg.member_args))
         assert args["phi1"] == ("SalA", "Rev")
+
+    def test_member_args_are_group_frame_arguments(self):
+        # g's own arguments (D, C) read t.T; in f's frame they are (C, D),
+        # which is what the graph and its file keep
+        t = np.array([[1.0, 2.0], [3.0, 5.0]])
+        rvs = tuple(RandomVariable(n, ("x", "y")) for n in "ABCD")
+        fg = FactorGraph(rvs, (Factor("f", ("A", "B"), t), Factor("g", ("D", "C"), t.T)))
+        comp = run_eacp(fg, 0.0)
+        (parfactor,) = pfg_to_json(comp.pfg)["parfactors"]
+        assert parfactor["members"] == ["f", "g"]
+        assert parfactor["member_args"] == [["A", "B"], ["C", "D"]]
+        restored = ground(comp.pfg)
+        assert restored.factor("g").args == ("C", "D")
+        assert not fg_equal(restored, comp.m_prime)
+        assert distance_exact(restored, comp.m_prime).d_exact == 0.0
 
     def test_parfactor_count_validation(self):
         rvs = (RandomVariable("X", ("a", "b")), RandomVariable("Y", ("a", "b")))

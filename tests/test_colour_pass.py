@@ -32,7 +32,7 @@ from liftcomp.equivalence import (
 )
 from liftcomp.grouping import GroupMember, Grouping
 
-from conftest import star_model
+from conftest import partition_colours, star_model
 
 # -- reference: colour passing over dicts keyed by node name --------------
 
@@ -186,13 +186,37 @@ class TestAgainstReference:
                 )
                 assert got.grouping == grouping
                 assert got.rv_classes == rv_classes
-                assert list(got.state.rv_colours.items()) == list(rv_col.items())
-                assert list(got.state.factor_colours.items()) == list(f_col.items())
+                assert partition_colours(fg, got) == (list(rv_col.items()), list(f_col.items()))
                 assert got.state.iteration == rounds
                 permuted += any(a != identity_alignment(len(a)) for a in alignments.values())
         # the corpus exercises non-identity alignments, commutative blocks
         # and models without evidence
         assert permuted > 50 and symmetric > 50 and one_colour > 20
+
+    def test_parts_in_first_member_order_from_sparse_labels(self):
+        # initial colours neither dense nor increasing; the first members,
+        # f0 and A, split off their classes and take new labels, so an
+        # order by label would list them last
+        t = np.array([[1.0, 2.0], [3.0, 5.0]])
+        u = np.array([[1.0, 4.0], [6.0, 5.0]])
+        rvs = tuple(RandomVariable(n, ("t", "f")) for n in "ABCDEFG")
+        fg = FactorGraph(rvs, (
+            Factor("f0", ("A", "B"), t), Factor("f1", ("B", "G"), u),
+            Factor("f2", ("C", "D"), t), Factor("f3", ("E", "F"), t),
+        ))
+        colours = {"f0": 7, "f1": 3, "f2": 7, "f3": 7}
+        alignments = {f.name: identity_alignment(f.arity) for f in fg.factors}
+        got = colour_pass(fg, colours, Evidence(), alignments=alignments, eps=0.0)
+        assert [[m.factor for m in g] for g in got.grouping.groups] == [
+            ["f0"], ["f1"], ["f2", "f3"]
+        ]
+        assert got.rv_classes == (("A",), ("B",), ("C", "E"), ("D", "F"), ("G",))
+        grouping, rv_classes, rv_col, f_col, rounds = reference_colour_pass(
+            fg, colours, Evidence(), alignments, 0.0
+        )
+        assert (got.grouping, got.rv_classes) == (grouping, rv_classes)
+        assert partition_colours(fg, got) == (list(rv_col.items()), list(f_col.items()))
+        assert got.state.iteration == rounds
 
     @pytest.mark.parametrize("k, depth", [(4, 6), (16, 6), (16, 8), (64, 6)])
     def test_deep_stars(self, k, depth):
@@ -208,8 +232,7 @@ class TestAgainstReference:
                     )
                     assert got.grouping == grouping
                     assert got.rv_classes == rv_classes
-                    assert list(got.state.rv_colours.items()) == list(rv_col.items())
-                    assert list(got.state.factor_colours.items()) == list(f_col.items())
+                    assert partition_colours(fg, got) == (list(rv_col.items()), list(f_col.items()))
                     assert got.state.iteration == n
                     rounds.append(n)
         # splits travel the length of a chain, one link per round

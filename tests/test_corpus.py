@@ -35,7 +35,7 @@ from liftcomp.acp import colour_pass, initial_factor_colours_exact
 from liftcomp.bench import HUB
 from liftcomp.io import pfg_to_json
 
-from conftest import free_star
+from conftest import free_star, partition_colours
 
 EPS = 0.1
 
@@ -152,22 +152,16 @@ def colour_digest(k: int, x: float, seed: int) -> str:
     for colours, alignments, eps in seedings:
         for evidence in (Evidence(), Evidence(((observed.name, observed.range[0]),))):
             cp = colour_pass(fg, colours, evidence, alignments=alignments, eps=eps)
-            state = cp.state
+            rv_colours, factor_colours = partition_colours(fg, cp)
             h.update(
-                repr(
-                    (
-                        list(state.rv_colours.items()),
-                        list(state.factor_colours.items()),
-                        state.iteration,
-                        cp.rv_classes,
-                    )
-                ).encode()
+                repr((rv_colours, factor_colours, cp.state.iteration, cp.rv_classes)).encode()
             )
             _hash_grouping(h, cp.grouping)
     return h.hexdigest()
 
 
-# (k, x, seed) -> sha256 of colour states, RV classes and final groupings;
+# (k, x, seed) -> sha256 of node colours (each node's group or class
+# number), round counts, RV classes and final groupings;
 # recorded before colour refinement moved from name-keyed dicts to integer slots
 COLOUR_GOLDEN = {
     (8, 0.1, 0): "10fb078607c30b52dc3b6902412f8e2bceac101747c14bc7301eb589bddeab2d",
