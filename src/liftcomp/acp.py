@@ -514,9 +514,12 @@ def construct_pfg(
     crv_specs maps a group index to argument positions to count, and a
     group it does not list is not counted; the group's table must be
     exactly invariant under them (see exact_crv_positions), otherwise
-    InvariantError.
+    InvariantError, as for a key that names no group.
     """
     _class_index(fg_updated, rv_classes)
+    unknown = set(crv_specs).difference(range(len(factor_groups.groups)))
+    if unknown:
+        raise InvariantError(f"crv_specs names no group: {', '.join(sorted(map(repr, unknown)))}")
     rvs = tuple(fg_updated.rv(name) for names in rv_classes for name in names)
 
     members: list[str] = []
@@ -540,7 +543,10 @@ def construct_pfg(
         positions = tuple(crv_specs.get(gi, ()))
         crv = None
         if positions:
-            if len(positions) < 2 or len(set(positions)) != len(positions):
+            if (
+                len(positions) < 2 or len(set(positions)) != len(positions)
+                or not all(0 <= p < table.ndim for p in positions)
+            ):
                 raise InvariantError(f"group {gi}: invalid counted positions {positions}")
             sizes = {table.shape[p] for p in positions}
             if len(sizes) != 1:

@@ -18,12 +18,13 @@ import io
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from numbers import Integral, Real
 
 import numpy as np
 
 from .bounds import bound_tight, distance_exact, modified_factor_count
-from .eacp import run_acp, run_eacp
+from .eacp import run_eacp
 from .equivalence import check_epsilon, check_positive_int
 from .errors import EnumerationCapError, InvariantError
 from .inference import Query, query_lifted_star, query_ve
@@ -186,7 +187,7 @@ def run_experiment(
     comp = run_eacp(m, cfg.eps)
     t_eacp = time.perf_counter() - t0
     t0 = time.perf_counter()
-    run_acp(m)
+    run_eacp(m, 0.0)   # the exact-equality ACP baseline
     t_acp = time.perf_counter() - t0
 
     n_factors = len(m.factors)
@@ -247,11 +248,6 @@ def run_experiment(
     )
 
 
-def _worker(task: tuple[GenConfig, int, bool]) -> ExperimentRecord:
-    cfg, n_queries, skip_exact = task
-    return run_experiment(cfg, n_queries=n_queries, skip_exact=skip_exact)
-
-
 def run_grid(
     configs: list[GenConfig],
     n_queries: int = 5,
@@ -262,14 +258,14 @@ def run_grid(
     _check_query_count(n_queries)
     if jobs is not None:
         jobs = check_positive_int(jobs, "job count")
-    tasks = [(cfg, n_queries, skip_exact) for cfg in configs]
+    run = partial(run_experiment, n_queries=n_queries, skip_exact=skip_exact)
     if jobs is not None and jobs > 1:
         # imported here: the process pool machinery costs ~2 MB of memory
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_worker, tasks))
-    return [_worker(t) for t in tasks]
+            return list(pool.map(run, configs))
+    return list(map(run, configs))
 
 
 CSV_COLUMNS = (
@@ -299,56 +295,46 @@ CSV_COLUMNS = (
 )
 
 
-def _cell(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def emit_csv(records: list[ExperimentRecord]) -> bytes:
-    """One row per (record, query); header always present."""
+    """One row per (record, query), query cells blank without one; header always present.
+
+    csv writes a float by its repr and None as a blank cell.
+    """
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    writer = csv.DictWriter(buf, CSV_COLUMNS, restval="", lineterminator="\n")
+    writer.writeheader()
     for rec in records:
         cfg = rec.config
-        shared = [
-            cfg.k,
-            cfg.x,
-            cfg.eps,
-            cfg.seed,
-            cfg.guarantee_pairwise,
-            rec.n_rvs,
-            rec.n_factors,
-            rec.n_groups,
-            rec.compression_ratio,
+        row = {
+            "k": cfg.k,
+            "x": cfg.x,
+            "eps": cfg.eps,
+            "seed": cfg.seed,
+            "guarantee_pairwise": "true" if cfg.guarantee_pairwise else "false",
+            "n_rvs": rec.n_rvs,
+            "n_factors": rec.n_factors,
+            "n_groups": rec.n_groups,
+            "compression_ratio": rec.compression_ratio,
+            "d_exact": rec.d_exact,
+            "bound_tight": rec.bound_tight,
+            "t_eacp": rec.t_eacp,
+            "t_acp": rec.t_acp,
+            "t_ground_query": rec.t_ground_query,
+            "t_lifted_query": rec.t_lifted_query,
+            "alpha_substitute": rec.alpha_substitute,
+        }
+        queries = [
+            {
+                "query_index": q.index,
+                "target": q.target,
+                "target_value": q.value,
+                "evidence": ";".join(f"{rv}={val}" for rv, val in q.evidence),
+                "p_ground": q.p_ground,
+                "p_compressed": q.p_compressed,
+                "quotient": q.quotient,
+            }
+            for q in rec.queries
         ]
-        tail = [
-            rec.d_exact,
-            rec.bound_tight,
-            rec.t_eacp,
-            rec.t_acp,
-            rec.t_ground_query,
-            rec.t_lifted_query,
-            rec.alpha_substitute,
-        ]
-        for q in rec.queries:
-            evidence = ";".join(f"{rv}={val}" for rv, val in q.evidence)
-            row = shared + [
-                q.index,
-                q.target,
-                q.value,
-                evidence,
-                q.p_ground,
-                q.p_compressed,
-                q.quotient,
-            ] + tail
-            writer.writerow([_cell(v) for v in row])
-        if not rec.queries:
-            row = shared + ["", "", "", "", "", "", ""] + tail
-            writer.writerow([_cell(v) for v in row])
+        for query in queries or [{}]:
+            writer.writerow({**row, **query})
     return buf.getvalue().encode("utf-8")

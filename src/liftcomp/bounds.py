@@ -110,8 +110,7 @@ class DistanceReport:
     min_ratio: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.d_exact < math.inf:
-            raise InvariantError(f"distance must be non-negative and finite, got {self.d_exact!r}")
+        _check_distance(self.d_exact)
         if not (math.isfinite(self.max_ratio) and math.isfinite(self.min_ratio)):
             raise InvariantError(
                 f"ratio extremes must be finite, got {self.max_ratio!r} and {self.min_ratio!r}"

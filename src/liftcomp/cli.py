@@ -130,12 +130,12 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    if args.m is None and not (args.model and args.compressed):
+    if bool(args.model) != bool(args.compressed) or (args.m is None and not args.model):
         raise LiftcompError("bound needs --m, or --model together with --compressed")
     eps = check_epsilon(args.eps)
     distance = None
     m = args.m
-    if args.model and args.compressed:
+    if args.model:
         m1 = _load_model(args.model)
         m2 = _load_model(args.compressed)
         if m is None:

@@ -53,7 +53,6 @@ from .equivalence import (
     check_epsilon,
     eps_band_mask,
     identity_alignment,
-    invert_alignment,
     unaligned_table,
 )
 from .equivalence import eps_equiv_arrays  # noqa: F401  perfbench/run.py counts its calls
@@ -104,8 +103,7 @@ class CompressionResult:
                 if frame_args == args:
                     align = identity_alignment(len(args))
                 else:
-                    position = {a: i for i, a in enumerate(args)}
-                    align = invert_alignment(tuple(position[a] for a in frame_args))
+                    align = tuple(map(frame_args.index, args))
                 group.append(GroupMember(name, align))
             groups.append(tuple(group))
         return Grouping(tuple(groups))

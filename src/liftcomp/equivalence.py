@@ -115,34 +115,37 @@ def invert_alignment(perm: Alignment) -> Alignment:
     return tuple(inv)
 
 
+def _inverse(perm: Alignment, arity: int) -> Alignment | None:
+    """None for the identity, the common case, tested first; else the inverse of perm.
+
+    InvariantError unless perm is a permutation of range(arity).
+    """
+    if perm == identity_alignment(arity):
+        return None
+    if len(perm) != arity or sorted(perm) != list(range(arity)):
+        raise InvariantError(f"invalid alignment {perm} for arity {arity}")
+    return invert_alignment(perm)
+
+
 def aligned_table(table: np.ndarray, perm: Alignment) -> np.ndarray:
     """View `table` in the left frame: result[i_0..] = table[i_perm[0], ...].
 
     The identity alignment returns `table` itself, not a new view object
     (compression results keep one table per factor).
     """
-    if len(perm) != table.ndim or sorted(perm) != list(range(table.ndim)):
-        raise InvariantError(f"invalid alignment {perm} for arity {table.ndim}")
-    if perm == identity_alignment(table.ndim):
-        return table
-    return np.transpose(table, invert_alignment(perm))
+    inv = _inverse(perm, table.ndim)
+    return table if inv is None else np.transpose(table, inv)
 
 
 def unaligned_table(table: np.ndarray, perm: Alignment) -> np.ndarray:
     """Inverse of aligned_table: push a left-frame table back to the member frame."""
-    if len(perm) != table.ndim or sorted(perm) != list(range(table.ndim)):
-        raise InvariantError(f"invalid alignment {perm} for arity {table.ndim}")
-    if perm == identity_alignment(table.ndim):
-        return table
-    return np.transpose(table, perm)
+    return table if _inverse(perm, table.ndim) is None else np.transpose(table, perm)
 
 
 def aligned_args(args: tuple[str, ...], perm: Alignment) -> tuple[str, ...]:
     """Member argument names reordered into the left (representative) frame."""
-    if perm == identity_alignment(len(args)):
-        return args
-    inv = invert_alignment(perm)
-    return tuple(args[inv[j]] for j in range(len(args)))
+    inv = _inverse(perm, len(args))
+    return args if inv is None else tuple(args[i] for i in inv)
 
 
 def _slack(eps: float) -> float:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,14 @@ class TestColourPass:
         with pytest.raises(InvariantError, match="no alignment for factor 'phi2'"):
             colour_pass(sales, cols, Evidence(), alignments=aligns, eps=0.0)
 
+    @pytest.mark.parametrize("bad", [(0, 0), (0,), (1, 2)])
+    def test_invalid_alignment_rejected(self, sales, bad):
+        # phi2 joins phi1's class, so only its arguments are aligned
+        cols, aligns = initial_factor_colours_exact(sales.factors)
+        cols["phi2"], aligns["phi2"] = cols["phi1"], bad
+        with pytest.raises(InvariantError, match=re.escape(f"invalid alignment {bad} for arity 2")):
+            colour_pass(sales, cols, Evidence(), alignments=aligns, eps=0.0)
+
     def test_refines_initial_groups(self):
         # final groups only split initial ones, never merge across them
         rng = np.random.default_rng(43)
@@ -318,6 +328,40 @@ class TestConstructPfg:
         assert pfg.tables[0].tolist() == [1.0, 2.0, 4.0]
         assert fg_equal(ground(pfg), symmetric)
 
+    def test_rejects_member_of_another_shape(self):
+        # g is (3, 2) and f is (2, 3) under the identity: the stacked
+        # comparison never sees g, which is reported as differing
+        rvs = tuple(RandomVariable(n, ("a", "b") if n in "XV" else ("a", "b", "c")) for n in "XYUV")
+        fg = FactorGraph(rvs, (
+            Factor("f", ("X", "Y"), np.ones((2, 3))), Factor("g", ("U", "V"), np.ones((3, 2))),
+        ))
+        grouping = Grouping(((GroupMember("f", (0, 1)), GroupMember("g", (0, 1))),))
+        with pytest.raises(InvariantError, match="group 0: member 'g' table differs from "
+                                                 "representative 'f'"):
+            construct_pfg(fg, grouping, (("X", "V"), ("Y", "U")), {})
+
+    @pytest.mark.parametrize("crv_specs, match", [
+        pytest.param({0: (0,)}, r"group 0: invalid counted positions \(0,\)", id="one"),
+        pytest.param({0: (0, 0)}, r"group 0: invalid counted positions \(0, 0\)", id="repeat"),
+        pytest.param({0: (0, 5)}, r"group 0: invalid counted positions \(0, 5\)", id="past-end"),
+        pytest.param({0: (0, -1)}, r"group 0: invalid counted positions \(0, -1\)",
+                     id="negative"),
+        pytest.param({0: (0, 2)}, r"group 0: counted positions \(0, 2\) mix range sizes",
+                     id="mixed-sizes"),
+        pytest.param({1: (0, 1)}, "crv_specs names no group: 1", id="unknown-group"),
+        pytest.param({0: (0, 1), 3: (0, 1), 2: ()}, "crv_specs names no group: 2, 3",
+                     id="unknown-groups"),
+    ])
+    def test_rejects_bad_counted_positions(self, crv_specs, match):
+        rvs = (RandomVariable("X", ("a", "b")), RandomVariable("Y", ("a", "b")),
+               RandomVariable("Z", ("a", "b", "c")))
+        fg = FactorGraph(rvs, (Factor("f", ("X", "Y", "Z"), np.ones((2, 2, 3))),))
+        grouping = Grouping(((GroupMember("f", (0, 1, 2)),),))
+        classes = (("X", "Y"), ("Z",))
+        assert construct_pfg(fg, grouping, classes, {0: (0, 1)}).crvs[0].positions == (0, 1)
+        with pytest.raises(InvariantError, match=match):
+            construct_pfg(fg, grouping, classes, crv_specs)
+
     def test_member_args_recorded(self, sales):
         res = run_acp(sales)
         args = dict(zip(res.pfg.members, res.pfg.member_args))
@@ -342,6 +386,8 @@ class TestConstructPfg:
         rvs = (RandomVariable("X", ("a", "b")), RandomVariable("Y", ("a", "b")))
         with pytest.raises(InvariantError, match="out of sync"):
             ParfactorGraph(rvs, [2], ("a", "b"), (("X",),), [2], (np.ones(2),), (None,))
+        with pytest.raises(InvariantError, match="group_ends, tables and crvs out of sync"):
+            ParfactorGraph(rvs, [2], ("a",), (("X",),), [1], (np.ones(2),) * 2, (None,))
         with pytest.raises(InvariantError, match="group_ends must end at 2"):
             ParfactorGraph(rvs, [2], ("a", "b"), (("X",), ("Y",)), [1], (np.ones(2),), (None,))
         pfg = ParfactorGraph(rvs, [2], ("a", "b"), (("X",), ("Y",)), [2], (np.ones(2),), (None,))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ import pytest
 from liftcomp import (
     CSV_COLUMNS,
     EPS_DOMAIN,
+    ExperimentRecord,
     GenConfig,
     InvariantError,
     K_DOMAIN,
+    QueryOutcome,
     X_DOMAIN,
     bound_tight,
     emit_csv,
@@ -252,6 +255,20 @@ class TestGridAndCsv:
             records[0].queries[0].quotient, rel=1e-15
         )
         assert first["guarantee_pairwise"] == "false"
+
+    def test_csv_bytes_of_hand_built_records(self):
+        # a record with a query and one without, whose query cells are blank
+        query = QueryOutcome(0, "Hub", "true", (("B1_1", "false"), ("B2_1", "true")),
+                             0.25, 0.3, 1.2)
+        rec = ExperimentRecord(GenConfig(k=2, x=0.5, eps=0.1, seed=7), 5, 4, 2, 0.5, (query,),
+                               None, 0.125, 1.5, 0.5, 0.25, 0.125, 2.0)
+        bare = replace(rec, queries=(), d_exact=0.0625, alpha_substitute=None)
+        assert emit_csv([rec, bare]) == (
+            ",".join(CSV_COLUMNS).encode() + b"\n"
+            b"2,0.5,0.1,7,false,5,4,2,0.5,0,Hub,true,B1_1=false;B2_1=true,0.25,0.3,1.2,"
+            b",0.125,1.5,0.5,0.25,0.125,2.0\n"
+            b"2,0.5,0.1,7,false,5,4,2,0.5,,,,,,,,0.0625,0.125,1.5,0.5,0.25,0.125,\n"
+        )
 
     def test_csv_blank_for_none(self):
         configs = [GenConfig(k=2, x=0.5, eps=0.1, seed=0)]

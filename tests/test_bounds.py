@@ -111,6 +111,9 @@ class TestBoundSet:
                 alpha1=good.alpha1,
                 alpha2=good.alpha2,
             )
+        for alpha1, alpha2 in ((1.01, good.alpha2), (good.alpha1, 0.99)):
+            with pytest.raises(InvariantError, match="ratio extremes must straddle 1"):
+                BoundSet(3, 0.1, good.d_general, good.d_tight, alpha1, alpha2)
 
 
 class TestEnvelopes:
@@ -291,6 +294,11 @@ class TestDistanceExact:
     def test_mismatched_rvs_rejected(self, sales, counting):
         with pytest.raises(InvariantError):
             distance_exact(sales, counting)
+        relabelled = FactorGraph(
+            tuple(RandomVariable(rv.name, rv.range[::-1]) for rv in sales.rvs), sales.factors
+        )
+        with pytest.raises(InvariantError, match="'SalA' has different ranges"):
+            distance_exact(sales, relabelled)
 
     def test_permuted_rv_order_tolerated(self, sales):
         from liftcomp import FactorGraph

@@ -260,6 +260,14 @@ class TestBound:
         assert code == 2
         assert "--m" in err
 
+    @pytest.mark.parametrize("flag", ["--model", "--compressed"])
+    @pytest.mark.parametrize("m", [[], ["--m", "2"]])
+    def test_model_flags_come_together(self, capsys, sales_path, flag, m):
+        code, out, err = run_cli(capsys, "bound", "--eps", "0.1", *m, flag, str(sales_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--model" in err and "--compressed" in err
+
     def test_above_cap_skips_distance(self, capsys, tmp_path, sales_path, monkeypatch):
         out_dir = tmp_path / "cmp"
         run_cli(capsys, "compress", "--model", str(sales_path), "--eps", "0.1",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,10 @@ class TestPotentials:
         assert scalar_equiv(a, b, eps) == scalar_equiv(
             a * scale, b * scale, eps
         )
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(InvariantError, match=r"shape mismatch \(2,\) vs \(3,\)"):
+            eps_equiv_arrays(np.ones(2), np.ones(3), 0.1)
 
     def test_eps_domain(self):
         with pytest.raises(InvariantError):
@@ -242,6 +247,15 @@ class TestAlignment:
         assert aligned_args(("Y", "X"), (1, 0)) == ("X", "Y")
         assert aligned_args(("A", "B", "C"), (2, 0, 1)) == ("B", "C", "A")
 
+    @pytest.mark.parametrize("perm", [(0, 0), (0,), (1, 2)])
+    def test_invalid_alignment_rejected(self, perm):
+        # one check for tables and argument lists alike
+        message = f"^{re.escape(f'invalid alignment {perm} for arity 2')}$"
+        for helper, value in ((aligned_table, np.ones((2, 2))),
+                              (unaligned_table, np.ones((2, 2))), (aligned_args, ("A", "B"))):
+            with pytest.raises(InvariantError, match=message):
+                helper(value, perm)
+
 
 class TestFactorEquivalence:
     def test_identity_witness_for_identical(self):
@@ -314,6 +328,8 @@ class TestCommutativeBlocks:
         t = np.array([[1.0, 2.0], [2.0, 1.0]])
         assert commutative_blocks(t, 0.0, (("a", "b"), ("c", "d"))) == ((0,), (1,))
         assert commutative_blocks(t, 0.0, (("a", "b"), ("a", "b"))) == ((0, 1),)
+        with pytest.raises(InvariantError, match="ranges arity 1 != table arity 2"):
+            commutative_blocks(t, 0.0, (("a", "b"),))
 
     def test_tolerant_swap(self):
         # near-symmetric: off-diagonal entries differ by 5 percent

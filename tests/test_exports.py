@@ -90,6 +90,21 @@ def test_noqa_imports_are_the_perfbench_rebinds():
     }
 
 
+def test_run_acp_is_called_only_from_outside_the_package():
+    # run_eacp(fg, 0.0) makes the same call; run_acp stays for perfbench and tests
+    defined, called = [], []
+    for p in SOURCES:
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name == "run_acp":
+                defined.append(p.stem)
+            if isinstance(node, ast.Call) and "run_acp" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                called.append(p.stem)
+    assert defined == ["eacp"]
+    assert called == []
+
+
 def test_noqa_import_check_catches_one():
     source = "import os  # noqa: F401\nfrom typing import Any, Mapping  # noqa: F401\n"
     assert noqa_imports(source) == ["os", "Any", "Mapping"]

@@ -169,6 +169,13 @@ class TestVariableElimination:
         assert all(p == pytest.approx(1 / 3, abs=1e-15) for p in res.distribution.values())
         assert dist_close(res, query_enumerate(fg, Query("C")))
 
+    def test_model_without_factors_uniform(self):
+        with pytest.warns(UserWarning, match="isolated rvs"):
+            fg = FactorGraph((RandomVariable("C", ("x", "y", "z")),), ())
+        res = query_ve(fg, Query("C"))
+        assert res.distribution == {label: 1 / 3 for label in ("x", "y", "z")}
+        assert res.ops == 0
+
     def test_deterministic(self, sales_three):
         q = Query("Rev", Evidence((("SalA", "high"),)))
         a = query_ve(sales_three, q)

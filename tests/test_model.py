@@ -52,11 +52,19 @@ class TestRandomVariable:
         with pytest.raises(InvariantError):
             RandomVariable("R", ("a", "b")).index_of("z")
 
+    def test_rejects_empty_name(self):
+        with pytest.raises(InvariantError, match="random variable name must be non-empty"):
+            RandomVariable("", ("a", "b"))
+
 
 class TestFactor:
     def test_rejects_no_args(self):
         with pytest.raises(InvariantError, match="at least one argument"):
             Factor("c", (), np.array(2.0))
+
+    def test_rejects_empty_name(self):
+        with pytest.raises(InvariantError, match="factor name must be non-empty"):
+            Factor("", ("X",), np.ones(2))
 
     def test_rejects_duplicate_args(self):
         with pytest.raises(InvariantError):
@@ -326,6 +334,12 @@ class TestEnumerationCap:
     def test_default_cap(self):
         assert resolve_cap() == DEFAULT_ENUM_CAP
 
+    @pytest.mark.parametrize("value", ["abc", "1.5", "", "0", "-4"])
+    def test_cap_env_must_be_a_positive_integer(self, monkeypatch, value):
+        monkeypatch.setenv("LIFTCOMP_ENUM_CAP", value)
+        with pytest.raises(InvariantError, match="LIFTCOMP_ENUM_CAP must be a positive integer"):
+            resolve_cap()
+
 
 class TestEvidence:
     def test_duplicate_rv_rejected(self):
@@ -416,6 +430,15 @@ class TestFgEqual:
         assert fg_equal(sales, other)  # multiplying by (1+1e-16) rounds to identity
         other2 = replace_tables(sales, {"phi1": sales.factor("phi1").table * (1 + 1e-12)})
         assert not fg_equal(sales, other2)
+
+    def test_detects_structure_change(self, sales):
+        phi1, phi2 = sales.factors
+        extra = Factor("phi3", ("Rev",), np.ones(2))
+        assert not fg_equal(sales, FactorGraph(sales.rvs, (phi1, phi2, extra)))
+        renamed = FactorGraph(sales.rvs, (phi1, Factor("phi3", phi2.args, phi2.table)))
+        assert not fg_equal(sales, renamed)
+        flipped = FactorGraph(sales.rvs, (phi1, Factor("phi2", phi2.args[::-1], phi2.table.T)))
+        assert not fg_equal(sales, flipped)
 
 
 _X = {"name": "X", "range": ["a", "b"]}
@@ -741,6 +764,14 @@ class TestIo:
     def test_evidence_malformed(self):
         with pytest.raises(ModelFormatError):
             load_evidence(b'{"evidence": [{"rv": "X"}]}')
+        with pytest.raises(ModelFormatError, match=r"^\$: missing key 'evidence'$"):
+            load_evidence(b'{"observed": []}')
+
+    def test_invalid_utf8(self):
+        with pytest.raises(ModelFormatError, match="^model: not valid UTF-8"):
+            load_fg(b'{"rvs": [], "factors": [], "note": "\xff"}')
+        with pytest.raises(ModelFormatError, match="^evidence: not valid UTF-8"):
+            load_evidence(b'{"evidence": ["\xff"]}')
 
 
 @settings(max_examples=60, deadline=None)
