@@ -511,8 +511,8 @@ def construct_pfg(
 ) -> ParfactorGraph:
     """One parfactor per group; tables must already be identical within a group.
 
-    crv_specs maps a group index to argument positions to count, and a
-    group it does not list is not counted; the group's table must be
+    crv_specs maps a group index to argument positions to count (ints,
+    not bools), and a group it does not list is not counted; the group's table must be
     exactly invariant under them (see exact_crv_positions), otherwise
     InvariantError, as for a key that names no group.
     """
@@ -545,7 +545,7 @@ def construct_pfg(
         if positions:
             if (
                 len(positions) < 2 or len(set(positions)) != len(positions)
-                or not all(0 <= p < table.ndim for p in positions)
+                or not all(type(p) is int and 0 <= p < table.ndim for p in positions)
             ):
                 raise InvariantError(f"group {gi}: invalid counted positions {positions}")
             sizes = {table.shape[p] for p in positions}

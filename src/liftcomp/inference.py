@@ -10,12 +10,17 @@ beats ground VE when there are fewer classes than branches; when every
 branch is a class of its own it costs about ground VE plus the class finding.
 
 Variable elimination works on the RV numbers of the model's _Index,
-built once with the FactorGraph. Its bookkeeping costs one O(model) copy
-of the index's holder lists and neighbour sets per query, plus one walk
-of O(sum of d^2 + n log n) for n eliminable RVs of degree d when
-eliminated: it pops the RV of least degree from a heap and forms that
-RV's bucket on the spot. On stars of chains that is near-linear in n,
-and the fixed cost of each numpy call, not arithmetic, dominates.
+built once with the FactorGraph together with each RV's starting degree,
+the heap of their keys and each table's kind (its layout, numbered). A
+query copies the argument numbers, tables, degrees, heap and kinds, each
+as one flat list with no Python work per entry, and numbers anew only
+the tables that evidence clamps; the rest of its bookkeeping is what its
+elimination changes: fill-in edges, the messages each RV holds, and
+degree counters. The walk costs O(sum of
+d^2 + n log n) for n eliminable RVs of degree d when eliminated: it pops
+the RV of least degree from the heap and forms that RV's bucket on the
+spot. On stars of chains that is near-linear in n, and the fixed cost of
+each numpy call, not arithmetic, dominates.
 
 So the walk plans, sorting buckets into batches of like buckets (the
 same table shapes and argument wiring, up to renaming), and _eliminate
@@ -49,7 +54,7 @@ import numpy as np
 
 from .acp import ParfactorGraph, expand_crv
 from .errors import InvariantError, UnsupportedTopologyError
-from .model import Evidence, FactorGraph, _Index, _index_scopes, clamp, joint_table
+from .model import Evidence, FactorGraph, _Index, _index_scopes, _kinds, clamp, joint_table
 
 __all__ = [
     "Query",
@@ -249,21 +254,19 @@ _MIN_RUN = 8
 # query_p50_ms 4-8% and query_p90_ms up to 20% slower, so the switch stays.
 _MIN_PLAN = 32
 _FIRST = operator.itemgetter(0)
-_SECOND = operator.itemgetter(1)
 _TABLE = operator.attrgetter("table")
-_SHAPE = operator.attrgetter("shape")
-_STRIDES = operator.attrgetter("strides")
 
 
 class _Store:
     """Every item of one elimination, and each executed batch's messages.
 
     Items are numbered in creation order, inputs first. An input's source
-    is its table and its kind its (shape, strides); a message's source is
-    its row in its batch's stack and its kind the batch's number. Items of
-    one kind stack into arrays of one layout; a batch of one bucket stacks
-    its message as one row. A message made as its bucket formed has its
-    table as source and no kind.
+    is its table and its kind the number of its layout (shape and
+    strides, model._kinds); a message's source is its row in its batch's
+    stack and its kind ~b for batch b, so it never equals an input's.
+    Items of one kind stack into arrays of one layout; a batch of one
+    bucket stacks its message as one row. A message made as its bucket
+    formed has its table as source and no kind.
     """
 
     __slots__ = ("args", "source", "kind", "stacks")
@@ -276,18 +279,17 @@ class _Store:
 
     def table(self, number: int) -> np.ndarray:
         """One item's table, unstacked."""
-        kind = self.kind[number]
-        if type(kind) is int:
-            return self.stacks[kind][self.source[number]]
-        return self.source[number]
+        source = self.source[number]
+        if type(source) is int:
+            return self.stacks[~self.kind[number]][source]
+        return source
 
     def gather(self, numbers: list[int]) -> np.ndarray:
         """Items of one kind, stacked along a new leading axis."""
-        kind = self.kind[numbers[0]]
         rows = list(map(self.source.__getitem__, numbers))
-        if type(kind) is not int:
+        if type(rows[0]) is not int:
             return _stack(rows)
-        stack = self.stacks[kind]
+        stack = self.stacks[~self.kind[numbers[0]]]
         if len(rows) == len(stack) and rows == list(range(len(stack))):
             return stack
         # fancy indexing keeps the stack's memory order of axes
@@ -369,33 +371,45 @@ class _Store:
 
 
 def _eliminate(
-    items: list[Item], index: _Index, target: int, held: Collection[int]
+    args_of: list[tuple[int, ...]],
+    source: list[np.ndarray],
+    index: _Index,
+    target: int,
+    held: Collection[int],
+    kinds: list[int] | None = None,
 ) -> tuple[_Store, list[int], int, list[int]]:
     """Bucket elimination in greedy min-degree order.
 
-    items[i] is index's scope i with the held RVs fixed, as (argument
-    numbers, table). Every RV but the target and the held ones is
-    eliminated. Returns the store, the numbers of the items left (each
-    over the target or 0-d, in creation order), the ops spent and the
-    order; the store's result() is their product.
+    Item i is index's scope i with the held RVs fixed: argument numbers
+    args_of[i] and table source[i], whose layout kinds[i] numbers as
+    model._kinds does (without kinds, they are numbered here). The walk
+    appends each message to the three lists, which the store then holds.
+    Every RV but the target and the held ones is eliminated. Returns the
+    store, the numbers of the items left (each over the target or 0-d, in
+    creation order), the ops spent and the order; the store's result() is
+    their product.
 
     Order: two RVs are neighbours when some scope holds both; an RV's
     degree counts its neighbours not yet eliminated, the target included.
     Each step pops the RV of least (degree, number), which ties by name,
     joins every two of its neighbours left to eliminate by a fill-in edge
-    (never the target) and eliminates it. Only its neighbours change
-    degree, so only they get fresh heap entries; a popped entry whose RV
-    is gone or whose degree is stale is skipped. A step costs
-    O(d^2 + d log n) for degree d.
+    (never the target) and eliminates it. The walk reads the index's
+    neighbours and holders and copies only its degrees and heap: a
+    degree is a counter, lowered for each held neighbour, raised by each
+    fill-in edge and lowered when a neighbour is eliminated, and fill-in
+    edges go into a set only for an RV that gets one. Only the picked
+    RV's neighbours change degree, so only they get fresh heap entries; a
+    popped entry whose RV is gone or whose degree is stale is skipped. A
+    step costs O(d^2 + d log n) for degree d.
 
     Plan, in the same walk: items are numbered in creation order (the
     inputs, then each message), so the picked RV's bucket is its live
-    holders in order. A bucket's signature is each item's kind (an input's
-    shape and strides, or the batch that made a message) and its items'
-    arguments numbered by first occurrence from the eliminated RV; buckets
-    of one signature form one batch. A batch's signature names the
-    batches it reads, so running batches in the order they formed
-    respects every dependency.
+    input holders, then its live messages, in order. A bucket's signature
+    is each item's kind (an input's layout number, or the batch that made
+    a message) and its items' arguments numbered by first occurrence from
+    the eliminated RV; buckets of one signature form one batch. A batch's
+    signature names the batches it reads, so running batches in the order
+    they formed respects every dependency.
 
     Execute: a batch stacks each bucket position's items along a new
     leading axis, makes one broadcast multiply per position (one fold per
@@ -408,27 +422,30 @@ def _eliminate(
     An elimination of fewer than _MIN_PLAN RVs skips the plan: each bucket
     is multiplied and summed as it forms, as one batch of one would be.
     """
-    args_of = list(map(_FIRST, items))
-    source = list(map(_SECOND, items))
-    kind = list(zip(map(_SHAPE, source), map(_STRIDES, source)))
-    # the index is shared: this walk changes copies of its lists
-    holders = list(map(list, index.holders))
-    adjacency = list(map(set, index.neighbours))
+    if kinds is None:
+        kinds = _kinds(source, {})
+    neighbours, holders = index.neighbours, index.holders
+    degree = list(index.degree)
+    heap = list(index.seed)
+    # (degree, number) as one int, degree * n + number, which orders alike
+    n = len(degree)
     # open: left to eliminate
-    open_ = [True] * len(adjacency)
+    open_ = [True] * n
+    is_open = open_.__getitem__
     open_[target] = False
     for v in held:
         open_[v] = False
-        for u in index.neighbours[v]:
-            adjacency[u].discard(v)
-    # (degree, number) as one int, degree * n + number, which orders alike
-    n = len(open_)
-    heap = [len(adjacency[v]) * n + v for v in range(n) if open_[v]]
-    heapq.heapify(heap)
-    left = len(heap)
+        for u in neighbours[v]:
+            degree[u] -= 1
+            heapq.heappush(heap, degree[u] * n + u)
+    left = open_.count(True)
+    # fill-in neighbours, and messages by the RVs they hold
+    fill: dict[int, set[int]] = {}
+    messages: defaultdict[int, list[int]] = defaultdict(list)
     # every bucket makes one message
-    live = [True] * (len(items) + left)
-    store = _Store(args_of, source, kind)
+    live = [True] * (len(source) + left)
+    is_live = live.__getitem__
+    store = _Store(args_of, source, kinds)
     ops = 0
     eager = left < _MIN_PLAN
     batch_of: dict[tuple, int] = {}
@@ -438,21 +455,29 @@ def _eliminate(
     while left:
         key = heapq.heappop(heap)
         name = key % n
-        if not open_[name] or key != len(adjacency[name]) * n + name:
+        if not open_[name] or key != degree[name] * n + name:
             continue
         open_[name] = False
         left -= 1
         order.append(name)
-        # the picked RV's set holds only RVs left to eliminate and the target
-        neighbours = adjacency[name]
-        neighbours.discard(target)
-        for u, w in itertools.combinations(neighbours, 2):
-            adjacency[u].add(w)
-            adjacency[w].add(u)
-        for u in neighbours:
-            adjacency[u].discard(name)
-            heapq.heappush(heap, len(adjacency[u]) * n + u)
-        bucket = list(filter(live.__getitem__, holders[name]))
+        # the picked RV's neighbours left to eliminate
+        around = list(filter(is_open, neighbours[name]))
+        if name in fill:
+            around += filter(is_open, fill.pop(name))
+        for u, w in itertools.combinations(around, 2):
+            # adjacent already: in a scope, or by an earlier fill-in edge
+            if w in neighbours[u] or w in fill.get(u, ()):
+                continue
+            fill.setdefault(u, set()).add(w)
+            fill.setdefault(w, set()).add(u)
+            degree[u] += 1
+            degree[w] += 1
+        for u in around:
+            degree[u] -= 1
+            heapq.heappush(heap, degree[u] * n + u)
+        bucket = list(filter(is_live, holders[name]))
+        if name in messages:
+            bucket += filter(is_live, messages.pop(name))
         if not bucket:
             # disconnected rv: its sum is a constant that normalisation removes
             continue
@@ -466,10 +491,10 @@ def _eliminate(
             (message, marg), cost = _sum_out(prod, name)
             ops += cost
             for a in message:
-                holders[a].append(len(args_of))
+                messages[a].append(len(args_of))
             args_of.append(message)
             source.append(marg)
-            kind.append(None)
+            kinds.append(None)
             continue
         if len(bucket) == 1:
             i = bucket[0]
@@ -477,7 +502,7 @@ def _eliminate(
             args = args_of[i]
             axis = args.index(name)
             # distinct arguments: the kind's rank and the axis fix the wiring
-            signature: tuple = (kind[i], axis)
+            signature: tuple = (kinds[i], axis)
             message = args[:axis] + args[axis + 1 :]
         else:
             flat = (name,)
@@ -485,21 +510,20 @@ def _eliminate(
                 live[i] = False
                 flat += args_of[i]
             # arguments numbered by first occurrence, the eliminated rv as 0
-            signature = (len(bucket), *map(kind.__getitem__, bucket), *map(flat.index, flat))
-            scope = dict.fromkeys(flat)
-            del scope[name]
-            message = tuple(scope)
+            signature = (len(bucket), *map(kinds.__getitem__, bucket), *map(flat.index, flat))
+            # the arguments less the eliminated rv (the first), in order of first occurrence
+            message = tuple(dict.fromkeys(flat))[1:]
         number = batch_of.get(signature)
         if number is None:
             number = batch_of[signature] = len(batches)
             batches.append([])
             names.append(name)
         for a in message:
-            holders[a].append(len(args_of))
+            messages[a].append(len(args_of))
         members = batches[number]
         args_of.append(message)
         source.append(len(members))
-        kind.append(number)
+        kinds.append(~number)
         members.append(bucket)
 
     stacks = store.stacks
@@ -517,26 +541,32 @@ def _eliminate(
             (_, marg), cost_sum = _sum_out(prod, name, 1)
             stacks.append(marg)
         ops += cost + cost_sum
-    return store, list(filter(live.__getitem__, range(len(args_of)))), ops, order
+    return store, list(itertools.compress(range(len(args_of)), live)), ops, order
 
 
 def query_ve(fg: FactorGraph, q: Query) -> QueryResult:
     """Variable elimination in greedy min-degree order, ties by name.
 
-    The items are the model's tables over its index's argument numbers;
-    only the factors that hold an observed RV are clamped.
+    The items are the model's tables over its index's argument numbers,
+    with the model's kinds; only the factors that hold an observed RV are
+    clamped, and only their kinds are numbered anew.
     """
     held = _validate_query(fg, q)
     index = fg._index  # type: ignore[attr-defined]
     number = index.number
-    items = list(zip(index.args, map(_TABLE, fg.factors)))
+    args_of = list(index.args)
+    source = list(map(_TABLE, fg.factors))
+    kinds = list(fg._kinds)  # type: ignore[attr-defined]
     if held:
         held = {number[name]: k for name, k in held.items()}
+        # a clamped table is a view of its own layout
+        layouts = dict(fg._layouts)  # type: ignore[attr-defined]
         for i in set(itertools.chain.from_iterable(map(index.holders.__getitem__, held))):
-            items[i] = clamp(*items[i], held)
+            args_of[i], source[i] = clamp(args_of[i], source[i], held)
+            (kinds[i],) = _kinds([source[i]], layouts)
     labels = fg.rv(q.target).range
     with np.errstate(over="ignore", invalid="ignore"):
-        store, rest, ops, _ = _eliminate(items, index, number[q.target], held)
+        store, rest, ops, _ = _eliminate(args_of, source, index, number[q.target], held, kinds)
         vector, cost = store.result(rest, len(labels))
         return _normalise(vector, labels, "ve", ops + cost)
 
@@ -607,10 +637,11 @@ def query_lifted_star(pfg: ParfactorGraph, hub: str, q: Query) -> QueryResult:
     index = _index_scopes({hub}.union(*scopes), scopes)
     belief = np.ones(len(hub_labels), dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        items = list(zip(index.args, map(tables.__getitem__, groups)))
-        store, rest, ops, order = _eliminate(items, index, index.number[hub], ())
+        store, rest, ops, order = _eliminate(
+            list(index.args), list(map(tables.__getitem__, groups)), index, index.number[hub], ()
+        )
         # each item's class; each eliminated RV had a live holder, so the j-th
-        # one made item len(items) + j, of its first holder's class
+        # one made item len(groups) + j, of its first holder's class
         owner = [c for c, rep in enumerate(reps) for _ in rep]
         owner += [owner[index.holders[v][0]] for v in order]
         last = dict(zip(map(owner.__getitem__, rest), rest))

@@ -23,6 +23,7 @@ threads; every operation in this module is a pure function.
 from __future__ import annotations
 
 import copy
+import heapq
 import itertools
 import math
 import os
@@ -164,9 +165,13 @@ class FactorGraph:
     RVs and factors are indexed by name -> position, and the structure by an
     _Index built here once: each RV's number (its rank by name), each
     factor's argument numbers, each RV's holders (factor numbers in
-    declaration order) and neighbours, all in tuples. On stars of chains
-    it takes about 160 bytes per RV. A graph made by replace_tables
-    shares every index with its input, and queries only read the _Index.
+    declaration order), neighbours and starting degrees, and a heap of
+    (degree, number) keys, all in tuples. On stars of chains it takes
+    about 300 bytes per RV, 50 of them for the degrees and the heap
+    (tracemalloc, 128 chains of 3 RVs). Each factor table also has a
+    kind, which numbers its layout (shape and strides) in _layouts. A
+    graph made by replace_tables shares the index and the kinds with its
+    input, and queries only read them.
     """
 
     rvs: tuple[RandomVariable, ...]
@@ -207,6 +212,9 @@ class FactorGraph:
         object.__setattr__(self, "_rv_pos", rv_pos)
         object.__setattr__(self, "_factor_pos", factor_pos)
         object.__setattr__(self, "_index", index)
+        layouts: dict[tuple, int] = {}
+        object.__setattr__(self, "_kinds", tuple(_kinds([f.table for f in self.factors], layouts)))
+        object.__setattr__(self, "_layouts", layouts)
 
     def rv(self, name: str) -> RandomVariable:
         return self.rvs[self.rv_position(name)]
@@ -239,14 +247,19 @@ class _Index(NamedTuple):
 
     RVs are numbered by name in sorted order, so ordering RVs by number
     orders them by name. args holds each scope's argument numbers,
-    holders each RV's scope numbers in scope order, and neighbours the
-    other RVs that share a scope with it.
+    holders each RV's scope numbers in scope order, neighbours the other
+    RVs that share a scope with it, and degree their count. seed is a
+    heap (heapq) of every RV's key degree * n + number, n RVs in all,
+    which orders keys by (degree, name): the starting heap of variable
+    elimination, which copies it and degree and reads the rest.
     """
 
     number: dict[str, int]
     args: tuple[tuple[int, ...], ...]
     holders: tuple[tuple[int, ...], ...]
     neighbours: tuple[tuple[int, ...], ...]
+    degree: tuple[int, ...]
+    seed: tuple[int, ...]
 
 
 def _index_scopes(names: Iterable[str], scopes: list[tuple[str, ...]]) -> _Index:
@@ -265,7 +278,20 @@ def _index_scopes(names: Iterable[str], scopes: list[tuple[str, ...]]) -> _Index
     neighbours = tuple([
         tuple({u for i in held for u in args[i] if u != v}) for v, held in enumerate(holders)
     ])
-    return _Index(number, args, tuple(holders), neighbours)
+    degree = tuple(map(len, neighbours))
+    n = len(ordered)
+    seed = [d * n + v for v, d in enumerate(degree)]
+    heapq.heapify(seed)
+    return _Index(number, args, tuple(holders), neighbours, degree, tuple(seed))
+
+
+def _kinds(tables: Iterable[np.ndarray], layouts: dict[tuple, int]) -> list[int]:
+    """Each table's kind: the number of its (shape, strides) in layouts.
+
+    A layout not yet in layouts is added with the next number, so tables
+    share a kind exactly when they share a layout.
+    """
+    return [layouts.setdefault((t.shape, t.strides), len(layouts)) for t in tables]
 
 
 @dataclass(frozen=True)
@@ -445,7 +471,9 @@ def replace_tables(fg: FactorGraph, tables: Mapping[str, np.ndarray]) -> FactorG
                 f"{old.table.shape}"
             )
     # same RVs and factor names in the same order: the copy shares fg's
-    # indexes, which keeps every compression result from holding its own
+    # indexes, which keeps every compression result from holding its own.
+    # It shares fg's kinds too: a factor holds its table C-ordered, so a
+    # new table of the old shape has the old layout.
     out = copy.copy(fg)
     object.__setattr__(out, "factors", factors)
     return out

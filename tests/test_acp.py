@@ -346,6 +346,10 @@ class TestConstructPfg:
         pytest.param({0: (0, 5)}, r"group 0: invalid counted positions \(0, 5\)", id="past-end"),
         pytest.param({0: (0, -1)}, r"group 0: invalid counted positions \(0, -1\)",
                      id="negative"),
+        pytest.param({0: (0.0, 1.0)}, r"group 0: invalid counted positions \(0\.0, 1\.0\)",
+                     id="float"),
+        pytest.param({0: (True, 0)}, r"group 0: invalid counted positions \(True, 0\)",
+                     id="bool"),
         pytest.param({0: (0, 2)}, r"group 0: counted positions \(0, 2\) mix range sizes",
                      id="mixed-sizes"),
         pytest.param({1: (0, 1)}, "crv_specs names no group: 1", id="unknown-group"),

@@ -126,6 +126,66 @@ def test_one_min_degree_walk():
     assert not [p.name for p in SOURCES if "_min_degree_order" in p.read_text()]
 
 
+_INDEX_LISTS = {"neighbours", "holders"}
+
+
+def index_copies(source: str) -> list[int]:
+    """Lines that copy an index's neighbours or holders into a list or set.
+
+    A copy is list(...) or set(...) of `<x>.neighbours` or `<x>.holders`,
+    of one of its entries, or of a name bound to either; map(list, ...)
+    or map(set, ...) over one; or a comprehension over one.
+    """
+    tree = ast.parse(source)
+    aliases = {
+        target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Attribute) and node.value.attr in _INDEX_LISTS
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+
+    def is_index_list(node: ast.AST) -> bool:
+        if isinstance(node, ast.Subscript):
+            node = node.value
+        return (isinstance(node, ast.Attribute) and node.attr in _INDEX_LISTS) or (
+            isinstance(node, ast.Name) and node.id in aliases
+        )
+
+    lines = []
+    for node in ast.walk(tree):
+        operands = []
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id in ("list", "set"):
+                operands = node.args
+            elif node.func.id == "map" and any(
+                isinstance(a, ast.Name) and a.id in ("list", "set") for a in node.args[:1]
+            ):
+                operands = node.args[1:]
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            operands = [g.iter for g in node.generators]
+        if any(map(is_index_list, operands)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_queries_copy_no_index_lists():
+    # variable elimination reads the model's neighbours and holders and
+    # keeps only what its walk changes: fill-in edges and messages
+    source = (Path(liftcomp.__file__).parent / "inference.py").read_text()
+    assert index_copies(source) == []
+
+
+def test_index_copy_check_catches_them():
+    source = (
+        "holders = list(map(list, index.holders))\n"
+        "adjacency = list(map(set, index.neighbours))\n"
+        "nb = index.neighbours\n"
+        "around = set(nb[v])\n"
+        "held = [list(h) for h in fg._index.holders]\n"
+        "ok = list(filter(live.__getitem__, index.holders[v])), map(len, nb)\n"
+    )
+    assert index_copies(source) == [1, 2, 4, 5]
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_index_is_not_exported(name):
     exported = getattr(importlib.import_module(name), "__all__", [])

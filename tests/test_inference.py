@@ -400,7 +400,8 @@ def walk(items, sizes, target, held=()):
     index = _index_scopes(sizes, scopes)
     number = index.number
     store, rest, ops, order = inference._eliminate(
-        list(zip(index.args, [table for _, table in items])),
+        list(index.args),
+        [table for _, table in items],
         index,
         number[target],
         [number[v] for v in held],
@@ -535,6 +536,40 @@ class TestIndexedElimination:
             check_against_reference(fg, q)
         items = check_against_reference(fg, q)
         assert items[1][0] == () and items[1][1].ndim == 0
+
+    def test_fill_in_after_evidence(self):
+        # the cycle A-B-...-G with the chord A-D; evidence on G lowers the
+        # degree of A, which goes first and joins B and D by a fill-in edge,
+        # and then B's neighbours C and D are already adjacent
+        names = "ABCDEFG"
+        scopes = [*zip(names, names[1:] + names[0]), ("A", "D")]
+        rvs = tuple(RandomVariable(v, ("a", "b", "c")[: 2 + i % 2]) for i, v in enumerate(names))
+        sizes = {rv.name: rv.size for rv in rvs}
+        rng = np.random.default_rng(3)
+        fg = FactorGraph(rvs, tuple(
+            Factor(f"f{i}", scope, rng.uniform(0.1, 2.0, [sizes[a] for a in scope]))
+            for i, scope in enumerate(scopes)
+        ))
+        q = Query("F", Evidence((("G", "b"),)))
+        # the model's index, which holds the evidence, as query_ve passes it
+        index = fg._index
+        held = {index.number["G"]: 1}
+        items = [clamp(args, f.table, held) for args, f in zip(index.args, fg.factors)]
+        ref_items = reference_reduce_evidence(fg, q.evidence)
+        eliminable = set(names) - {"F", "G"}
+        for planned in (False, True):
+            with regime(planned):
+                store, rest, ops, order = inference._eliminate(
+                    [args for args, _ in items], [table for _, table in items],
+                    index, index.number["F"], held,
+                )
+                vector, cost = store.result(rest, sizes["F"])
+                check_against_reference(fg, q)
+            order = [names[v] for v in order]
+            expected = reference_min_degree_order([args for args, _ in ref_items], eliminable)
+            assert order == expected == list("ABCDE")
+            ref_vector, ref_ops = reference_eliminate(ref_items, order, sizes, "F")
+            assert (vector.tobytes(), ops + cost) == (ref_vector.tobytes(), ref_ops)
 
     def test_order_on_a_star(self):
         # every leaf has degree 1 and ties by name; the hub, not eliminable,
@@ -722,8 +757,9 @@ def reference_lifted_star(pfg, hub, q):
             rep = group[0]
             scopes = [members[i][1] for i in rep]
             index = _index_scopes({hub}.union(*scopes), scopes)
-            items = list(zip(index.args, [tables[members[i][0]] for i in rep]))
-            store, rest, cost, _ = inference._eliminate(items, index, index.number[hub], ())
+            store, rest, cost, _ = inference._eliminate(
+                list(index.args), [tables[members[i][0]] for i in rep], index, index.number[hub], ()
+            )
             vector, cost_rest = store.result(rest, len(hub_labels))
             ops += cost + cost_rest
             belief *= vector ** len(group)

@@ -29,7 +29,7 @@ from liftcomp import (
     save_fg,
     worst_case_fg,
 )
-from liftcomp.model import clamp
+from liftcomp.model import _kinds, clamp
 
 from conftest import UNPARSEABLE_MODELS, free_star, mixed_range_model, random_model, sales_model
 
@@ -388,6 +388,40 @@ class TestIndex:
     def test_replace_tables_shares_the_index(self, sales):
         new = replace_tables(sales, {"phi1": np.full((2, 2), 0.5)})
         assert new._index is sales._index
+
+    def test_seeded_degrees_and_heap(self):
+        index = self.model()._index
+        assert index.degree == tuple(len(nb) for nb in index.neighbours) == (2, 2, 2, 0)
+        n = len(index.degree)
+        assert sorted(index.seed) == sorted(d * n + v for v, d in enumerate(index.degree))
+        assert all(
+            index.seed[i] <= index.seed[c]
+            for i in range(n) for c in (2 * i + 1, 2 * i + 2) if c < n
+        )
+
+    def test_replace_tables_shares_seeds_and_kinds(self):
+        fg = self.model()
+        # a transposed view of the old shape: the factor copies it C-ordered
+        tables = {"f1": np.full(2, 0.5), "f2": np.full((2, 2, 2), 0.5).transpose(2, 0, 1)}
+        new = replace_tables(fg, tables)
+        assert new._index.degree is fg._index.degree
+        assert new._index.seed is fg._index.seed
+        assert new._kinds is fg._kinds
+        assert list(new._kinds) == _kinds([f.table for f in new.factors], {})
+
+    def test_kinds_follow_layouts(self):
+        # tables of one shape share a layout: a factor holds its table in
+        # C order, be it given a transposed view
+        assert len(set(self.model()._kinds)) == 3
+        twin = FactorGraph(
+            (RandomVariable("A", ("a", "b")), RandomVariable("B", ("a", "b"))),
+            (
+                Factor("g0", ("A", "B"), np.ones((2, 2))),
+                Factor("g1", ("B", "A"), np.arange(1.0, 5.0).reshape(2, 2).T),
+                Factor("g2", ("A",), np.ones(2)),
+            ),
+        )
+        assert twin._kinds[0] == twin._kinds[1] != twin._kinds[2]
 
 
 class TestReplaceTables:
