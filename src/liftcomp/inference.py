@@ -23,10 +23,14 @@ spot. On stars of chains that is near-linear in n, and the fixed cost of
 each numpy call, not arithmetic, dominates.
 
 So the walk plans, sorting buckets into batches of like buckets (the
-same table shapes and argument wiring, up to renaming), and _eliminate
-then executes each batch as stacked arrays, one row per bucket: one
-broadcast multiply per bucket position, one np.multiply.reduce fold per
-run of like items, and one np.add.reduce. Alike branches of a star share
+same table shapes and argument wiring, up to renaming). A bucket's batch
+key has one of three forms, told apart by length: (kind, axis) for one
+item, (kind, kind, axis) for a chain step (an item, then one over the
+eliminated RV alone), and its length, kinds and argument wiring, at
+least 7 long, for any other bucket. _eliminate then executes each
+batch as stacked arrays, one row per bucket: one broadcast multiply per
+bucket position, one np.multiply.reduce fold per run of like items, and
+one np.add.reduce. Alike branches of a star share
 their numpy calls, so the number of calls stays flat as branches are
 added, and every output cell gets the same multiplies and sums in the
 same order: results and ops are bit-identical to one bucket at a time.
@@ -340,7 +344,8 @@ class _Store:
             return np.ones(n_labels), 0
         first = self.table(rest[0])
         (args, table), cost = self.product((self.args[rest[0]], first), [rest], 1)
-        assert len(args) <= 1, args
+        if len(args) > 1:
+            raise InvariantError(f"items left after elimination span {len(args)} RVs")
         return (np.full(n_labels, float(table)) if args == () else table), first.size + cost
 
     def _run(self, acc: Item, members: list[list[int]], start: int, end: int) -> tuple[Item, int]:
@@ -405,11 +410,18 @@ def _eliminate(
     Plan, in the same walk: items are numbered in creation order (the
     inputs, then each message), so the picked RV's bucket is its live
     input holders, then its live messages, in order. A bucket's signature
-    is each item's kind (an input's layout number, or the batch that made
-    a message) and its items' arguments numbered by first occurrence from
-    the eliminated RV; buckets of one signature form one batch. A batch's
-    signature names the batches it reads, so running batches in the order
-    they formed respects every dependency.
+    is its length, each item's kind (an input's layout number, or the
+    batch that made a message) and its items' arguments numbered by first
+    occurrence from the eliminated RV; buckets of one signature form one
+    batch. A kind fixes its item's arity (a layout its shape, a batch its
+    message's scope), so two forms take a shorter key with no numbering:
+    one item by (kind, axis), the eliminated RV's axis in it, and a chain
+    step, an item and then one over the eliminated RV alone, by (kind,
+    kind, axis). Each short key stands for one signature, and the lengths
+    (2, 3, and at least 7 for a signature, whose second item holds another
+    RV when there are two) keep the forms apart, so the batches are those
+    of the signatures. A batch's key names the batches it reads, so
+    running batches in the order they formed respects every dependency.
 
     Execute: a batch stacks each bucket position's items along a new
     leading axis, makes one broadcast multiply per position (one fold per
@@ -464,17 +476,23 @@ def _eliminate(
         around = list(filter(is_open, neighbours[name]))
         if name in fill:
             around += filter(is_open, fill.pop(name))
-        for u, w in itertools.combinations(around, 2):
-            # adjacent already: in a scope, or by an earlier fill-in edge
-            if w in neighbours[u] or w in fill.get(u, ()):
-                continue
-            fill.setdefault(u, set()).add(w)
-            fill.setdefault(w, set()).add(u)
-            degree[u] += 1
-            degree[w] += 1
-        for u in around:
+        if len(around) == 1:
+            # one neighbour left: no pair to join
+            u = around[0]
             degree[u] -= 1
             heapq.heappush(heap, degree[u] * n + u)
+        else:
+            for u, w in itertools.combinations(around, 2):
+                # adjacent already: in a scope, or by an earlier fill-in edge
+                if w in neighbours[u] or w in fill.get(u, ()):
+                    continue
+                fill.setdefault(u, set()).add(w)
+                fill.setdefault(w, set()).add(u)
+                degree[u] += 1
+                degree[w] += 1
+            for u in around:
+                degree[u] -= 1
+                heapq.heappush(heap, degree[u] * n + u)
         bucket = list(filter(is_live, holders[name]))
         if name in messages:
             bucket += filter(is_live, messages.pop(name))
@@ -503,6 +521,14 @@ def _eliminate(
             axis = args.index(name)
             # distinct arguments: the kind's rank and the axis fix the wiring
             signature: tuple = (kinds[i], axis)
+            message = args[:axis] + args[axis + 1 :]
+        elif len(bucket) == 2 and len(args_of[bucket[1]]) == 1:
+            # a chain step: an item, then one over the eliminated rv alone
+            i, j = bucket
+            live[i] = live[j] = False
+            args = args_of[i]
+            axis = args.index(name)
+            signature = (kinds[i], kinds[j], axis)
             message = args[:axis] + args[axis + 1 :]
         else:
             flat = (name,)

@@ -111,6 +111,22 @@ def test_noqa_import_check_catches_one():
     assert noqa_imports("import os\n") == []
 
 
+def assert_lines(source: str) -> list[int]:
+    """Lines holding an assert statement."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # python -O strips asserts; an invariant raises a typed error instead
+    assert assert_lines(path.read_text()) == [], f"{path.name} checks with assert"
+
+
+def test_assert_check_catches_one():
+    assert assert_lines("x = 1\nassert x, 'x'\nif x:\n    assert x > 0\n") == [2, 4]
+    assert assert_lines("assertion = 'assert x'\n") == []
+
+
 def test_one_min_degree_walk():
     # variable elimination orders and plans in one walk over the model's
     # index: one heap loop in inference.py, and no separate order pass

@@ -264,6 +264,41 @@ def reference_min_degree_order(scopes, eliminable):
     return order
 
 
+def reference_plan(scopes, tables, eliminable):
+    """Each message's (batch, scope) when the reference order's buckets batch by signature.
+
+    Items are numbered in creation order, inputs first, and a bucket is
+    its RV's live items in that order. An input's kind numbers its
+    layout (shape and strides), a message's is its batch. A bucket's
+    signature is its length, its items' kinds and their arguments
+    numbered by first occurrence from the eliminated RV; buckets of one
+    signature share a batch, numbered as batches first appear. A
+    message's scope is its bucket's arguments less the eliminated RV, in
+    order of first occurrence.
+    """
+    layouts: dict = {}
+    kinds = [("input", layouts.setdefault((t.shape, t.strides), len(layouts))) for t in tables]
+    items = list(scopes)
+    live = [True] * len(items)
+    batches: dict = {}
+    plan = []
+    for name in reference_min_degree_order(scopes, eliminable):
+        bucket = [i for i, args in enumerate(items) if live[i] and name in args]
+        if not bucket:
+            continue
+        flat = [name] + [a for i in bucket for a in items[i]]
+        first = list(dict.fromkeys(flat))
+        signature = (len(bucket), *(kinds[i] for i in bucket), *map(first.index, flat))
+        batch = batches.setdefault(signature, len(batches))
+        plan.append((batch, tuple(first[1:])))
+        for i in bucket:
+            live[i] = False
+        items.append(tuple(first[1:]))
+        kinds.append(("message", batch))
+        live.append(True)
+    return plan
+
+
 def reference_eliminate(items, order, sizes, target):
     ops = 0
     for name in order:
@@ -442,6 +477,76 @@ def regime(planned):
         yield
 
 
+def check_plan(store, index, items, target, held=()):
+    """A planned _eliminate's messages have the reference plan's batches and scopes.
+
+    items are the inputs as (argument numbers, table) pairs, the held
+    RVs clamped out; store is what _eliminate returned for them.
+    """
+    scopes = [args for args, _ in items]
+    eliminable = set(index.number.values()) - {target} - set(held)
+    expected = reference_plan(scopes, [table for _, table in items], eliminable)
+    made = range(len(items), len(store.args))
+    assert [(~store.kind[m], store.args[m]) for m in made] == expected
+
+
+def check_model_plan(fg, q):
+    """check_plan on the _eliminate call query_ve makes, the model's kinds included."""
+    stores = []
+
+    def recorded(*args, _call=inference._eliminate):
+        result = _call(*args)
+        stores.append(result[0])
+        return result
+
+    index = fg._index
+    held = {index.number[v]: fg.rv(v).index_of(label) for v, label in q.evidence.items}
+    items = [clamp(args, f.table, held) for args, f in zip(index.args, fg.factors)]
+    with regime(planned=True), mock.patch.object(inference, "_eliminate", recorded):
+        query_ve(fg, q)
+    check_plan(stores[0], index, items, index.number[q.target], held)
+
+
+def hand_built_buckets(case, rng):
+    """Items over chains hung on the hub H whose buckets take one shape, in two wirings.
+
+    Every RV has two labels, so a wiring's items share their kinds and
+    only the argument order tells its buckets apart.
+    """
+    items = []
+    for c in range(8):
+        a, b = f"A{c}", f"B{c}"
+        flip = c % 2
+
+        def table(*args):
+            return args, rng.uniform(0.5, 1.5, (2,) * len(args))
+
+        if case == "link then unary":
+            # a chain step: B's bucket is its link, then its unary input
+            items += [table(*(("H", b), (b, "H"))[flip]), table(b)]
+        elif case == "unary then wide":
+            items += [table(b), table(*(("H", b), (b, "H"))[flip])]
+        elif case == "wide message, unary input":
+            # A goes first; B's bucket is its unary input, then the message over B and H
+            items += [table(b), table(*((a, b, "H"), (a, "H", b))[flip])]
+        elif case == "two unary":
+            # the leaf A goes first; B's bucket is its unary input, then the
+            # message over B, or two unary inputs
+            items += [table(b), table(b, a) if flip else table(b)]
+        elif case == "second shares another rv":
+            items += [table(a, b), table(*((a, b), (b, a))[flip]), table(b, "H")]
+        else:
+            raise ValueError(case)
+    sizes = dict.fromkeys({v for args, _ in items for v in args} | {"H"}, 2)
+    return items, sizes
+
+
+BUCKET_SHAPES = [
+    "link then unary", "unary then wide", "wide message, unary input", "two unary",
+    "second shares another rv",
+]
+
+
 class TestIndexedElimination:
     @settings(max_examples=300, deadline=None)
     @given(case=ve_cases())
@@ -449,6 +554,7 @@ class TestIndexedElimination:
         for planned in (False, True):
             with regime(planned):
                 check_against_reference(*case)
+        check_model_plan(*case)
 
     @settings(max_examples=300, deadline=None)
     @given(case=ve_cases(star=True))
@@ -456,6 +562,27 @@ class TestIndexedElimination:
         for planned in (False, True):
             with regime(planned):
                 check_against_reference(*case)
+        check_model_plan(*case)
+
+    def test_result_over_two_rvs_is_a_typed_error(self):
+        # every item left over after elimination spans the target or nothing
+        store = inference._Store([(0,), (0, 1)], [np.ones(2), np.ones((2, 3))], [0, 1])
+        with pytest.raises(InvariantError, match="span 2 RVs"):
+            store.result([0, 1], 2)
+
+    @pytest.mark.parametrize("case", BUCKET_SHAPES)
+    @pytest.mark.parametrize("target", ["H", "B0"])
+    def test_plan_on_hand_built_buckets(self, case, target):
+        items, sizes = hand_built_buckets(case, np.random.default_rng(0))
+        index = _index_scopes(sizes, [args for args, _ in items])
+        with regime(planned=True):
+            store, _, _, _ = inference._eliminate(
+                list(index.args), [table for _, table in items], index, index.number[target], ()
+            )
+            order, vector, ops = walk(items, sizes, target)
+        check_plan(store, index, list(zip(index.args, (t for _, t in items))), index.number[target])
+        ref_vector, ref_ops = reference_eliminate(items, order, sizes, target)
+        assert (vector.tobytes(), ops) == (ref_vector.tobytes(), ref_ops)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_transposed_inputs_keep_their_layout(self, seed):
