@@ -19,13 +19,13 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
 from .bounds import bound_tight, distance_exact, modified_factor_count
 from .eacp import run_eacp
-from .equivalence import check_epsilon, check_positive_int
+from .equivalence import check_count, check_epsilon, check_positive_int
 from .errors import EnumerationCapError, InvariantError
 from .inference import Query, query_lifted_star, query_ve
 from .model import Evidence, Factor, FactorGraph, RandomVariable, replace_tables
@@ -169,17 +169,12 @@ def _sample_queries(
     return queries
 
 
-def _check_query_count(n_queries: int) -> None:
-    if isinstance(n_queries, bool) or not isinstance(n_queries, Integral) or n_queries < 0:
-        raise InvariantError(f"query count must be a non-negative int, got {n_queries!r}")
-
-
 def run_experiment(
     cfg: GenConfig,
     n_queries: int = 5,
     skip_exact: bool = False,
 ) -> ExperimentRecord:
-    _check_query_count(n_queries)
+    n_queries = check_count(n_queries, "query count")
     base = generate_fg(cfg)
     m = perturb(base, cfg)
 
@@ -216,9 +211,6 @@ def run_experiment(
         except EnumerationCapError:
             pass  # above the cap: d_exact stays blank
 
-    n_modified = modified_factor_count(m, comp.m_prime)
-    certified = bound_tight(n_modified, cfg.eps) if n_modified else 0.0
-
     q_hub = Query(HUB)
     t0 = time.perf_counter()
     query_ve(m, q_hub)
@@ -239,7 +231,7 @@ def run_experiment(
         compression_ratio=n_groups / n_factors,
         queries=tuple(outcomes),
         d_exact=d_exact,
-        bound_tight=certified,
+        bound_tight=bound_tight(modified_factor_count(m, comp.m_prime), cfg.eps),
         t_eacp=t_eacp,
         t_acp=t_acp,
         t_ground_query=t_ground,
@@ -255,7 +247,7 @@ def run_grid(
     jobs: int | None = None,
 ) -> list[ExperimentRecord]:
     """One record per config; jobs > 1 runs them in that many worker processes."""
-    _check_query_count(n_queries)
+    n_queries = check_count(n_queries, "query count")
     if jobs is not None:
         jobs = check_positive_int(jobs, "job count")
     run = partial(run_experiment, n_queries=n_queries, skip_exact=skip_exact)
@@ -298,40 +290,27 @@ CSV_COLUMNS = (
 def emit_csv(records: list[ExperimentRecord]) -> bytes:
     """One row per (record, query), query cells blank without one; header always present.
 
-    csv writes a float by its repr and None as a blank cell.
+    Each column takes the config's, the record's or the query's field of
+    its name; only the four cells whose name or format differs are built
+    here. csv writes a float by its repr and None as a blank cell.
     """
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, CSV_COLUMNS, restval="", lineterminator="\n")
+    writer = csv.DictWriter(
+        buf, CSV_COLUMNS, restval="", extrasaction="ignore", lineterminator="\n"
+    )
     writer.writeheader()
     for rec in records:
-        cfg = rec.config
         row = {
-            "k": cfg.k,
-            "x": cfg.x,
-            "eps": cfg.eps,
-            "seed": cfg.seed,
-            "guarantee_pairwise": "true" if cfg.guarantee_pairwise else "false",
-            "n_rvs": rec.n_rvs,
-            "n_factors": rec.n_factors,
-            "n_groups": rec.n_groups,
-            "compression_ratio": rec.compression_ratio,
-            "d_exact": rec.d_exact,
-            "bound_tight": rec.bound_tight,
-            "t_eacp": rec.t_eacp,
-            "t_acp": rec.t_acp,
-            "t_ground_query": rec.t_ground_query,
-            "t_lifted_query": rec.t_lifted_query,
-            "alpha_substitute": rec.alpha_substitute,
+            **vars(rec.config),
+            **vars(rec),
+            "guarantee_pairwise": "true" if rec.config.guarantee_pairwise else "false",
         }
         queries = [
             {
+                **vars(q),
                 "query_index": q.index,
-                "target": q.target,
                 "target_value": q.value,
                 "evidence": ";".join(f"{rv}={val}" for rv, val in q.evidence),
-                "p_ground": q.p_ground,
-                "p_compressed": q.p_compressed,
-                "quotient": q.quotient,
             }
             for q in rec.queries
         ]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equivalence import check_epsilon, check_positive_int
+from .equivalence import check_count, check_epsilon, check_positive_int
 from .errors import InvariantError
 from .model import Factor, FactorGraph, RandomVariable, joint_table
 
@@ -44,7 +44,7 @@ __all__ = [
 
 def bound_general(m: int, eps: float) -> float:
     """m * (ln(1+eps) - ln(1-eps)): every entry ratio lies in [1-eps, 1+eps]."""
-    m = check_positive_int(m, "modified-factor count")
+    m = check_count(m, "modified-factor count")
     eps = check_epsilon(eps)
     return m * (math.log1p(eps) - math.log1p(-eps))
 
@@ -56,17 +56,24 @@ def bound_tight(m: int, eps: float) -> float:
     extreme drags the mean of its group along; the attainable per-factor
     ratio extremes shrink to alpha1 = (1+eps/m)/(1+eps) from below and
     alpha2 = 1+(m-1)/m*eps from above. At m = 1 the expression is 0: a
-    lone factor can only be averaged with itself.
+    lone factor can only be averaged with itself. At m = 0 nothing was
+    modified and the bound is 0.
     """
-    m = check_positive_int(m, "modified-factor count")
+    m = check_count(m, "modified-factor count")
     eps = check_epsilon(eps)
+    if m == 0:
+        return 0.0
     inner = math.log1p((m - 1) / m * eps) + math.log1p(eps) - math.log1p(eps / m)
     return m * inner
 
 
 @dataclass(frozen=True)
 class BoundSet:
-    """Both certificates plus the per-factor ratio extremes they rest on."""
+    """Both certificates plus the per-factor ratio extremes they rest on.
+
+    m = 0 is the compression that modified no table: both certificates
+    are 0 and both ratio extremes are 1.
+    """
 
     m: int
     eps: float
@@ -78,7 +85,7 @@ class BoundSet:
     def __post_init__(self) -> None:
         if not self.alpha1 <= 1.0 <= self.alpha2:
             raise InvariantError("ratio extremes must straddle 1")
-        if self.eps > 0.0:
+        if self.m > 0 and self.eps > 0.0:
             middle = 2 * self.m * math.log1p(self.eps)
             if not self.d_tight < middle < self.d_general:
                 raise InvariantError(
@@ -87,8 +94,10 @@ class BoundSet:
 
 
 def bound_set(m: int, eps: float) -> BoundSet:
-    m = check_positive_int(m, "modified-factor count")
+    m = check_count(m, "modified-factor count")
     eps = check_epsilon(eps)
+    if m == 0:
+        return BoundSet(0, eps, 0.0, 0.0, 1.0, 1.0)
     alpha1 = (1.0 + eps / m) / (1.0 + eps)
     alpha2 = 1.0 + (m - 1) / m * eps
     return BoundSet(m, eps, bound_general(m, eps), bound_tight(m, eps), alpha1, alpha2)

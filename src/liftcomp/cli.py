@@ -155,30 +155,19 @@ def cmd_bound(args: argparse.Namespace) -> int:
                 "argmax_assignment": report.argmax_assignment,
                 "argmin_assignment": report.argmin_assignment,
             }
-    if m == 0:
-        d_general = d_tight = 0.0
-        alpha1 = alpha2 = 1.0
-    else:
-        bounds = bound_set(m, eps)
-        d_general, d_tight = bounds.d_general, bounds.d_tight
-        alpha1, alpha2 = bounds.alpha1, bounds.alpha2
+    bounds = bound_set(m, eps)
     _emit(
         {
-            "m": m,
-            "eps": eps,
-            "d_general": d_general,
-            "d_tight": d_tight,
-            "alpha1": alpha1,
-            "alpha2": alpha2,
+            **vars(bounds),
             "odds_envelopes": {
-                "general": list(odds_envelope(d_general)),
-                "tight": list(odds_envelope(d_tight)),
+                "general": list(odds_envelope(bounds.d_general)),
+                "tight": list(odds_envelope(bounds.d_tight)),
             },
             "distance": distance,
         }
     )
     print(
-        f"m={m} eps={eps}: d_tight={d_tight:.6g} <= d_general={d_general:.6g}",
+        f"m={m} eps={eps}: d_tight={bounds.d_tight:.6g} <= d_general={bounds.d_general:.6g}",
         file=sys.stderr,
     )
     return 0

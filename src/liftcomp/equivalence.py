@@ -90,6 +90,13 @@ def check_epsilon(eps: float) -> float:
     return eps
 
 
+def check_count(value: int, what: str) -> int:
+    """value as an int, for an integral, non-bool value >= 0."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+        raise InvariantError(f"{what} must be a non-negative int, got {value!r}")
+    return operator.index(value)
+
+
 def check_positive_int(value: int, what: str) -> int:
     """value as an int, for an integral, non-bool value >= 1."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:

@@ -87,17 +87,15 @@ def _build(path: str, make: Callable[..., T], *args: Any, at: int | None = None)
         raise ModelFormatError(f"{where}: {exc}") from None
 
 
-def _table_entries(table_raw: list, path: str) -> list[float]:
-    """The entries as floats, checked one by one to name a faulty entry."""
-    values = []
+def _fail_table_entry(table_raw: list, path: str) -> None:
+    """Fail at the first entry that is not a number or leaves float64."""
     for j, v in enumerate(table_raw):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             _fail(f"{path}[{j}]", "expected a number")
         try:
-            values.append(float(v))
+            float(v)
         except OverflowError:
             _fail(f"{path}[{j}]", "number outside the float64 range")
-    return values
 
 
 def load_fg(data: bytes | str) -> FactorGraph:
@@ -162,13 +160,14 @@ def load_fg(data: bytes | str) -> FactorGraph:
                 f"(product of argument range sizes)",
             )
         # numpy would convert a bool, a numeric string or None too, so it
-        # converts only tables of numbers; an int past float64 overflows
+        # converts only tables of numbers; an int past float64 overflows.
+        # Either way some entry is bad, and the check names the first one.
         try:
             if not {int, float}.issuperset(map(type, table_raw)):
                 raise TypeError("a table entry is not a number")
             table = np.array(table_raw, dtype=np.float64)
         except (TypeError, OverflowError):
-            table = np.array(_table_entries(table_raw, f"factors[{i}].table"))
+            _fail_table_entry(table_raw, f"factors[{i}].table")
         # shaped in place, the array still owns its data: once frozen,
         # Factor keeps it without a second copy
         table.shape = shape

@@ -6,10 +6,12 @@ import csv
 import io
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import liftcomp.bench
 from liftcomp import (
     CSV_COLUMNS,
     EPS_DOMAIN,
@@ -180,6 +182,25 @@ class TestRunExperiment:
         rec = run_experiment(GenConfig(k=128, x=0.1, eps=0.1, seed=0), skip_exact=True)
         assert len(rec.queries) == 5
         assert isinstance(rec.t_lifted_query, float) and rec.t_lifted_query > 0.0
+
+    @pytest.mark.parametrize(
+        "t_ground, t_lifted, alpha",
+        [(0.5, 0.25, 8.0), (0.25, 0.5, None), (0.5, 0.5, None)],
+    )
+    def test_alpha_substitute(self, monkeypatch, t_ground, t_lifted, alpha):
+        # the clock reads eacp 3 s, acp 1 s, then the two hub queries; alpha
+        # is (t_eacp - t_acp) / (t_ground - t_lifted) when the lifted query
+        # is faster, and blank otherwise
+        ticks = [0.0, 3.0, 10.0, 11.0, 20.0, 20.0 + t_ground, 30.0, 30.0 + t_lifted]
+        clock = SimpleNamespace(perf_counter=iter(ticks).__next__)
+        monkeypatch.setattr(liftcomp.bench, "time", clock)
+        cfg = GenConfig(k=2, x=0.5, eps=0.1, seed=17)
+        rec = run_experiment(cfg, n_queries=0, skip_exact=True)
+        assert (rec.t_eacp, rec.t_acp) == (3.0, 1.0)
+        assert (rec.t_ground_query, rec.t_lifted_query) == (t_ground, t_lifted)
+        assert rec.alpha_substitute == alpha
+        (row,) = csv.DictReader(io.StringIO(emit_csv([rec]).decode("utf-8")))
+        assert row["alpha_substitute"] == ("" if alpha is None else repr(alpha))
 
     def test_skip_exact(self):
         cfg = GenConfig(k=2, x=0.5, eps=0.1, seed=17)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from liftcomp import (
+    EPS_DOMAIN,
     BoundSet,
     DistanceReport,
     EnumerationCapError,
@@ -31,7 +32,7 @@ from liftcomp import (
 )
 from liftcomp import bounds
 
-from conftest import mixed_range_model, random_model, sales_model
+from conftest import free_star, mixed_range_model, random_model, sales_model, star_model
 
 
 class TestClosedForms:
@@ -70,7 +71,7 @@ class TestClosedForms:
             assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_m_validation(self):
-        for bad in (0, -1, 2.0, True):
+        for bad in (-1, 2.0, True):
             with pytest.raises((InvariantError, TypeError)):
                 bound_general(bad, 0.1)
 
@@ -85,9 +86,23 @@ class TestBoundSet:
     def test_integral_m(self):
         assert bound_set(np.int64(2), 0.1) == bound_set(2, 0.1)
         assert type(bound_set(np.int64(2), 0.1).m) is int
-        for m in (True, np.True_, 2.0, "2", 0, np.int64(-1)):
-            with pytest.raises(InvariantError, match="positive int"):
+        for m in (True, np.True_, 2.0, "2", np.int64(-1)):
+            with pytest.raises(InvariantError, match="non-negative int"):
                 bound_set(m, 0.1)
+
+    def test_nothing_modified(self):
+        # m = 0 is every compression at eps = 0: both certificates are 0
+        for eps in (0.0, *EPS_DOMAIN):
+            assert bound_set(0, eps) == BoundSet(0, eps, 0.0, 0.0, 1.0, 1.0)
+            assert bound_general(0, eps) == bound_tight(0, eps) == 0.0
+        for fg in (sales_model(), star_model(8, 3), free_star(4, 3)):
+            m = modified_factor_count(fg, run_eacp(fg, 0.0).m_prime)
+            assert bound_set(m, 0.1) == BoundSet(0, 0.1, 0.0, 0.0, 1.0, 1.0)
+        for bad in (-1, True, np.True_, 2.0, "2"):
+            for bound in (bound_general, bound_tight, bound_set):
+                with pytest.raises(InvariantError):
+                    bound(bad, 0.1)
+
     def test_alpha_values(self):
         bs = bound_set(4, 0.1)
         assert bs.alpha1 == pytest.approx((1 + 0.1 / 4) / 1.1, abs=1e-15)

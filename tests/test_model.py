@@ -26,12 +26,21 @@ from liftcomp import (
     load_fg,
     replace_tables,
     resolve_cap,
+    run_eacp,
     save_fg,
+    save_pfg,
     worst_case_fg,
 )
 from liftcomp.model import _kinds, clamp
 
-from conftest import UNPARSEABLE_MODELS, free_star, mixed_range_model, random_model, sales_model
+from conftest import (
+    UNPARSEABLE_MODELS,
+    counting_model,
+    free_star,
+    mixed_range_model,
+    random_model,
+    sales_model,
+)
 
 
 class TestRandomVariable:
@@ -800,6 +809,14 @@ class TestIo:
             load_evidence(b'{"evidence": [{"rv": "X"}]}')
         with pytest.raises(ModelFormatError, match=r"^\$: missing key 'evidence'$"):
             load_evidence(b'{"observed": []}')
+
+    def test_pfg_file_lists_counted_positions(self, sales):
+        # ComA and ComB commute in phi1: its parfactor counts them, one
+        # histogram row per multiset of their labels
+        (counted,) = json.loads(save_pfg(run_eacp(counting_model(), 0.1).pfg))["parfactors"]
+        assert counted["crv"] == {"positions": [1, 2], "histograms": [[2, 0], [1, 1], [0, 2]]}
+        (plain,) = json.loads(save_pfg(run_eacp(sales, 0.1).pfg))["parfactors"]
+        assert plain["crv"] is None
 
     def test_invalid_utf8(self):
         with pytest.raises(ModelFormatError, match="^model: not valid UTF-8"):
