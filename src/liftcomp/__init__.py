@@ -43,7 +43,7 @@ from .bounds import (
     prob_envelope,
     worst_case_fg,
 )
-from .eacp import CompressionResult, run_acp, run_eacp
+from .eacp import CompressionResult, run_eacp
 from .equivalence import (
     ARITY_CAP,
     Alignment,
@@ -127,7 +127,6 @@ __all__ = [
     # pipelines
     "CompressionResult",
     "run_eacp",
-    "run_acp",
     # bounds
     "BoundSet",
     "DistanceReport",

@@ -24,9 +24,8 @@ first-member order; they and the round count are those of signing every
 node in every round. The loop runs on integer slots (RV numbers
 per factor, (factor, position) pairs per RV) built once before it; at
 the benchmark's sizes plain Python on these slots beats numpy, whose
-per-call cost exceeds the work. Initial factor colours are injected by
-the caller: run_eacp seeds with the phase-1 eps-groups, run_acp with
-initial_factor_colours_exact (bit-identical tables).
+per-call cost exceeds the work. The initial factor colours and their
+alignments are injected by the caller.
 
 Commutativity is detected by equivalence.commutative_blocks on a
 factor's table viewed in its group frame, with that frame's range
@@ -55,7 +54,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .equivalence import (
-    ARITY_CAP,
     Alignment,
     _permutations,
     aligned_args,
@@ -66,7 +64,7 @@ from .equivalence import (
     identity_alignment,
     unaligned_table,
 )
-from .errors import ArityCapError, InvariantError
+from .errors import InvariantError
 from .grouping import GroupMember, Grouping
 from .model import Evidence, Factor, FactorGraph, RandomVariable
 
@@ -151,8 +149,6 @@ def initial_factor_colours_exact(
 def _exact_match(
     table: np.ndarray, reps: Mapping[tuple[tuple[int, ...], bytes], int]
 ) -> tuple[int, Alignment] | None:
-    if table.ndim > ARITY_CAP:
-        raise ArityCapError(f"arity {table.ndim} exceeds permutation search cap {ARITY_CAP}")
     for perm in _permutations(table.ndim):
         view = aligned_table(table, perm)
         colour = reps.get((view.shape, view.tobytes()))
@@ -223,7 +219,6 @@ def colour_pass(
     rv_index = fg._rv_pos.__getitem__  # type: ignore[attr-defined]
     # per initial class: blocks to sort, and the position each slot sends
     class_slots: dict[int, tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = {}
-    f_perms: list[Alignment] = []
     f_args: list[tuple[int, ...]] = []
     f_sorts: list[tuple[tuple[int, ...], ...]] = []
     slots: list[list[tuple[int, int]]] = [[] for _ in fg.rvs]
@@ -253,7 +248,6 @@ def colour_pass(
         args = tuple(map(rv_index, frame_args))
         for a, pos in zip(args, positions):
             slots[a].append((fi, pos))
-        f_perms.append(perm)
         f_args.append(args)
         f_sorts.append(sorts)
         f_col.append(colour)
@@ -301,8 +295,8 @@ def colour_pass(
 
     # dicts keep insertion order: parts come in the order of their first members
     factor_groups: dict[int, list[GroupMember]] = {}
-    for f, perm, colour in zip(fg.factors, f_perms, f_col):
-        factor_groups.setdefault(colour, []).append(GroupMember(f.name, perm))
+    for f, colour in zip(fg.factors, f_col):
+        factor_groups.setdefault(colour, []).append(GroupMember(f.name, alignments[f.name]))
     rv_classes: dict[int, list[str]] = {}
     for rv, colour in zip(fg.rvs, rv_col):
         rv_classes.setdefault(colour, []).append(rv.name)

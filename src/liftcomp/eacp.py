@@ -1,8 +1,9 @@
 """End-to-end compression: one pipeline tail with two seedings.
 
 run_eacp seeds colour passing with the greedy eps-groups of phase 1
-when eps > 0; run_acp, the exact-equality baseline, seeds it with
-bit-identical tables up to argument permutation. Both then run the same
+(grouping.phase1_group) when eps > 0. At eps = 0, the exact-equality
+ACP baseline, it seeds with initial_factor_colours_exact: bit-identical
+tables up to argument permutation. Either seeding then runs the same
 tail: colour passing (evidence enters only here, as initial RV
 colours), the entrywise mean update per POST-refinement group, so
 factors that the graph structure split apart are averaged only within
@@ -11,21 +12,21 @@ updated ground model keeps the input's structure, argument order
 included; only tables change, and every updated entry is checked
 eps-equivalent to its original.
 
-At eps = 0 run_eacp seeds like run_acp, with initial_factor_colours_exact.
-phase1_group(factors, 0.0) finds the same groups, since its band test is
-then byte equality, but it tests each group's envelope, which is
-quadratic in the number of groups; the exact seeding looks a factor up in
-a hash of the representatives' (shape, table bytes), one lookup per
-permutation however many representatives there are. A hash is exact
-only at eps = 0, so above it phase 1 seeds.
+phase1_group(factors, 0.0) would find the groups of the exact seeding,
+since its band test is then byte equality, but it tests each group's
+envelope, which is quadratic in the number of groups; the exact seeding
+looks a factor up in a hash of the representatives' (shape, table
+bytes), one lookup per permutation however many representatives there
+are. A hash is exact only at eps = 0, so above it phase 1 seeds.
 
 A group whose aligned tables are bit-identical keeps them (the float
 mean of k copies is not always the copy): _phase3_update skips it, and
 grouping.mean_of_tables has no passthrough of its own. m_prime is fg
 itself when no entry changes. That always holds at eps = 0, where the
-exact seeding groups only bit-identical tables, and so for run_acp. At
-eps = 0 both pipelines run the same calls, so their groupings, parfactor
-graphs and models are identical.
+exact seeding groups only bit-identical tables.
+
+run_acp(fg) makes exactly the call run_eacp(fg, 0.0) makes. It is in no
+__all__ and stays only for perfbench, which times it by that name.
 
 A CompressionResult stores each fact once: the parfactor graph (final
 groups in order, members, their frame arguments, RV classes), m_prime
@@ -60,7 +61,7 @@ from .errors import InvariantError
 from .grouping import GroupMember, Grouping, mean_of_tables, phase1_group
 from .model import Evidence, FactorGraph, replace_tables
 
-__all__ = ["CompressionResult", "run_eacp", "run_acp"]
+__all__ = ["CompressionResult", "run_eacp"]
 
 
 @dataclass(frozen=True, eq=False)

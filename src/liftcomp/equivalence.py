@@ -25,9 +25,10 @@ one-row BandStack.
 
 Two factors are eps-equivalent when some permutation of argument
 positions aligns their tables entrywise under that test. band_matches
-tests the range-compatible permutations (arity capped at 8) together
-and keeps the first hit in lexicographic order, so the identity wins
-whenever it is valid.
+tests the range-compatible permutations together and keeps the first
+hit in lexicographic order, so the identity wins whenever it is valid.
+Both seedings enumerate permutations through _permutations, which
+enforces ARITY_CAP = 8: it raises ArityCapError for a larger arity.
 
 An alignment `perm` is a tuple with the meaning of Def-style
 permutations: position j of the right-hand factor receives the left
@@ -112,6 +113,14 @@ def identity_alignment(arity: int) -> Alignment:
 
 @lru_cache(maxsize=ARITY_CAP + 1)
 def _permutations(arity: int) -> tuple[Alignment, ...]:
+    """Every permutation of range(arity), in lexicographic order.
+
+    Both seedings search through this one enumerator, so it is where
+    ARITY_CAP is enforced: ArityCapError above it. The cache answers
+    every later call of an allowed arity without the check.
+    """
+    if arity > ARITY_CAP:
+        raise ArityCapError(f"arity {arity} exceeds permutation search cap {ARITY_CAP}")
     return tuple(permutations(range(arity)))
 
 
@@ -248,8 +257,8 @@ def eps_equiv_factors(f1: Factor, f2: Factor, eps: float) -> Alignment | None:
     """Witness alignment of f2 onto f1 under the entrywise test, or None.
 
     band_matches against a one-row stack holding f1: the lexicographically
-    first witness, None on an arity mismatch, ArityCapError above
-    ARITY_CAP.
+    first witness, None on an arity mismatch, ArityCapError (from
+    _permutations) above ARITY_CAP.
     """
     stack = BandStack(f1.table.shape)
     stack.append(0, f1.table)
@@ -290,7 +299,8 @@ def band_matches(
     eps_band_mask call on the table's views under every range-compatible
     permutation at once (one call per permutation when they are too many
     to stack), and each row keeps its first hit in lexicographic order.
-    Arity above ARITY_CAP is refused as soon as one such stack exists.
+    Arity above ARITY_CAP is refused, by _permutations, as soon as one
+    such stack exists.
     """
     eps = check_epsilon(eps)
     arity = table.ndim
@@ -298,8 +308,6 @@ def band_matches(
     for stack in stacks:
         if len(stack.shape) != arity:
             continue
-        if arity > ARITY_CAP:
-            raise ArityCapError(f"arity {arity} exceeds permutation search cap {ARITY_CAP}")
         perms, index = _fitting_views(stack.shape, table.shape)
         if not perms:
             continue

@@ -50,8 +50,9 @@ Member counts only grow, so their sum over the candidates, compared
 with its value after the join, tells whether any candidate has grown. A
 join is recorded only for a table seen before, so inputs without repeats
 pay one tobytes and a few set and dict operations per factor. No table
-above ARITY_CAP ever has a join to reuse: band_matches raises as soon as
-a group of its arity exists, so such a table can only open a group.
+above ARITY_CAP ever has a join to reuse: _permutations, which enforces
+the cap, raises under band_matches as soon as a group of its arity
+exists, so such a table can only open a group.
 
 mean_of_tables is the update step: the entrywise arithmetic mean of the
 aligned tables, stacked along the first axis of one array. Its caller,

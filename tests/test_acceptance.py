@@ -31,11 +31,11 @@ from liftcomp import (
     query_lifted_star,
     query_ve,
     replace_tables,
-    run_acp,
     run_eacp,
     run_grid,
     worst_case_fg,
 )
+from liftcomp.eacp import run_acp
 from liftcomp.equivalence import eps_equiv_arrays
 from liftcomp.grouping import mean_of_tables
 

@@ -25,7 +25,6 @@ from liftcomp import (
     pfg_equal,
     phase1_group,
     replace_tables,
-    run_acp,
     run_eacp,
 )
 from liftcomp.acp import (
@@ -198,7 +197,7 @@ class TestColourPass:
 
 class TestCounting:
     def test_compaction_shape_and_cells(self, counting):
-        res = run_acp(counting)
+        res = run_eacp(counting, 0.0)
         crv, table = res.pfg.crvs[0], res.pfg.tables[0]
         assert crv is not None
         assert crv.positions == (1, 2)
@@ -207,11 +206,11 @@ class TestCounting:
         assert table.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
 
     def test_expand_round_trips(self, counting):
-        pfg = run_acp(counting).pfg
+        pfg = run_eacp(counting, 0.0).pfg
         assert np.array_equal(expand_crv(pfg.tables[0], pfg.crvs[0]), counting.factor("phi1").table)
 
     def test_ground_reproduces_model(self, counting):
-        res = run_acp(counting)
+        res = run_eacp(counting, 0.0)
         assert fg_equal(counting, ground(res.pfg))
 
     def test_no_compaction_when_classes_differ(self):
@@ -220,7 +219,7 @@ class TestCounting:
         rvs = base.rvs
         extra = Factor("only_a", ("ComA",), np.array([0.4, 0.6]))
         fg = FactorGraph(rvs, base.factors + (extra,))
-        res = run_acp(fg)
+        res = run_eacp(fg, 0.0)
         assert all(crv is None for crv in res.pfg.crvs)
 
     def test_no_compaction_when_not_exactly_invariant(self):
@@ -237,7 +236,7 @@ class TestCounting:
         assert crv == {}
 
     def test_histogram_axis_is_last(self, counting):
-        pfg = run_acp(counting).pfg
+        pfg = run_eacp(counting, 0.0).pfg
         # non-counted axes keep their order; histogram cells index the last axis
         assert pfg.member_args[0][0] == "Rev"
         assert pfg.tables[0].shape == (2, len(pfg.crvs[0].histograms))
@@ -252,7 +251,7 @@ class TestCounting:
 
     def test_round_trip_three_labels_three_positions(self):
         fg, values = three_label_counting_model(np.random.default_rng(7))
-        res = run_acp(fg)
+        res = run_eacp(fg, 0.0)
         crv, table = res.pfg.crvs[0], res.pfg.tables[0]
         assert crv.positions == (0, 2, 3)
         assert len(crv.histograms) == 10
@@ -367,7 +366,7 @@ class TestConstructPfg:
             construct_pfg(fg, grouping, classes, crv_specs)
 
     def test_member_args_recorded(self, sales):
-        res = run_acp(sales)
+        res = run_eacp(sales, 0.0)
         args = dict(zip(res.pfg.members, res.pfg.member_args))
         assert args["phi1"] == ("SalA", "Rev")
 
@@ -433,7 +432,7 @@ class TestGrounding:
         rng = np.random.default_rng(45)
         for _ in range(30):
             fg = random_model(rng, max_rvs=6, max_factors=6)
-            res = run_acp(fg)
+            res = run_eacp(fg, 0.0)
             g = ground(res.pfg)
             assert sorted(rv.name for rv in g.rvs) == sorted(rv.name for rv in fg.rvs)
             assert sorted(f.name for f in g.factors) == sorted(f.name for f in fg.factors)
@@ -445,8 +444,8 @@ class TestGrounding:
                     assert gf.table[gidx] == f.table[idx]
 
     def test_pfg_equal(self, sales):
-        a = run_acp(sales).pfg
-        b = run_acp(sales).pfg
+        a = run_eacp(sales, 0.0).pfg
+        b = run_eacp(sales, 0.0).pfg
         assert pfg_equal(a, b)
         tweaked = sales_model()
         import liftcomp
@@ -454,5 +453,5 @@ class TestGrounding:
         tweaked = liftcomp.replace_tables(
             tweaked, {"phi1": tweaked.factor("phi1").table * 1.001}
         )
-        c = run_acp(tweaked).pfg
+        c = run_eacp(tweaked, 0.0).pfg
         assert not pfg_equal(a, c)

@@ -10,6 +10,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import liftcomp.bench
 from liftcomp import (
@@ -19,13 +21,19 @@ from liftcomp import (
     GenConfig,
     InvariantError,
     K_DOMAIN,
+    Query,
     QueryOutcome,
     X_DOMAIN,
     bound_tight,
     emit_csv,
     fg_equal,
     generate_fg,
+    modified_factor_count,
     perturb,
+    prob_envelope,
+    query_lifted_star,
+    query_ve,
+    run_eacp,
     run_experiment,
     run_grid,
 )
@@ -184,20 +192,33 @@ class TestRunExperiment:
         assert isinstance(rec.t_lifted_query, float) and rec.t_lifted_query > 0.0
 
     @pytest.mark.parametrize(
-        "t_ground, t_lifted, alpha",
-        [(0.5, 0.25, 8.0), (0.25, 0.5, None), (0.5, 0.5, None)],
+        "ground, lifted, alpha",
+        [
+            pytest.param((0.5,) * 5, (0.25,) * 5, 8.0, id="0.5-0.25-8.0"),
+            pytest.param((0.25,) * 5, (0.5,) * 5, None, id="0.25-0.5-None"),
+            pytest.param((0.5,) * 5, (0.5,) * 5, None, id="0.5-0.5-None"),
+            # read alone, the slow first ground reading would fill the cell
+            pytest.param(
+                (4.5, 0.25, 0.25, 0.25, 0.25), (0.5,) * 5, None, id="slow-first-ground-reading"
+            ),
+        ],
     )
-    def test_alpha_substitute(self, monkeypatch, t_ground, t_lifted, alpha):
-        # the clock reads eacp 3 s, acp 1 s, then the two hub queries; alpha
-        # is (t_eacp - t_acp) / (t_ground - t_lifted) when the lifted query
-        # is faster, and blank otherwise
-        ticks = [0.0, 3.0, 10.0, 11.0, 20.0, 20.0 + t_ground, 30.0, 30.0 + t_lifted]
-        clock = SimpleNamespace(perf_counter=iter(ticks).__next__)
+    def test_alpha_substitute(self, monkeypatch, ground, lifted, alpha):
+        # the clock reads eacp 3 s, acp 1 s, then five readings of each hub
+        # query; each query takes its fastest reading, and alpha is
+        # (t_eacp - t_acp) / (t_ground - t_lifted) when the lifted query is
+        # faster, and blank otherwise
+        ticks = [0.0, 3.0, 10.0, 11.0]
+        for i, seconds in enumerate(ground + lifted):
+            ticks += [20.0 + 10.0 * i, 20.0 + 10.0 * i + seconds]
+        readings = iter(ticks)
+        clock = SimpleNamespace(perf_counter=readings.__next__)
         monkeypatch.setattr(liftcomp.bench, "time", clock)
         cfg = GenConfig(k=2, x=0.5, eps=0.1, seed=17)
         rec = run_experiment(cfg, n_queries=0, skip_exact=True)
+        assert next(readings, None) is None
         assert (rec.t_eacp, rec.t_acp) == (3.0, 1.0)
-        assert (rec.t_ground_query, rec.t_lifted_query) == (t_ground, t_lifted)
+        assert (rec.t_ground_query, rec.t_lifted_query) == (min(ground), min(lifted))
         assert rec.alpha_substitute == alpha
         (row,) = csv.DictReader(io.StringIO(emit_csv([rec]).decode("utf-8")))
         assert row["alpha_substitute"] == ("" if alpha is None else repr(alpha))
@@ -226,6 +247,39 @@ class TestRunExperiment:
         )
         expected = bound_tight(n_modified, cfg.eps) if n_modified else 0.0
         assert rec.bound_tight == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.sampled_from(K_DOMAIN),
+    x=st.sampled_from(X_DOMAIN),
+    eps=st.sampled_from(EPS_DOMAIN),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_declared_domain(k, x, eps, seed):
+    # run_experiment's library calls, skip_exact, on any cell and seed the
+    # package declares. The declared domain holds no input that a typed
+    # error is meant to refuse, so every call must answer, and any
+    # exception, a LiftcompError included, fails the example.
+    cfg = GenConfig(k=k, x=x, eps=eps, seed=seed)
+    m = perturb(generate_fg(cfg), cfg)
+    comp = run_eacp(m, eps)
+    assert fg_equal(run_eacp(m, 0.0).m_prime, m)
+    d = bound_tight(modified_factor_count(m, comp.m_prime), eps)
+    lo, hi = math.exp(-d) - 1e-9, math.exp(d) + 1e-9
+    for q in liftcomp.bench._sample_queries(m, cfg, 5):
+        p = query_ve(m, q).distribution[q.value]
+        assert lo <= query_ve(comp.m_prime, q).distribution[q.value] / p <= hi
+    hub = Query(liftcomp.bench.HUB)
+    ground = query_ve(m, hub).distribution
+    compressed = query_ve(comp.m_prime, hub).distribution
+    lifted = query_lifted_star(comp.pfg, hub.target, hub).distribution
+    for label, p in ground.items():
+        assert lo <= compressed[label] / p <= hi
+        # the caller's view: the ground answer lies in the compressed one's envelope
+        below, above = prob_envelope(compressed[label], d)
+        assert below - 1e-9 <= p <= above + 1e-9
+        assert abs(lifted[label] - compressed[label]) <= 1e-10
 
 
 class TestGridAndCsv:

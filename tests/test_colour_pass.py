@@ -14,7 +14,6 @@ from liftcomp import (
     RandomVariable,
     phase1_group,
     replace_tables,
-    run_acp,
     run_eacp,
 )
 from liftcomp import acp
@@ -293,7 +292,7 @@ class TestCommutativeDetection:
             Factor("a", ("A1", "A2", "A3"), table),
             Factor("b", ("B1", "B2", "C"), table),
         ))
-        pfg = run_acp(fg).pfg
+        pfg = run_eacp(fg, 0.0).pfg
         crv = {pfg.members[g.start]: c.positions for g, c in zip(pfg.groups(), pfg.crvs)}
         assert crv == {"a": (0, 1, 2), "b": (0, 1)}
 
@@ -361,7 +360,7 @@ class TestCommutativeDetection:
     def test_one_detection_per_key_on_an_acp_star(self, monkeypatch):
         fg = star_model(16, 3, seed=2)
         detections = _record_detections(monkeypatch)
-        run_acp(fg)
+        run_eacp(fg, 0.0)
         # three distinct tables, each detected once for colour passing and
         # never for counting
         keys = [key for key, _ in detections]

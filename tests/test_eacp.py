@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from liftcomp import (
+    ARITY_CAP,
+    ArityCapError,
     Evidence,
     Factor,
     FactorGraph,
@@ -22,12 +24,11 @@ from liftcomp import (
     perturb,
     pfg_equal,
     phase1_group,
-    run_acp,
     run_eacp,
     worst_case_fg,
 )
 from liftcomp.acp import colour_pass, initial_factor_colours_exact
-from liftcomp.eacp import _phase3_update
+from liftcomp.eacp import _phase3_update, run_acp
 from liftcomp.equivalence import (
     aligned_table,
     eps_equiv_arrays,
@@ -59,6 +60,16 @@ def exact_twin_star() -> FactorGraph:
     return FactorGraph(
         rvs, (Factor("a", ("H", "A"), t), Factor("b", ("H", "B"), t.copy()))
     )
+
+
+def wide_model(arities: dict[str, int]) -> FactorGraph:
+    """One factor per name, over binary RVs of its own, every table constant 0.5."""
+    rvs, factors = [], []
+    for name, arity in arities.items():
+        args = tuple(f"{name}{i}" for i in range(arity))
+        rvs += [RandomVariable(a, ("t", "f")) for a in args]
+        factors.append(Factor(name, args, np.full((2,) * arity, 0.5)))
+    return FactorGraph(tuple(rvs), tuple(factors))
 
 
 def reference_phase3(fg, grouping, eps):
@@ -216,7 +227,7 @@ class TestRunEacp:
 
 class TestRunAcp:
     def test_sales_exact_baseline(self, sales):
-        res = run_acp(sales)
+        res = run_eacp(sales, 0.0)
         assert group_names(res.grouping) == [["phi1"], ["phi2"]]
         assert res.m_prime is sales
         assert res.per_group_max_rel_dev == {0: 0.0, 1: 0.0}
@@ -228,19 +239,36 @@ class TestRunAcp:
         twin_table = sales.factor("phi1").table.copy()
         twin = liftcomp.Factor("twin", ("SalC", "Rev"), twin_table)
         fg = liftcomp.FactorGraph(sales.rvs + (salc,), sales.factors + (twin,))
-        res = run_acp(fg)
+        res = run_eacp(fg, 0.0)
         assert ["phi1", "twin"] in group_names(res.grouping)
 
     def test_exact_twins_return_the_input_model(self):
         fg = exact_twin_star()
-        res = run_acp(fg)
+        res = run_eacp(fg, 0.0)
         assert group_names(res.grouping) == [["a", "b"]]
         assert res.m_prime is fg
 
     def test_near_twins_are_not_exact_twins(self):
-        res = run_acp(near_twin_star())
+        res = run_eacp(near_twin_star(), 0.0)
         assert group_names(res.grouping) == [["a"], ["b"]]
         assert len(res.pfg.tables) == 2
+
+
+class TestArityCap:
+    # eps = 0 seeds by hashing tables and eps > 0 by the band test; both
+    # search permutations through one enumerator, which refuses an arity
+    # above ARITY_CAP with one message
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_two_wide_factors_raise(self, eps):
+        n = ARITY_CAP + 1
+        with pytest.raises(ArityCapError) as refused:
+            run_eacp(wide_model({"v": n, "w": n}), eps)
+        assert str(refused.value) == f"arity {n} exceeds permutation search cap {ARITY_CAP}"
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_lone_wide_factor_compresses(self, eps):
+        res = run_eacp(wide_model({"a": 2, "w": ARITY_CAP + 1, "b": 2}), eps)
+        assert group_names(res.grouping) == [["a", "b"], ["w"]]
 
 
 class TestBaselineAgreement:
@@ -321,7 +349,7 @@ class TestStoredOnce:
             phase1 = phase1_group(fg.factors, 0.1)
             seedings = (
                 (run_eacp(fg, 0.1), phase1.group_index(), phase1.alignments(), 0.1),
-                (run_acp(fg), *initial_factor_colours_exact(fg.factors), 0.0),
+                (run_eacp(fg, 0.0), *initial_factor_colours_exact(fg.factors), 0.0),
             )
             for comp, colours, alignments, eps in seedings:
                 cp = colour_pass(fg, colours, Evidence(), alignments=alignments, eps=eps)

@@ -6,6 +6,7 @@ import ast
 import importlib
 import pkgutil
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -15,6 +16,7 @@ MODULES = ["liftcomp"] + [
     f"liftcomp.{m.name}" for m in pkgutil.iter_modules(liftcomp.__path__)
 ]
 SOURCES = sorted(Path(liftcomp.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -90,19 +92,86 @@ def test_noqa_imports_are_the_perfbench_rebinds():
     }
 
 
+def sites(source: str, match: Callable[[ast.AST], bool]) -> list[str]:
+    """Where each node `match` accepts sits: its enclosing class and function names.
+
+    Names are joined by "::" in the manner of pytest ids; "<module>" for
+    a node outside any function or class.
+    """
+    found: list[str] = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if match(child):
+                found.append("::".join(scope) or "<module>")
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, scope + (child.name,) if named else scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def _names(node: ast.AST | None, name: str) -> bool:
+    return name in (getattr(node, "id", None), getattr(node, "attr", None))
+
+
+def calls_to(name: str) -> Callable[[ast.AST], bool]:
+    return lambda node: isinstance(node, ast.Call) and _names(node.func, name)
+
+
+def raises_of(name: str) -> Callable[[ast.AST], bool]:
+    # `raise E(...)` names E in its call, `raise E` directly
+    return lambda node: isinstance(node, ast.Raise) and _names(
+        getattr(node.exc, "func", node.exc), name
+    )
+
+
 def test_run_acp_is_called_only_from_outside_the_package():
-    # run_eacp(fg, 0.0) makes the same call; run_acp stays for perfbench and tests
-    defined, called = [], []
-    for p in SOURCES:
-        for node in ast.walk(ast.parse(p.read_text())):
-            if isinstance(node, ast.FunctionDef) and node.name == "run_acp":
-                defined.append(p.stem)
-            if isinstance(node, ast.Call) and "run_acp" in (
-                getattr(node.func, "id", None), getattr(node.func, "attr", None)
-            ):
-                called.append(p.stem)
+    # run_eacp(fg, 0.0) is the library's one spelling of the ACP baseline;
+    # run_acp stays for perfbench, and two tests pin it against that spelling
+    defined = [
+        p.stem for p in SOURCES for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "run_acp"
+    ]
     assert defined == ["eacp"]
-    assert called == []
+    called = [
+        f"{p.name}::{site}" for p in SOURCES + TESTS
+        for site in sites(p.read_text(), calls_to("run_acp"))
+    ]
+    assert called == [
+        "test_acceptance.py::test_06_zero_tolerance_reduces_to_exact_pipeline",
+        "test_eacp.py::TestBaselineAgreement::test_eps_zero_matches_exact_baseline",
+    ]
+    exporting = [
+        name for name in MODULES
+        if "run_acp" in getattr(importlib.import_module(name), "__all__", [])
+    ]
+    assert exporting == []
+
+
+def test_one_arity_cap_check():
+    # both seedings search permutations through one enumerator, and the
+    # cap is enforced there only
+    found = [
+        f"{p.stem}.{site}" for p in SOURCES
+        for site in sites(p.read_text(), raises_of("ArityCapError"))
+    ]
+    assert found == ["equivalence._permutations"]
+
+
+def test_site_check_catches_them():
+    source = (
+        "def f():\n"
+        "    raise ArityCapError('cap')\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        run_acp(fg)\n"
+        "        raise errors.ArityCapError\n"
+        "eacp.run_acp(fg)\n"
+        "raise InvariantError('cap')\n"
+    )
+    assert sites(source, raises_of("ArityCapError")) == ["f", "C::g"]
+    assert sites(source, calls_to("run_acp")) == ["C::g", "<module>"]
 
 
 def test_noqa_import_check_catches_one():
