@@ -249,7 +249,7 @@ class TestRunExperiment:
         assert rec.bound_tight == expected
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(
     k=st.sampled_from(K_DOMAIN),
     x=st.sampled_from(X_DOMAIN),
