@@ -113,10 +113,10 @@ class DistanceReport:
     """Exact distance with the assignments attaining the ratio extremes."""
 
     d_exact: float
-    argmax_assignment: dict[str, str]
-    argmin_assignment: dict[str, str]
     max_ratio: float
     min_ratio: float
+    argmax_assignment: dict[str, str]
+    argmin_assignment: dict[str, str]
 
     def __post_init__(self) -> None:
         _check_distance(self.d_exact)
@@ -183,10 +183,10 @@ def distance_exact(m1: FactorGraph, m2: FactorGraph) -> DistanceReport:
             min_ratio, lo_idx = slab_min, head + lo
     return DistanceReport(
         d_exact=math.log(max_ratio) - math.log(min_ratio),
-        argmax_assignment={rv.name: rv.range[k] for rv, k in zip(m1.rvs, hi_idx)},
-        argmin_assignment={rv.name: rv.range[k] for rv, k in zip(m1.rvs, lo_idx)},
         max_ratio=max_ratio,
         min_ratio=min_ratio,
+        argmax_assignment={rv.name: rv.range[k] for rv, k in zip(m1.rvs, hi_idx)},
+        argmin_assignment={rv.name: rv.range[k] for rv, k in zip(m1.rvs, lo_idx)},
     )
 
 

@@ -144,17 +144,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
             except InvariantError as exc:
                 raise LiftcompError(f"{exc}; pass --m") from None
         try:
-            report = distance_exact(m1, m2)
+            distance = vars(distance_exact(m1, m2))
         except EnumerationCapError:
             print("state space above enumeration cap; skipping d_exact", file=sys.stderr)
-        else:
-            distance = {
-                "d_exact": report.d_exact,
-                "max_ratio": report.max_ratio,
-                "min_ratio": report.min_ratio,
-                "argmax_assignment": report.argmax_assignment,
-                "argmin_assignment": report.argmin_assignment,
-            }
     bounds = bound_set(m, eps)
     _emit(
         {

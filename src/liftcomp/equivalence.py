@@ -203,6 +203,14 @@ def eps_band_mask(lo: np.ndarray, hi: np.ndarray, table: np.ndarray, eps: float)
     return ok.all(axis=tuple(range(ok.ndim - lo.ndim + 1, ok.ndim)))
 
 
+def put_row(rows: np.ndarray, n: int, table: np.ndarray) -> np.ndarray:
+    """rows with `table` stored as row n, in a buffer of twice the length when rows is full."""
+    if n == len(rows):
+        rows = np.concatenate([rows, np.empty_like(rows)])
+    rows[n] = table
+    return rows
+
+
 class BandStack:
     """Envelopes of one table shape, one row per key, tested in one call.
 
@@ -227,11 +235,8 @@ class BandStack:
 
     def append(self, key: int, table: np.ndarray) -> int:
         row = len(self.keys)
-        if row == len(self._lo):
-            self._lo = np.concatenate([self._lo, np.empty_like(self._lo)])
-            self._hi = np.concatenate([self._hi, np.empty_like(self._hi)])
-        self._lo[row] = table
-        self._hi[row] = table
+        self._lo = put_row(self._lo, row, table)
+        self._hi = put_row(self._hi, row, table)
         self.keys.append(key)
         return row
 

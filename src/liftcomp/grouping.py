@@ -25,11 +25,12 @@ member m exactly when
 because rounded multiplication by a positive constant is monotone: the
 extreme member decides each of the four one-sided comparisons.
 
-A factor whose table repeats an earlier factor's table (same shape, same
-bytes) may reuse that table's last band-tested join: the same group under
-the same alignment, without _closest or a widen. It does so while no
-candidate group of that join has gained a member since, other than by
-such reuse, and no group opened since accepts the table. Only those
+Every join that the band test decides is recorded under its table's
+shape and bytes. A later factor with the same table reuses the last
+recorded join: the same group under the same alignment, without _closest
+or a widen. It does so while no candidate group of that join has gained
+a member since, other than by such reuse, and no group opened since
+accepts the table. Only those
 newer groups are band-tested (groups are numbered in opening order, so
 they are the last rows of each BandStack), and once none accepts the
 table they count as tested for the next copy. The result is the one
@@ -48,11 +49,12 @@ the full test would give:
 
 Member counts only grow, so their sum over the candidates, compared
 with its value after the join, tells whether any candidate has grown. A
-join is recorded only for a table seen before, so inputs without repeats
-pay one tobytes and a few set and dict operations per factor. No table
-above ARITY_CAP ever has a join to reuse: _permutations, which enforces
-the cap, raises under band_matches as soon as a group of its arity
-exists, so such a table can only open a group.
+table seen only once costs one tobytes and one dict lookup, and, when it
+joins a group, one _Decision and that sum; the second copy of a table
+that joined is the first to reuse. No table above ARITY_CAP ever has a
+join to reuse: _permutations, which enforces the cap, raises under
+band_matches as soon as a group of its arity exists, so such a table can
+only open a group.
 
 mean_of_tables is the update step: the entrywise arithmetic mean of the
 aligned tables, stacked along the first axis of one array. Its caller,
@@ -77,6 +79,7 @@ from .equivalence import (
     check_epsilon,
     eps_equiv_arrays,  # noqa: F401  perfbench/run.py counts calls through this name
     identity_alignment,
+    put_row,
 )
 from .model import Factor
 
@@ -118,14 +121,10 @@ class _Group:
         self.members = [member]
         self.tables = [table]                     # as aligned, views kept
         self.row = row                            # envelope row in its BandStack
-        self._stacked = np.empty((4,) + table.shape)
-        self._stacked[0] = table
+        self._stacked = put_row(np.empty((4,) + table.shape), 0, table)
 
     def add(self, member: GroupMember, table: np.ndarray) -> None:
-        n = len(self.tables)
-        if n == len(self._stacked):
-            self._stacked = np.concatenate([self._stacked, np.empty_like(self._stacked)])
-        self._stacked[n] = table
+        self._stacked = put_row(self._stacked, len(self.tables), table)
         self.members.append(member)
         self.tables.append(table)
 
@@ -165,7 +164,7 @@ def _closest(groups: list[_Group], found: dict[int, Alignment], table: np.ndarra
 
 @dataclass(slots=True)
 class _Decision:
-    """A repeated table's last band-tested join, and what it depended on."""
+    """A table's last band-tested join, and what it depended on."""
 
     group: int
     align: Alignment
@@ -200,7 +199,6 @@ def phase1_group(factors: Sequence[Factor], eps: float) -> Grouping:
     eps = check_epsilon(eps)
     groups: list[_Group] = []
     stacks: dict[tuple[int, ...], BandStack] = {}   # group envelopes per frame shape
-    seen: set[tuple[tuple[int, ...], bytes]] = set()
     decisions: dict[tuple[tuple[int, ...], bytes], _Decision] = {}
     for f in factors:
         key = (f.table.shape, f.table.tobytes())
@@ -211,8 +209,6 @@ def phase1_group(factors: Sequence[Factor], eps: float) -> Grouping:
             )
             last.joins += 1
             continue
-        repeated = key in seen
-        seen.add(key)
         found = band_matches(f.table, stacks.values(), eps)
         if not found:
             stack = stacks.setdefault(f.table.shape, BandStack(f.table.shape))
@@ -223,11 +219,10 @@ def phase1_group(factors: Sequence[Factor], eps: float) -> Grouping:
         table = aligned_table(f.table, found[gi])
         groups[gi].add(GroupMember(f.name, found[gi]), table)
         stacks[table.shape].widen(groups[gi].row, table)
-        if repeated:
-            candidates = tuple(found)
-            decisions[key] = _Decision(
-                gi, found[gi], len(groups), candidates, _members(groups, candidates)
-            )
+        candidates = tuple(found)
+        decisions[key] = _Decision(
+            gi, found[gi], len(groups), candidates, _members(groups, candidates)
+        )
     return Grouping(tuple(tuple(g.members) for g in groups))
 
 

@@ -5,10 +5,7 @@ oracle), variable elimination with a min-degree order, and a lifted
 evaluator for the hub marginal of a compressed model that computes one
 message per class of isomorphic branches and raises it to the class
 size instead of repeating identical eliminations: one pass over the
-members, then one batched elimination over one branch per class. That
-does not beat ground VE on m_prime: on the benchmark's stars it takes
-1.0-1.1x query_ve's time with 3-27 classes for 16-128 branches, and
-2.2-2.6x when nearly every branch is a class of its own.
+members, then one batched elimination over one branch per class.
 
 Variable elimination works on the RV numbers of the model's _Index,
 built once with the FactorGraph together with each RV's starting degree,
@@ -17,26 +14,21 @@ query copies the argument numbers, tables, degrees, heap and kinds, each
 as one flat list with no Python work per entry, and numbers anew only
 the tables that evidence clamps; the rest of its bookkeeping is what its
 elimination changes: fill-in edges, the messages each RV holds, and
-degree counters. The walk costs O(sum of
-d^2 + n log n) for n eliminable RVs of degree d when eliminated: it pops
-the RV of least degree from the heap and forms that RV's bucket on the
-spot. On stars of chains that is near-linear in n, and the fixed cost of
-each numpy call, not arithmetic, dominates.
+degree counters. The walk costs O(sum of d^2 + n log n) for n
+eliminable RVs of degree d when eliminated: it pops the RV of least
+degree from the heap and forms that RV's bucket on the spot. On stars of
+chains that is near-linear in n, and the fixed cost of each numpy call,
+not arithmetic, dominates.
 
-So the walk plans, sorting buckets into batches of like buckets (the
-same table shapes and argument wiring, up to renaming). A bucket's batch
-key has one of three forms, told apart by length: (kind, axis) for one
-item, (kind, kind, axis) for a chain step (an item, then one over the
-eliminated RV alone), and its length, kinds and argument wiring, at
-least 7 long, for any other bucket. _eliminate then executes each
-batch as stacked arrays, one row per bucket: one broadcast multiply per
-bucket position, one np.multiply.reduce fold per run of like items, and
-one np.add.reduce. Alike branches of a star share
-their numpy calls, so the number of calls stays flat as branches are
-added, and every output cell gets the same multiplies and sums in the
-same order: results and ops are bit-identical to one bucket at a time.
-Eliminations too short to share much run each bucket as it forms.
-Observed RVs are fixed by model.clamp, as in joint_table.
+So the walk plans: it sorts buckets into batches of like buckets (the
+same table shapes and argument wiring, up to renaming; _eliminate gives
+the batch keys), and each batch then runs as stacked arrays, one row per
+bucket. Alike branches of a star share their numpy calls, so the number
+of calls stays flat as branches are added, and every output cell gets
+the same multiplies and sums in the same order: results and ops are
+bit-identical to one bucket at a time. Eliminations too short to share
+much run each bucket as it forms. Observed RVs are fixed by model.clamp,
+as in joint_table.
 
 QueryResult.ops counts table entries written by products plus entries
 read by marginalisations; it is a machine-independent proxy for work
@@ -122,14 +114,19 @@ class QueryResult:
         return self.distribution[label]
 
 
+def _check_target(labels: tuple[str, ...] | None, q: Query) -> tuple[str, ...]:
+    """`labels`, those of q's target or None where the model lacks it, once q.value is one."""
+    if labels is None:
+        raise InvariantError(f"unknown query target {q.target!r}")
+    if q.value is not None and q.value not in labels:
+        raise InvariantError(f"value {q.value!r} is not a label of {q.target!r}")
+    return labels
+
+
 def _validate_query(fg: FactorGraph, q: Query) -> dict[str, int]:
     """Check q against fg; returns the label index of each observed RV."""
-    if not fg.has_rv(q.target):
-        raise InvariantError(f"unknown query target {q.target!r}")
-    held = q.evidence.validate_against(fg)
-    if q.value is not None and q.value not in fg.rv(q.target).range:
-        raise InvariantError(f"value {q.value!r} is not a label of {q.target!r}")
-    return held
+    _check_target(fg.rv(q.target).range if fg.has_rv(q.target) else None, q)
+    return q.evidence.validate_against(fg)
 
 
 def _normalise(vector: np.ndarray, labels: tuple[str, ...], method: str, ops: int) -> QueryResult:
@@ -183,10 +180,9 @@ def _multiply(a: Item, b: Item, lead: int = 0) -> tuple[Item, int]:
     The tables multiply by broadcasting, so every output cell is a single
     multiply. When b's arguments are a's trailing ones, the common case,
     only size-1 axes are inserted; otherwise a takes a size-1 axis for
-    each new argument, and b's axes are transposed (as a view) into the
-    result's order and given a size-1 axis wherever b lacks one of its
-    arguments. Both tables may carry `lead` leading batch axes beyond
-    their arguments, which pair up row by row.
+    each new argument, and b is _spread over the result's arguments.
+    Both tables may carry `lead` leading batch axes beyond their
+    arguments, which pair up row by row.
     """
     args_a, tab_a = a
     args_b, tab_b = b
@@ -198,17 +194,30 @@ def _multiply(a: Item, b: Item, lead: int = 0) -> tuple[Item, int]:
         result = tab_a * tab_b
         return (args_a, result), result.size
     args = args_a + tuple(v for v in args_b if v not in args_a)
-    axes = [args.index(v) for v in args_b]
+    widened = tab_a.reshape(tab_a.shape + (1,) * (len(args) - len(args_a)))
+    result = widened * _spread(tab_b, args_b, args, tab_b.shape[:lead])
+    return (args, result), result.size
+
+
+def _spread(
+    table: np.ndarray, args: tuple[int, ...], scope: tuple[int, ...], lead: tuple[int, ...]
+) -> np.ndarray:
+    """A view of table, over args after its leading axes, over the wider scope.
+
+    Its argument axes are transposed into scope order and take a size-1
+    axis wherever they lack one of scope's arguments; its leading axes
+    are reshaped to `lead`.
+    """
+    n_lead = table.ndim - len(args)
+    axes = [scope.index(v) for v in args]
     if axes != sorted(axes):
         order = sorted(range(len(axes)), key=axes.__getitem__)
-        tab_b = tab_b.transpose([*range(lead), *(lead + i for i in order)])
+        table = table.transpose([*range(n_lead), *(n_lead + i for i in order)])
         axes.sort()
-    shape = [*tab_b.shape[:lead], *[1] * len(args)]
-    for axis, n in zip(axes, tab_b.shape[lead:]):
-        shape[lead + axis] = n
-    widened = tab_a.reshape(tab_a.shape + (1,) * (len(args) - len(args_a)))
-    result = widened * tab_b.reshape(shape)
-    return (args, result), result.size
+    shape = [*lead, *[1] * len(scope)]
+    for axis, n in zip(axes, table.shape[n_lead:]):
+        shape[len(lead) + axis] = n
+    return table.reshape(shape)
 
 
 def _fold(args: tuple[int, ...], stack: np.ndarray) -> tuple[Item, int]:
@@ -255,8 +264,9 @@ _MIN_RUN = 8
 # an elimination of fewer RVs runs each bucket as it forms: planning costs
 # about a microsecond a bucket, more than batching saves when few buckets
 # can share a batch (the certify models eliminate 1-20 RVs, and the
-# benchmark's stars 47 or more). Planning every elimination made certify
-# query_p50_ms 4-8% and query_p90_ms up to 20% slower, so the switch stays.
+# benchmark's stars 47 or more). Planning every elimination made the median
+# certify VE call 7-8% slower and the 90th-percentile one 4% slower, and won
+# 3 of 30 alternating in-process pairs, so the switch stays.
 _MIN_PLAN = 32
 _FIRST = operator.itemgetter(0)
 _TABLE = operator.attrgetter("table")
@@ -362,12 +372,7 @@ class _Store:
             groups.setdefault((self.kind[rep[j]], self.args[rep[j]]), []).append(j)
         for (_, item_args), columns in groups.items():
             block = self.gather([bucket[j] for bucket in members for j in columns])
-            axes = [args.index(v) for v in item_args]
-            order = sorted(range(len(axes)), key=axes.__getitem__)
-            shape = [*table.shape[:lead], len(columns), *[1] * len(args)]
-            for o in order:
-                shape[lead + 1 + axes[o]] = block.shape[1 + o]
-            block = block.transpose([0, *(1 + o for o in order)]).reshape(shape)
+            block = _spread(block, item_args, args, (*table.shape[:lead], len(columns)))
             if len(columns) == columns[-1] - columns[0] + 1:
                 where = slice(1 + columns[0] - start, 2 + columns[-1] - start)
             else:
@@ -619,11 +624,7 @@ def query_lifted_star(pfg: ParfactorGraph, hub: str, q: Query) -> QueryResult:
         )
     if q.evidence:
         raise UnsupportedTopologyError("lifted evaluator does not accept evidence")
-    hub_labels = next((rv.range for rv in pfg.rvs if rv.name == hub), None)
-    if hub_labels is None:
-        raise InvariantError(f"unknown query target {hub!r}")
-    if q.value is not None and q.value not in hub_labels:
-        raise InvariantError(f"value {q.value!r} is not a label of {hub!r}")
+    hub_labels = _check_target(next((rv.range for rv in pfg.rvs if rv.name == hub), None), q)
 
     args_of = pfg.member_args
     group_of = [g for g, span in enumerate(pfg.groups()) for _ in span]

@@ -365,6 +365,20 @@ class TestReferenceLoops:
         assert_matches_reference(factors, eps)
 
 
+def _record_band_rows(monkeypatch):
+    """The group keys phase1_group band-tests, one list per band_matches call."""
+    rows = []
+    band_matches = grouping.band_matches
+
+    def recording(table, stacks, eps):
+        stacks = list(stacks)
+        rows.append([key for s in stacks for key in s.keys])
+        return band_matches(table, stacks, eps)
+
+    monkeypatch.setattr(grouping, "band_matches", recording)
+    return rows
+
+
 class TestRepeatedTables:
     @settings(max_examples=400, deadline=None)
     @given(case=repeating_lists())
@@ -380,21 +394,23 @@ class TestRepeatedTables:
         # goes there; [1.2, 1] does not, and the recorded join holds.
         t, w = [1.0, 1.0], [1.08, 1.0]
         factors = [Factor(f"f{n}", ("x",), np.array(v)) for n, v in enumerate([t, w, t, newer, t])]
-        rows = []
-        band_matches = grouping.band_matches
-
-        def recording(table, stacks, eps):
-            stacks = list(stacks)
-            rows.append([key for s in stacks for key in s.keys])
-            return band_matches(table, stacks, eps)
-
-        monkeypatch.setattr(grouping, "band_matches", recording)
+        rows = _record_band_rows(monkeypatch)
         got = phase1_group(factors, 0.1)
         assert got == reference_phase1(factors, 0.1)
         assert [m.factor for m in got.groups[joins]][-1] == "f4"
         # f0 finds no group, f1 to f3 test group 0, f4 first tests group 1 alone
         assert rows[:5] == [[], [0], [0], [0], [1]]
         assert len(rows) == 5 + joins   # and takes the full test when it accepts
+
+    def test_first_join_is_recorded(self, monkeypatch):
+        # W joins T's group by the band test, and that join is recorded for
+        # W's table, though W was not seen before: its copy reuses it
+        t, w = [1.0, 1.0], [1.08, 1.0]
+        factors = [Factor(f"f{n}", ("x",), np.array(v)) for n, v in enumerate([t, w, w])]
+        rows = _record_band_rows(monkeypatch)
+        got = phase1_group(factors, 0.1)
+        assert got == reference_phase1(factors, 0.1)
+        assert rows == [[], [0]]
 
     @pytest.mark.parametrize("k,x,seed", [(16, 0.1, 0), (16, 0.3, 5)])
     def test_star_where_a_repeat_decides_differently(self, k, x, seed):

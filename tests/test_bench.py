@@ -201,16 +201,23 @@ class TestRunExperiment:
             pytest.param(
                 (4.5, 0.25, 0.25, 0.25, 0.25), (0.5,) * 5, None, id="slow-first-ground-reading"
             ),
+            # the fastest lifted reading beats the fastest ground one by 2.7%,
+            # but the readings overlap, so the cell stays blank
+            pytest.param(
+                (0.795, 0.8, 0.81, 0.82, 0.83), (0.774, 0.79, 0.82, 0.86, 0.9), None,
+                id="overlapping-readings",
+            ),
         ],
     )
     def test_alpha_substitute(self, monkeypatch, ground, lifted, alpha):
         # the clock reads eacp 3 s, acp 1 s, then five readings of each hub
-        # query; each query takes its fastest reading, and alpha is
-        # (t_eacp - t_acp) / (t_ground - t_lifted) when the lifted query is
-        # faster, and blank otherwise
+        # query, each from 0 so that it is exact; each query takes its
+        # fastest reading, and alpha is (t_eacp - t_acp) / (t_ground -
+        # t_lifted) when every lifted reading is faster than the fastest
+        # ground one, and blank otherwise
         ticks = [0.0, 3.0, 10.0, 11.0]
-        for i, seconds in enumerate(ground + lifted):
-            ticks += [20.0 + 10.0 * i, 20.0 + 10.0 * i + seconds]
+        for seconds in ground + lifted:
+            ticks += [0.0, seconds]
         readings = iter(ticks)
         clock = SimpleNamespace(perf_counter=readings.__next__)
         monkeypatch.setattr(liftcomp.bench, "time", clock)

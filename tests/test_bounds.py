@@ -507,7 +507,7 @@ class TestDistanceSlabs:
     )
     def test_report_rejects_non_finite_fields(self, d, hi, lo):
         with pytest.raises(InvariantError):
-            DistanceReport(d, {}, {}, hi, lo)
+            DistanceReport(d, hi, lo, {}, {})
 
 
 class TestModifiedFactorCount:

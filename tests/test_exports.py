@@ -126,6 +126,23 @@ def raises_of(name: str) -> Callable[[ast.AST], bool]:
     )
 
 
+def raises_text(fragment: str) -> Callable[[ast.AST], bool]:
+    # a raise whose message, plain or formatted, holds the fragment
+    return lambda node: isinstance(node, ast.Raise) and any(
+        isinstance(part, ast.Constant) and fragment in str(part.value)
+        for part in ast.walk(node)
+    )
+
+
+def package_sites(
+    match: Callable[[ast.AST], bool], texts: dict[str, str] | None = None
+) -> list[str]:
+    """sites over the package's modules, each as module.site; texts maps module to source."""
+    if texts is None:
+        texts = {p.stem: p.read_text() for p in SOURCES}
+    return [f"{stem}.{site}" for stem, text in texts.items() for site in sites(text, match)]
+
+
 def test_run_acp_is_called_only_from_outside_the_package():
     # run_eacp(fg, 0.0) is the library's one spelling of the ACP baseline;
     # run_acp stays for perfbench, and two tests pin it against that spelling
@@ -152,11 +169,39 @@ def test_run_acp_is_called_only_from_outside_the_package():
 def test_one_arity_cap_check():
     # both seedings search permutations through one enumerator, and the
     # cap is enforced there only
-    found = [
-        f"{p.stem}.{site}" for p in SOURCES
-        for site in sites(p.read_text(), raises_of("ArityCapError"))
+    assert package_sites(raises_of("ArityCapError")) == ["equivalence._permutations"]
+
+
+# one site per rule: put_row is where a stack of rows grows its buffer, and
+# _check_target is where every evaluator checks its query's target
+ONE_SITE = [
+    (calls_to("empty_like"), "equivalence.put_row"),
+    (raises_text("unknown query target"), "inference._check_target"),
+]
+
+
+@pytest.mark.parametrize("match, site", ONE_SITE, ids=["row-buffer", "query-target"])
+def test_one_site_per_rule(match, site):
+    assert package_sites(match) == [site]
+
+
+def test_one_site_check_catches_a_second_copy():
+    # each rule's old second copy, put back into a copy of its module
+    texts = {p.stem: p.read_text() for p in SOURCES}
+    texts["grouping"] += (
+        "class _Group:\n"
+        "    def add(self, member, table):\n"
+        "        self._stacked = np.concatenate([self._stacked, np.empty_like(self._stacked)])\n"
+    )
+    texts["inference"] += (
+        "def query_lifted_star(pfg, hub, q):\n"
+        "    raise InvariantError(f'unknown query target {hub!r}')\n"
+    )
+    (empty_like, _), (unknown_target, _) = ONE_SITE
+    assert package_sites(empty_like, texts) == ["equivalence.put_row", "grouping._Group::add"]
+    assert package_sites(unknown_target, texts) == [
+        "inference._check_target", "inference.query_lifted_star",
     ]
-    assert found == ["equivalence._permutations"]
 
 
 def test_site_check_catches_them():
