@@ -66,7 +66,7 @@ from .equivalence import (
 )
 from .errors import InvariantError
 from .grouping import GroupMember, Grouping
-from .model import Evidence, Factor, FactorGraph, RandomVariable
+from .model import Evidence, Factor, FactorGraph, RandomVariable, check_evidence
 
 __all__ = [
     "ColourState",
@@ -102,7 +102,7 @@ class ColourPassResult:
 
 def initial_rv_colours(fg: FactorGraph, evidence: Evidence) -> dict[str, int]:
     """Colour RVs by (range labels, observed value or unobserved)."""
-    evidence.validate_against(fg)
+    check_evidence(evidence).validate_against(fg)
     observed = evidence.as_dict()
     colours: dict[str, int] = {}
     seen: dict[tuple, int] = {}

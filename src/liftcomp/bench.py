@@ -71,6 +71,7 @@ class GenConfig:
 
     def __post_init__(self) -> None:
         check_positive_int(self.k, "k")
+        check_count(self.seed, "seed")
         if isinstance(self.x, bool) or not isinstance(self.x, Real):
             raise InvariantError(f"x must be a real number, got {self.x!r}")
         check_epsilon(self.eps)
@@ -252,14 +253,13 @@ def run_grid(
     configs: list[GenConfig],
     n_queries: int = 5,
     skip_exact: bool = False,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> list[ExperimentRecord]:
     """One record per config; jobs > 1 runs them in that many worker processes."""
     n_queries = check_count(n_queries, "query count")
-    if jobs is not None:
-        jobs = check_positive_int(jobs, "job count")
+    jobs = check_positive_int(jobs, "job count")
     run = partial(run_experiment, n_queries=n_queries, skip_exact=skip_exact)
-    if jobs is not None and jobs > 1:
+    if jobs > 1:
         # imported here: the process pool machinery costs ~2 MB of memory
         from concurrent.futures import ProcessPoolExecutor
 

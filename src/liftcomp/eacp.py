@@ -3,16 +3,18 @@
 run_eacp seeds colour passing with the greedy eps-groups of phase 1
 (grouping.phase1_group) when eps > 0. At eps = 0, the exact-equality
 ACP baseline, it seeds with initial_factor_colours_exact: bit-identical
-tables up to argument permutation. Either seeding then runs the same
-tail: colour passing (evidence enters only here, as initial RV
-colours), the entrywise mean update per POST-refinement group, so
-factors that the graph structure split apart are averaged only within
-their final group, counting detection and the parfactor graph. The
-updated ground model keeps the input's structure, argument order
-included; only tables change, and every updated entry is checked
-eps-equivalent to its original.
+tables up to argument permutation. Both seedings hand _compress one
+pair, each factor's initial colour and its alignment into its group's
+frame (Grouping.seeds for phase 1), and then run the same tail: colour
+passing (evidence enters only here, as initial RV colours), the
+entrywise mean update per POST-refinement group, so factors that the
+graph structure split apart are averaged only within their final group,
+counting detection and the parfactor graph. The updated ground model
+keeps the input's structure, argument order included; only tables
+change, and every updated entry is checked eps-equivalent to its
+original.
 
-phase1_group(factors, 0.0) would find the groups of the exact seeding,
+phase1_group(factors, 0.0).seeds() would give the exact seeding's pair,
 since its band test is then byte equality, but it tests each group's
 envelope, which is quadratic in the number of groups; the exact seeding
 looks a factor up in a hash of the representatives' (shape, table
@@ -59,7 +61,7 @@ from .equivalence import (
 from .equivalence import eps_equiv_arrays  # noqa: F401  perfbench/run.py counts its calls
 from .errors import InvariantError
 from .grouping import GroupMember, Grouping, mean_of_tables, phase1_group
-from .model import Evidence, FactorGraph, replace_tables
+from .model import Evidence, FactorGraph, check_evidence, replace_tables
 
 __all__ = ["CompressionResult", "run_eacp"]
 
@@ -175,11 +177,10 @@ def run_eacp(
 ) -> CompressionResult:
     """Compress fg with tolerance eps; evidence refines initial RV colours only."""
     eps = check_epsilon(eps)
-    evidence.validate_against(fg)
+    check_evidence(evidence).validate_against(fg)
     if eps == 0.0:
         return _compress(fg, eps, evidence, *initial_factor_colours_exact(fg.factors))
-    phase1 = phase1_group(fg.factors, eps)
-    return _compress(fg, eps, evidence, phase1.group_index(), phase1.alignments())
+    return _compress(fg, eps, evidence, *phase1_group(fg.factors, eps).seeds())
 
 
 def run_acp(fg: FactorGraph) -> CompressionResult:

@@ -100,15 +100,14 @@ class Grouping:
 
     groups: tuple[tuple[GroupMember, ...], ...]
 
-    def group_index(self) -> dict[str, int]:
-        out: dict[str, int] = {}
+    def seeds(self) -> tuple[dict[str, int], dict[str, Alignment]]:
+        """Each member's group index and alignment: the seeding colour_pass takes."""
+        colours: dict[str, int] = {}
+        alignments: dict[str, Alignment] = {}
         for gi, group in enumerate(self.groups):
-            for member in group:
-                out[member.factor] = gi
-        return out
-
-    def alignments(self) -> dict[str, Alignment]:
-        return {m.factor: m.align for g in self.groups for m in g}
+            for m in group:
+                colours[m.factor], alignments[m.factor] = gi, m.align
+        return colours, alignments
 
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2

@@ -51,7 +51,9 @@ import numpy as np
 
 from .acp import ParfactorGraph, expand_crv
 from .errors import InvariantError, UnsupportedTopologyError
-from .model import Evidence, FactorGraph, _Index, _index_scopes, _kinds, clamp, joint_table
+from .model import (
+    Evidence, FactorGraph, _Index, _index_scopes, _kinds, check_evidence, clamp, joint_table,
+)
 
 __all__ = [
     "Query",
@@ -73,7 +75,7 @@ class Query:
     def __post_init__(self) -> None:
         if not isinstance(self.target, str) or not self.target:
             raise InvariantError("query target must be a non-empty rv name")
-        if self.target in self.evidence.as_dict():
+        if self.target in check_evidence(self.evidence).as_dict():
             raise InvariantError(f"query target {self.target!r} is observed")
 
 
@@ -387,18 +389,17 @@ def _eliminate(
     index: _Index,
     target: int,
     held: Collection[int],
-    kinds: list[int] | None = None,
+    kinds: list[int],
 ) -> tuple[_Store, list[int], int, list[int]]:
     """Bucket elimination in greedy min-degree order.
 
     Item i is index's scope i with the held RVs fixed: argument numbers
     args_of[i] and table source[i], whose layout kinds[i] numbers as
-    model._kinds does (without kinds, they are numbered here). The walk
-    appends each message to the three lists, which the store then holds.
-    Every RV but the target and the held ones is eliminated. Returns the
-    store, the numbers of the items left (each over the target or 0-d, in
-    creation order), the ops spent and the order; the store's result() is
-    their product.
+    model._kinds does. The walk appends each message to the three lists,
+    which the store then holds. Every RV but the target and the held ones
+    is eliminated. Returns the store, the numbers of the items left (each
+    over the target or 0-d, in creation order), the ops spent and the
+    order; the store's result() is their product.
 
     Order: two RVs are neighbours when some scope holds both; an RV's
     degree counts its neighbours not yet eliminated, the target included.
@@ -440,8 +441,6 @@ def _eliminate(
     An elimination of fewer than _MIN_PLAN RVs skips the plan: each bucket
     is multiplied and summed as it forms, as one batch of one would be.
     """
-    if kinds is None:
-        kinds = _kinds(source, {})
     neighbours, holders = index.neighbours, index.holders
     degree = list(index.degree)
     heap = list(index.seed)
@@ -661,12 +660,13 @@ def query_lifted_star(pfg: ParfactorGraph, hub: str, q: Query) -> QueryResult:
     reps = [group[0] for group in classes.values()]
     groups = [group_of[i] for rep in reps for i in rep]
     tables = {g: expand_crv(pfg.tables[g], pfg.crvs[g]) for g in set(groups)}
+    source = list(map(tables.__getitem__, groups))
     scopes = [args_of[i] for rep in reps for i in rep]
     index = _index_scopes({hub}.union(*scopes), scopes)
     belief = np.ones(len(hub_labels), dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         store, rest, ops, order = _eliminate(
-            list(index.args), list(map(tables.__getitem__, groups)), index, index.number[hub], ()
+            list(index.args), source, index, index.number[hub], (), _kinds(source, {})
         )
         # each item's class; each eliminated RV had a live holder, so the j-th
         # one made item len(groups) + j, of its first holder's class

@@ -29,6 +29,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -301,6 +302,10 @@ class Evidence:
     items: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.items, (tuple, list)) or not all(
+            isinstance(p, (tuple, list)) and len(p) == 2 for p in self.items
+        ):
+            raise InvariantError(f"evidence must be (rv, label) pairs, got {self.items!r}")
         items = tuple((str(rv), str(val)) for rv, val in self.items)
         object.__setattr__(self, "items", items)
         names = [rv for rv, _ in items]
@@ -316,6 +321,13 @@ class Evidence:
     def validate_against(self, fg: FactorGraph) -> dict[str, int]:
         """Check every observed rv and its label; returns each one's label index."""
         return {rv_name: fg.rv(rv_name).index_of(label) for rv_name, label in self.items}
+
+
+def check_evidence(evidence: object) -> Evidence:
+    """evidence itself, once it is an Evidence."""
+    if not isinstance(evidence, Evidence):
+        raise InvariantError(f"evidence must be an Evidence, got {evidence!r}")
+    return evidence
 
 
 def clamp(
@@ -365,8 +377,9 @@ def joint_table(fg: FactorGraph, held: Mapping[str, int] | None = None) -> np.nd
         )
     held = held or {}
     for name, k in held.items():
-        if not 0 <= k < fg.rv(name).size:
-            raise InvariantError(f"held index {k!r} out of range for rv {name!r}")
+        size = fg.rv(name).size
+        if isinstance(k, bool) or not isinstance(k, Integral) or not 0 <= k < size:
+            raise InvariantError(f"held index {k!r} for rv {name!r} is not an int in [0, {size})")
     sizes = fg.shape
     free = [a for a, rv in enumerate(fg.rvs) if rv.name not in held]
     scope: list[int] = []   # declaration positions of the prefix's axes

@@ -120,15 +120,15 @@ class TestInitialColours:
 
 class TestColourPass:
     def test_sales_pair_with_injected_groups(self, sales):
-        ph = phase1_group(sales.factors, 0.1)
-        res = colour_pass(sales, ph.group_index(), Evidence(), alignments=ph.alignments(), eps=0.1)
+        colours, aligns = phase1_group(sales.factors, 0.1).seeds()
+        res = colour_pass(sales, colours, Evidence(), alignments=aligns, eps=0.1)
         assert group_names(res.grouping) == [["phi1", "phi2"]]
         assert res.rv_classes == (("SalA", "SalB"), ("Rev",))
 
     def test_evidence_splits_symmetry(self, sales):
-        ph = phase1_group(sales.factors, 0.1)
+        colours, aligns = phase1_group(sales.factors, 0.1).seeds()
         ev = Evidence((("SalA", "high"),))
-        res = colour_pass(sales, ph.group_index(), ev, alignments=ph.alignments(), eps=0.1)
+        res = colour_pass(sales, colours, ev, alignments=aligns, eps=0.1)
         assert group_names(res.grouping) == [["phi1"], ["phi2"]]
         assert ("SalA",) in res.rv_classes and ("SalB",) in res.rv_classes
 
@@ -151,7 +151,8 @@ class TestColourPass:
         fg = FactorGraph(rvs, fs)
         ph = phase1_group(fg.factors, 0.0)
         assert group_names(ph) == [["att1", "att2"], ["deep1"]]
-        res = colour_pass(fg, ph.group_index(), Evidence(), alignments=ph.alignments(), eps=0.0)
+        colours, aligns = ph.seeds()
+        res = colour_pass(fg, colours, Evidence(), alignments=aligns, eps=0.0)
         assert group_names(res.grouping) == [["att1"], ["att2"], ["deep1"]]
 
     def test_missing_colour_rejected(self, sales):
@@ -178,11 +179,8 @@ class TestColourPass:
         rng = np.random.default_rng(43)
         for _ in range(30):
             fg = random_model(rng, max_rvs=6, max_factors=6)
-            ph = phase1_group(fg.factors, 0.05)
-            res = colour_pass(
-                fg, ph.group_index(), Evidence(), alignments=ph.alignments(), eps=0.05
-            )
-            initial = ph.group_index()
+            initial, aligns = phase1_group(fg.factors, 0.05).seeds()
+            res = colour_pass(fg, initial, Evidence(), alignments=aligns, eps=0.05)
             for group in res.grouping.groups:
                 assert len({initial[m.factor] for m in group}) == 1
 
@@ -230,8 +228,8 @@ class TestCounting:
         )
         t = np.array([1.0, 2.0, 2.02, 3.0, 4.0, 5.0, 5.05, 6.0]).reshape(2, 2, 2)
         fg = FactorGraph(rvs, (Factor("phi1", ("Rev", "ComA", "ComB"), t),))
-        ph = phase1_group(fg.factors, 0.1)
-        res = colour_pass(fg, ph.group_index(), Evidence(), alignments=ph.alignments(), eps=0.1)
+        colours, aligns = phase1_group(fg.factors, 0.1).seeds()
+        res = colour_pass(fg, colours, Evidence(), alignments=aligns, eps=0.1)
         crv = exact_crv_positions(fg, res.grouping, res.rv_classes, 0.1)
         assert crv == {}
 

@@ -71,6 +71,11 @@ class TestGenConfig:
         with pytest.raises(InvariantError):
             GenConfig(**fields)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_seed_checked(self, seed):
+        with pytest.raises(InvariantError, match="seed"):
+            GenConfig(k=2, x=0.5, eps=0.1, seed=seed)
+
     def test_domains_exported(self):
         assert 16 in K_DOMAIN
         assert 0.3 in X_DOMAIN

@@ -378,6 +378,15 @@ class TestBench:
         assert out == ""
         assert err.startswith("error: ") and what in err
 
+    def test_negative_seed_exit_2(self):
+        proc = _run_module(
+            "bench", "--k", "2", "--x", "0.5", "--eps", "0.1", "--skip-exact", "--seed", "-1",
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "seed" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_zero_queries_emit_one_row(self, capsys):
         code, out, _ = run_cli(
             capsys, "bench", "--k", "2", "--x", "0.5", "--eps", "0.1",

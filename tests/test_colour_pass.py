@@ -160,9 +160,8 @@ def deep_star(k, depth, seed):
 
 
 def _seedings(fg, eps):
-    phase1 = phase1_group(fg.factors, eps)
     return {
-        "phase1": (phase1.group_index(), phase1.alignments(), eps),
+        "phase1": (*phase1_group(fg.factors, eps).seeds(), eps),
         "exact": (*initial_factor_colours_exact(fg.factors), 0.0),
     }
 

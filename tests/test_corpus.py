@@ -143,9 +143,8 @@ def colour_digest(k: int, x: float, seed: int) -> str:
     cfg = GenConfig(k=k, x=x, eps=EPS, seed=seed)
     fg = perturb(generate_fg(cfg), cfg)
     observed = fg.rvs[2]
-    phase1 = phase1_group(fg.factors, EPS)
     seedings = (
-        (phase1.group_index(), phase1.alignments(), EPS),
+        (*phase1_group(fg.factors, EPS).seeds(), EPS),
         (*initial_factor_colours_exact(fg.factors), 0.0),
     )
     h = hashlib.sha256()

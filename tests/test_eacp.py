@@ -300,12 +300,10 @@ class TestBaselineAgreement:
         models += [random_model(rng, copy_prob=0.8, copy_noise=0.0) for _ in range(40)]
         for fg in models:
             observed = fg.rvs[-1]
-            phase1 = phase1_group(fg.factors, 0.0)
+            colours, aligns = phase1_group(fg.factors, 0.0).seeds()
             for evidence in (Evidence(), Evidence(((observed.name, observed.range[0]),))):
                 comp = run_eacp(fg, 0.0, evidence)
-                cp = colour_pass(
-                    fg, phase1.group_index(), evidence, alignments=phase1.alignments(), eps=0.0
-                )
+                cp = colour_pass(fg, colours, evidence, alignments=aligns, eps=0.0)
                 assert comp.grouping == cp.grouping
                 assert comp.rv_classes == cp.rv_classes
                 assert comp.m_prime is fg
@@ -346,9 +344,8 @@ class TestStoredOnce:
         models += [random_model(rng, copy_prob=0.8, copy_noise=0.05) for _ in range(40)]
         permuted = 0
         for fg in models:
-            phase1 = phase1_group(fg.factors, 0.1)
             seedings = (
-                (run_eacp(fg, 0.1), phase1.group_index(), phase1.alignments(), 0.1),
+                (run_eacp(fg, 0.1), *phase1_group(fg.factors, 0.1).seeds(), 0.1),
                 (run_eacp(fg, 0.0), *initial_factor_colours_exact(fg.factors), 0.0),
             )
             for comp, colours, alignments, eps in seedings:

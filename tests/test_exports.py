@@ -172,15 +172,19 @@ def test_one_arity_cap_check():
     assert package_sites(raises_of("ArityCapError")) == ["equivalence._permutations"]
 
 
-# one site per rule: put_row is where a stack of rows grows its buffer, and
-# _check_target is where every evaluator checks its query's target
+# one site per rule: put_row is where a stack of rows grows its buffer,
+# _check_target is where every evaluator checks its query's target, and
+# check_evidence is where Query and both pipeline stages check evidence's type
 ONE_SITE = [
     (calls_to("empty_like"), "equivalence.put_row"),
     (raises_text("unknown query target"), "inference._check_target"),
+    (raises_text("must be an Evidence"), "model.check_evidence"),
 ]
 
 
-@pytest.mark.parametrize("match, site", ONE_SITE, ids=["row-buffer", "query-target"])
+@pytest.mark.parametrize(
+    "match, site", ONE_SITE, ids=["row-buffer", "query-target", "evidence-type"]
+)
 def test_one_site_per_rule(match, site):
     assert package_sites(match) == [site]
 
@@ -197,11 +201,17 @@ def test_one_site_check_catches_a_second_copy():
         "def query_lifted_star(pfg, hub, q):\n"
         "    raise InvariantError(f'unknown query target {hub!r}')\n"
     )
-    (empty_like, _), (unknown_target, _) = ONE_SITE
+    texts["eacp"] += (
+        "def run_eacp(fg, eps, evidence):\n"
+        "    if not isinstance(evidence, Evidence):\n"
+        "        raise InvariantError(f'evidence must be an Evidence, got {evidence!r}')\n"
+    )
+    (empty_like, _), (unknown_target, _), (evidence_type, _) = ONE_SITE
     assert package_sites(empty_like, texts) == ["equivalence.put_row", "grouping._Group::add"]
     assert package_sites(unknown_target, texts) == [
         "inference._check_target", "inference.query_lifted_star",
     ]
+    assert package_sites(evidence_type, texts) == ["eacp.run_eacp", "model.check_evidence"]
 
 
 def test_site_check_catches_them():

@@ -82,8 +82,9 @@ class TestPhase1:
 
     def test_accessors(self, sales_three):
         g = phase1_group(sales_three.factors, 0.1)
-        assert g.group_index() == {"phi1": 0, "phi2": 0, "phi3": 1}
-        assert g.alignments() == {"phi1": (0, 1), "phi2": (0, 1), "phi3": (0, 1)}
+        colours, aligns = g.seeds()
+        assert colours == {"phi1": 0, "phi2": 0, "phi3": 1}
+        assert aligns == {"phi1": (0, 1), "phi2": (0, 1), "phi3": (0, 1)}
         assert tuple(len(group) for group in g.groups) == (2, 1)
 
     def test_empty_input(self):

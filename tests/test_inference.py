@@ -36,7 +36,7 @@ from liftcomp import (
 )
 from liftcomp import inference
 from liftcomp.acp import expand_crv
-from liftcomp.model import _index_scopes, clamp
+from liftcomp.model import _index_scopes, _kinds, clamp
 
 from conftest import counted_star, mixed_range_model, random_model, star_model
 
@@ -434,12 +434,14 @@ def walk(items, sizes, target, held=()):
     scopes = [args for args, _ in items]
     index = _index_scopes(sizes, scopes)
     number = index.number
+    tables = [table for _, table in items]
     store, rest, ops, order = inference._eliminate(
         list(index.args),
-        [table for _, table in items],
+        tables,
         index,
         number[target],
         [number[v] for v in held],
+        _kinds(tables, {}),
     )
     vector, cost = store.result(rest, sizes[target])
     ops += cost
@@ -575,9 +577,10 @@ class TestIndexedElimination:
     def test_plan_on_hand_built_buckets(self, case, target):
         items, sizes = hand_built_buckets(case, np.random.default_rng(0))
         index = _index_scopes(sizes, [args for args, _ in items])
+        tables = [table for _, table in items]
         with regime(planned=True):
             store, _, _, _ = inference._eliminate(
-                list(index.args), [table for _, table in items], index, index.number[target], ()
+                list(index.args), tables, index, index.number[target], (), _kinds(tables, {})
             )
             order, vector, ops = walk(items, sizes, target)
         check_plan(store, index, list(zip(index.args, (t for _, t in items))), index.number[target])
@@ -686,9 +689,10 @@ class TestIndexedElimination:
         eliminable = set(names) - {"F", "G"}
         for planned in (False, True):
             with regime(planned):
+                tables = [table for _, table in items]
                 store, rest, ops, order = inference._eliminate(
-                    [args for args, _ in items], [table for _, table in items],
-                    index, index.number["F"], held,
+                    [args for args, _ in items], tables,
+                    index, index.number["F"], held, _kinds(tables, {}),
                 )
                 vector, cost = store.result(rest, sizes["F"])
                 check_against_reference(fg, q)
@@ -884,8 +888,9 @@ def reference_lifted_star(pfg, hub, q):
             rep = group[0]
             scopes = [members[i][1] for i in rep]
             index = _index_scopes({hub}.union(*scopes), scopes)
+            source = [tables[members[i][0]] for i in rep]
             store, rest, cost, _ = inference._eliminate(
-                list(index.args), [tables[members[i][0]] for i in rep], index, index.number[hub], ()
+                list(index.args), source, index, index.number[hub], (), _kinds(source, {})
             )
             vector, cost_rest = store.result(rest, len(hub_labels))
             ops += cost + cost_rest

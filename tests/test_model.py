@@ -19,7 +19,9 @@ from liftcomp import (
     FactorGraph,
     InvariantError,
     ModelFormatError,
+    Query,
     RandomVariable,
+    colour_pass,
     fg_equal,
     joint_table,
     load_evidence,
@@ -303,6 +305,11 @@ class TestJointEvaluation:
         with pytest.raises(InvariantError):
             joint_table(sales, {"Rev": -1})
 
+    @pytest.mark.parametrize("k", [0.5, 1.0, True, "1", None])
+    def test_held_index_must_be_an_int(self, sales, k):
+        with pytest.raises(InvariantError, match="held index"):
+            joint_table(sales, {"Rev": k})
+
 
 class TestEnumerationCap:
     def test_cap_raises(self, sales, monkeypatch):
@@ -365,6 +372,27 @@ class TestEvidence:
     def test_bool(self):
         assert not Evidence()
         assert Evidence((("X", "a"),))
+
+    @pytest.mark.parametrize(
+        "items", ["A=b", (("A",),), (("A", "b", "c"),), ("ab",), (None,), 3, None]
+    )
+    def test_rejects_malformed_pairs(self, items):
+        with pytest.raises(InvariantError, match="pairs"):
+            Evidence(items)
+
+    @pytest.mark.parametrize("evidence", [(("SalA", "high"),), {"SalA": "high"}, None])
+    @pytest.mark.parametrize("caller", ["Query", "run_eacp", "colour_pass"])
+    def test_callers_require_an_evidence(self, sales, caller, evidence):
+        calls = {
+            "Query": lambda: Query("Rev", evidence),
+            "run_eacp": lambda: run_eacp(sales, 0.1, evidence),
+            "colour_pass": lambda: colour_pass(
+                sales, {"phi1": 0, "phi2": 0}, evidence,
+                alignments={"phi1": (0, 1), "phi2": (0, 1)}, eps=0.0,
+            ),
+        }
+        with pytest.raises(InvariantError, match="must be an Evidence"):
+            calls[caller]()
 
 
 class TestIndex:
