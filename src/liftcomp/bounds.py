@@ -18,15 +18,15 @@ expm1) so small eps keeps full precision at large m.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .equivalence import check_count, check_epsilon, check_positive_int
+from .equivalence import check_count, check_epsilon, check_positive_int, check_real
 from .errors import InvariantError
-from .model import Factor, FactorGraph, RandomVariable, joint_table
+from .model import Factor, FactorGraph, RandomVariable, joint_slabs
+from .model import joint_table  # noqa: F401  perfbench/run.py looks this name up
 
 __all__ = [
     "BoundSet",
@@ -103,11 +103,6 @@ def bound_set(m: int, eps: float) -> BoundSet:
     return BoundSet(m, eps, bound_general(m, eps), bound_tight(m, eps), alpha1, alpha2)
 
 
-# states per distance_exact slab: 2 MiB of float64. Smaller slabs let
-# per-slab Python work dominate; larger ones stop fitting in cache.
-SLAB_STATES = 2**18
-
-
 @dataclass(frozen=True)
 class DistanceReport:
     """Exact distance with the assignments attaining the ratio extremes."""
@@ -119,7 +114,7 @@ class DistanceReport:
     argmin_assignment: dict[str, str]
 
     def __post_init__(self) -> None:
-        _check_distance(self.d_exact)
+        check_real(self.d_exact, "distance", math.inf)
         if not (math.isfinite(self.max_ratio) and math.isfinite(self.min_ratio)):
             raise InvariantError(
                 f"ratio extremes must be finite, got {self.max_ratio!r} and {self.min_ratio!r}"
@@ -131,11 +126,10 @@ def distance_exact(m1: FactorGraph, m2: FactorGraph) -> DistanceReport:
 
     Both models must declare the same random variables with the same
     ranges; factorisations may differ. The joints are never held whole:
-    the leading RVs of m1, in declaration order, are held until a slab has
-    at most SLAB_STATES states, and their assignments are visited in
-    row-major order, one slab of each model at a time (joint_table with
-    held RVs). On ties the first extreme in row-major order of m1's RVs
-    wins, as over the full joint. Raises EnumerationCapError through
+    m1 is walked in joint_slabs' slabs, and m2's slab with the same RVs
+    held is divided into each, so each slab is built beside one other
+    slab at most. On ties the first extreme in row-major order of m1's
+    RVs wins, as over the full joint. Raises EnumerationCapError through
     joint_table when the state space exceeds the enumeration cap, and
     InvariantError when some ratio is not finite and positive because a
     joint product overflowed or underflowed float64.
@@ -149,38 +143,32 @@ def distance_exact(m1: FactorGraph, m2: FactorGraph) -> DistanceReport:
             raise InvariantError(
                 f"rv {rv.name!r} has different ranges in the two models"
             )
-    sizes = m1.shape
-    n_held = 0
-    while math.prod(sizes[n_held:]) > SLAB_STATES:
-        n_held += 1
-    held_names = names1[:n_held]
-    free2 = [n for n in names2 if n not in held_names]
-    perm = tuple(free2.index(n) for n in names1[n_held:])
     hi_idx = lo_idx = ()
     max_ratio, min_ratio = -math.inf, math.inf
-    for head in itertools.product(*map(range, sizes[:n_held])):
-        held = dict(zip(held_names, head))
-        slab2 = joint_table(m2, held).transpose(perm)
+    for held, ratio in joint_slabs(m1, {}):
+        # with the same RVs held, m2's states fit in one slab
+        ((_, slab2),) = joint_slabs(m2, held)
+        slab2 = slab2.transpose(np.argsort([m1.rv_position(n) for n in names2 if n not in held]))
         # both slabs are fresh arrays, so the ratio can overwrite m1's
-        ratio = joint_table(m1, held)
         with np.errstate(over="ignore", invalid="ignore"):   # checked just below
             np.divide(slab2, ratio, out=ratio)
         hi = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
         lo = np.unravel_index(int(np.argmin(ratio)), ratio.shape)
         slab_max, slab_min = float(ratio[hi]), float(ratio[lo])
-        # freed before the next slabs are built, which caps the peak at two
-        # slabs plus one build; freeing slab2 here too made distance_exact
-        # over the certify models 1.7x slower
-        del ratio
+        # m2's slab goes here and m1's once the next one is built, so each
+        # build runs beside one other slab; freeing both here made
+        # distance_exact over the certify models 2x slower, as the allocator
+        # gave the pages back and faulted them in again
+        del slab2
         if not 0.0 < slab_min <= slab_max < math.inf:
             raise InvariantError(
                 f"ratio extremes {slab_min!r} and {slab_max!r} are not finite and "
                 "positive: the joint product left the float64 range"
             )
         if slab_max > max_ratio:
-            max_ratio, hi_idx = slab_max, head + hi
+            max_ratio, hi_idx = slab_max, (*held.values(), *hi)
         if slab_min < min_ratio:
-            min_ratio, lo_idx = slab_min, head + lo
+            min_ratio, lo_idx = slab_min, (*held.values(), *lo)
     return DistanceReport(
         d_exact=math.log(max_ratio) - math.log(min_ratio),
         max_ratio=max_ratio,
@@ -210,16 +198,11 @@ def modified_factor_count(original: FactorGraph, updated: FactorGraph) -> int:
 
 def odds_envelope(d: float) -> tuple[float, float]:
     """Posterior odds of any conditional query move by a factor in this band."""
-    _check_distance(d)
+    d = check_real(d, "distance", math.inf)
     try:
         return (math.exp(-d), math.exp(d))
     except OverflowError:
         raise InvariantError(f"odds envelope e^{d!r} exceeds the float64 range") from None
-
-
-def _check_distance(d: float) -> None:
-    if not 0.0 <= d < math.inf:
-        raise InvariantError(f"distance must be non-negative and finite, got {d!r}")
 
 
 def _prob_shift(p: float, t: float) -> float:
@@ -243,7 +226,7 @@ def prob_envelope(p: float, d: float) -> tuple[float, float]:
     """
     if not 0.0 <= p <= 1.0:
         raise InvariantError(f"probability must lie in [0, 1], got {p!r}")
-    _check_distance(d)
+    d = check_real(d, "distance", math.inf)
     if p == 1.0:
         return (_prob_shift(math.nextafter(1.0, 0.0), -d), 1.0)
     if p == 0.0:

@@ -82,13 +82,21 @@ Alignment = tuple[int, ...]
 
 def check_epsilon(eps: float) -> float:
     """eps as a float: a real, non-bool 0 <= eps < 1, which keeps (1-eps) positive."""
+    return check_real(eps, "epsilon", 1.0)
+
+
+def check_real(value: float, what: str, below: float) -> float:
+    """value as a float, for a real, non-bool 0 <= value < below."""
     # a float skips the check against the Real ABC, which is slow
-    if type(eps) is not float and (isinstance(eps, bool) or not isinstance(eps, Real)):
-        raise InvariantError(f"epsilon must be a real number, got {eps!r}")
-    eps = float(eps)
-    if not 0.0 <= eps < 1.0:
-        raise InvariantError(f"epsilon must satisfy 0 <= eps < 1, got {eps}")
-    return eps
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
+        raise InvariantError(f"{what} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:   # an int or fraction past float64 fails the range check
+        value = float("inf") if value > 0 else -float("inf")
+    if not 0.0 <= value < below:
+        raise InvariantError(f"{what} must lie in [0, {below:g}), got {value}")
+    return value
 
 
 def check_count(value: int, what: str) -> int:

@@ -1,7 +1,8 @@
 """Ground and lifted query answering.
 
-Three evaluators over the same Query contract: full enumeration (the
-oracle), variable elimination with a min-degree order, and a lifted
+Three evaluators over the same Query contract: enumeration (the
+oracle, which sums the joint slab by slab and never holds it whole),
+variable elimination with a min-degree order, and a lifted
 evaluator for the hub marginal of a compressed model that computes one
 message per class of isomorphic branches and raises it to the class
 size instead of repeating identical eliminations: one pass over the
@@ -52,8 +53,9 @@ import numpy as np
 from .acp import ParfactorGraph, expand_crv
 from .errors import InvariantError, UnsupportedTopologyError
 from .model import (
-    Evidence, FactorGraph, _Index, _index_scopes, _kinds, check_evidence, clamp, joint_table,
+    Evidence, FactorGraph, _Index, _index_scopes, _kinds, check_evidence, clamp, joint_slabs,
 )
+from .model import joint_table  # noqa: F401  perfbench/run.py looks this name up
 
 __all__ = [
     "Query",
@@ -159,14 +161,26 @@ def _normalise(vector: np.ndarray, labels: tuple[str, ...], method: str, ops: in
 
 
 def query_enumerate(fg: FactorGraph, q: Query) -> QueryResult:
-    """Oracle evaluator: build the joint, clamp evidence, sum out the rest."""
+    """Oracle evaluator: sum the evidence's slice of the joint onto the target.
+
+    The slice is walked in joint_slabs' slabs and each slab is dropped
+    before the next is built, so no more than one slab and one build are
+    held however large the joint. A slab that holds the target adds its
+    sum at the target's label; any other adds its sums over every axis but
+    the target's. The sums are added in another order than one reduction
+    over the whole slice would use, so results can differ from that in
+    the last bits. ops counts the full joint's states.
+    """
     held = _validate_query(fg, q)
+    vector = np.zeros(fg.rv(q.target).size)
     with np.errstate(over="ignore", invalid="ignore"):
-        joint = joint_table(fg)
-        remaining, sliced = clamp(tuple(rv.name for rv in fg.rvs), joint, held)
-        other_axes = tuple(i for i, name in enumerate(remaining) if name != q.target)
-        vector = sliced.sum(axis=other_axes) if other_axes else sliced
-        return _normalise(vector, fg.rv(q.target).range, "enumerate", joint.size)
+        for slab_held, slab in joint_slabs(fg, held):
+            free = [rv.name for rv in fg.rvs if rv.name not in slab_held]
+            others = tuple(i for i, name in enumerate(free) if name != q.target)
+            # a slab that holds the target sums whole onto its label
+            vector[slab_held.get(q.target, slice(None))] += slab.sum(axis=others)
+            del slab
+        return _normalise(vector, fg.rv(q.target).range, "enumerate", fg.state_count())
 
 
 # intermediate factors are plain (args, table) pairs, args as RV numbers

@@ -11,10 +11,11 @@ Tables are stored as read-only float64 arrays shaped by the argument
 range sizes, C-order, so flat row-major listings have the last argument
 varying fastest. The constructors of RandomVariable, Factor and
 FactorGraph are the one definition of a valid model; io.load_fg relies
-on them. Every enumeration-based operation goes through joint_table,
-which refuses to run once the joint state count exceeds the cap
-(LIFTCOMP_ENUM_CAP, default 2**24 states) because it materializes one
-float per state.
+on them. Every enumeration-based operation walks the joint through
+joint_slabs, in slabs of at most SLAB_STATES states that joint_table
+builds; joint_table refuses to run once the full joint's state count
+exceeds the cap (LIFTCOMP_ENUM_CAP, default 2**24 states), so a model
+too large to enumerate fails before anything is allocated.
 
 Instances are immutable after construction and safe to share between
 threads; every operation in this module is a pure function.
@@ -30,7 +31,7 @@ import os
 import warnings
 from dataclasses import dataclass, replace
 from numbers import Integral
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -46,6 +47,7 @@ __all__ = [
     "resolve_cap",
     "clamp",
     "joint_table",
+    "joint_slabs",
     "fg_equal",
     "replace_tables",
 ]
@@ -365,9 +367,11 @@ def joint_table(fg: FactorGraph, held: Mapping[str, int] | None = None) -> np.nd
     multiplies in, and a factor whose arguments are all held multiplies
     in as a 0-d scalar at its place in the order, so the slab is
     bit-identical to the matching slice of the full joint and the
-    peak-memory claim holds per slab. Refuses to allocate anything when
-    the full joint's state count exceeds the enumeration cap
-    (resolve_cap), held or not, and is the only place that cap is checked.
+    peak-memory claim holds per slab. joint_slabs is its one caller in
+    the package and never asks for more than SLAB_STATES states. Refuses
+    to allocate anything when the full joint's state count exceeds the
+    enumeration cap (resolve_cap), held or not, and is the only place
+    that cap is checked.
     """
     n_states = fg.state_count()
     limit = resolve_cap()
@@ -409,6 +413,33 @@ def joint_table(fg: FactorGraph, held: Mapping[str, int] | None = None) -> np.nd
     joint = np.empty([sizes[a] for a in free], dtype=np.float64)
     joint[...] = prefix.reshape([sizes[a] if a in scope else 1 for a in free])
     return joint
+
+
+# states per slab of joint_slabs: 2 MiB of float64. Smaller slabs let
+# per-slab Python work dominate; larger ones stop fitting in cache.
+SLAB_STATES = 2**18
+
+
+def joint_slabs(fg: FactorGraph, held: Mapping[str, int]) -> Iterator[tuple[dict, np.ndarray]]:
+    """The joint with the RVs in held fixed, in slabs of at most SLAB_STATES states.
+
+    The leading RVs not in held, in declaration order, are held too until
+    a slab has at most SLAB_STATES states. Each assignment of them, in
+    row-major order, comes as held extended by it, together with its slab
+    joint_table(fg, that extended held): the slabs tile the slice of the
+    full joint at held in row-major order, each bit-identical to its part.
+    Each slab is built only when it is asked for, so a caller that drops
+    each slab before the next holds one slab and one build at most.
+    EnumerationCapError comes from the first joint_table call, before any
+    slab is allocated.
+    """
+    rest = [rv for rv in fg.rvs if rv.name not in held]
+    n_held = 0
+    while math.prod(rv.size for rv in rest[n_held:]) > SLAB_STATES:
+        n_held += 1
+    for head in itertools.product(*(range(rv.size) for rv in rest[:n_held])):
+        slab_held = {**held, **{rv.name: k for rv, k in zip(rest, head)}}
+        yield slab_held, joint_table(fg, slab_held)
 
 
 def _multiply_factor(

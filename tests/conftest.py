@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from liftcomp import Factor, FactorGraph, GenConfig, RandomVariable, generate_fg, perturb
+from liftcomp import Factor, FactorGraph, GenConfig, RandomVariable, generate_fg, model, perturb
 
 HL = ("high", "low")
 
@@ -219,3 +219,27 @@ def sales_three():
 @pytest.fixture
 def counting():
     return counting_model()
+
+
+def binary_chain(n, rng):
+    """n binary RVs in a chain of random pairwise tables: 2^n joint states."""
+    rvs = tuple(RandomVariable(f"V{i}", ("a", "b")) for i in range(n))
+    factors = tuple(
+        Factor(f"f{i}", (f"V{i}", f"V{i + 1}"), rng.uniform(0.5, 2.0, (2, 2)))
+        for i in range(n - 1)
+    )
+    return FactorGraph(rvs, factors)
+
+
+def record_slabs(monkeypatch):
+    """Wrap model.joint_table; returns the list of (held, result size) it fills."""
+    calls = []
+    real = model.joint_table
+
+    def recorder(fg, held=None):
+        out = real(fg, held)
+        calls.append((dict(held or {}), out.size))
+        return out
+
+    monkeypatch.setattr(model, "joint_table", recorder)
+    return calls

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,9 +31,17 @@ from liftcomp import (
     run_eacp,
     worst_case_fg,
 )
-from liftcomp import bounds
+from liftcomp import model
 
-from conftest import free_star, mixed_range_model, random_model, sales_model, star_model
+from conftest import (
+    binary_chain,
+    free_star,
+    mixed_range_model,
+    random_model,
+    record_slabs,
+    sales_model,
+    star_model,
+)
 
 
 class TestClosedForms:
@@ -80,6 +89,13 @@ class TestClosedForms:
             bound_tight(3, 1.0)
         with pytest.raises(InvariantError):
             bound_tight(3, -0.1)
+
+    @pytest.mark.parametrize("eps", [10**400, -(10**400), Fraction(10**400, 3)])
+    def test_eps_past_float64_is_typed(self, eps):
+        # float(eps) overflows: every caller of check_epsilon raises InvariantError
+        for check in (bound_general, bound_tight, bound_set, worst_case_fg):
+            with pytest.raises(InvariantError, match=r"epsilon must lie in \[0, 1\)"):
+                check(2, eps)
 
 
 class TestBoundSet:
@@ -161,6 +177,18 @@ class TestEnvelopes:
             prob_envelope(0.5, d)
         with pytest.raises(InvariantError):
             odds_envelope(d)
+
+    @pytest.mark.parametrize("d", [None, "1", True, False, 1j, 10**400])
+    def test_distance_must_be_a_finite_real(self, d):
+        with pytest.raises(InvariantError, match="distance must"):
+            prob_envelope(0.5, d)
+        with pytest.raises(InvariantError, match="distance must"):
+            odds_envelope(d)
+
+    def test_distance_of_any_real_type(self):
+        for d in (1, Fraction(1, 2), np.float32(0.5), np.int64(2)):
+            assert odds_envelope(d) == odds_envelope(float(d))
+            assert prob_envelope(0.3, d) == prob_envelope(0.3, float(d))
 
     def test_odds_envelope_overflow_is_typed(self):
         with pytest.raises(InvariantError, match="float64"):
@@ -345,20 +373,6 @@ def two_joint_distance(m1, m2):
     )
 
 
-def record_slabs(monkeypatch):
-    """Wrap bounds.joint_table; returns the list of (held, result size) it fills."""
-    calls = []
-    real = bounds.joint_table
-
-    def recorder(fg, held=None):
-        out = real(fg, held)
-        calls.append((dict(held or {}), out.size))
-        return out
-
-    monkeypatch.setattr(bounds, "joint_table", recorder)
-    return calls
-
-
 def perturbed(rng, fg):
     """fg with a random subset of its tables rescaled, its RVs sometimes reordered."""
     tables = {
@@ -389,15 +403,6 @@ def sized_model(rng, sizes):
     return FactorGraph(rvs, factors)
 
 
-def binary_chain(n, rng):
-    rvs = tuple(RandomVariable(f"V{i}", ("a", "b")) for i in range(n))
-    factors = tuple(
-        Factor(f"f{i}", (f"V{i}", f"V{i + 1}"), rng.uniform(0.5, 2.0, (2, 2)))
-        for i in range(n - 1)
-    )
-    return FactorGraph(rvs, factors)
-
-
 class TestDistanceSlabs:
     def test_bit_identical_to_two_joint_reference(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -408,7 +413,7 @@ class TestDistanceSlabs:
             other = perturbed(rng, fg)
             # small slab bounds make these small models span many slabs
             bound = max(1, fg.state_count() >> int(rng.integers(0, 7)))
-            monkeypatch.setattr(bounds, "SLAB_STATES", bound)
+            monkeypatch.setattr(model, "SLAB_STATES", bound)
             calls.clear()
             rep, ref = distance_exact(fg, other), two_joint_distance(fg, other)
             assert rep == ref and rep.d_exact.hex() == ref.d_exact.hex()
@@ -459,7 +464,7 @@ class TestDistanceSlabs:
             distance_exact(fg, other)
             sizes = [size for _, size in calls]
             assert sum(sizes) == 2 * fg.state_count()
-            assert max(sizes) <= bounds.SLAB_STATES
+            assert max(sizes) <= model.SLAB_STATES
 
     def test_memory_stays_within_two_slabs(self):
         # 2^22 states: the two full joints would take 64 MiB

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -112,6 +113,13 @@ class TestPotentials:
                 check_epsilon(eps)
         for eps in (0, np.float32(0.5), np.float64(0.1), np.int64(0)):
             assert check_epsilon(eps) == float(eps) and type(check_epsilon(eps)) is float
+
+    def test_eps_past_float64_is_out_of_range(self):
+        # float(eps) overflows: an InvariantError, not an OverflowError
+        for eps, shown in ((10**400, "inf"), (-(10**400), "-inf"), (Fraction(10**400, 3), "inf")):
+            message = rf"epsilon must lie in \[0, 1\), got {shown}$"
+            with pytest.raises(InvariantError, match=message):
+                check_epsilon(eps)
 
 
 class TestBandEdge:

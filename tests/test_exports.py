@@ -89,6 +89,7 @@ def test_noqa_imports_are_the_perfbench_rebinds():
     found = {f"{p.stem}.{name}" for p in SOURCES for name in noqa_imports(p.read_text())}
     assert found == {
         "grouping.eps_equiv_arrays", "eacp.eps_equiv_arrays", "acp.eps_equiv_factors",
+        "bounds.joint_table", "inference.joint_table",
     }
 
 
@@ -173,17 +174,20 @@ def test_one_arity_cap_check():
 
 
 # one site per rule: put_row is where a stack of rows grows its buffer,
-# _check_target is where every evaluator checks its query's target, and
-# check_evidence is where Query and both pipeline stages check evidence's type
+# _check_target is where every evaluator checks its query's target,
+# check_evidence is where Query and both pipeline stages check evidence's
+# type, and joint_slabs is where both enumeration oracles get their joint,
+# one bounded slab at a time
 ONE_SITE = [
     (calls_to("empty_like"), "equivalence.put_row"),
     (raises_text("unknown query target"), "inference._check_target"),
     (raises_text("must be an Evidence"), "model.check_evidence"),
+    (calls_to("joint_table"), "model.joint_slabs"),
 ]
 
 
 @pytest.mark.parametrize(
-    "match, site", ONE_SITE, ids=["row-buffer", "query-target", "evidence-type"]
+    "match, site", ONE_SITE, ids=["row-buffer", "query-target", "evidence-type", "joint-slabs"]
 )
 def test_one_site_per_rule(match, site):
     assert package_sites(match) == [site]
@@ -200,18 +204,21 @@ def test_one_site_check_catches_a_second_copy():
     texts["inference"] += (
         "def query_lifted_star(pfg, hub, q):\n"
         "    raise InvariantError(f'unknown query target {hub!r}')\n"
+        "def query_enumerate(fg, q):\n"
+        "    joint = joint_table(fg)\n"
     )
     texts["eacp"] += (
         "def run_eacp(fg, eps, evidence):\n"
         "    if not isinstance(evidence, Evidence):\n"
         "        raise InvariantError(f'evidence must be an Evidence, got {evidence!r}')\n"
     )
-    (empty_like, _), (unknown_target, _), (evidence_type, _) = ONE_SITE
+    (empty_like, _), (unknown_target, _), (evidence_type, _), (joint, _) = ONE_SITE
     assert package_sites(empty_like, texts) == ["equivalence.put_row", "grouping._Group::add"]
     assert package_sites(unknown_target, texts) == [
         "inference._check_target", "inference.query_lifted_star",
     ]
     assert package_sites(evidence_type, texts) == ["eacp.run_eacp", "model.check_evidence"]
+    assert package_sites(joint, texts) == ["inference.query_enumerate", "model.joint_slabs"]
 
 
 def test_site_check_catches_them():

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import math
 import pickle
+import tracemalloc
 import warnings
 from contextlib import contextmanager
 from unittest import mock
@@ -28,17 +30,20 @@ from liftcomp import (
     UnsupportedTopologyError,
     generate_fg,
     ground,
+    joint_table,
     perturb,
     query_enumerate,
     query_lifted_star,
     query_ve,
     run_eacp,
 )
-from liftcomp import inference
+from liftcomp import inference, model
 from liftcomp.acp import expand_crv
 from liftcomp.model import _index_scopes, _kinds, clamp
 
-from conftest import counted_star, mixed_range_model, random_model, star_model
+from conftest import (
+    binary_chain, counted_star, mixed_range_model, random_model, record_slabs, star_model,
+)
 
 TF = ("t", "f")
 
@@ -133,6 +138,91 @@ class TestEnumerate:
         monkeypatch.setenv("LIFTCOMP_ENUM_CAP", "4")
         with pytest.raises(EnumerationCapError):
             query_enumerate(sales, Query("SalA"))
+
+
+def whole_joint_enumerate(fg, q):
+    """Reference: query_enumerate as it was before slabs, over the full joint."""
+    held = q.evidence.validate_against(fg)
+    joint = joint_table(fg)
+    remaining, sliced = clamp(tuple(rv.name for rv in fg.rvs), joint, held)
+    other_axes = tuple(i for i, name in enumerate(remaining) if name != q.target)
+    vector = sliced.sum(axis=other_axes) if other_axes else sliced
+    return inference._normalise(vector, fg.rv(q.target).range, "enumerate", joint.size)
+
+
+def random_query(rng, fg):
+    """A random target, each other RV observed at a random label with probability 0.3."""
+    target = fg.rvs[int(rng.integers(len(fg.rvs)))].name
+    observed = tuple(
+        (rv.name, rv.range[int(rng.integers(rv.size))])
+        for rv in fg.rvs if rv.name != target and rng.random() < 0.3
+    )
+    return Query(target, Evidence(observed))
+
+
+class TestEnumerateSlabs:
+    def test_matches_whole_joint_reference(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        calls = record_slabs(monkeypatch)
+        multi_slab = walked = free = all_held_factor = zero_d = 0
+        for i in range(300):
+            fg = mixed_range_model(rng) if i % 2 else random_model(rng)
+            q = random_query(rng, fg)
+            observed = math.prod(fg.rv(name).size for name, _ in q.evidence.items)
+            # small slab bounds make the evidence slice span many slabs
+            bound = max(1, fg.state_count() // observed >> int(rng.integers(0, 7)))
+            monkeypatch.setattr(model, "SLAB_STATES", bound)
+            calls.clear()
+            res = query_enumerate(fg, q)
+            slabs = list(calls)
+            ref = whole_joint_enumerate(fg, q)
+            assert res.ops == ref.ops == fg.state_count()
+            for label, p in ref.distribution.items():
+                assert res[label] == pytest.approx(p, rel=1e-12, abs=0.0)
+            assert dist_close(res, query_ve(fg, q))
+            held = slabs[0][0]
+            assert sum(size for _, size in slabs) * observed == fg.state_count()
+            assert max(size for _, size in slabs) <= bound
+            multi_slab += len(slabs) > 1
+            walked += q.target in held
+            free += q.target not in held
+            all_held_factor += any(set(f.args) <= held.keys() for f in fg.factors)
+            zero_d += len(held) == len(fg.rvs)
+        assert multi_slab > 200 and walked > 150 and free > 70
+        assert all_held_factor > 180 and zero_d > 100
+
+    def test_memory_stays_within_two_slabs(self):
+        # 2^22 states: the full joint would take 32 MiB
+        fg = binary_chain(22, np.random.default_rng(3))
+        queries = (
+            Query("V21"),
+            Query("V0", Evidence((("V21", "b"),))),
+            Query("V10", Evidence((("V3", "a"),))),
+        )
+        for q in queries:
+            tracemalloc.start()
+            try:
+                res = query_enumerate(fg, q)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # two slabs of float64, then the output and the walk's bookkeeping
+            assert peak < 2 * 8 * model.SLAB_STATES + 2**16
+            assert res.ops == fg.state_count()
+
+    def test_cap_checked_on_the_full_joint_before_any_allocation(self, monkeypatch):
+        fg = binary_chain(22, np.random.default_rng(4))
+        monkeypatch.setenv("LIFTCOMP_ENUM_CAP", str(2**20))
+        # the evidence slice has 2^19 states, under the cap; the joint is over it
+        q = Query("V21", Evidence(tuple((f"V{i}", "a") for i in range(3))))
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapError):
+                query_enumerate(fg, q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
 
 class TestVariableElimination:
