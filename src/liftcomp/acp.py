@@ -27,12 +27,14 @@ the benchmark's sizes plain Python on these slots beats numpy, whose
 per-call cost exceeds the work. The initial factor colours and their
 alignments are injected by the caller.
 
-Commutativity is detected by equivalence.commutative_blocks on a
-factor's table viewed in its group frame, with that frame's range
-labels, by the stage that uses it: colour_pass on each initial class
-representative, and exact_crv_positions on the updated representative
-of each final group whose arguments hold two RVs of one class, the only
-groups in which a block can be counted.
+Commutativity is detected by equivalence.commutative_blocks on
+factor tables viewed in their group frames, with those frames' range
+labels, by the stage that uses it. colour_pass stacks the initial class
+representatives by their frames' range labels and detects each stack in
+one call, so a model makes one detection call per range labelling, not
+one per class. exact_crv_positions detects, as a stack of one, the
+updated representative of each final group whose arguments hold two RVs
+of one class, the only groups in which a block can be counted.
 
 construct_pfg turns the final grouping into a parfactor graph: per
 group, its members in the representative's frame, one table and an
@@ -217,40 +219,47 @@ def colour_pass(
     """
     eps = check_epsilon(eps)
     rv_index = fg._rv_pos.__getitem__  # type: ignore[attr-defined]
-    # per initial class: blocks to sort, and the position each slot sends
-    class_slots: dict[int, tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = {}
-    f_args: list[tuple[int, ...]] = []
-    f_sorts: list[tuple[tuple[int, ...], ...]] = []
-    slots: list[list[tuple[int, int]]] = [[] for _ in fg.rvs]
     # colours are class labels, the initial ones numbered 0, 1, ... in
     # first-seen order, each kept by the part of its class that does not
     # move when it splits
     dense: dict[int, int] = {}
     f_col: list[int] = []
-    for fi, f in enumerate(fg.factors):
+    f_frames: list[tuple[str, ...]] = []
+    # each class representative, its first factor, in its group frame, by
+    # the frame's range labels: one detection per labelling
+    reps: dict[tuple[tuple[str, ...], ...], list[tuple[int, np.ndarray]]] = {}
+    for f in fg.factors:
         if f.name not in initial_factor_colours:
             raise InvariantError(f"no initial colour for factor {f.name!r}")
         if f.name not in alignments:
             raise InvariantError(f"no alignment for factor {f.name!r}")
         perm = alignments[f.name]
-        colour = dense.setdefault(initial_factor_colours[f.name], len(dense))
         frame_args = aligned_args(f.args, perm)
-        if colour not in class_slots:
-            # the class representative, its first factor, decides the blocks
-            blocks = commutative_blocks(
-                aligned_table(f.table, perm), eps, tuple(fg.rv(a).range for a in frame_args)
-            )
+        if initial_factor_colours[f.name] not in dense:
+            ranges = tuple(fg.rv(a).range for a in frame_args)
+            reps.setdefault(ranges, []).append((len(dense), aligned_table(f.table, perm)))
+        f_col.append(dense.setdefault(initial_factor_colours[f.name], len(dense)))
+        f_frames.append(frame_args)
+    # per initial class: blocks to sort, and the position each slot sends
+    class_slots: dict[int, tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = {}
+    for ranges, found in reps.items():
+        colours, tables = zip(*found)
+        stack = tables[0][None] if len(tables) == 1 else np.stack(tables)
+        for colour, blocks in zip(colours, commutative_blocks(stack, eps, ranges)):
             sorts = tuple(b for b in blocks if len(b) >= 2)
             counted = {p for b in sorts for p in b}
-            positions = tuple(0 if j in counted else j + 1 for j in range(f.arity))
+            positions = tuple(0 if j in counted else j + 1 for j in range(len(ranges)))
             class_slots[colour] = sorts, positions
+    f_args: list[tuple[int, ...]] = []
+    f_sorts: list[tuple[tuple[int, ...], ...]] = []
+    slots: list[list[tuple[int, int]]] = [[] for _ in fg.rvs]
+    for fi, (colour, frame_args) in enumerate(zip(f_col, f_frames)):
         sorts, positions = class_slots[colour]
         args = tuple(map(rv_index, frame_args))
         for a, pos in zip(args, positions):
             slots[a].append((fi, pos))
         f_args.append(args)
         f_sorts.append(sorts)
-        f_col.append(colour)
     rv_col = list(initial_rv_colours(fg, evidence).values())   # in model order
     f_sizes = _class_sizes(f_col)
     rv_sizes = _class_sizes(rv_col)
@@ -459,7 +468,7 @@ def exact_crv_positions(
             continue
         args = aligned_args(f.args, rep.align)
         table = aligned_table(f.table, rep.align)
-        blocks = commutative_blocks(table, eps, tuple(fg.rv(a).range for a in args))
+        blocks = commutative_blocks(table[None], eps, tuple(fg.rv(a).range for a in args))[0]
         candidates = [
             block for block in blocks
             if len(block) >= 2

@@ -19,6 +19,7 @@ expm1) so small eps keeps full precision at large m.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +43,24 @@ __all__ = [
 ]
 
 
-def bound_general(m: int, eps: float) -> float:
-    """m * (ln(1+eps) - ln(1-eps)): every entry ratio lies in [1-eps, 1+eps]."""
+def _certificate_args(m: int, eps: float) -> tuple[int, float]:
+    """m and eps for the certificates, which must stay inside the float64 range.
+
+    bound_general is the larger certificate, so both are finite where it
+    is; past that (m above about 1.8e308, or m * ln((1+eps)/(1-eps))
+    overflowing) InvariantError names the count. m is converted to float
+    only once it is known to fit.
+    """
     m = check_count(m, "modified-factor count")
     eps = check_epsilon(eps)
+    if m > sys.float_info.max or m * (math.log1p(eps) - math.log1p(-eps)) == math.inf:
+        raise InvariantError(f"modified-factor count {m} puts the certificates past float64")
+    return m, eps
+
+
+def bound_general(m: int, eps: float) -> float:
+    """m * (ln(1+eps) - ln(1-eps)): every entry ratio lies in [1-eps, 1+eps]."""
+    m, eps = _certificate_args(m, eps)
     return m * (math.log1p(eps) - math.log1p(-eps))
 
 
@@ -59,8 +74,7 @@ def bound_tight(m: int, eps: float) -> float:
     lone factor can only be averaged with itself. At m = 0 nothing was
     modified and the bound is 0.
     """
-    m = check_count(m, "modified-factor count")
-    eps = check_epsilon(eps)
+    m, eps = _certificate_args(m, eps)
     if m == 0:
         return 0.0
     inner = math.log1p((m - 1) / m * eps) + math.log1p(eps) - math.log1p(eps / m)
@@ -86,16 +100,17 @@ class BoundSet:
         if not self.alpha1 <= 1.0 <= self.alpha2:
             raise InvariantError("ratio extremes must straddle 1")
         if self.m > 0 and self.eps > 0.0:
-            middle = 2 * self.m * math.log1p(self.eps)
-            if not self.d_tight < middle < self.d_general:
+            # the chain is strict, but d_tight's gap below the middle is a
+            # constant in m, which float64 no longer resolves from m ~ 1e17
+            middle = self.m * (2 * math.log1p(self.eps))
+            if not self.d_tight <= middle <= self.d_general:
                 raise InvariantError(
-                    "bound chain violated: expected d_tight < 2m*ln(1+eps) < d_general"
+                    "bound chain violated: expected d_tight <= 2m*ln(1+eps) <= d_general"
                 )
 
 
 def bound_set(m: int, eps: float) -> BoundSet:
-    m = check_count(m, "modified-factor count")
-    eps = check_epsilon(eps)
+    m, eps = _certificate_args(m, eps)
     if m == 0:
         return BoundSet(0, eps, 0.0, 0.0, 1.0, 1.0)
     alpha1 = (1.0 + eps / m) / (1.0 + eps)
@@ -218,14 +233,13 @@ def _prob_shift(p: float, t: float) -> float:
 def prob_envelope(p: float, d: float) -> tuple[float, float]:
     """Interval containing the true probability when the model reports p.
 
-    p lies in [0, 1]. A reported 1.0 is a marginal that rounded up to 1
-    (say 1 - 5.5e-19), so its interval runs from the envelope of the float
-    just below 1 up to 1.0. Likewise a reported 0.0 is a marginal that
-    rounded down to 0 (say e^-921), so its interval runs from 0.0 up to
-    the envelope of the smallest positive float.
+    p is a real, non-bool number in [0, 1]. A reported 1.0 is a marginal
+    that rounded up to 1 (say 1 - 5.5e-19), so its interval runs from the
+    envelope of the float just below 1 up to 1.0. Likewise a reported 0.0
+    is a marginal that rounded down to 0 (say e^-921), so its interval
+    runs from 0.0 up to the envelope of the smallest positive float.
     """
-    if not 0.0 <= p <= 1.0:
-        raise InvariantError(f"probability must lie in [0, 1], got {p!r}")
+    p = check_real(p, "probability", 1.0, closed=True)
     d = check_real(d, "distance", math.inf)
     if p == 1.0:
         return (_prob_shift(math.nextafter(1.0, 0.0), -d), 1.0)

@@ -15,7 +15,8 @@ the test is bit equality. The relation is symmetric and reflexive but
 NOT transitive, and no code here may assume otherwise.
 
 The test has two forms. eps_equiv_arrays applies it entrywise to two
-tables of one shape. eps_band_mask applies it to one table, or to a
+stacks of equal-shape tables, row against row, with one verdict per
+row. eps_band_mask applies it to one table, or to a
 stack of candidate tables, against a stack of envelopes: a stack row
 holds the entrywise minimum and maximum of one set of tables, and the
 mask decides from those two tables alone, exactly as eps_equiv_arrays
@@ -35,11 +36,14 @@ permutations: position j of the right-hand factor receives the left
 factor's coordinate perm[j]. `aligned_table(t, perm)` therefore views
 the right factor's table in the left factor's frame.
 
-commutative_blocks is the one commutativity test: it partitions a
-table's axes into blocks whose pairwise swaps keep the table
-eps-equivalent, allowing a swap only between axes with equal range
-labels. The caller passes the table in whatever frame it needs (acp
-passes each class representative in its group frame).
+commutative_blocks is the one commutativity test. It takes a stack of
+tables that share one range labelling and partitions each table's axes
+into blocks whose pairwise swaps keep the table eps-equivalent, allowing
+a swap only between axes with equal range labels. Each swap is decided
+for the whole stack in one eps_equiv_arrays call, the package's only
+call of it. The caller passes the tables in whatever frame it needs:
+acp passes its class representatives in their group frames, one stack
+per range labelling, and a single table as a stack of one.
 """
 
 from __future__ import annotations
@@ -85,8 +89,8 @@ def check_epsilon(eps: float) -> float:
     return check_real(eps, "epsilon", 1.0)
 
 
-def check_real(value: float, what: str, below: float) -> float:
-    """value as a float, for a real, non-bool 0 <= value < below."""
+def check_real(value: float, what: str, below: float, *, closed: bool = False) -> float:
+    """value as a float, for a real, non-bool 0 <= value < below (<= below when closed)."""
     # a float skips the check against the Real ABC, which is slow
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
         raise InvariantError(f"{what} must be a real number, got {value!r}")
@@ -94,8 +98,9 @@ def check_real(value: float, what: str, below: float) -> float:
         value = float(value)
     except OverflowError:   # an int or fraction past float64 fails the range check
         value = float("inf") if value > 0 else -float("inf")
-    if not 0.0 <= value < below:
-        raise InvariantError(f"{what} must lie in [0, {below:g}), got {value}")
+    if not (0.0 <= value <= below if closed else 0.0 <= value < below):
+        end = "]" if closed else ")"
+        raise InvariantError(f"{what} must lie in [0, {below:g}{end}, got {value}")
     return value
 
 
@@ -183,15 +188,20 @@ def _band(eps: float) -> tuple[float, float]:
     return (1.0 + eps) * (1.0 + slack), (1.0 - eps) * (1.0 - slack)
 
 
-def eps_equiv_arrays(x: np.ndarray, y: np.ndarray, eps: float) -> bool:
-    """Entrywise band test over two equal-shape arrays."""
+def eps_equiv_arrays(x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray:
+    """Per row of two equal-shape stacks of tables: the entrywise band test, one bool a row.
+
+    x and y have shape (rows,) + shape; row r of the result says whether
+    x[r] and y[r] are eps-equivalent entry by entry.
+    """
     eps = check_epsilon(eps)
-    if x.shape != y.shape:
-        raise InvariantError(f"shape mismatch {x.shape} vs {y.shape}")
+    if x.ndim == 0 or x.shape != y.shape:
+        raise InvariantError(f"shape mismatch {x.shape} vs {y.shape}: need two stacks of tables")
     c1, c2 = _band(eps)
     hi = np.maximum(x, y)
     lo = np.minimum(x, y)
-    return bool(np.all(hi <= lo * c1) and np.all(lo >= hi * c2))
+    ok = (hi <= lo * c1) & (lo >= hi * c2)
+    return ok.all(axis=tuple(range(1, ok.ndim)))
 
 
 def eps_band_mask(lo: np.ndarray, hi: np.ndarray, table: np.ndarray, eps: float) -> np.ndarray:
@@ -336,33 +346,52 @@ def band_matches(
     return found
 
 
-def commutative_blocks(
-    table: np.ndarray, eps: float, ranges: tuple[tuple[str, ...], ...]
-) -> tuple[tuple[int, ...], ...]:
-    """Greedy clique partition of a table's axes under the pairwise swap test.
+@lru_cache(maxsize=256)
+def _swap_pairs(ranges: tuple[tuple[str, ...], ...]) -> tuple[tuple[int, int], ...]:
+    """Axis pairs (i, j), i < j, with equal range labels, ordered by j, then i."""
+    return tuple((i, j) for j in range(len(ranges)) for i in range(j) if ranges[i] == ranges[j])
 
-    `ranges` holds the range labels of each axis. Two axes pass the swap
-    test when their labels are equal and swapping them yields an
-    eps-equivalent table. Each axis in turn joins the first block all of
-    whose axes it passes with, or opens a new block. Pairwise
-    transpositions rather than all block permutations: with eps > 0 the
-    relation is not transitive, matching the pairwise grouping stance
-    used everywhere else. Blocks are disjoint, cover all axes, and are
-    listed by first axis.
+
+@lru_cache(maxsize=1024)
+def _greedy_blocks(arity: int, pairs: tuple, passed: tuple) -> tuple[tuple[int, ...], ...]:
+    """Each axis in turn joins the first block it passes the swap test with entirely.
+
+    pairs are _swap_pairs of the ranges; passed holds each pair's verdict, a bool.
     """
-    eps = check_epsilon(eps)
-    if len(ranges) != table.ndim:
-        raise InvariantError(f"ranges arity {len(ranges)} != table arity {table.ndim}")
-
-    def swap_ok(i: int, j: int) -> bool:
-        return ranges[i] == ranges[j] and eps_equiv_arrays(table, np.swapaxes(table, i, j), eps)
-
+    swaps = {pair for pair, ok in zip(pairs, passed) if ok}
     blocks: list[list[int]] = []
-    for j in range(table.ndim):
+    for j in range(arity):
         for block in blocks:
-            if all(swap_ok(j, b) for b in block):
+            if all((b, j) in swaps for b in block):
                 block.append(j)
                 break
         else:
             blocks.append([j])
     return tuple(map(tuple, blocks))
+
+
+def commutative_blocks(
+    tables: np.ndarray, eps: float, ranges: tuple[tuple[str, ...], ...]
+) -> list[tuple[tuple[int, ...], ...]]:
+    """Per table of a stack: the greedy clique partition of its axes under the swap test.
+
+    `tables` has shape (rows,) + shape, and `ranges` holds the range
+    labels of each axis of one table, shared by every row. Two axes pass
+    the swap test when their labels are equal and swapping them yields an
+    eps-equivalent table; each such axis pair is tested for the whole
+    stack in one eps_equiv_arrays call. Each axis in turn joins the first
+    block all of whose axes it passes with, or opens a new block.
+    Pairwise transpositions rather than all block permutations: with
+    eps > 0 the relation is not transitive, matching the pairwise
+    grouping stance used everywhere else. Blocks are disjoint, cover all
+    axes, and are listed by first axis.
+    """
+    eps = check_epsilon(eps)
+    arity = tables.ndim - 1
+    if len(ranges) != arity:
+        raise InvariantError(f"ranges arity {len(ranges)} != table arity {arity}")
+    pairs = _swap_pairs(ranges)
+    verdicts = [eps_equiv_arrays(tables, np.swapaxes(tables, i + 1, j + 1), eps).tolist()
+                for i, j in pairs]
+    rows = zip(*verdicts) if pairs else [()] * len(tables)
+    return [_greedy_blocks(arity, pairs, row) for row in rows]

@@ -115,7 +115,7 @@ def _reference_group_alignment(candidate, rep_shape, member_tables, eps):
         if any(shape2[j] != rep_shape[perm[j]] for j in range(len(perm))):
             continue
         aligned = aligned_table(candidate.table, perm)
-        if all(eps_equiv_arrays(mt, aligned, eps) for mt in member_tables):
+        if all(eps_equiv_arrays(mt[None], aligned[None], eps)[0] for mt in member_tables):
             total = 0.0
             for mt in member_tables:
                 diff = mt - aligned
@@ -295,7 +295,10 @@ class TestBandMask:
             rows.append(members)
         lo = np.stack([np.min(m, axis=0) for m in rows])
         hi = np.stack([np.max(m, axis=0) for m in rows])
-        expected = [all(eps_equiv_arrays(m, table, eps) for m in members) for members in rows]
+        expected = [
+            all(eps_equiv_arrays(m[None], table[None], eps)[0] for m in members)
+            for members in rows
+        ]
         assert eps_band_mask(lo, hi, table, eps).tolist() == expected
 
 

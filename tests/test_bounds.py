@@ -131,6 +131,27 @@ class TestBoundSet:
                 bs = bound_set(m, eps)
                 assert bs.alpha1 <= 1.0 <= bs.alpha2
 
+    def test_counts_up_to_the_float64_range(self):
+        # 2m*ln(1+eps) - d_tight is a constant in m, which float64 rounds
+        # away at these counts: the chain holds with equality
+        for m in (10**17, 10**100, 10**308):
+            bs = bound_set(m, 0.1)
+            assert bs.d_general == bound_general(m, 0.1)
+            assert bs.d_general == pytest.approx(float(m) * math.log(1.1 / 0.9))
+            assert bs.d_tight == bound_tight(m, 0.1)
+            assert bs.d_tight == pytest.approx(float(m) * (2 * math.log(1.1)))
+        for bound in (bound_general, bound_tight, bound_set):
+            # m past float64, and a count whose certificates overflow
+            for m, eps in ((10**400, 0.1), (10**308, 0.9)):
+                with pytest.raises(InvariantError, match=rf"count {m} puts the certificates"):
+                    bound(m, eps)
+
+    def test_tiny_eps(self):
+        # ln(1+eps) and -ln(1-eps) round to one value: 2m*ln(1+eps) == d_general
+        for eps in (1e-17, 1e-300):
+            bs = bound_set(2, eps)
+            assert bs.d_tight <= 4 * math.log1p(eps) == bs.d_general == bound_general(2, eps)
+
     def test_inconsistent_fields_rejected(self):
         good = bound_set(3, 0.1)
         with pytest.raises(InvariantError):
@@ -250,7 +271,16 @@ class TestEnvelopes:
         assert lo == 0.0
         assert math.log(hi) >= res.log_distribution["a0"]
 
-    @pytest.mark.parametrize("p", [-0.5, 1.0 + 2**-52, 2.0, math.nan, math.inf])
+    @pytest.mark.parametrize("p", [None, "0.5", [], True, False, np.True_, 0.5j])
+    def test_prob_envelope_p_must_be_a_real(self, p):
+        with pytest.raises(InvariantError, match="probability must be a real number"):
+            prob_envelope(p, 0.1)
+
+    def test_prob_envelope_p_of_any_real_type(self):
+        for p in (0, 1, Fraction(1, 2), np.float32(0.5), np.int64(1)):
+            assert prob_envelope(p, 0.1) == prob_envelope(float(p), 0.1)
+
+    @pytest.mark.parametrize("p", [-0.5, 1.0 + 2**-52, 2.0, math.nan, math.inf, 10**400])
     def test_prob_envelope_outside_domain_rejected(self, p):
         with pytest.raises(InvariantError, match=r"\[0, 1\]"):
             prob_envelope(p, 0.1)

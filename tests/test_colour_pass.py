@@ -56,8 +56,8 @@ def reference_colour_pass(fg, initial_factor_colours, evidence, alignments, eps)
         if colour in blocks_by_colour:
             continue
         perm = aligns[f.name]
-        blocks = commutative_blocks(
-            aligned_table(f.table, perm), eps,
+        (blocks,) = commutative_blocks(
+            aligned_table(f.table, perm)[None], eps,
             tuple(fg.rv(a).range for a in aligned_args(f.args, perm)),
         )
         blocks_by_colour[colour] = blocks
@@ -169,7 +169,7 @@ def _seedings(fg, eps):
 class TestAgainstReference:
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     def test_generated_models(self, eps, monkeypatch):
-        detections = _record_detections(monkeypatch)
+        detections, _ = _record_detections(monkeypatch)
         permuted = symmetric = one_colour = 0
         for seed in range(150):
             fg, evidence = generated_model(seed)
@@ -241,16 +241,21 @@ class TestAgainstReference:
 
 
 def _record_detections(monkeypatch):
-    """Every commutative_blocks call acp makes, as ((shape, bytes, ranges), blocks)."""
-    calls = []
+    """Every table acp detects and its calls: rows and stack heights, in call order.
 
-    def recording(table, eps, ranges):
-        blocks = commutative_blocks(table, eps, ranges)
-        calls.append(((table.shape, table.tobytes(), ranges), blocks))
-        return blocks
+    One ((shape, bytes, ranges), blocks) entry per stacked table, and the
+    number of tables each commutative_blocks call stacked.
+    """
+    rows, calls = [], []
+
+    def recording(tables, eps, ranges):
+        found = commutative_blocks(tables, eps, ranges)
+        rows.extend(((t.shape, t.tobytes(), ranges), b) for t, b in zip(tables, found))
+        calls.append(len(tables))
+        return found
 
     monkeypatch.setattr(acp, "commutative_blocks", recording)
-    return calls
+    return rows, calls
 
 
 def reference_crv_positions(fg, grouping, rv_classes, eps):
@@ -263,7 +268,8 @@ def reference_crv_positions(fg, grouping, rv_classes, eps):
         args = aligned_args(f.args, rep.align)
         table = aligned_table(f.table, rep.align)
         candidates = []
-        for block in commutative_blocks(table, eps, tuple(fg.rv(a).range for a in args)):
+        (blocks,) = commutative_blocks(table[None], eps, tuple(fg.rv(a).range for a in args))
+        for block in blocks:
             if len(block) < 2 or len({class_of[args[p]] for p in block}) > 1:
                 continue
             axes = list(range(table.ndim))
@@ -302,7 +308,7 @@ class TestCommutativeDetection:
         a = np.array([[1.0, 1.04], [1.0, 2.0]])
         b = np.array([[1.0, 1.0], [1.04, 2.0]])
         fg = FactorGraph(rvs, (Factor("a", ("X1", "X2"), a), Factor("b", ("Y1", "Y2"), b)))
-        detections = _record_detections(monkeypatch)
+        detections, _ = _record_detections(monkeypatch)
         comp = run_eacp(fg, 0.1)
         mean = comp.m_prime.factor("a").table
         assert not np.array_equal(mean, a) and np.array_equal(mean, mean.T)
@@ -349,7 +355,7 @@ class TestCommutativeDetection:
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_one_detection_per_initial_class_on_stars(self, monkeypatch, perturbed):
         fg = deep_star(16, 3, seed=1) if perturbed else star_model(16, 3, seed=1)
-        detections = _record_detections(monkeypatch)
+        detections, _ = _record_detections(monkeypatch)
         comp = run_eacp(fg, 0.1)
         assert len(detections) == len(phase1_group(fg.factors, 0.1).groups)
         detections.clear()
@@ -358,9 +364,30 @@ class TestCommutativeDetection:
 
     def test_one_detection_per_key_on_an_acp_star(self, monkeypatch):
         fg = star_model(16, 3, seed=2)
-        detections = _record_detections(monkeypatch)
+        detections, calls = _record_detections(monkeypatch)
         run_eacp(fg, 0.0)
         # three distinct tables, each detected once for colour passing and
         # never for counting
         keys = [key for key, _ in detections]
         assert len(keys) == len(set(keys)) == 3
+        # one range labelling: colour passing detects them in one call
+        assert calls == [3]
+
+    def test_one_detection_call_per_range_labelling(self, monkeypatch):
+        # binary-binary and binary-ternary frames: two labellings, two calls,
+        # each stacking the representatives of its labelling
+        tf, xyz = ("t", "f"), ("x", "y", "z")
+        rvs = tuple(RandomVariable(n, tf) for n in "ABC") + (RandomVariable("D", xyz),)
+        rng = np.random.default_rng(4)
+        fg = FactorGraph(rvs, (
+            Factor("f1", ("A", "B"), rng.uniform(0.1, 1.0, (2, 2))),
+            Factor("f2", ("A", "D"), rng.uniform(0.1, 1.0, (2, 3))),
+            Factor("f3", ("B", "C"), rng.uniform(0.1, 1.0, (2, 2))),
+            Factor("f4", ("C", "D"), rng.uniform(0.1, 1.0, (2, 3))),
+        ))
+        colours, alignments = initial_factor_colours_exact(fg.factors)
+        detections, calls = _record_detections(monkeypatch)
+        colour_pass(fg, colours, Evidence(), alignments=alignments, eps=0.0)
+        assert calls == [2, 2]
+        tables = [fg.factor(n).table for n in ("f1", "f3", "f2", "f4")]
+        assert [key[:2] for key, _ in detections] == [(t.shape, t.tobytes()) for t in tables]

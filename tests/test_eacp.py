@@ -85,7 +85,7 @@ def reference_phase3(fg, grouping, eps):
         for member in group:
             original = fg.factor(member.factor).table
             updated = unaligned_table(mean, member.align)
-            if not eps_equiv_arrays(original, updated, eps):
+            if not eps_equiv_arrays(original[None], updated[None], eps)[0]:
                 raise InvariantError(f"updated table of {member.factor!r} left the eps band")
             worst = max(worst, float(np.max(np.abs(original - updated) / original)))
             new_tables[member.factor] = updated
@@ -124,7 +124,7 @@ class TestRunEacp:
             for f in fg.factors:
                 new = res.m_prime.factor(f.name).table
                 for a, b in zip(f.table.reshape(-1), new.reshape(-1)):
-                    assert eps_equiv_arrays(a, b, eps)
+                    assert eps_equiv_arrays(a[None], b[None], eps)[0]
             for gi, dev in res.per_group_max_rel_dev.items():
                 assert dev <= eps * (1 + 1e-9)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from liftcomp import (
     ARITY_CAP,
+    EPS_DOMAIN,
     ArityCapError,
     Factor,
     InvariantError,
@@ -38,8 +40,8 @@ small_eps = st.floats(0.0, 0.5, exclude_max=True)
 
 
 def scalar_equiv(a, b, eps):
-    """The entrywise test on two potentials, as 0-d arrays."""
-    return eps_equiv_arrays(np.float64(a), np.float64(b), eps)
+    """The entrywise test on two potentials, as stacks of one 0-d table."""
+    return eps_equiv_arrays(np.array([a]), np.array([b]), eps)[0]
 
 
 class TestPotentials:
@@ -64,8 +66,10 @@ class TestPotentials:
         assert not scalar_equiv(0.7, np.nextafter(0.7, 1.0) + 1e-12, 0.0)
         assert not scalar_equiv(0.7, np.nextafter(0.7, 1.0), 0.0)
         assert not scalar_equiv(np.nextafter(0.7, 0.0), 0.7, 0.0)
-        assert eps_equiv_arrays(np.array([0.7, 0.2]), np.array([0.7, 0.2]), 0.0)
-        assert not eps_equiv_arrays(np.array([0.7, 0.2]), np.array([np.nextafter(0.7, 1.0), 0.2]), 0.0)
+        assert eps_equiv_arrays(np.array([[0.7, 0.2]]), np.array([[0.7, 0.2]]), 0.0)[0]
+        assert not eps_equiv_arrays(
+            np.array([[0.7, 0.2]]), np.array([[np.nextafter(0.7, 1.0), 0.2]]), 0.0
+        )[0]
 
     def test_not_transitive(self):
         assert scalar_equiv(1.0, 1.1, 0.1)
@@ -131,7 +135,7 @@ class TestBandEdge:
         fb = Factor("b", ("Y",), np.array([b]))
         return (
             scalar_equiv(a, b, eps),
-            eps_equiv_arrays(np.array([a]), np.array([b]), eps),
+            eps_equiv_arrays(np.array([[a]]), np.array([[b]]), eps)[0],
             bool(eps_band_mask(np.array([[a]]), np.array([[a]]), np.array([b]), eps)[0]),
             eps_equiv_factors(fa, fb, eps) is not None,
         )
@@ -320,33 +324,99 @@ class TestFactorEquivalence:
 BINARY = ("a", "b")
 
 
+def reference_swap(table, i, j, eps, ranges):
+    """One table's swap verdict for axes i and j, the band test written out in numpy."""
+    if ranges[i] != ranges[j]:
+        return False
+    c1, c2 = _band(eps)
+    swapped = np.swapaxes(table, i, j)
+    hi, lo = np.maximum(table, swapped), np.minimum(table, swapped)
+    return bool(np.all(hi <= lo * c1) and np.all(lo >= hi * c2))
+
+
+def reference_blocks(table, eps, ranges):
+    """One table's blocks: each axis joins the first block it swaps with entirely."""
+    blocks = []
+    for j in range(table.ndim):
+        for block in blocks:
+            if all(reference_swap(table, j, b, eps, ranges) for b in block):
+                block.append(j)
+                break
+        else:
+            blocks.append([j])
+    return tuple(map(tuple, blocks))
+
+
 class TestCommutativeBlocks:
+    def test_stack_equals_per_table_loop(self):
+        # stacks of 1-20 tables sharing one labelling that mixes two label
+        # sets; a row is fresh, or made symmetric under one equal-labelled
+        # axis pair: exactly, within eps, with one entry on the band edge, or
+        # with that entry one float past it
+        rng = np.random.default_rng(32)
+        label_sets = (BINARY, ("x", "y", "z"))
+        kinds = Counter()
+        for case in range(400):
+            eps = (0.0, *EPS_DOMAIN)[case % 4]
+            c1, _ = _band(eps)
+            ranges = tuple(label_sets[s] for s in rng.integers(2, size=rng.integers(1, 5)))
+            shape = tuple(map(len, ranges))
+            pairs = [(i, j) for j in range(len(ranges)) for i in range(j) if ranges[i] == ranges[j]]
+            rows = []
+            for _ in range(rng.integers(1, 21)):
+                table = rng.uniform(0.1, 1.0, size=shape)
+                kind = rng.choice(["fresh", "exact", "within", "edge", "past"]) if pairs else "fresh"
+                if kind != "fresh":
+                    i, j = pairs[rng.integers(len(pairs))]
+                    table = table + np.swapaxes(table, i, j)
+                    if kind == "within":
+                        table = table * rng.uniform(1.0, 1.0 + eps / 2, size=shape)
+                    elif kind in ("edge", "past"):
+                        # an entry off the (i, j) diagonal and its mirror image
+                        entry = [int(rng.integers(n)) for n in shape]
+                        entry[i], entry[j] = rng.choice(shape[i], size=2, replace=False)
+                        mirror = list(entry)
+                        mirror[i], mirror[j] = entry[j], entry[i]
+                        top = table[tuple(entry)] * c1
+                        if kind == "past":
+                            top = np.nextafter(top, np.inf)
+                        table[tuple(mirror)] = top
+                    kinds[kind, reference_swap(table, i, j, eps, ranges)] += 1
+                rows.append(table)
+            got = commutative_blocks(np.stack(rows), eps, ranges)
+            assert got == [reference_blocks(table, eps, ranges) for table in rows]
+        # every kind occurs, and each gets the swap verdict it was built for
+        assert set(kinds) == {
+            ("exact", True), ("within", True), ("edge", True), ("past", False)
+        }
+        assert min(kinds.values()) > 100
+
     def test_symmetric_pair_detected(self, counting):
         f = counting.factor("phi1")
         ranges = tuple(counting.rv(a).range for a in f.args)
-        assert commutative_blocks(f.table, 0.0, ranges) == ((0,), (1, 2))
+        assert commutative_blocks(f.table[None], 0.0, ranges) == [((0,), (1, 2))]
 
     def test_asymmetric_table_all_singletons(self):
         rng = np.random.default_rng(27)
         t = rng.uniform(0.1, 1.0, size=(2, 2))
-        assert commutative_blocks(t, 0.0, (BINARY, BINARY)) == ((0,), (1,))
+        assert commutative_blocks(t[None], 0.0, (BINARY, BINARY)) == [((0,), (1,))]
 
     def test_range_labels_block_mixing(self):
         # symmetric values, but the two positions range over different labels
         t = np.array([[1.0, 2.0], [2.0, 1.0]])
-        assert commutative_blocks(t, 0.0, (("a", "b"), ("c", "d"))) == ((0,), (1,))
-        assert commutative_blocks(t, 0.0, (("a", "b"), ("a", "b"))) == ((0, 1),)
+        assert commutative_blocks(t[None], 0.0, (("a", "b"), ("c", "d"))) == [((0,), (1,))]
+        assert commutative_blocks(t[None], 0.0, (("a", "b"), ("a", "b"))) == [((0, 1),)]
         with pytest.raises(InvariantError, match="ranges arity 1 != table arity 2"):
-            commutative_blocks(t, 0.0, (("a", "b"),))
+            commutative_blocks(t[None], 0.0, (("a", "b"),))
 
     def test_tolerant_swap(self):
         # near-symmetric: off-diagonal entries differ by 5 percent
         t = np.array([[1.0, 2.0], [2.1, 1.0]])
-        assert commutative_blocks(t, 0.0, (BINARY, BINARY)) == ((0,), (1,))
-        assert commutative_blocks(t, 0.1, (BINARY, BINARY)) == ((0, 1),)
+        assert commutative_blocks(t[None], 0.0, (BINARY, BINARY)) == [((0,), (1,))]
+        assert commutative_blocks(t[None], 0.1, (BINARY, BINARY)) == [((0, 1),)]
 
     def test_fully_symmetric_three(self):
         t = np.zeros((2, 2, 2))
         for idx in np.ndindex(2, 2, 2):
             t[idx] = 1.0 + sum(idx)
-        assert commutative_blocks(t, 0.0, (BINARY,) * 3) == ((0, 1, 2),)
+        assert commutative_blocks(t[None], 0.0, (BINARY,) * 3) == [((0, 1, 2),)]

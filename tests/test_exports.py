@@ -176,18 +176,21 @@ def test_one_arity_cap_check():
 # one site per rule: put_row is where a stack of rows grows its buffer,
 # _check_target is where every evaluator checks its query's target,
 # check_evidence is where Query and both pipeline stages check evidence's
-# type, and joint_slabs is where both enumeration oracles get their joint,
-# one bounded slab at a time
+# type, joint_slabs is where both enumeration oracles get their joint,
+# one bounded slab at a time, and commutative_blocks is where swap tests
+# run, for a whole stack of tables at once
 ONE_SITE = [
     (calls_to("empty_like"), "equivalence.put_row"),
     (raises_text("unknown query target"), "inference._check_target"),
     (raises_text("must be an Evidence"), "model.check_evidence"),
     (calls_to("joint_table"), "model.joint_slabs"),
+    (calls_to("eps_equiv_arrays"), "equivalence.commutative_blocks"),
 ]
 
 
 @pytest.mark.parametrize(
-    "match, site", ONE_SITE, ids=["row-buffer", "query-target", "evidence-type", "joint-slabs"]
+    "match, site", ONE_SITE,
+    ids=["row-buffer", "query-target", "evidence-type", "joint-slabs", "swap-test"],
 )
 def test_one_site_per_rule(match, site):
     assert package_sites(match) == [site]
@@ -212,13 +215,20 @@ def test_one_site_check_catches_a_second_copy():
         "    if not isinstance(evidence, Evidence):\n"
         "        raise InvariantError(f'evidence must be an Evidence, got {evidence!r}')\n"
     )
-    (empty_like, _), (unknown_target, _), (evidence_type, _), (joint, _) = ONE_SITE
+    texts["acp"] += (
+        "def colour_pass(fg, initial_factor_colours, evidence, *, alignments, eps):\n"
+        "    for f in fg.factors:\n"
+        "        table = aligned_table(f.table, alignments[f.name])[None]\n"
+        "        symmetric = eps_equiv_arrays(table, np.swapaxes(table, 1, 2), eps)[0]\n"
+    )
+    (empty_like, _), (unknown_target, _), (evidence_type, _), (joint, _), (swap, _) = ONE_SITE
     assert package_sites(empty_like, texts) == ["equivalence.put_row", "grouping._Group::add"]
     assert package_sites(unknown_target, texts) == [
         "inference._check_target", "inference.query_lifted_star",
     ]
     assert package_sites(evidence_type, texts) == ["eacp.run_eacp", "model.check_evidence"]
     assert package_sites(joint, texts) == ["inference.query_enumerate", "model.joint_slabs"]
+    assert package_sites(swap, texts) == ["acp.colour_pass", "equivalence.commutative_blocks"]
 
 
 def test_site_check_catches_them():
