@@ -29,10 +29,10 @@ alignments are injected by the caller.
 
 Commutativity is detected by equivalence.commutative_blocks on
 factor tables viewed in their group frames, with those frames' range
-labels, by the stage that uses it. colour_pass stacks the initial class
-representatives by their frames' range labels and detects each stack in
-one call, so a model makes one detection call per range labelling, not
-one per class. exact_crv_positions detects, as a stack of one, the
+labels, by the stage that uses it. colour_pass collects the initial class
+representatives by their frames' range labels and detects each collection
+in one call, so a model makes one detection call per range labelling, not
+one per class. exact_crv_positions detects, as a list of one, the
 updated representative of each final group whose arguments hold two RVs
 of one class, the only groups in which a block can be counted.
 
@@ -244,8 +244,7 @@ def colour_pass(
     class_slots: dict[int, tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = {}
     for ranges, found in reps.items():
         colours, tables = zip(*found)
-        stack = tables[0][None] if len(tables) == 1 else np.stack(tables)
-        for colour, blocks in zip(colours, commutative_blocks(stack, eps, ranges)):
+        for colour, blocks in zip(colours, commutative_blocks(tables, eps, ranges)):
             sorts = tuple(b for b in blocks if len(b) >= 2)
             counted = {p for b in sorts for p in b}
             positions = tuple(0 if j in counted else j + 1 for j in range(len(ranges)))
@@ -468,7 +467,7 @@ def exact_crv_positions(
             continue
         args = aligned_args(f.args, rep.align)
         table = aligned_table(f.table, rep.align)
-        blocks = commutative_blocks(table[None], eps, tuple(fg.rv(a).range for a in args))[0]
+        blocks = commutative_blocks([table], eps, tuple(fg.rv(a).range for a in args))[0]
         candidates = [
             block for block in blocks
             if len(block) >= 2

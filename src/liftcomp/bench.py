@@ -19,14 +19,13 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
-from numbers import Real
 from typing import Callable, TypeVar
 
 import numpy as np
 
 from .bounds import bound_tight, distance_exact, modified_factor_count
 from .eacp import run_eacp
-from .equivalence import check_count, check_epsilon, check_positive_int
+from .equivalence import check_count, check_epsilon, check_positive_int, check_real
 from .errors import EnumerationCapError, InvariantError
 from .inference import Query, query_lifted_star, query_ve
 from .model import Evidence, Factor, FactorGraph, RandomVariable, replace_tables
@@ -72,16 +71,13 @@ class GenConfig:
     def __post_init__(self) -> None:
         check_positive_int(self.k, "k")
         check_count(self.seed, "seed")
-        if isinstance(self.x, bool) or not isinstance(self.x, Real):
-            raise InvariantError(f"x must be a real number, got {self.x!r}")
+        x = check_real(self.x, "x", 1.0, closed=True)
         check_epsilon(self.eps)
         if self.free:
-            if not 0.0 <= self.x <= 1.0:
-                raise InvariantError(f"x must lie in [0, 1], got {self.x!r}")
             return
         if self.k not in K_DOMAIN:
             raise InvariantError(f"k={self.k!r} outside grid {K_DOMAIN}")
-        if not any(abs(self.x - x) < 1e-9 for x in X_DOMAIN):
+        if not any(abs(x - grid_x) < 1e-9 for grid_x in X_DOMAIN):
             raise InvariantError(f"x={self.x!r} outside grid {X_DOMAIN}")
         if self.eps not in EPS_DOMAIN:
             raise InvariantError(f"eps={self.eps!r} outside grid {EPS_DOMAIN}")

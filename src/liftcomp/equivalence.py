@@ -36,14 +36,16 @@ permutations: position j of the right-hand factor receives the left
 factor's coordinate perm[j]. `aligned_table(t, perm)` therefore views
 the right factor's table in the left factor's frame.
 
-commutative_blocks is the one commutativity test. It takes a stack of
-tables that share one range labelling and partitions each table's axes
-into blocks whose pairwise swaps keep the table eps-equivalent, allowing
-a swap only between axes with equal range labels. Each swap is decided
-for the whole stack in one eps_equiv_arrays call, the package's only
-call of it. The caller passes the tables in whatever frame it needs:
-acp passes its class representatives in their group frames, one stack
-per range labelling, and a single table as a stack of one.
+commutative_blocks is the one commutativity test. It takes tables that
+share one range labelling, as a sequence or a stack, and partitions each
+table's axes into blocks whose pairwise swaps keep the table
+eps-equivalent, allowing a swap only between axes with equal range
+labels. Each swap is decided for the whole stack in one eps_equiv_arrays
+call, the package's only call of it; a labelling without two equal
+ranges needs no test and no stack. The caller passes the tables in
+whatever frame it needs: acp passes its class representatives in their
+group frames, one sequence per range labelling, and a single table as a
+list of one.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import permutations
 from numbers import Integral, Real
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -371,27 +373,36 @@ def _greedy_blocks(arity: int, pairs: tuple, passed: tuple) -> tuple[tuple[int, 
 
 
 def commutative_blocks(
-    tables: np.ndarray, eps: float, ranges: tuple[tuple[str, ...], ...]
+    tables: Sequence[np.ndarray] | np.ndarray, eps: float, ranges: tuple[tuple[str, ...], ...]
 ) -> list[tuple[tuple[int, ...], ...]]:
-    """Per table of a stack: the greedy clique partition of its axes under the swap test.
+    """Per table: the greedy clique partition of its axes under the swap test.
 
-    `tables` has shape (rows,) + shape, and `ranges` holds the range
-    labels of each axis of one table, shared by every row. Two axes pass
-    the swap test when their labels are equal and swapping them yields an
-    eps-equivalent table; each such axis pair is tested for the whole
-    stack in one eps_equiv_arrays call. Each axis in turn joins the first
-    block all of whose axes it passes with, or opens a new block.
+    `tables` is a sequence of tables or a stack of shape (rows,) + shape,
+    and `ranges` holds the range labels of each axis, shared by every
+    table, whose shape they must fix. Two axes pass the swap test when
+    their labels are equal and swapping them yields an eps-equivalent
+    table. Only a labelling with such a pair stacks the tables (one
+    table as a view) and tests each pair for the whole stack in one
+    eps_equiv_arrays call; any other gives every table singleton blocks
+    with no copy. Each axis in turn joins the first block all of whose
+    axes it passes with, or opens a new block.
     Pairwise transpositions rather than all block permutations: with
     eps > 0 the relation is not transitive, matching the pairwise
     grouping stance used everywhere else. Blocks are disjoint, cover all
     axes, and are listed by first axis.
     """
     eps = check_epsilon(eps)
-    arity = tables.ndim - 1
-    if len(ranges) != arity:
-        raise InvariantError(f"ranges arity {len(ranges)} != table arity {arity}")
+    shape = tuple(map(len, ranges))
+    for table in tables:
+        if table.shape != shape:
+            if table.ndim != len(shape):
+                raise InvariantError(f"ranges arity {len(shape)} != table arity {table.ndim}")
+            raise InvariantError(f"table shape {table.shape} != range sizes {shape}")
     pairs = _swap_pairs(ranges)
+    if not pairs or len(tables) == 0:
+        return [_greedy_blocks(len(shape), (), ())] * len(tables)
+    if not isinstance(tables, np.ndarray):
+        tables = tables[0][None] if len(tables) == 1 else np.stack(tables)
     verdicts = [eps_equiv_arrays(tables, np.swapaxes(tables, i + 1, j + 1), eps).tolist()
                 for i, j in pairs]
-    rows = zip(*verdicts) if pairs else [()] * len(tables)
-    return [_greedy_blocks(arity, pairs, row) for row in rows]
+    return [_greedy_blocks(len(shape), pairs, row) for row in zip(*verdicts)]

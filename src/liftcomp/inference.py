@@ -28,8 +28,9 @@ bucket. Alike branches of a star share their numpy calls, so the number
 of calls stays flat as branches are added, and every output cell gets
 the same multiplies and sums in the same order: results and ops are
 bit-identical to one bucket at a time. Eliminations too short to share
-much run each bucket as it forms. Observed RVs are fixed by model.clamp,
-as in joint_table.
+much run each bucket as it forms, as a batch of one through the same
+executor (_Store.run), so every product and sum of an elimination is made
+in one place. Observed RVs are fixed by model.clamp, as in joint_table.
 
 QueryResult.ops counts table entries written by products plus entries
 read by marginalisations; it is a machine-independent proxy for work
@@ -298,6 +299,10 @@ class _Store:
     Items of one kind stack into arrays of one layout; a batch of one
     bucket stacks its message as one row. A message made as its bucket
     formed has its table as source and no kind.
+
+    run makes every message of an elimination, planned batches and
+    buckets run as they form alike: every _multiply and _fold call is in
+    product and _run, and the one _sum_out call in run.
     """
 
     __slots__ = ("args", "source", "kind", "stacks")
@@ -375,6 +380,23 @@ class _Store:
             raise InvariantError(f"items left after elimination span {len(args)} RVs")
         return (np.full(n_labels, float(table)) if args == () else table), first.size + cost
 
+    def run(self, members: list[list[int]], name: int) -> tuple[Item, int]:
+        """The messages of alike buckets, name summed out of each bucket's product.
+
+        One bucket's items and message stay unstacked; the messages of
+        several are one stack, a row per bucket. This is the one place an
+        elimination marginalises.
+        """
+        rep = members[0]
+        lead = len(members) > 1
+        first = self.gather(list(map(_FIRST, members))) if lead else self.table(rep[0])
+        prod, cost = (self.args[rep[0]], first), 0
+        if len(rep) > 1:
+            prod, cost = self.product(prod, members, 1)
+        # lead, a bool, counts the stack axis
+        message, cost_sum = _sum_out(prod, name, lead)
+        return message, cost + cost_sum
+
     def _run(self, acc: Item, members: list[list[int]], start: int, end: int) -> tuple[Item, int]:
         """acc times positions start..end-1, which add no argument to it."""
         args, table = acc
@@ -444,7 +466,7 @@ def _eliminate(
     of the signatures. A batch's key names the batches it reads, so
     running batches in the order they formed respects every dependency.
 
-    Execute: a batch stacks each bucket position's items along a new
+    Execute: _Store.run stacks each bucket position's items along a new
     leading axis, makes one broadcast multiply per position (one fold per
     run of positions that add no argument) and one np.add.reduce. The
     stacks keep each operand's memory order of axes, so numpy picks the
@@ -453,7 +475,9 @@ def _eliminate(
     bit-identical to one bucket at a time.
 
     An elimination of fewer than _MIN_PLAN RVs skips the plan: each bucket
-    is multiplied and summed as it forms, as one batch of one would be.
+    runs as it forms, as a batch of one through the same _Store.run, and
+    its message is kept as a plain table with no kind. Both regimes then
+    register a message alike.
     """
     neighbours, holders = index.neighbours, index.holders
     degree = list(index.degree)
@@ -521,71 +545,54 @@ def _eliminate(
         if eager:
             for i in bucket:
                 live[i] = False
-            prod = (args_of[bucket[0]], store.table(bucket[0]))
-            for i in bucket[1:]:
-                prod, cost = _multiply(prod, (args_of[i], store.table(i)))
-                ops += cost
-            (message, marg), cost = _sum_out(prod, name)
+            # a batch of one, run now; its message is a plain table
+            (message, made), cost = store.run([bucket], name)
             ops += cost
-            for a in message:
-                messages[a].append(len(args_of))
-            args_of.append(message)
-            source.append(marg)
-            kinds.append(None)
-            continue
-        if len(bucket) == 1:
-            i = bucket[0]
-            live[i] = False
-            args = args_of[i]
-            axis = args.index(name)
-            # distinct arguments: the kind's rank and the axis fix the wiring
-            signature: tuple = (kinds[i], axis)
-            message = args[:axis] + args[axis + 1 :]
-        elif len(bucket) == 2 and len(args_of[bucket[1]]) == 1:
-            # a chain step: an item, then one over the eliminated rv alone
-            i, j = bucket
-            live[i] = live[j] = False
-            args = args_of[i]
-            axis = args.index(name)
-            signature = (kinds[i], kinds[j], axis)
-            message = args[:axis] + args[axis + 1 :]
+            kind = None
         else:
-            flat = (name,)
-            for i in bucket:
+            if len(bucket) == 1:
+                i = bucket[0]
                 live[i] = False
-                flat += args_of[i]
-            # arguments numbered by first occurrence, the eliminated rv as 0
-            signature = (len(bucket), *map(kinds.__getitem__, bucket), *map(flat.index, flat))
-            # the arguments less the eliminated rv (the first), in order of first occurrence
-            message = tuple(dict.fromkeys(flat))[1:]
-        number = batch_of.get(signature)
-        if number is None:
-            number = batch_of[signature] = len(batches)
-            batches.append([])
-            names.append(name)
+                args = args_of[i]
+                axis = args.index(name)
+                # distinct arguments: the kind's rank and the axis fix the wiring
+                signature: tuple = (kinds[i], axis)
+                message = args[:axis] + args[axis + 1 :]
+            elif len(bucket) == 2 and len(args_of[bucket[1]]) == 1:
+                # a chain step: an item, then one over the eliminated rv alone
+                i, j = bucket
+                live[i] = live[j] = False
+                args = args_of[i]
+                axis = args.index(name)
+                signature = (kinds[i], kinds[j], axis)
+                message = args[:axis] + args[axis + 1 :]
+            else:
+                flat = (name,)
+                for i in bucket:
+                    live[i] = False
+                    flat += args_of[i]
+                # arguments numbered by first occurrence, the eliminated rv as 0
+                signature = (len(bucket), *map(kinds.__getitem__, bucket), *map(flat.index, flat))
+                # the arguments less the eliminated rv (the first), in order of first occurrence
+                message = tuple(dict.fromkeys(flat))[1:]
+            number = batch_of.get(signature)
+            if number is None:
+                number = batch_of[signature] = len(batches)
+                batches.append([])
+                names.append(name)
+            members = batches[number]
+            made, kind = len(members), ~number
+            members.append(bucket)
         for a in message:
             messages[a].append(len(args_of))
-        members = batches[number]
         args_of.append(message)
-        source.append(len(members))
-        kinds.append(~number)
-        members.append(bucket)
+        source.append(made)
+        kinds.append(kind)
 
-    stacks = store.stacks
     for members, name in zip(batches, names):
-        rep = members[0]
-        if len(members) == 1:
-            # one bucket: its tables as they are
-            prod = (args_of[rep[0]], store.table(rep[0]))
-            prod, cost = store.product(prod, members, 1)
-            (_, marg), cost_sum = _sum_out(prod, name)
-            stacks.append(marg[None])
-        else:
-            prod = (args_of[rep[0]], store.gather(list(map(_FIRST, members))))
-            prod, cost = store.product(prod, members, 1)
-            (_, marg), cost_sum = _sum_out(prod, name, 1)
-            stacks.append(marg)
-        ops += cost + cost_sum
+        (_, made), cost = store.run(members, name)
+        store.stacks.append(made if len(members) > 1 else made[None])
+        ops += cost
     return store, list(itertools.compress(range(len(args_of)), live)), ops, order
 
 

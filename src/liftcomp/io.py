@@ -64,7 +64,9 @@ def _expect_str(value: Any, path: str) -> str:
 
 
 def _parse_json(data: bytes | str, what: str) -> Any:
-    if isinstance(data, bytes):
+    if not isinstance(data, (str, bytes, bytearray)):
+        raise ModelFormatError(f"{what}: expected text or bytes, got {type(data).__name__}")
+    if isinstance(data, (bytes, bytearray)):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:

@@ -11,11 +11,16 @@ Tables are stored as read-only float64 arrays shaped by the argument
 range sizes, C-order, so flat row-major listings have the last argument
 varying fastest. The constructors of RandomVariable, Factor and
 FactorGraph are the one definition of a valid model; io.load_fg relies
-on them. Every enumeration-based operation walks the joint through
-joint_slabs, in slabs of at most SLAB_STATES states that joint_table
-builds; joint_table refuses to run once the full joint's state count
-exceeds the cap (LIFTCOMP_ENUM_CAP, default 2**24 states), so a model
-too large to enumerate fails before anything is allocated.
+on them. They raise InvariantError for anything else: names, arguments
+and labels must be non-empty strs, arguments and ranges a tuple or list
+of them (not a bare str), and a table an array or nested lists that
+numpy reads as ints or floats (kinds i, u, f), never complex, bool,
+strings or objects such as an int past float64. Every enumeration-based
+operation walks the joint through joint_slabs, in slabs of at most
+SLAB_STATES states that joint_table builds; joint_table refuses to run
+once the full joint's state count exceeds the cap (LIFTCOMP_ENUM_CAP,
+default 2**24 states), so a model too large to enumerate fails before
+anything is allocated.
 
 Instances are immutable after construction and safe to share between
 threads; every operation in this module is a pure function.
@@ -81,9 +86,9 @@ class RandomVariable:
     range: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "range", tuple(self.range))
-        if not self.name:
-            raise InvariantError("random variable name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise InvariantError(f"random variable name must be non-empty and a str: {self.name!r}")
+        object.__setattr__(self, "range", _names(self.range, "rv", self.name, "range"))
         if len(self.range) < 2:
             raise InvariantError(
                 f"rv {self.name!r}: range needs at least 2 labels, got {len(self.range)}"
@@ -115,7 +120,7 @@ class Factor:
     its data, which whoever froze it hands over without keeping a
     writeable view. Any other input (writeable, a view, another dtype or
     layout, a list) is copied, and later writes to the caller's array do
-    not reach the factor.
+    not reach the factor; it must hold ints or floats, as numpy reads it.
     """
 
     name: str
@@ -123,9 +128,9 @@ class Factor:
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
-        if not self.name:
-            raise InvariantError("factor name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise InvariantError(f"factor name must be non-empty and a str: {self.name!r}")
+        object.__setattr__(self, "args", _names(self.args, "factor", self.name, "args"))
         if not self.args:
             raise InvariantError(f"factor {self.name!r}: needs at least one argument")
         if len(set(self.args)) != len(self.args):
@@ -133,8 +138,15 @@ class Factor:
         table = self.table
         if not _frozen(table):
             # a copy: the caller's array stays writeable, and writing to it
-            # cannot change the table validated here
-            table = np.array(table, dtype=np.float64, order="C")
+            # cannot change the table validated here. Only integer and float
+            # input converts: numpy would drop an imaginary part with a warning
+            try:
+                table = np.array(table, order="C")
+                if table.dtype.kind not in "iuf":
+                    raise ValueError(table.dtype)
+            except ValueError:   # not numbers, or nested lists of unequal lengths
+                raise InvariantError(f"factor {self.name!r}: table must be int or float") from None
+            table = table.astype(np.float64, copy=False)
             table.flags.writeable = False
         if table.ndim != len(self.args):
             raise InvariantError(
@@ -151,6 +163,13 @@ class Factor:
     @property
     def arity(self) -> int:
         return len(self.args)
+
+
+def _names(values: object, kind: str, name: str, field: str) -> tuple[str, ...]:
+    """values as a tuple, for a tuple or list of non-empty strs: the field of kind `name`."""
+    if not isinstance(values, (tuple, list)) or not all(isinstance(v, str) and v for v in values):
+        raise InvariantError(f"{kind} {name!r}: {field} must be a tuple or list of non-empty strs")
+    return tuple(values)
 
 
 def _frozen(table: object) -> bool:

@@ -71,6 +71,12 @@ class TestGenConfig:
         with pytest.raises(InvariantError):
             GenConfig(**fields)
 
+    @pytest.mark.parametrize("free", [False, True])
+    @pytest.mark.parametrize("x", [10**400, -(10**400), float("nan"), float("inf"), -0.5])
+    def test_x_out_of_range_is_a_typed_error(self, free, x):
+        with pytest.raises(InvariantError, match=r"x must lie in \[0, 1\]"):
+            GenConfig(k=2, x=x, eps=0.1, seed=0, free=free)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
     def test_seed_checked(self, seed):
         with pytest.raises(InvariantError, match="seed"):

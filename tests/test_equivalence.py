@@ -24,6 +24,7 @@ from liftcomp import (
     eps_equiv_factors,
     unaligned_table,
 )
+from liftcomp import equivalence
 from liftcomp.equivalence import (
     BandStack,
     _band,
@@ -420,3 +421,40 @@ class TestCommutativeBlocks:
         for idx in np.ndindex(2, 2, 2):
             t[idx] = 1.0 + sum(idx)
         assert commutative_blocks(t[None], 0.0, (BINARY,) * 3) == [((0, 1, 2),)]
+
+    def test_sequence_equals_stack(self):
+        # a list or tuple of tables gets the blocks of their stack
+        rng = np.random.default_rng(33)
+        for ranges in ((BINARY, BINARY), (BINARY, ("x", "y", "z")), (BINARY,) * 3):
+            shape = tuple(map(len, ranges))
+            for n in (1, 2, 5):
+                tables = [rng.uniform(0.1, 1.0, size=shape) for _ in range(n)]
+                if ranges[0] == ranges[1]:
+                    tables[0] = tables[0] + np.swapaxes(tables[0], 0, 1)
+                expected = commutative_blocks(np.stack(tables), 0.1, ranges)
+                assert commutative_blocks(tables, 0.1, ranges) == expected
+                assert commutative_blocks(tuple(tables), 0.1, ranges) == expected
+        assert commutative_blocks([], 0.1, (BINARY, BINARY)) == []
+
+    def test_labelling_without_a_swap_pair_tests_nothing(self, monkeypatch):
+        # no two axes share a range, so no table is stacked or swap-tested
+        def refused(*args):
+            raise AssertionError("no swap test expected")
+
+        monkeypatch.setattr(equivalence, "eps_equiv_arrays", refused)
+        monkeypatch.setattr(equivalence.np, "stack", refused)
+        t = np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 3.0]])
+        ranges = (BINARY, ("x", "y", "z"))
+        assert commutative_blocks([t, t.copy()], 0.1, ranges) == [((0,), (1,))] * 2
+        assert commutative_blocks([np.ones(2)], 0.0, (BINARY,)) == [((0,),)]
+
+    @pytest.mark.parametrize("ranges", [(BINARY, BINARY), (BINARY, ("c", "d"))])
+    def test_each_table_must_fit_the_ranges(self, ranges):
+        # a (2, 3) table under two 2-label ranges, with a swap pair or without
+        good = np.ones((2, 2))
+        with pytest.raises(InvariantError, match=r"table shape \(2, 3\) != range sizes \(2, 2\)"):
+            commutative_blocks([good, np.ones((2, 3))], 0.0, ranges)
+        with pytest.raises(InvariantError, match="ranges arity 2 != table arity 3"):
+            commutative_blocks([np.ones((2, 2, 2)), good], 0.0, ranges)
+        with pytest.raises(InvariantError, match="table shape"):
+            commutative_blocks(np.ones((4, 2, 3)), 0.0, ranges)

@@ -177,23 +177,40 @@ def test_one_arity_cap_check():
 # _check_target is where every evaluator checks its query's target,
 # check_evidence is where Query and both pipeline stages check evidence's
 # type, joint_slabs is where both enumeration oracles get their joint,
-# one bounded slab at a time, and commutative_blocks is where swap tests
-# run, for a whole stack of tables at once
+# one bounded slab at a time, commutative_blocks is where swap tests
+# run, for a whole stack of tables at once, and _Store.run is where every
+# elimination message is summed out, eager buckets and planned batches alike
 ONE_SITE = [
     (calls_to("empty_like"), "equivalence.put_row"),
     (raises_text("unknown query target"), "inference._check_target"),
     (raises_text("must be an Evidence"), "model.check_evidence"),
     (calls_to("joint_table"), "model.joint_slabs"),
     (calls_to("eps_equiv_arrays"), "equivalence.commutative_blocks"),
+    (calls_to("_sum_out"), "inference._Store::run"),
 ]
 
 
 @pytest.mark.parametrize(
     "match, site", ONE_SITE,
-    ids=["row-buffer", "query-target", "evidence-type", "joint-slabs", "swap-test"],
+    ids=["row-buffer", "query-target", "evidence-type", "joint-slabs", "swap-test", "sum-out"],
 )
 def test_one_site_per_rule(match, site):
     assert package_sites(match) == [site]
+
+
+def products_outside_store(texts: dict[str, str] | None = None) -> list[str]:
+    """Sites of _multiply and _fold calls that are not _Store methods."""
+    return [
+        site for name in ("_multiply", "_fold") for site in package_sites(calls_to(name), texts)
+        if not site.startswith("inference._Store::")
+    ]
+
+
+def test_every_product_is_made_in_the_store():
+    # an elimination multiplies only inside _Store: a bucket run as it
+    # forms goes through the same executor as a planned batch
+    assert products_outside_store() == []
+    assert package_sites(calls_to("_fold")) == ["inference._Store::_run"]
 
 
 def test_one_site_check_catches_a_second_copy():
@@ -209,6 +226,12 @@ def test_one_site_check_catches_a_second_copy():
         "    raise InvariantError(f'unknown query target {hub!r}')\n"
         "def query_enumerate(fg, q):\n"
         "    joint = joint_table(fg)\n"
+        "def _eliminate(args_of, source, index, target, held, kinds):\n"
+        "    if eager:\n"
+        "        prod = (args_of[bucket[0]], store.table(bucket[0]))\n"
+        "        for i in bucket[1:]:\n"
+        "            prod, cost = _multiply(prod, (args_of[i], store.table(i)))\n"
+        "        (message, marg), cost = _sum_out(prod, name)\n"
     )
     texts["eacp"] += (
         "def run_eacp(fg, eps, evidence):\n"
@@ -221,7 +244,10 @@ def test_one_site_check_catches_a_second_copy():
         "        table = aligned_table(f.table, alignments[f.name])[None]\n"
         "        symmetric = eps_equiv_arrays(table, np.swapaxes(table, 1, 2), eps)[0]\n"
     )
-    (empty_like, _), (unknown_target, _), (evidence_type, _), (joint, _), (swap, _) = ONE_SITE
+    (
+        (empty_like, _), (unknown_target, _), (evidence_type, _), (joint, _), (swap, _),
+        (sum_out, _),
+    ) = ONE_SITE
     assert package_sites(empty_like, texts) == ["equivalence.put_row", "grouping._Group::add"]
     assert package_sites(unknown_target, texts) == [
         "inference._check_target", "inference.query_lifted_star",
@@ -229,6 +255,8 @@ def test_one_site_check_catches_a_second_copy():
     assert package_sites(evidence_type, texts) == ["eacp.run_eacp", "model.check_evidence"]
     assert package_sites(joint, texts) == ["inference.query_enumerate", "model.joint_slabs"]
     assert package_sites(swap, texts) == ["acp.colour_pass", "equivalence.commutative_blocks"]
+    assert package_sites(sum_out, texts) == ["inference._Store::run", "inference._eliminate"]
+    assert products_outside_store(texts) == ["inference._eliminate"]
 
 
 def test_site_check_catches_them():

@@ -850,6 +850,23 @@ class TestBatchedElimination:
             assert len(sums) == expected
         assert 6 < inference._MIN_PLAN <= 48
 
+    def test_bucket_run_as_it_forms_shares_the_executor(self, monkeypatch):
+        # 13 RVs, so the elimination is short; the hub's bucket is its link to
+        # the target and 11 messages over the hub alone, one run of one _fold,
+        # bit-identical to the chained multiplies of the reference loop
+        fg, q = star_model(12, 1), Query("B1_1")
+        folds = []
+
+        def counted(*args, _call=inference._fold):
+            folds.append(args[1].shape)
+            return _call(*args)
+
+        with regime(planned=False):
+            check_against_reference(fg, q)
+            monkeypatch.setattr(inference, "_fold", counted)
+            assert query_ve(fg, q).ops == 94
+        assert folds == [(12, 2, 2)]
+
 
 class TestCountedStar:
     @pytest.mark.parametrize("eps", [0.0, 0.1])

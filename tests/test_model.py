@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,20 @@ class TestRandomVariable:
         with pytest.raises(InvariantError, match="random variable name must be non-empty"):
             RandomVariable("", ("a", "b"))
 
+    @pytest.mark.parametrize("name", [5, None, b"X", ("X",)])
+    def test_name_must_be_a_str(self, name):
+        with pytest.raises(InvariantError, match="name must be non-empty and a str"):
+            RandomVariable(name, ("a", "b"))
+
+    @pytest.mark.parametrize("labels", [None, "ab", (1, 2), ("a", 2), ("a", ""), {"a", "b"}])
+    def test_range_must_be_a_tuple_or_list_of_strs(self, labels):
+        # Evidence stringifies labels, so an rv over (1, 2) could never be observed
+        with pytest.raises(InvariantError, match="range must be a tuple or list of non-empty strs"):
+            RandomVariable("X", labels)
+
+    def test_list_range_is_kept_as_a_tuple(self):
+        assert RandomVariable("X", ["a", "b"]).range == ("a", "b")
+
 
 class TestFactor:
     def test_rejects_no_args(self):
@@ -76,6 +91,26 @@ class TestFactor:
     def test_rejects_empty_name(self):
         with pytest.raises(InvariantError, match="factor name must be non-empty"):
             Factor("", ("X",), np.ones(2))
+
+    @pytest.mark.parametrize("name", [5, None, ("f",)])
+    def test_name_must_be_a_str(self, name):
+        with pytest.raises(InvariantError, match="name must be non-empty and a str"):
+            Factor(name, ("X",), np.ones(2))
+
+    @pytest.mark.parametrize("args", [None, "X", ("X", 3), ("",), iter(["X"])])
+    def test_args_must_be_a_tuple_or_list_of_strs(self, args):
+        with pytest.raises(InvariantError, match="args must be a tuple or list of non-empty strs"):
+            Factor("f", args, np.ones(2))
+
+    @pytest.mark.parametrize("table", [
+        np.array([1 + 1j, 2]),   # numpy would keep [1., 2.] with a ComplexWarning
+        "x", {}, [[1], [2, 3]], 10**400, [1, 10**400], [True, False], None, [b"a", b"b"],
+    ])
+    def test_table_must_be_int_or_float(self, table):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantError, match="table must be int or float"):
+                Factor("f", ("X",), table)
 
     def test_rejects_duplicate_args(self):
         with pytest.raises(InvariantError):
@@ -845,6 +880,17 @@ class TestIo:
         assert counted["crv"] == {"positions": [1, 2], "histograms": [[2, 0], [1, 1], [0, 2]]}
         (plain,) = json.loads(save_pfg(run_eacp(sales, 0.1).pfg))["parfactors"]
         assert plain["crv"] is None
+
+    @pytest.mark.parametrize("data", [None, 5, ["{}"], memoryview(b"{}")])
+    def test_data_must_be_text_or_bytes(self, data):
+        with pytest.raises(ModelFormatError, match="^model: expected text or bytes"):
+            load_fg(data)
+        with pytest.raises(ModelFormatError, match="^evidence: expected text or bytes"):
+            load_evidence(data)
+
+    def test_bytearray_is_read_as_bytes(self, sales):
+        assert fg_equal(load_fg(bytearray(save_fg(sales))), sales)
+        assert load_evidence(bytearray(b'{"evidence": []}')) == Evidence()
 
     def test_invalid_utf8(self):
         with pytest.raises(ModelFormatError, match="^model: not valid UTF-8"):
