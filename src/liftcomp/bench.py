@@ -73,6 +73,9 @@ class GenConfig:
         check_count(self.seed, "seed")
         x = check_real(self.x, "x", 1.0, closed=True)
         check_epsilon(self.eps)
+        for flag in ("guarantee_pairwise", "free"):
+            if type(getattr(self, flag)) is not bool:
+                raise InvariantError(f"{flag} must be True or False, got {getattr(self, flag)!r}")
         if self.free:
             return
         if self.k not in K_DOMAIN:

@@ -29,8 +29,9 @@ of calls stays flat as branches are added, and every output cell gets
 the same multiplies and sums in the same order: results and ops are
 bit-identical to one bucket at a time. Eliminations too short to share
 much run each bucket as it forms, as a batch of one through the same
-executor (_Store.run), so every product and sum of an elimination is made
-in one place. Observed RVs are fixed by model.clamp, as in joint_table.
+executor (_Store.run), which also makes the product of the items left
+over the target, so every product and sum of an elimination is made in
+one place. Observed RVs are fixed by model.clamp, as in joint_table.
 
 QueryResult.ops counts table entries written by products plus entries
 read by marginalisations; it is a machine-independent proxy for work
@@ -300,9 +301,10 @@ class _Store:
     bucket stacks its message as one row. A message made as its bucket
     formed has its table as source and no kind.
 
-    run makes every message of an elimination, planned batches and
-    buckets run as they form alike: every _multiply and _fold call is in
-    product and _run, and the one _sum_out call in run.
+    run makes every product of an elimination: each message, planned
+    batches and buckets run as they form alike, and result's product of
+    the items left. Every _multiply and _sum_out call is in run, and the
+    one _fold call in _run.
     """
 
     __slots__ = ("args", "source", "kind", "stacks")
@@ -331,71 +333,60 @@ class _Store:
         # fancy indexing keeps the stack's memory order of axes
         return stack[rows]
 
-    def product(self, acc: Item, members: list[list[int]], start: int) -> tuple[Item, int]:
-        """acc times each bucket's items from position `start` on, in order.
-
-        Buckets are alike, so the first one names every position's
-        arguments. With one bucket, tables stay unstacked; with more, acc
-        and each operand hold one row per bucket. A run of _MIN_RUN or
-        more positions that add no argument to a C-ordered acc is one
-        _fold of acc and those items broadcast to its shape, gathered once
-        per kind; every other position is one _multiply.
-        """
-        rep = members[0]
-        args_of = self.args
-        ops = 0
-        if len(members) == 1 and len(rep) - start < _MIN_RUN:
-            for i in rep[start:]:
-                acc, cost = _multiply(acc, (args_of[i], self.table(i)))
-                ops += cost
-            return acc, ops
-        lead = 0 if len(members) == 1 else 1
-        j = start
-        while j < len(rep):
-            end = j
-            if len(rep) - j >= _MIN_RUN and _c_ordered(acc[1]):
-                scope = set(acc[0])
-                while end < len(rep) and scope.issuperset(args_of[rep[end]]):
-                    end += 1
-            if end - j >= _MIN_RUN:
-                acc, cost = self._run(acc, members, j, end)
-                j = end
-            else:
-                if len(members) == 1:
-                    operand = self.table(rep[j])
-                else:
-                    operand = self.gather(list(map(operator.itemgetter(j), members)))
-                acc, cost = _multiply(acc, (args_of[rep[j]], operand), lead)
-                j += 1
-            ops += cost
-        return acc, ops
-
     def result(self, rest: list[int], n_labels: int) -> tuple[np.ndarray, int]:
         """The product of items of at most one axis, over n_labels entries, and its ops."""
         if not rest:
             return np.ones(n_labels), 0
-        first = self.table(rest[0])
-        (args, table), cost = self.product((self.args[rest[0]], first), [rest], 1)
+        (args, table), cost = self.run([rest])
         if len(args) > 1:
             raise InvariantError(f"items left after elimination span {len(args)} RVs")
-        return (np.full(n_labels, float(table)) if args == () else table), first.size + cost
+        return (table if args else np.full(n_labels, float(table))), cost + self.table(rest[0]).size
 
-    def run(self, members: list[list[int]], name: int) -> tuple[Item, int]:
-        """The messages of alike buckets, name summed out of each bucket's product.
+    def run(self, members: list[list[int]], name: int | None = None) -> tuple[Item, int]:
+        """Each alike bucket's product, with name summed out if one is given.
 
-        One bucket's items and message stay unstacked; the messages of
-        several are one stack, a row per bucket. This is the one place an
-        elimination marginalises.
+        Buckets are alike, so the first one names every position's
+        arguments. The first items are taken as they are; with one bucket,
+        tables stay unstacked, and with more, the product, each operand
+        and the result hold one row per bucket. A bucket of at most
+        _MIN_RUN items multiplies them in turn. Otherwise a run of _MIN_RUN
+        or more positions that add no argument to a C-ordered product is
+        one _fold of it and those items broadcast to its shape, gathered
+        once per kind; every other position is one _multiply. This is the
+        one place an elimination multiplies and marginalises.
         """
         rep = members[0]
-        lead = len(members) > 1
+        args_of = self.args
+        lead = 0 if len(members) == 1 else 1
         first = self.gather(list(map(_FIRST, members))) if lead else self.table(rep[0])
-        prod, cost = (self.args[rep[0]], first), 0
-        if len(rep) > 1:
-            prod, cost = self.product(prod, members, 1)
-        # lead, a bool, counts the stack axis
-        message, cost_sum = _sum_out(prod, name, lead)
-        return message, cost + cost_sum
+        acc, ops = (args_of[rep[0]], first), 0
+        if not lead and len(rep) <= _MIN_RUN:
+            for i in rep[1:]:
+                acc, cost = _multiply(acc, (args_of[i], self.table(i)))
+                ops += cost
+        else:
+            j = 1
+            while j < len(rep):
+                end = j
+                if len(rep) - j >= _MIN_RUN and _c_ordered(acc[1]):
+                    scope = set(acc[0])
+                    while end < len(rep) and scope.issuperset(args_of[rep[end]]):
+                        end += 1
+                if end - j >= _MIN_RUN:
+                    acc, cost = self._run(acc, members, j, end)
+                    j = end
+                else:
+                    if lead:
+                        operand = self.gather(list(map(operator.itemgetter(j), members)))
+                    else:
+                        operand = self.table(rep[j])
+                    acc, cost = _multiply(acc, (args_of[rep[j]], operand), lead)
+                    j += 1
+                ops += cost
+        if name is None:
+            return acc, ops
+        message, cost = _sum_out(acc, name, lead)
+        return message, ops + cost
 
     def _run(self, acc: Item, members: list[list[int]], start: int, end: int) -> tuple[Item, int]:
         """acc times positions start..end-1, which add no argument to it."""

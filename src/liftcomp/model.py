@@ -323,11 +323,13 @@ class Evidence:
     items: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.items, (tuple, list)) or not all(
-            isinstance(p, (tuple, list)) and len(p) == 2 for p in self.items
+        items = self.items
+        if not isinstance(items, (tuple, list)) or not all(
+            isinstance(p, (tuple, list)) and len(p) == 2 and all(type(v) is str and v for v in p)
+            for p in items
         ):
-            raise InvariantError(f"evidence must be (rv, label) pairs, got {self.items!r}")
-        items = tuple((str(rv), str(val)) for rv, val in self.items)
+            raise InvariantError(f"evidence must be non-empty str (rv, label) pairs, got {items!r}")
+        items = tuple(map(tuple, items))
         object.__setattr__(self, "items", items)
         names = [rv for rv, _ in items]
         if len(set(names)) != len(names):

@@ -77,6 +77,13 @@ class TestGenConfig:
         with pytest.raises(InvariantError, match=r"x must lie in \[0, 1\]"):
             GenConfig(k=2, x=x, eps=0.1, seed=0, free=free)
 
+    @pytest.mark.parametrize("flag", ["guarantee_pairwise", "free"])
+    @pytest.mark.parametrize("value", ["no", 1, [], None])
+    def test_flags_must_be_bools(self, flag, value):
+        # a truthy non-bool such as "no" would make a free, off-grid cell
+        with pytest.raises(InvariantError, match=f"{flag} must be True or False"):
+            GenConfig(k=3, x=0.1, eps=0.1, seed=0, **{flag: value})
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
     def test_seed_checked(self, seed):
         with pytest.raises(InvariantError, match="seed"):

@@ -206,11 +206,23 @@ def products_outside_store(texts: dict[str, str] | None = None) -> list[str]:
     ]
 
 
+def multiplies_outside_run(texts: dict[str, str] | None = None) -> list[str]:
+    """Sites of _multiply calls other than _Store.run."""
+    return [
+        site for site in package_sites(calls_to("_multiply"), texts)
+        if site != "inference._Store::run"
+    ]
+
+
 def test_every_product_is_made_in_the_store():
     # an elimination multiplies only inside _Store: a bucket run as it
     # forms goes through the same executor as a planned batch
     assert products_outside_store() == []
     assert package_sites(calls_to("_fold")) == ["inference._Store::_run"]
+    # and run is the store's one product method: the target's product of
+    # the items left is made there too
+    assert multiplies_outside_run() == []
+    assert not hasattr(liftcomp.inference._Store, "product")
 
 
 def test_one_site_check_catches_a_second_copy():
@@ -232,6 +244,12 @@ def test_one_site_check_catches_a_second_copy():
         "        for i in bucket[1:]:\n"
         "            prod, cost = _multiply(prod, (args_of[i], store.table(i)))\n"
         "        (message, marg), cost = _sum_out(prod, name)\n"
+    )
+    texts["inference"] += (
+        "class _Store:\n"
+        "    def product(self, acc, members, start):\n"
+        "        for i in members[0][start:]:\n"
+        "            acc, cost = _multiply(acc, (self.args[i], self.table(i)))\n"
     )
     texts["eacp"] += (
         "def run_eacp(fg, eps, evidence):\n"
@@ -257,6 +275,7 @@ def test_one_site_check_catches_a_second_copy():
     assert package_sites(swap, texts) == ["acp.colour_pass", "equivalence.commutative_blocks"]
     assert package_sites(sum_out, texts) == ["inference._Store::run", "inference._eliminate"]
     assert products_outside_store(texts) == ["inference._eliminate"]
+    assert multiplies_outside_run(texts) == ["inference._eliminate", "inference._Store::product"]
 
 
 def test_site_check_catches_them():

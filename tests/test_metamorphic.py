@@ -4,7 +4,8 @@ The goldens pin fixed seeds; these relations hold for every drawn model
 and eps. Renaming every RV and factor renames the result, whether the
 renaming keeps the names' order or scrambles it, and reversing the RV
 declarations changes nothing but the order of RVs within the result's
-classes.
+classes. Reversing one factor's arguments is not such a relation: one
+pinned case shows it regrouping.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liftcomp import (
-    EPS_DOMAIN, Factor, FactorGraph, GenConfig, RandomVariable, generate_fg, perturb, run_eacp,
+    EPS_DOMAIN, Factor, FactorGraph, GenConfig, RandomVariable, generate_fg, perturb,
+    phase1_group, run_eacp,
 )
 
 from conftest import mixed_range_model, random_model, star_model
@@ -106,3 +108,28 @@ def test_reversed_rv_declarations_change_nothing(case):
     reversed_ = outcome(rebuilt(fg, same, same, reverse=True), eps, same, same)
     assert reversed_[:3] == (groups, tables, deviations)
     assert {frozenset(c) for c in reversed_[3]} == {frozenset(c) for c in classes}
+
+
+def test_reversed_arguments_can_change_the_grouping():
+    # a factor keeps the first alignment that fits in its own frame, so
+    # reversing f6's arguments keeps its alignment (0, 1) and flips its
+    # arguments in its group's frame; colour passing, where V0 and V1 differ
+    # (f3 is over V1 alone, f4 over V0), then splits phase 1's group along
+    # them. An order-free rule would change outputs; this pins today's.
+    fg = random_model(np.random.default_rng(343), copy_noise=0.02)
+    flipped = FactorGraph(fg.rvs, tuple(
+        Factor(f.name, f.args[::-1], f.table.T) if f.name == "f6" else f for f in fg.factors
+    ))
+    assert [f.args for f in fg.factors if f.name == "f6"] == [("V1", "V0")]
+
+    def groups(grouping):
+        return [[(m.factor, m.align) for m in g] for g in grouping.groups]
+
+    f0, f2, f5, f6 = [(f"f{i}", (0, 1)) for i in (0, 2, 5, 6)]
+    f1 = ("f1", (1, 0))
+    unary = [[("f3", (0,))], [("f4", (0,))]]
+    phase1 = [[f0, f1, f2, f5, f6]] + unary
+    assert groups(phase1_group(fg.factors, 0.1)) == phase1
+    assert groups(phase1_group(flipped.factors, 0.1)) == phase1
+    assert groups(run_eacp(fg, 0.1).grouping) == [[f0, f1], [f2, f5, f6]] + unary
+    assert groups(run_eacp(flipped, 0.1).grouping) == [[f0, f1, f6], [f2, f5]] + unary

@@ -75,7 +75,7 @@ class TestRandomVariable:
 
     @pytest.mark.parametrize("labels", [None, "ab", (1, 2), ("a", 2), ("a", ""), {"a", "b"}])
     def test_range_must_be_a_tuple_or_list_of_strs(self, labels):
-        # Evidence stringifies labels, so an rv over (1, 2) could never be observed
+        # Evidence takes only str labels, so an rv over (1, 2) could never be observed
         with pytest.raises(InvariantError, match="range must be a tuple or list of non-empty strs"):
             RandomVariable("X", labels)
 
@@ -414,6 +414,14 @@ class TestEvidence:
     def test_rejects_malformed_pairs(self, items):
         with pytest.raises(InvariantError, match="pairs"):
             Evidence(items)
+
+    @pytest.mark.parametrize(
+        "pair", [("Hub", None), ("Hub", 1), (1, "true"), ("Hub", ""), (b"Hub", "true")]
+    )
+    def test_names_and_labels_must_be_non_empty_strs(self, pair):
+        # nothing is coerced: str(None) or str(1) could match a real label
+        with pytest.raises(InvariantError, match="pairs"):
+            Evidence((pair,))
 
     @pytest.mark.parametrize("evidence", [(("SalA", "high"),), {"SalA": "high"}, None])
     @pytest.mark.parametrize("caller", ["Query", "run_eacp", "colour_pass"])
