@@ -41,9 +41,9 @@ group, its members in the representative's frame, one table and an
 optional counting compaction that re-indexes interchangeable argument
 positions by value histogram, and the RV classes. The graph is stored as
 columns (ParfactorGraph), not as one object per group and per class. It
-checks the members of a group one alignment at a time, in one stacked
-comparison per alignment. ground() expands the parfactor graph back into
-a flat factor graph for round-trip checks.
+checks the members of a group in one stacked comparison of their aligned
+tables with the representative's. ground() expands the parfactor graph
+back into a flat factor graph for round-trip checks.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from .equivalence import (
     commutative_blocks,
     eps_equiv_factors,  # noqa: F401  perfbench/run.py counts calls through this name
     identity_alignment,
-    unaligned_table,
 )
 from .errors import InvariantError
 from .grouping import GroupMember, Grouping
@@ -479,32 +478,6 @@ def exact_crv_positions(
     return out
 
 
-def _differing_member(
-    group: Sequence[GroupMember], factors: Sequence[Factor], table: np.ndarray
-) -> str | None:
-    """The first member in group order whose aligned table is not `table`, if any.
-
-    The representative, group[0], is not checked. The other members are
-    checked one alignment at a time: their tables in one stack, compared
-    with `table` pushed back into that alignment's member frame, which is
-    the same bitwise comparison as aligning each member's table.
-    """
-    by_view: dict[tuple[Alignment, tuple[int, ...]], list[int]] = {}
-    for i in range(1, len(group)):
-        by_view.setdefault((group[i].align, factors[i].table.shape), []).append(i)
-    bad: list[int] = []
-    for (align, shape), idx in by_view.items():
-        expected = unaligned_table(table, align)
-        if shape != expected.shape:
-            bad.append(idx[0])
-            continue
-        same = (np.stack([factors[i].table for i in idx]) == expected).reshape(len(idx), -1)
-        hits = same.all(axis=1)
-        if not hits.all():
-            bad.append(idx[int(np.argmin(hits))])
-    return group[min(bad)].factor if bad else None
-
-
 def construct_pfg(
     fg_updated: FactorGraph,
     factor_groups: Grouping,
@@ -512,6 +485,11 @@ def construct_pfg(
     crv_specs: Mapping[int, Sequence[int]],
 ) -> ParfactorGraph:
     """One parfactor per group; tables must already be identical within a group.
+
+    Each member's table, viewed in the group frame, must equal the
+    representative's in shape and in every bit; otherwise InvariantError
+    names the first member in group order that does not. The members of a
+    group are compared in one stack.
 
     crv_specs maps a group index to argument positions to count (ints,
     not bools), and a group it does not list is not counted; the group's table must be
@@ -531,13 +509,22 @@ def construct_pfg(
     crvs: list[CrvSpec | None] = []
     for gi, group in enumerate(factor_groups.groups):
         factors = [fg_updated.factor(m.factor) for m in group]
-        rep = group[0]
-        table = aligned_table(factors[0].table, rep.align)
-        bad = _differing_member(group, factors, table)
+        table = aligned_table(factors[0].table, group[0].align)
+        bad = None
+        if len(group) > 1:
+            views = [aligned_table(f.table, m.align) for f, m in zip(factors, group)]
+            # the first member of another shape, unless a member before it,
+            # all checked in one stacked comparison, differs in some bit
+            bad = next((i for i, v in enumerate(views) if v.shape != table.shape), None)
+            head = views[1:bad]
+            if head:
+                same = (np.stack(head) == table).reshape(len(head), -1).all(axis=1)
+                if not same.all():
+                    bad = 1 + int(np.argmin(same))
         if bad is not None:
             raise InvariantError(
-                f"group {gi}: member {bad!r} table differs from "
-                f"representative {rep.factor!r} after alignment"
+                f"group {gi}: member {group[bad].factor!r} table differs from "
+                f"representative {group[0].factor!r} after alignment"
             )
         members += [f.name for f in factors]
         member_args += [aligned_args(f.args, m.align) for f, m in zip(factors, group)]

@@ -381,11 +381,11 @@ def commutative_blocks(
     and `ranges` holds the range labels of each axis, shared by every
     table, whose shape they must fix. Two axes pass the swap test when
     their labels are equal and swapping them yields an eps-equivalent
-    table. Only a labelling with such a pair stacks the tables (one
-    table as a view) and tests each pair for the whole stack in one
-    eps_equiv_arrays call; any other gives every table singleton blocks
-    with no copy. Each axis in turn joins the first block all of whose
-    axes it passes with, or opens a new block.
+    table. Only a labelling with such a pair stacks the tables and tests
+    each pair for the whole stack in one eps_equiv_arrays call; any other
+    gives every table singleton blocks with no copy. Each axis in turn
+    joins the first block all of whose axes it passes with, or opens a
+    new block.
     Pairwise transpositions rather than all block permutations: with
     eps > 0 the relation is not transitive, matching the pairwise
     grouping stance used everywhere else. Blocks are disjoint, cover all
@@ -401,8 +401,7 @@ def commutative_blocks(
     pairs = _swap_pairs(ranges)
     if not pairs or len(tables) == 0:
         return [_greedy_blocks(len(shape), (), ())] * len(tables)
-    if not isinstance(tables, np.ndarray):
-        tables = tables[0][None] if len(tables) == 1 else np.stack(tables)
+    tables = np.stack(tables)
     verdicts = [eps_equiv_arrays(tables, np.swapaxes(tables, i + 1, j + 1), eps).tolist()
                 for i, j in pairs]
     return [_greedy_blocks(len(shape), pairs, row) for row in zip(*verdicts)]

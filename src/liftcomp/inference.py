@@ -248,7 +248,7 @@ def _fold(args: tuple[int, ...], stack: np.ndarray) -> tuple[Item, int]:
     return (args, result), stack.size - result.size
 
 
-def _sum_out(item: Item, name: int, lead: int = 0) -> tuple[Item, int]:
+def _sum_out(item: Item, name: int, lead: int) -> tuple[Item, int]:
     args, table = item
     axis = args.index(name)
     return (args[:axis] + args[axis + 1 :], np.add.reduce(table, lead + axis)), table.size

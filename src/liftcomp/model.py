@@ -117,10 +117,11 @@ class Factor:
     in the flat row-major reading). Entries are strictly positive finite
     float64, held read-only. The factor shares the caller's array when it
     is already frozen: a read-only, C-contiguous float64 ndarray that owns
-    its data, which whoever froze it hands over without keeping a
-    writeable view. Any other input (writeable, a view, another dtype or
-    layout, a list) is copied, and later writes to the caller's array do
-    not reach the factor; it must hold ints or floats, as numpy reads it.
+    its data, which whoever froze it hands over without keeping the
+    array, since its owner can make it writeable again. Any other input
+    (writeable, a view, another dtype or layout, a list) is copied, and
+    later writes to the caller's array do not reach the factor; it must
+    hold ints or floats, as numpy reads it.
     """
 
     name: str

@@ -270,8 +270,8 @@ class TestConstructPfg:
             construct_pfg(sales, grouping, (("SalA", "SalB"), ("Rev",)), {})
 
     def test_names_first_differing_member_in_group_order(self):
-        # the members are checked one alignment at a time, the swapped ones
-        # first here; c, under the identity, is the first to differ
+        # the members are checked in one stacked comparison; c, under the
+        # identity, is the first to differ, ahead of the swapped d
         t = np.array([[1.0, 2.0], [3.0, 4.0]])
         odd = np.array([[1.0, 2.0], [3.0, 5.0]])
         members = (("a", (0, 1), t), ("b", (1, 0), t.T), ("c", (0, 1), odd),
@@ -336,6 +336,21 @@ class TestConstructPfg:
         with pytest.raises(InvariantError, match="group 0: member 'g' table differs from "
                                                  "representative 'f'"):
             construct_pfg(fg, grouping, (("X", "V"), ("Y", "U")), {})
+
+    @pytest.mark.parametrize("order, named", [("abc", "b"), ("acb", "c")])
+    def test_names_first_of_a_differing_value_and_another_shape(self, order, named):
+        # b has a's shape and one differing value, c another shape: the
+        # earlier of the two in group order is named, whichever its fault
+        tables = {"a": np.ones((2, 2)), "b": np.array([[1.0, 1.0], [1.0, 2.0]]),
+                  "c": np.ones((2, 3))}
+        rvs = tuple(RandomVariable(f"{n}{i}", ("x", "y", "z")[:tables[n].shape[i - 1]])
+                    for n in "abc" for i in (1, 2))
+        fg = FactorGraph(rvs, tuple(Factor(n, (f"{n}1", f"{n}2"), tables[n]) for n in "abc"))
+        grouping = Grouping((tuple(GroupMember(n, (0, 1)) for n in order),))
+        classes = (("a1", "a2", "b1", "b2", "c1"), ("c2",))
+        with pytest.raises(InvariantError, match=f"group 0: member '{named}' table differs "
+                                                 "from representative 'a'"):
+            construct_pfg(fg, grouping, classes, {})
 
     @pytest.mark.parametrize("crv_specs, match", [
         pytest.param({0: (0,)}, r"group 0: invalid counted positions \(0,\)", id="one"),

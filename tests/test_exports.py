@@ -11,6 +11,7 @@ from typing import Callable
 import pytest
 
 import liftcomp
+from code_lines import code_lines
 
 MODULES = ["liftcomp"] + [
     f"liftcomp.{m.name}" for m in pkgutil.iter_modules(liftcomp.__path__)
@@ -416,3 +417,31 @@ def test_lifted_query_eliminates_once():
         loop for loop in ast.walk(func)
         if isinstance(loop, loops) and eliminations[0] in ast.walk(loop)
     ]
+
+
+def test_code_line_counter():
+    # 6 code lines: the import, class, def, both lines of the returned
+    # string and the last; the rest are blank, comment-only or docstring lines
+    source = '''"""Module docstring,
+over two lines."""
+
+import os  # a comment after code counts
+
+# a comment-only line
+
+
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Function docstring,
+
+        with a blank line inside.
+        """
+        return """a string that is not a docstring
+spans two code lines"""
+
+
+x = os.sep; """a string after code on its line"""
+'''
+    assert code_lines(source) == 6

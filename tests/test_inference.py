@@ -400,7 +400,7 @@ def reference_eliminate(items, order, sizes, target):
         for other in bucket[1:]:
             prod, cost = reference_multiply(prod, other, sizes)
             ops += cost
-        marg, cost = inference._sum_out(prod, name)
+        marg, cost = inference._sum_out(prod, name, 0)
         ops += cost
         items.append(marg)
     result = ((), np.ones((), dtype=np.float64))
@@ -928,8 +928,8 @@ class TestMultiply:
         assert (args, ops) == (ref_args, ref_ops)
         assert table.tobytes() == ref_table.tobytes()
         for name in args:
-            (_, summed), _ = inference._sum_out((args, table), name)
-            (_, ref_summed), _ = inference._sum_out((ref_args, ref_table), name)
+            (_, summed), _ = inference._sum_out((args, table), name, 0)
+            (_, ref_summed), _ = inference._sum_out((ref_args, ref_table), name, 0)
             assert summed.tobytes() == ref_summed.tobytes()
 
 
