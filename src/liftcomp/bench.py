@@ -28,7 +28,9 @@ from .eacp import run_eacp
 from .equivalence import check_count, check_epsilon, check_positive_int, check_real
 from .errors import EnumerationCapError, InvariantError
 from .inference import Query, query_lifted_star, query_ve
-from .model import Evidence, Factor, FactorGraph, RandomVariable, replace_tables
+from .model import (
+    Evidence, Factor, FactorGraph, RandomVariable, check_build_size, replace_tables,
+)
 
 __all__ = [
     "K_DOMAIN",
@@ -69,13 +71,15 @@ class GenConfig:
     free: bool = False
 
     def __post_init__(self) -> None:
-        check_positive_int(self.k, "k")
+        k = check_positive_int(self.k, "k")
         check_count(self.seed, "seed")
         x = check_real(self.x, "x", 1.0, closed=True)
         check_epsilon(self.eps)
         for flag in ("guarantee_pairwise", "free"):
             if type(getattr(self, flag)) is not bool:
                 raise InvariantError(f"{flag} must be True or False, got {getattr(self, flag)!r}")
+        # k chains of up to 2 + floor(log2 k) = k.bit_length() + 1 factors of 4 entries
+        check_build_size(4 * k * (k.bit_length() + 1), "a star of this k")
         if self.free:
             return
         if self.k not in K_DOMAIN:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .equivalence import check_count, check_epsilon, check_positive_int, check_real
 from .errors import InvariantError
-from .model import Factor, FactorGraph, RandomVariable, joint_slabs
+from .model import Factor, FactorGraph, RandomVariable, check_build_size, joint_slabs
 from .model import joint_table  # noqa: F401  perfbench/run.py looks this name up
 
 __all__ = [
@@ -262,6 +262,7 @@ def worst_case_fg(m: int, eps: float) -> FactorGraph:
     eps = check_epsilon(eps)
     if m < 2:
         raise InvariantError("adversarial construction needs at least 2 factors")
+    check_build_size(2 * m * m, "worst_case_fg at this m")
     labels = tuple(f"r{j}" for j in range(1, 2 * m + 1))
     rvs = tuple(RandomVariable(f"R{i}", labels) for i in range(1, m + 1))
     factors = []

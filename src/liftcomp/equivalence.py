@@ -14,15 +14,22 @@ rounded decimal inputs from flipping on the edge; at eps = 0, s = 0 and
 the test is bit equality. The relation is symmetric and reflexive but
 NOT transitive, and no code here may assume otherwise.
 
-The test has two forms. eps_equiv_arrays applies it entrywise to two
+The test has three forms. eps_equiv_arrays applies it entrywise to two
 stacks of equal-shape tables, row against row, with one verdict per
-row. eps_band_mask applies it to one table, or to a
-stack of candidate tables, against a stack of envelopes: a stack row
-holds the entrywise minimum and maximum of one set of tables, and the
-mask decides from those two tables alone, exactly as eps_equiv_arrays
-against every member would (the grouping module docstring gives the
-argument). The factor form, eps_equiv_factors, is band_matches on a
-one-row BandStack.
+row. eps_band_mask applies it to one table, or to a stack of candidate
+tables, against a stack of envelopes: a stack row holds the entrywise
+minimum lo and maximum hi of one set of tables, and the mask decides
+from those two tables alone, exactly as eps_equiv_arrays against every
+member would (the grouping module docstring gives the argument); it is
+the reference form, and eacp's mean update uses it. A BandStack keeps
+its envelopes under one eps pre-scaled, each row the flat
+(lo*c1, lo, -hi, -hi*c2), so BandStack.passes makes eps_band_mask's four
+comparisons as one: (v, v*c2, -v*c1, -v) <= row. Negation is exact and
+rounded multiplication by a positive constant is monotone, so widening
+a row by an entrywise minimum keeps it bit-identical to the row lo and
+hi would give, and the verdicts are eps_band_mask's, also where a
+product overflows to inf. The factor form, eps_equiv_factors, is
+band_matches on a one-row BandStack.
 
 Two factors are eps-equivalent when some permutation of argument
 positions aligns their tables entrywise under that test. band_matches
@@ -50,6 +57,7 @@ list of one.
 
 from __future__ import annotations
 
+import copy
 import operator
 from bisect import bisect_left
 from functools import lru_cache
@@ -232,45 +240,70 @@ def put_row(rows: np.ndarray, n: int, table: np.ndarray) -> np.ndarray:
 
 
 class BandStack:
-    """Envelopes of one table shape, one row per key, tested in one call.
+    """Envelopes of one table shape under one eps, one row per key, tested in one call.
 
     Each row starts as a single table (append) and may be widened by more
-    tables of the same shape (widen); lo and hi are the filled rows, which
-    band_matches tests against.
+    tables of the same shape (widen). A row holds the entrywise minimum lo
+    and maximum hi of its tables in the form the band test reads: the flat
+    concatenation (lo*c1, lo, -hi, -hi*c2), with c1, c2 the caps of
+    _band(eps). A table v passes a row exactly when (v, v*c2, -v*c1, -v) <=
+    row entrywise, the four one-sided comparisons of eps_band_mask in one.
+    widen keeps each stored product exact: negation is exact, and rounded
+    multiplication by a positive constant is monotone, so fl(min(x, y)*c) =
+    min(fl(x*c), fl(y*c)) and one np.minimum with (t*c1, t, -t, -t*c2) gives
+    the row that lo and hi of the widened envelope would. A product that
+    overflows to inf gives the verdict it gives in eps_band_mask.
+
+    env holds the filled rows; lo is a view of them and hi the negation of one.
     """
 
-    def __init__(self, shape: tuple[int, ...]) -> None:
+    def __init__(self, shape: tuple[int, ...], eps: float) -> None:
+        c1, c2 = _band(check_epsilon(eps))
+        size = int(np.prod(shape))
         self.shape = shape
         self.keys: list[int] = []
-        self._lo = np.empty((4,) + shape)
-        self._hi = np.empty((4,) + shape)
+        self._view_scale = np.repeat([1.0, c2, -c1, -1.0], size)     # (v, v*c2, -v*c1, -v)
+        self._member_scale = np.repeat([c1, 1.0, -1.0, -c2], size)   # (t*c1, t, -t, -t*c2)
+        self._env = np.empty((4, 4 * size))
+        self.env = self._env[:0]
 
     @property
     def lo(self) -> np.ndarray:
-        return self._lo[: len(self.keys)]
+        return self.env.reshape((-1, 4) + self.shape)[:, 1]
 
     @property
     def hi(self) -> np.ndarray:
-        return self._hi[: len(self.keys)]
+        return -self.env.reshape((-1, 4) + self.shape)[:, 2]
 
     def append(self, key: int, table: np.ndarray) -> int:
         row = len(self.keys)
-        self._lo = put_row(self._lo, row, table)
-        self._hi = put_row(self._hi, row, table)
+        self._env = put_row(self._env, row, _four(table) * self._member_scale)
+        self.env = self._env[: row + 1]
         self.keys.append(key)
         return row
 
     def widen(self, row: int, table: np.ndarray) -> None:
-        np.minimum(self._lo[row], table, out=self._lo[row])
-        np.maximum(self._hi[row], table, out=self._hi[row])
+        np.minimum(self._env[row], _four(table) * self._member_scale, out=self._env[row])
+
+    def passes(self, views: np.ndarray) -> np.ndarray:
+        """Per view and row: does the row's envelope take the view? (..., 4*size) -> (..., rows).
+
+        views are flat tables in _four form, one or a stack of them.
+        """
+        return (views[..., None, :] * self._view_scale <= self.env).all(axis=-1)
 
     def rows_from(self, key: int) -> BandStack:
         """The rows of keys >= key, sharing this stack's memory; keys must ascend."""
         row = bisect_left(self.keys, key)
-        out = BandStack(self.shape)
+        out = copy.copy(self)
         out.keys = self.keys[row:]
-        out._lo, out._hi = self.lo[row:], self.hi[row:]
+        out._env = out.env = self.env[row:]
         return out
+
+
+def _four(table: np.ndarray) -> np.ndarray:
+    """The table's entries in C order, four times over: the flat form BandStack scales."""
+    return np.concatenate((table.reshape(-1),) * 4)
 
 
 def _range_compatible(shape1: tuple[int, ...], shape2: tuple[int, ...], perm: Alignment) -> bool:
@@ -285,9 +318,9 @@ def eps_equiv_factors(f1: Factor, f2: Factor, eps: float) -> Alignment | None:
     first witness, None on an arity mismatch, ArityCapError (from
     _permutations) above ARITY_CAP.
     """
-    stack = BandStack(f1.table.shape)
+    stack = BandStack(f1.table.shape, eps)
     stack.append(0, f1.table)
-    return band_matches(f2.table, [stack], eps).get(0)
+    return band_matches(f2.table, [stack]).get(0)
 
 
 # largest stack of one table's views, in table entries; above it (arity 6
@@ -302,48 +335,44 @@ def _fitting_views(
     """Range-compatible permutations in lexicographic order, and a gather index.
 
     Indexing a flat table of `shape` with the index stacks its views in
-    `frame` under those permutations. The index is None when at most one
-    permutation fits, or when the stack would exceed _GATHER_ENTRIES.
+    `frame` under those permutations, each in the _four form. The index is
+    None when no permutation fits, or when the views would exceed
+    _GATHER_ENTRIES.
     """
     perms = tuple(p for p in _permutations(len(shape)) if _range_compatible(frame, shape, p))
     size = int(np.prod(shape))
-    if len(perms) < 2 or len(perms) * size > _GATHER_ENTRIES:
+    if not perms or len(perms) * size > _GATHER_ENTRIES:
         return perms, None
     flat = np.arange(size).reshape(shape)
-    index = np.stack([aligned_table(flat, p) for p in perms])
+    index = np.stack([_four(aligned_table(flat, p)) for p in perms])
     index.flags.writeable = False
     return perms, index
 
 
-def band_matches(
-    table: np.ndarray, stacks: Iterable[BandStack], eps: float
-) -> dict[int, Alignment]:
+def band_matches(table: np.ndarray, stacks: Iterable[BandStack]) -> dict[int, Alignment]:
     """Key -> first lexicographic alignment putting `table` inside that key's envelope.
 
-    Only stacks of the table's arity are searched. Each takes one
-    eps_band_mask call on the table's views under every range-compatible
-    permutation at once (one call per permutation when they are too many
-    to stack), and each row keeps its first hit in lexicographic order.
-    Arity above ARITY_CAP is refused, by _permutations, as soon as one
-    such stack exists.
+    Only stacks of the table's arity are searched, each under its own eps.
+    Each takes one BandStack.passes call on the table's views under every
+    range-compatible permutation at once (one call per permutation when
+    they are too many to stack), and each row keeps its first hit in
+    lexicographic order. Arity above ARITY_CAP is refused, by
+    _permutations, as soon as one such stack exists.
     """
-    eps = check_epsilon(eps)
     arity = table.ndim
     found: dict[int, Alignment] = {}
     for stack in stacks:
         if len(stack.shape) != arity:
             continue
         perms, index = _fitting_views(stack.shape, table.shape)
-        if not perms:
-            continue
         if index is not None:
-            hits = eps_band_mask(stack.lo, stack.hi, table.reshape(-1)[index], eps)
+            hits = stack.passes(table.reshape(-1)[index])
+        elif perms:
+            hits = np.array([stack.passes(_four(aligned_table(table, p))) for p in perms])
         else:
-            hits = np.array(
-                [eps_band_mask(stack.lo, stack.hi, aligned_table(table, p), eps) for p in perms]
-            )
+            continue
         first = hits.argmax(axis=0)
-        for row in np.flatnonzero(hits.any(axis=0)):
+        for row in hits.any(axis=0).nonzero()[0]:
             found[stack.keys[row]] = perms[first[row]]
     return found
 

@@ -23,7 +23,15 @@ member m exactly when
     a <= Mn*c1,   Mx <= a*c1,   Mn >= a*c2,   a >= Mx*c2,
 
 because rounded multiplication by a positive constant is monotone: the
-extreme member decides each of the four one-sided comparisons.
+extreme member decides each of the four one-sided comparisons. A
+BandStack is built for one eps and keeps each group's row in the form
+those comparisons read, (Mn*c1, Mn, -Mx, -Mx*c2), so a table's views are
+multiplied once by (1, c2, -c1, -1) and tested against every row in one
+<=. Widening a row by a new member t is one entrywise minimum with
+(t*c1, t, -t, -t*c2), and it stays exact by the same monotonicity:
+fl(min(x, y)*c) = min(fl(x*c), fl(y*c)) for c > 0, and negation is
+exact, so the row is bit for bit the one Mn and Mx of the widened group
+would give.
 
 Every join that the band test decides is recorded under its table's
 shape and bytes. A later factor with the same table reuses the last
@@ -138,7 +146,8 @@ class _Group:
     def deviation_estimate(self, aligned: np.ndarray) -> tuple[float, int]:
         """The same sum in one call, in another order; also the number of terms."""
         diff = self._stacked[: len(self.tables)] - aligned
-        return float(np.sum(diff * diff)), diff.size
+        diff *= diff
+        return float(diff.sum()), diff.size
 
 
 def _closest(groups: list[_Group], found: dict[int, Alignment], table: np.ndarray) -> int:
@@ -171,9 +180,7 @@ class _Decision:
     candidates: tuple[int, ...]
     joins: int               # members of the candidate groups after it and its reuses
 
-    def holds(
-        self, groups: list[_Group], stacks: Iterable[BandStack], table: np.ndarray, eps: float
-    ) -> bool:
+    def holds(self, groups: list[_Group], stacks: Iterable[BandStack], table: np.ndarray) -> bool:
         """Whether the full test would give this join to `table`, a copy of the decided one.
 
         Groups opened since are band-tested, and once none of them
@@ -183,7 +190,7 @@ class _Decision:
             return False
         if self.opened < len(groups):
             since = [s.rows_from(self.opened) for s in stacks if s.keys[-1] >= self.opened]
-            if band_matches(table, since, eps):
+            if band_matches(table, since):
                 return False
             self.opened = len(groups)
         return True
@@ -202,16 +209,17 @@ def phase1_group(factors: Sequence[Factor], eps: float) -> Grouping:
     for f in factors:
         key = (f.table.shape, f.table.tobytes())
         last = decisions.get(key)
-        if last is not None and last.holds(groups, stacks.values(), f.table, eps):
+        if last is not None and last.holds(groups, stacks.values(), f.table):
             groups[last.group].add(
                 GroupMember(f.name, last.align), aligned_table(f.table, last.align)
             )
             last.joins += 1
             continue
-        found = band_matches(f.table, stacks.values(), eps)
+        found = band_matches(f.table, stacks.values())
         if not found:
-            stack = stacks.setdefault(f.table.shape, BandStack(f.table.shape))
-            row = stack.append(len(groups), f.table)
+            if f.table.shape not in stacks:
+                stacks[f.table.shape] = BandStack(f.table.shape, eps)
+            row = stacks[f.table.shape].append(len(groups), f.table)
             groups.append(_Group(GroupMember(f.name, identity_alignment(f.arity)), f.table, row))
             continue
         gi = next(iter(found)) if len(found) == 1 else _closest(groups, found, f.table)

@@ -75,6 +75,17 @@ def resolve_cap() -> int:
     return value
 
 
+# the most table entries a model generator makes (bounds.worst_case_fg, and
+# bench.generate_fg, checked in GenConfig): 2**22 float64, 32 MiB
+BUILD_ENTRIES_CAP = 2**22
+
+
+def check_build_size(entries: int, what: str) -> None:
+    """InvariantError past BUILD_ENTRIES_CAP table entries, raised before any allocation."""
+    if entries > BUILD_ENTRIES_CAP:
+        raise InvariantError(f"{what} needs more than {BUILD_ENTRIES_CAP} table entries")
+
+
 @dataclass(frozen=True)
 class RandomVariable:
     """Named variable with an ordered range of at least two distinct labels.

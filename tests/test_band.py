@@ -24,8 +24,10 @@ from liftcomp import acp, grouping
 from liftcomp.acp import initial_factor_colours_exact
 from liftcomp.equivalence import (
     REL_SLACK,
+    BandStack,
     _permutations,
     aligned_table,
+    band_matches,
     eps_band_mask,
     eps_equiv_arrays,
     identity_alignment,
@@ -178,6 +180,8 @@ EPS_VALUES = (0.0, 0.001, 0.1, 0.5)
 SHAPES = ((2,), (3,), (2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2), (2, 3, 2), (3, 2, 2))
 DYADIC = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
 ONE_ULP = (1.0, float(np.nextafter(1.0, 2.0)), float(np.nextafter(1.0, 0.0)))
+ULP = float(np.finfo(float).eps)
+MAX_FLOAT = float(np.finfo(float).max)
 
 
 def _edge_multipliers(eps: float) -> tuple[float, ...]:
@@ -302,6 +306,64 @@ class TestBandMask:
         assert eps_band_mask(lo, hi, table, eps).tolist() == expected
 
 
+class TestBandStack:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_stored_rows_match_envelope_mask_and_member_loop(self, data):
+        # appends and widens in any order, entries at band edges +-2 ulps,
+        # near float64's top (where lo*c1 and v*c1 overflow to inf) and
+        # among subnormals; the band test must give the verdicts of
+        # eps_band_mask on lo and hi, and of the member-by-member loop
+        eps = data.draw(st.sampled_from(EPS_VALUES + (1e-15, 1e-10)))
+        edges = _edge_multipliers(eps)
+        edges += tuple(1.0 / m for m in edges)
+        shape = data.draw(st.sampled_from(((2,), (2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 3, 2))))
+        size = int(np.prod(shape))
+        entry = st.floats(0.1, 2.0) | st.floats(1.6e308, MAX_FLOAT) | st.floats(5e-324, 2e-308)
+        base = np.reshape(data.draw(st.lists(entry, min_size=size, max_size=size)), shape)
+        perms = list(permutations(range(len(shape))))
+
+        def near(fits):
+            # a view of base, each entry at a band edge give or take 2 ulps,
+            # kept strictly positive and finite as factor tables are
+            view = aligned_table(base, data.draw(st.sampled_from(fits)))
+            mult = data.draw(st.lists(st.sampled_from(edges), min_size=size, max_size=size))
+            ulps = data.draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+            nudge = np.reshape(mult, view.shape) * (1.0 + np.reshape(ulps, view.shape) * ULP)
+            return np.clip(view * nudge, 5e-324, MAX_FLOAT)
+
+        own = [p for p in perms if aligned_table(base, p).shape == shape]
+        stack, rows = BandStack(shape, eps), []
+        with np.errstate(over="ignore"):
+            for _ in range(data.draw(st.integers(1, 8))):
+                member = near(own)
+                if rows and data.draw(st.booleans()):
+                    row = data.draw(st.integers(0, len(rows) - 1))
+                    stack.widen(row, member)
+                    rows[row].append(member)
+                else:
+                    assert stack.append(3 * len(rows) + 1, member) == len(rows)
+                    rows.append([member])
+            table = near(perms)
+            fits = [p for p in perms if aligned_table(table, p).shape == shape]
+            masks = [eps_band_mask(stack.lo, stack.hi, aligned_table(table, p), eps) for p in fits]
+            by_member = {}
+            for r, members in enumerate(rows):
+                for p in fits:
+                    view = aligned_table(table, p)[None]
+                    if all(eps_equiv_arrays(m[None], view, eps)[0] for m in members):
+                        by_member[stack.keys[r]] = p
+                        break
+            got = band_matches(table, [stack])
+        assert np.array_equal(stack.lo, np.stack([np.min(m, axis=0) for m in rows]))
+        assert np.array_equal(stack.hi, np.stack([np.max(m, axis=0) for m in rows]))
+        by_mask = {
+            stack.keys[r]: next(p for p, mask in zip(fits, masks) if mask[r])
+            for r in range(len(rows)) if any(mask[r] for mask in masks)
+        }
+        assert got == by_mask == by_member
+
+
 class TestReferenceLoops:
     @settings(max_examples=400, deadline=None)
     @given(case=factor_lists())
@@ -378,10 +440,10 @@ def _record_band_rows(monkeypatch):
     rows = []
     band_matches = grouping.band_matches
 
-    def recording(table, stacks, eps):
+    def recording(table, stacks):
         stacks = list(stacks)
         rows.append([key for s in stacks for key in s.keys])
-        return band_matches(table, stacks, eps)
+        return band_matches(table, stacks)
 
     monkeypatch.setattr(grouping, "band_matches", recording)
     return rows

@@ -5,7 +5,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,6 +40,7 @@ from liftcomp import (
     run_eacp,
     run_experiment,
     run_grid,
+    worst_case_fg,
 )
 
 
@@ -93,6 +98,48 @@ class TestGenConfig:
         assert 16 in K_DOMAIN
         assert 0.3 in X_DOMAIN
         assert 0.001 in EPS_DOMAIN
+
+
+# each call runs in a child under a 512 MiB address-space limit: a size
+# that is not refused ends there in a MemoryError, not on the machine
+_HUGE_SIZES = [
+    "worst_case_fg(10**400, 0.1)",
+    "worst_case_fg(2**40, 0.1)",
+    "generate_fg(GenConfig(k=10**400, x=0.5, eps=0.1, seed=0, free=True))",
+    "generate_fg(GenConfig(k=2**40, x=0.5, eps=0.1, seed=0, free=True))",
+]
+
+
+@pytest.mark.parametrize("call", _HUGE_SIZES)
+def test_huge_size_refused_before_allocation(call):
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))\n"
+        "from liftcomp import GenConfig, LiftcompError, generate_fg, worst_case_fg\n"
+        "try:\n"
+        f"    {call}\n"
+        "except LiftcompError as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    src = str(Path(liftcomp.__file__).resolve().parent.parent)
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert child.stdout.startswith("InvariantError"), child.stderr
+    assert "needs more than 4194304 table entries" in child.stdout
+
+
+def test_largest_sizes_pass_the_guard():
+    # the cap is 2**22 entries: 2 * 1448**2 fits and 2 * 1449**2 does not;
+    # k = 61680 chains of up to 17 factors, 4 entries each, fit and one
+    # chain more does not (only the config is built here)
+    with pytest.raises(InvariantError, match="worst_case_fg at this m needs more than"):
+        worst_case_fg(1449, 0.1)
+    GenConfig(k=61680, x=0.5, eps=0.1, seed=0, free=True)
+    with pytest.raises(InvariantError, match="a star of this k needs more than"):
+        GenConfig(k=61681, x=0.5, eps=0.1, seed=0, free=True)
 
 
 class TestGenerate:

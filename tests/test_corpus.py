@@ -126,9 +126,9 @@ def test_repeated_tables_skip_band_test(monkeypatch):
     calls = []
     band_matches = grouping.band_matches
 
-    def counting(table, stacks, eps):
+    def counting(table, stacks):
         calls.append(table)
-        return band_matches(table, stacks, eps)
+        return band_matches(table, stacks)
 
     monkeypatch.setattr(grouping, "band_matches", counting)
     cfg = GenConfig(k=128, x=0.1, eps=EPS, seed=11)

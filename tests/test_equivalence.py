@@ -182,7 +182,7 @@ class TestStackedBandMask:
         for _ in range(40):
             table = rng.uniform(0.5, 2.0, shape)
             views = [aligned_table(table, p) for p in perms]
-            stack = BandStack(shape)
+            stack = BandStack(shape, eps)
             rows = []
             for key in range(6):
                 # members at or just past the band edges of one of the views
@@ -205,7 +205,7 @@ class TestStackedBandMask:
                 for key in range(len(rows))
                 if per_view[:, key].any()
             }
-            assert band_matches(table, [stack], eps) == expected
+            assert band_matches(table, [stack]) == expected
             outcomes.update(per_view.ravel().tolist())
         assert outcomes == {True, False}
 
@@ -215,7 +215,7 @@ class TestStackedBandMask:
         rng = np.random.default_rng(9)
         shape = (2,) * 6
         table = rng.uniform(0.5, 2.0, shape)
-        stack = BandStack(shape)
+        stack = BandStack(shape, 0.1)
         for key, perm in enumerate([(5, 4, 3, 2, 1, 0), (0, 2, 1, 3, 4, 5), (1, 0, 2, 3, 4, 5)]):
             stack.append(key, aligned_table(table, perm) * 1.05)
         stack.append(3, np.full(shape, 1.0))
@@ -225,7 +225,7 @@ class TestStackedBandMask:
             for key in np.flatnonzero(hits):
                 expected.setdefault(int(key), perm)
         assert set(expected) == {0, 1, 2}
-        assert band_matches(table, [stack], 0.1) == expected
+        assert band_matches(table, [stack]) == expected
 
 
 class TestAlignment:

@@ -188,12 +188,16 @@ ONE_SITE = [
     (calls_to("joint_table"), "model.joint_slabs"),
     (calls_to("eps_equiv_arrays"), "equivalence.commutative_blocks"),
     (calls_to("_sum_out"), "inference._Store::run"),
+    (calls_to("eps_band_mask"), "eacp._phase3_update"),
 ]
 
 
 @pytest.mark.parametrize(
     "match, site", ONE_SITE,
-    ids=["row-buffer", "query-target", "evidence-type", "joint-slabs", "swap-test", "sum-out"],
+    ids=[
+        "row-buffer", "query-target", "evidence-type", "joint-slabs", "swap-test", "sum-out",
+        "band-mask",
+    ],
 )
 def test_one_site_per_rule(match, site):
     assert package_sites(match) == [site]
@@ -257,6 +261,11 @@ def test_one_site_check_catches_a_second_copy():
         "    if not isinstance(evidence, Evidence):\n"
         "        raise InvariantError(f'evidence must be an Evidence, got {evidence!r}')\n"
     )
+    texts["equivalence"] += (
+        "def band_matches(table, stacks, eps):\n"
+        "    for stack in stacks:\n"
+        "        hits = eps_band_mask(stack.lo, stack.hi, table.reshape(-1)[index], eps)\n"
+    )
     texts["acp"] += (
         "def colour_pass(fg, initial_factor_colours, evidence, *, alignments, eps):\n"
         "    for f in fg.factors:\n"
@@ -265,7 +274,7 @@ def test_one_site_check_catches_a_second_copy():
     )
     (
         (empty_like, _), (unknown_target, _), (evidence_type, _), (joint, _), (swap, _),
-        (sum_out, _),
+        (sum_out, _), (band_mask, _),
     ) = ONE_SITE
     assert package_sites(empty_like, texts) == ["equivalence.put_row", "grouping._Group::add"]
     assert package_sites(unknown_target, texts) == [
@@ -275,6 +284,7 @@ def test_one_site_check_catches_a_second_copy():
     assert package_sites(joint, texts) == ["inference.query_enumerate", "model.joint_slabs"]
     assert package_sites(swap, texts) == ["acp.colour_pass", "equivalence.commutative_blocks"]
     assert package_sites(sum_out, texts) == ["inference._Store::run", "inference._eliminate"]
+    assert package_sites(band_mask, texts) == ["eacp._phase3_update", "equivalence.band_matches"]
     assert products_outside_store(texts) == ["inference._eliminate"]
     assert multiplies_outside_run(texts) == ["inference._eliminate", "inference._Store::product"]
 
