@@ -27,7 +27,7 @@ grouping.mean_of_tables has no passthrough of its own. m_prime is fg
 itself when no entry changes. That always holds at eps = 0, where the
 exact seeding groups only bit-identical tables.
 
-run_acp(fg) makes exactly the call run_eacp(fg, 0.0) makes. It is in no
+run_acp(fg) is run_eacp(fg, 0.0) under another name. It is in no
 __all__ and stays only for perfbench, which times it by that name.
 
 A CompressionResult stores each fact once: the parfactor graph (final
@@ -178,11 +178,12 @@ def run_eacp(
     """Compress fg with tolerance eps; evidence refines initial RV colours only."""
     eps = check_epsilon(eps)
     check_evidence(evidence).validate_against(fg)
-    if eps == 0.0:
-        return _compress(fg, eps, evidence, *initial_factor_colours_exact(fg.factors))
-    return _compress(fg, eps, evidence, *phase1_group(fg.factors, eps).seeds())
+    with np.errstate(over="ignore"):   # a band product past float64's top is inf: no warning
+        if eps == 0.0:
+            return _compress(fg, eps, evidence, *initial_factor_colours_exact(fg.factors))
+        return _compress(fg, eps, evidence, *phase1_group(fg.factors, eps).seeds())
 
 
 def run_acp(fg: FactorGraph) -> CompressionResult:
-    """Exact-equality colour passing without evidence; returns fg itself as m_prime."""
-    return _compress(fg, 0.0, Evidence(), *initial_factor_colours_exact(fg.factors))
+    """The exact-equality ACP baseline: run_eacp at eps = 0, without evidence."""
+    return run_eacp(fg, 0.0)

@@ -16,19 +16,15 @@ NOT transitive, and no code here may assume otherwise.
 
 The test has three forms. eps_equiv_arrays applies it entrywise to two
 stacks of equal-shape tables, row against row, with one verdict per
-row. eps_band_mask applies it to one table, or to a stack of candidate
-tables, against a stack of envelopes: a stack row holds the entrywise
-minimum lo and maximum hi of one set of tables, and the mask decides
-from those two tables alone, exactly as eps_equiv_arrays against every
-member would (the grouping module docstring gives the argument); it is
-the reference form, and eacp's mean update uses it. A BandStack keeps
-its envelopes under one eps pre-scaled, each row the flat
-(lo*c1, lo, -hi, -hi*c2), so BandStack.passes makes eps_band_mask's four
-comparisons as one: (v, v*c2, -v*c1, -v) <= row. Negation is exact and
-rounded multiplication by a positive constant is monotone, so widening
-a row by an entrywise minimum keeps it bit-identical to the row lo and
-hi would give, and the verdicts are eps_band_mask's, also where a
-product overflows to inf. The factor form, eps_equiv_factors, is
+row. eps_band_mask applies it to one candidate table against a stack of
+envelopes: a stack row holds the entrywise minimum lo and maximum hi of
+one set of tables, and the mask decides from those two tables alone,
+exactly as eps_equiv_arrays against every member would (the grouping
+module docstring gives the argument); it is the reference form, and
+eacp's mean update uses it. A BandStack keeps its envelopes under one
+eps pre-scaled, so BandStack.passes makes eps_band_mask's four
+comparisons as one; its docstring gives the argument that the verdicts
+stay eps_band_mask's. The factor form, eps_equiv_factors, is
 band_matches on a one-row BandStack.
 
 Two factors are eps-equivalent when some permutation of argument
@@ -218,17 +214,13 @@ def eps_band_mask(lo: np.ndarray, hi: np.ndarray, table: np.ndarray, eps: float)
     """Per row of the (lo, hi) stack: is `table` eps-equivalent to every table it spans?
 
     lo and hi have shape (rows,) + shape and hold the entrywise minimum
-    and maximum of each row's tables. A candidate a passes against a row
-    exactly when a <= lo*c1, hi <= a*c1, lo >= a*c2 and a >= hi*c2, with
-    c1, c2 the caps eps_equiv_arrays uses. `table` is one candidate of
-    that shape, giving a (rows,) mask, or a stack of candidates of shape
-    (candidates,) + shape, giving a (candidates, rows) mask.
+    and maximum of each row's tables; `table` is one candidate of that
+    shape. It passes against a row exactly when a <= lo*c1, hi <= a*c1,
+    lo >= a*c2 and a >= hi*c2, with c1, c2 the caps eps_equiv_arrays uses.
     """
     c1, c2 = _band(eps)
-    if table.ndim == lo.ndim:
-        table = table[:, None]
     ok = (table <= lo * c1) & (hi <= table * c1) & (lo >= table * c2) & (table >= hi * c2)
-    return ok.all(axis=tuple(range(ok.ndim - lo.ndim + 1, ok.ndim)))
+    return ok.all(axis=tuple(range(1, ok.ndim)))
 
 
 def put_row(rows: np.ndarray, n: int, table: np.ndarray) -> np.ndarray:
@@ -244,53 +236,56 @@ class BandStack:
 
     Each row starts as a single table (append) and may be widened by more
     tables of the same shape (widen). A row holds the entrywise minimum lo
-    and maximum hi of its tables in the form the band test reads: the flat
-    concatenation (lo*c1, lo, -hi, -hi*c2), with c1, c2 the caps of
-    _band(eps). A table v passes a row exactly when (v, v*c2, -v*c1, -v) <=
-    row entrywise, the four one-sided comparisons of eps_band_mask in one.
-    widen keeps each stored product exact: negation is exact, and rounded
-    multiplication by a positive constant is monotone, so fl(min(x, y)*c) =
-    min(fl(x*c), fl(y*c)) and one np.minimum with (t*c1, t, -t, -t*c2) gives
-    the row that lo and hi of the widened envelope would. A product that
-    overflows to inf gives the verdict it gives in eps_band_mask.
+    and maximum hi of its tables in the form the band test reads: a
+    (4, size) block (lo*c1, lo, -hi, -hi*c2) of flat tables, with c1, c2
+    the caps of _band(eps). A flat table v passes a row exactly when
+    (v, v*c2, -v*c1, -v) <= row entrywise, the four one-sided comparisons
+    of eps_band_mask in one.
+
+    The stored products are exact and so are the verdicts. Negation is
+    exact, and rounded multiplication by a positive constant is monotone,
+    so fl(min(x, y)*c) = min(fl(x*c), fl(y*c)): one np.minimum with
+    (t*c1, t, -t, -t*c2) gives bit for bit the row that lo and hi of the
+    widened envelope would, and each comparison is the one eps_band_mask
+    makes. A product that overflows to inf compares as it does there, so
+    it gives the same verdict.
 
     env holds the filled rows; lo is a view of them and hi the negation of one.
     """
 
     def __init__(self, shape: tuple[int, ...], eps: float) -> None:
         c1, c2 = _band(check_epsilon(eps))
-        size = int(np.prod(shape))
         self.shape = shape
         self.keys: list[int] = []
-        self._view_scale = np.repeat([1.0, c2, -c1, -1.0], size)     # (v, v*c2, -v*c1, -v)
-        self._member_scale = np.repeat([c1, 1.0, -1.0, -c2], size)   # (t*c1, t, -t, -t*c2)
-        self._env = np.empty((4, 4 * size))
+        self._view_scale = np.array([[1.0], [c2], [-c1], [-1.0]])     # (v, v*c2, -v*c1, -v)
+        self._member_scale = np.array([[c1], [1.0], [-1.0], [-c2]])   # (t*c1, t, -t, -t*c2)
+        self._env = np.empty((4, 4, int(np.prod(shape))))
         self.env = self._env[:0]
 
     @property
     def lo(self) -> np.ndarray:
-        return self.env.reshape((-1, 4) + self.shape)[:, 1]
+        return self.env[:, 1].reshape((-1,) + self.shape)
 
     @property
     def hi(self) -> np.ndarray:
-        return -self.env.reshape((-1, 4) + self.shape)[:, 2]
+        return -self.env[:, 2].reshape((-1,) + self.shape)
 
     def append(self, key: int, table: np.ndarray) -> int:
         row = len(self.keys)
-        self._env = put_row(self._env, row, _four(table) * self._member_scale)
+        self._env = put_row(self._env, row, table.reshape(1, -1) * self._member_scale)
         self.env = self._env[: row + 1]
         self.keys.append(key)
         return row
 
     def widen(self, row: int, table: np.ndarray) -> None:
-        np.minimum(self._env[row], _four(table) * self._member_scale, out=self._env[row])
+        np.minimum(self._env[row], table.reshape(1, -1) * self._member_scale, out=self._env[row])
 
     def passes(self, views: np.ndarray) -> np.ndarray:
-        """Per view and row: does the row's envelope take the view? (..., 4*size) -> (..., rows).
+        """Per view and row: does the row's envelope take the view? (..., size) -> (..., rows).
 
-        views are flat tables in _four form, one or a stack of them.
+        views are flat tables in C order, one or a stack of them.
         """
-        return (views[..., None, :] * self._view_scale <= self.env).all(axis=-1)
+        return (views[..., None, None, :] * self._view_scale <= self.env).all(axis=(-2, -1))
 
     def rows_from(self, key: int) -> BandStack:
         """The rows of keys >= key, sharing this stack's memory; keys must ascend."""
@@ -299,11 +294,6 @@ class BandStack:
         out.keys = self.keys[row:]
         out._env = out.env = self.env[row:]
         return out
-
-
-def _four(table: np.ndarray) -> np.ndarray:
-    """The table's entries in C order, four times over: the flat form BandStack scales."""
-    return np.concatenate((table.reshape(-1),) * 4)
 
 
 def _range_compatible(shape1: tuple[int, ...], shape2: tuple[int, ...], perm: Alignment) -> bool:
@@ -335,7 +325,7 @@ def _fitting_views(
     """Range-compatible permutations in lexicographic order, and a gather index.
 
     Indexing a flat table of `shape` with the index stacks its views in
-    `frame` under those permutations, each in the _four form. The index is
+    `frame` under those permutations, each flat in C order. The index is
     None when no permutation fits, or when the views would exceed
     _GATHER_ENTRIES.
     """
@@ -344,7 +334,7 @@ def _fitting_views(
     if not perms or len(perms) * size > _GATHER_ENTRIES:
         return perms, None
     flat = np.arange(size).reshape(shape)
-    index = np.stack([_four(aligned_table(flat, p)) for p in perms])
+    index = np.stack([aligned_table(flat, p).reshape(-1) for p in perms])
     index.flags.writeable = False
     return perms, index
 
@@ -368,7 +358,7 @@ def band_matches(table: np.ndarray, stacks: Iterable[BandStack]) -> dict[int, Al
         if index is not None:
             hits = stack.passes(table.reshape(-1)[index])
         elif perms:
-            hits = np.array([stack.passes(_four(aligned_table(table, p))) for p in perms])
+            hits = np.array([stack.passes(aligned_table(table, p).reshape(-1)) for p in perms])
         else:
             continue
         first = hits.argmax(axis=0)

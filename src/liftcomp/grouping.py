@@ -24,14 +24,10 @@ member m exactly when
 
 because rounded multiplication by a positive constant is monotone: the
 extreme member decides each of the four one-sided comparisons. A
-BandStack is built for one eps and keeps each group's row in the form
-those comparisons read, (Mn*c1, Mn, -Mx, -Mx*c2), so a table's views are
-multiplied once by (1, c2, -c1, -1) and tested against every row in one
-<=. Widening a row by a new member t is one entrywise minimum with
-(t*c1, t, -t, -t*c2), and it stays exact by the same monotonicity:
-fl(min(x, y)*c) = min(fl(x*c), fl(y*c)) for c > 0, and negation is
-exact, so the row is bit for bit the one Mn and Mx of the widened group
-would give.
+BandStack is built for one eps and keeps each group's row pre-scaled,
+so a table's views are tested against every row in one <=; its
+docstring gives the argument that the stored rows and the verdicts
+stay exact.
 
 Every join that the band test decides is recorded under its table's
 shape and bytes. A later factor with the same table reuses the last
@@ -206,30 +202,32 @@ def phase1_group(factors: Sequence[Factor], eps: float) -> Grouping:
     groups: list[_Group] = []
     stacks: dict[tuple[int, ...], BandStack] = {}   # group envelopes per frame shape
     decisions: dict[tuple[tuple[int, ...], bytes], _Decision] = {}
-    for f in factors:
-        key = (f.table.shape, f.table.tobytes())
-        last = decisions.get(key)
-        if last is not None and last.holds(groups, stacks.values(), f.table):
-            groups[last.group].add(
-                GroupMember(f.name, last.align), aligned_table(f.table, last.align)
+    with np.errstate(over="ignore"):   # a band product past float64's top is inf: no warning
+        for f in factors:
+            key = (f.table.shape, f.table.tobytes())
+            last = decisions.get(key)
+            if last is not None and last.holds(groups, stacks.values(), f.table):
+                groups[last.group].add(
+                    GroupMember(f.name, last.align), aligned_table(f.table, last.align)
+                )
+                last.joins += 1
+                continue
+            found = band_matches(f.table, stacks.values())
+            if not found:
+                if f.table.shape not in stacks:
+                    stacks[f.table.shape] = BandStack(f.table.shape, eps)
+                row = stacks[f.table.shape].append(len(groups), f.table)
+                member = GroupMember(f.name, identity_alignment(f.arity))
+                groups.append(_Group(member, f.table, row))
+                continue
+            gi = next(iter(found)) if len(found) == 1 else _closest(groups, found, f.table)
+            table = aligned_table(f.table, found[gi])
+            groups[gi].add(GroupMember(f.name, found[gi]), table)
+            stacks[table.shape].widen(groups[gi].row, table)
+            candidates = tuple(found)
+            decisions[key] = _Decision(
+                gi, found[gi], len(groups), candidates, _members(groups, candidates)
             )
-            last.joins += 1
-            continue
-        found = band_matches(f.table, stacks.values())
-        if not found:
-            if f.table.shape not in stacks:
-                stacks[f.table.shape] = BandStack(f.table.shape, eps)
-            row = stacks[f.table.shape].append(len(groups), f.table)
-            groups.append(_Group(GroupMember(f.name, identity_alignment(f.arity)), f.table, row))
-            continue
-        gi = next(iter(found)) if len(found) == 1 else _closest(groups, found, f.table)
-        table = aligned_table(f.table, found[gi])
-        groups[gi].add(GroupMember(f.name, found[gi]), table)
-        stacks[table.shape].widen(groups[gi].row, table)
-        candidates = tuple(found)
-        decisions[key] = _Decision(
-            gi, found[gi], len(groups), candidates, _members(groups, candidates)
-        )
     return Grouping(tuple(tuple(g.members) for g in groups))
 
 

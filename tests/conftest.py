@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from liftcomp import Factor, FactorGraph, GenConfig, RandomVariable, generate_fg, model, perturb
+from liftcomp import (
+    Evidence, Factor, FactorGraph, GenConfig, RandomVariable, acp, generate_fg, model, perturb,
+)
 
 HL = ("high", "low")
 
@@ -188,6 +191,20 @@ def partition_colours(fg: FactorGraph, result) -> tuple[list, list]:
         [(rv.name, class_of[rv.name]) for rv in fg.rvs],
         [(f.name, group_of[f.name]) for f in fg.factors],
     )
+
+
+def exact_pipeline(fg: FactorGraph) -> SimpleNamespace:
+    """The ACP baseline composed from its stages: grouping, pfg and m_prime.
+
+    Colour passing seeded by the exact seeding, then CRV positions and the
+    parfactor graph on fg itself, which is the baseline's m_prime:
+    run_eacp(fg, 0.0) must give the same.
+    """
+    colours, alignments = acp.initial_factor_colours_exact(fg.factors)
+    cp = acp.colour_pass(fg, colours, Evidence(), alignments=alignments, eps=0.0)
+    crv = acp.exact_crv_positions(fg, cp.grouping, cp.rv_classes, 0.0)
+    pfg = acp.construct_pfg(fg, cp.grouping, cp.rv_classes, crv)
+    return SimpleNamespace(grouping=cp.grouping, pfg=pfg, m_prime=fg)
 
 
 def _one_table(entries: str) -> str:

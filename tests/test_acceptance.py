@@ -35,12 +35,12 @@ from liftcomp import (
     run_grid,
     worst_case_fg,
 )
-from liftcomp.eacp import run_acp
 from liftcomp.equivalence import eps_equiv_arrays
 from liftcomp.grouping import mean_of_tables
 
 from conftest import (
     counting_model,
+    exact_pipeline,
     phi3,
     random_model,
     sales_model,
@@ -156,7 +156,7 @@ def test_06_zero_tolerance_reduces_to_exact_pipeline():
         for _ in range(200):
             fg = random_model(rng, copy_noise=0.0)
             a = run_eacp(fg, 0.0)
-            b = run_acp(fg)
+            b = exact_pipeline(fg)
             assert a.grouping == b.grouping
             assert pfg_equal(a.pfg, b.pfg)
             assert fg_equal(a.m_prime, b.m_prime)

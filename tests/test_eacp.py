@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from liftcomp import (
     worst_case_fg,
 )
 from liftcomp.acp import colour_pass, initial_factor_colours_exact
-from liftcomp.eacp import _phase3_update, run_acp
+from liftcomp.eacp import _phase3_update
 from liftcomp.equivalence import (
     aligned_table,
     eps_equiv_arrays,
@@ -37,7 +38,7 @@ from liftcomp.equivalence import (
 )
 from liftcomp.grouping import mean_of_tables
 
-from conftest import random_model, sales_model
+from conftest import exact_pipeline, random_model, sales_model
 
 
 def group_names(grouping):
@@ -271,15 +272,44 @@ class TestArityCap:
         assert group_names(res.grouping) == [["a", "b"], ["w"]]
 
 
+class TestFloat64Top:
+    # entries near float64's maximum overflow lo*c1 and v*c1 to inf in
+    # the band test; that is a verdict, not a RuntimeWarning
+    def test_phase1_and_compression_keep_apart(self):
+        rvs = tuple(RandomVariable(n, ("t", "f")) for n in ("A", "B"))
+        fg = FactorGraph(rvs, (
+            Factor("a", ("A",), np.array([1.7e308, 1.0])),
+            Factor("b", ("B",), np.array([1.0, 3.0])),
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            grouping = phase1_group(fg.factors, 0.1)
+            res = run_eacp(fg, 0.1)
+        assert group_names(grouping) == group_names(res.grouping) == [["a"], ["b"]]
+        assert res.m_prime is fg
+
+    def test_swap_test_near_the_top(self):
+        # one binary factor over one range: commutative_blocks tests its swap
+        rvs = tuple(RandomVariable(n, ("t", "f")) for n in ("A", "B"))
+        table = np.array([[1.7e308, 1.0], [2.0, 3.0]])
+        fg = FactorGraph(rvs, (Factor("c", ("A", "B"), table),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = run_eacp(fg, 0.1)
+        assert group_names(res.grouping) == [["c"]]
+        assert res.m_prime is fg
+
+
 class TestBaselineAgreement:
     def test_eps_zero_matches_exact_baseline(self):
         # the tolerant pipeline at zero tolerance must reproduce the
-        # exact-equality pipeline: same groups, same parfactors, same model
+        # exact-equality pipeline, composed from its stages: same groups,
+        # same parfactors, same model
         rng = np.random.default_rng(53)
         for _ in range(40):
             fg = random_model(rng, copy_noise=0.0)
             a = run_eacp(fg, 0.0)
-            b = run_acp(fg)
+            b = exact_pipeline(fg)
             assert group_names(a.grouping) == group_names(b.grouping)
             assert a.grouping == b.grouping
             assert pfg_equal(a.pfg, b.pfg)

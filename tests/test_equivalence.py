@@ -165,7 +165,7 @@ class TestBandEdge:
 
 
 class TestStackedBandMask:
-    """One eps_band_mask call on stacked views answers as one call per view."""
+    """band_matches on stacked views answers as one eps_band_mask call per view."""
 
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     @pytest.mark.parametrize("shape", [(2,), (2, 3, 2), (3, 3)])
@@ -198,7 +198,6 @@ class TestStackedBandMask:
             lo = np.stack([np.min(m, axis=0) for m in rows])
             hi = np.stack([np.max(m, axis=0) for m in rows])
             per_view = np.array([eps_band_mask(lo, hi, v, eps) for v in views])
-            assert np.array_equal(eps_band_mask(lo, hi, np.stack(views), eps), per_view)
             # each row keeps its first permutation in lexicographic order
             expected = {
                 key: perms[int(np.argmax(per_view[:, key]))]
